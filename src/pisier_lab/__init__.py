@@ -24,10 +24,9 @@ from .cube_fourier import (  # noqa: E402
     from_bytes,
     from_spectrum_json,
     fwht,
-    group_mul,
     inverse_fwht,
+    level_multiply,
     linear_function,
-    project_degree_one,
     read_binary,
     spectrum_sparsity,
     to_bytes,
@@ -40,8 +39,6 @@ from .linear_proxy import (  # noqa: E402
     deviation_bound,
     kernel_l1,
     kernel_moment,
-    kernel_value,
-    make_grid,
     proxy_as_cube_function,
     proxy_eval_by_weight,
     proxy_l1,
@@ -76,7 +73,6 @@ from .vector_field import (  # noqa: E402
     read_vector,
     sandwich_validate,
     sup_functional_norm,
-    vector_convolve,
     write_vector,
     young_bound_check,
 )
@@ -107,17 +103,14 @@ __all__ = [
     "from_bytes",
     "from_spectrum_json",
     "fwht",
-    "group_mul",
     "inverse_fwht",
     "kernel_l1",
     "kernel_moment",
-    "kernel_value",
+    "level_multiply",
     "linear_function",
     "lower_bound_instance",
-    "make_grid",
     "mean_square_norm",
     "pisier_ratio",
-    "project_degree_one",
     "proxy_as_cube_function",
     "proxy_eval_by_weight",
     "proxy_l1",
@@ -135,7 +128,6 @@ __all__ = [
     "truncation_level",
     "truncation_tail_bound",
     "truncation_tail_chain",
-    "vector_convolve",
     "write_binary",
     "write_vector",
     "young_bound_check",

@@ -21,7 +21,10 @@ from typing import Any
 import numpy as np
 
 from . import cube_fourier, linear_proxy, lower_bound, pisier_bench, vector_field
-from .pisier_bench import AUDIT_CSV_FIELDS
+from .cube_fourier import MAX_DIM
+from .linear_proxy import MAX_ELL
+from .lower_bound import MAX_RECORD_DIM, WITNESS_VARIANTS
+from .pisier_bench import AUDIT_CSV_FIELDS, MAX_AUDIT_DIM
 from .report import BoundViolationError
 
 _MOMENT_TOL = 1e-10
@@ -74,28 +77,31 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.command == "proxy-check":
-            _require(self.ell is not None and self.ell % 2 == 1 and 1 <= self.ell <= 15,
-                     f"--ell must be odd in 1..15, got {self.ell}")
-            _require(self.n is not None and 1 <= self.n <= 24, f"--n must lie in 1..24, got {self.n}")
+            _require(self.ell is not None and self.ell % 2 == 1 and 1 <= self.ell <= MAX_ELL,
+                     f"--ell must be odd in 1..{MAX_ELL}, got {self.ell}")
+            _require(self.n is not None and 1 <= self.n <= MAX_DIM,
+                     f"--n must lie in 1..{MAX_DIM}, got {self.n}")
         elif self.command == "audit":
-            _require(self.n is not None and 1 <= self.n <= 16, f"--n must lie in 1..16, got {self.n}")
+            _require(self.n is not None and 1 <= self.n <= MAX_AUDIT_DIM,
+                     f"--n must lie in 1..{MAX_AUDIT_DIM}, got {self.n}")
             _require(self.m is not None and self.m >= 1, f"--m must be positive, got {self.m}")
-            _require(self.ell is None or (self.ell % 2 == 1 and 1 <= self.ell <= 15),
-                     f"--ell must be odd in 1..15, got {self.ell}")
+            _require(self.ell is None or (self.ell % 2 == 1 and 1 <= self.ell <= MAX_ELL),
+                     f"--ell must be odd in 1..{MAX_ELL}, got {self.ell}")
             _require(self.norm in ("linf", "l1", "l2", "lp"), f"unknown norm {self.norm!r}")
             _require(self.norm != "lp" or (self.p is not None and self.p >= 1),
                      "--norm lp needs --p >= 1")
             _require(self.seed >= 0, "--seed must be nonnegative")
         elif self.command == "lower-bound":
-            _require(self.n is not None and 1 <= self.n <= 16, f"--n must lie in 1..16, got {self.n}")
-            _require(self.variant in ("truncated", "chebyshev"), f"unknown variant {self.variant!r}")
+            _require(self.n is not None and 1 <= self.n <= MAX_RECORD_DIM,
+                     f"--n must lie in 1..{MAX_RECORD_DIM}, got {self.n}")
+            _require(self.variant in WITNESS_VARIANTS, f"unknown variant {self.variant!r}")
             _require(self.emit in ("json", "csv"), f"--emit must be json or csv, got {self.emit!r}")
         elif self.command == "sparsity":
             _require((self.input_path is None) != (self.n is None),
                      "pass exactly one of --input or --n")
             if self.n is not None:
-                _require(1 <= self.n <= 16, f"--n must lie in 1..16, got {self.n}")
-                _require(self.variant in ("truncated", "chebyshev"), f"unknown variant {self.variant!r}")
+                _require(1 <= self.n <= MAX_RECORD_DIM, f"--n must lie in 1..{MAX_RECORD_DIM}, got {self.n}")
+                _require(self.variant in WITNESS_VARIANTS, f"unknown variant {self.variant!r}")
         elif self.command == "sweep":
             _require(self.kind in ("proxy", "lower-bound", "audit"), f"unknown sweep kind {self.kind!r}")
         elif self.command == "fourier":
@@ -268,8 +274,7 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
     instance_mode = n <= lower_bound.MAX_INSTANCE_DIM and not scalar_only
     violations: list[str] = []
 
-    witness = (lower_bound.build_truncated_witness(n) if variant == "truncated"
-               else lower_bound.build_chebyshev_witness(n))
+    witness = lower_bound.build_witness(n, variant)
     witness_sup = witness.sup_norm()
     singletons = [1 << j for j in range(n)]
     singles = witness.spectrum[singletons]
@@ -362,8 +367,7 @@ def cmd_sparsity(cfg: RunConfig) -> int:
         f = cube_fourier.read_binary(cfg.input_path)
         source = f"file:{cfg.input_path}"
     else:
-        f = (lower_bound.build_truncated_witness(cfg.n) if cfg.variant == "truncated"
-             else lower_bound.build_chebyshev_witness(cfg.n))
+        f = lower_bound.build_witness(cfg.n, cfg.variant)
         source = f"witness:{cfg.variant}:{cfg.n}"
     report = lower_bound.sparsity_inequality_check(f, rescale=cfg.rescale)
     payload = {"command": "sparsity", "source": source, **report.to_dict()}
@@ -495,12 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("proxy-check", help="verify the kernel and proxy bounds for one (ell, n)")
-    p.add_argument("--ell", type=int, required=True, help="odd proxy parameter in 1..15")
-    p.add_argument("--n", type=int, required=True, help="cube dimension in 1..24")
+    p.add_argument("--ell", type=int, required=True, help=f"odd proxy parameter in 1..{MAX_ELL}")
+    p.add_argument("--n", type=int, required=True, help=f"cube dimension in 1..{MAX_DIM}")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("audit", help="audit one seeded random instance end to end")
-    p.add_argument("--n", type=int, required=True, help="cube dimension in 1..16")
+    p.add_argument("--n", type=int, required=True, help=f"cube dimension in 1..{MAX_AUDIT_DIM}")
     p.add_argument("--m", type=int, required=True, help="target dimension")
     p.add_argument("--ell", type=int, default=None,
                    help="override the proxy parameter (default: smallest odd > log2(m)/2)")
@@ -516,15 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower-bound", help="build a witness and verify its properties")
     p.add_argument("--n", type=int, required=True,
-                   help="cube dimension; instance mode up to 12, scalar mode up to 16")
-    p.add_argument("--variant", default="truncated", choices=["truncated", "chebyshev"])
+                   help=f"cube dimension; instance mode up to {lower_bound.MAX_INSTANCE_DIM}, "
+                        f"scalar mode up to {MAX_RECORD_DIM}")
+    p.add_argument("--variant", default="truncated", choices=WITNESS_VARIANTS)
     p.add_argument("--scalar-only", action="store_true", help="skip the norm instance")
     p.add_argument("--emit", default="json", choices=["json", "csv"])
     p.add_argument("--out", help="write (json) or append (csv) here instead of stdout")
 
     p = sub.add_parser("sparsity", help="record log2 spectrum sparsity vs singleton mass")
-    p.add_argument("--n", type=int, default=None, help="build the witness at this dimension")
-    p.add_argument("--variant", default="truncated", choices=["truncated", "chebyshev"])
+    p.add_argument("--n", type=int, default=None,
+                   help=f"build the witness at this dimension, in 1..{MAX_RECORD_DIM}")
+    p.add_argument("--variant", default="truncated", choices=WITNESS_VARIANTS)
     p.add_argument("--input", dest="input_path", default=None,
                    help="check a serialized cube function instead of a witness")
     p.add_argument("--no-rescale", dest="rescale", action="store_false",

@@ -40,6 +40,11 @@ def popcount(masks) -> np.ndarray:
     return np.bitwise_count(np.asarray(masks, dtype=np.uint32))
 
 
+def subset_levels(n: int) -> np.ndarray:
+    """|S| for every subset mask S in mask order; equally, the Hamming weight of every point."""
+    return popcount(np.arange(1 << n, dtype=np.uint32))
+
+
 def _walsh_butterfly(a: np.ndarray) -> np.ndarray:
     # In-place radix-2 pass over a fresh copy; out[s] = sum_x a[x] (-1)^popcount(s & x)
     # along the last axis.  Works on any leading batch shape.
@@ -93,17 +98,28 @@ def character_eval(s_mask: int, x_mask: int) -> int:
     return -1 if (s_mask & x_mask).bit_count() & 1 else 1
 
 
-def character_values(n: int, s_mask: int) -> np.ndarray:
-    """Value table of chi_S over the whole cube."""
+def character_values(n: int, s_masks) -> np.ndarray:
+    """Value table of chi_S over the whole cube; an array of masks gives one column per mask."""
     _check_dim(n)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    parity = popcount(masks & np.uint32(s_mask)) & 1
+    points = np.arange(1 << n, dtype=np.uint32)
+    parity = popcount(np.bitwise_and.outer(points, np.asarray(s_masks, dtype=np.uint32))) & 1
     return 1.0 - 2.0 * parity.astype(np.float64)
 
 
-def group_mul(x_mask: int, z_mask: int) -> int:
-    """Coordinate-wise product of two cube points; XOR under the mask encoding."""
-    return x_mask ^ z_mask
+def level_multiply(spec, c) -> np.ndarray:
+    """spec[S] * c[|S|] along axis 0, for a 2^n spectrum or a (2^n, m) spectrum table.
+
+    Convolving with a function whose coefficients depend only on the level,
+    such as L, the proxy P or L - P, is exactly this operator.
+    """
+    spec = np.asarray(spec, dtype=np.float64)
+    _check_power_of_two(spec.shape[0], "level_multiply")
+    n = spec.shape[0].bit_length() - 1
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (n + 1,):
+        raise ValueError(f"need one multiplier per level 0..{n}, got shape {c.shape}")
+    factor = c[subset_levels(n)]
+    return spec * factor.reshape(factor.shape + (1,) * (spec.ndim - 1))
 
 
 class CubeFunction:
@@ -220,12 +236,6 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     return CubeFunction.from_spectrum(f.n, f.spectrum * g.spectrum)
-
-
-def project_degree_one(f: CubeFunction) -> CubeFunction:
-    """Keep exactly the |S| = 1 coefficients; the scalar Rademacher projection."""
-    levels = popcount(np.arange(f.size, dtype=np.uint32))
-    return CubeFunction.from_spectrum(f.n, np.where(levels == 1, f.spectrum, 0.0))
 
 
 def spectrum_sparsity(f: CubeFunction, threshold: float = SPARSITY_THRESHOLD) -> int:

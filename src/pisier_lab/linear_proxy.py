@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .cube_fourier import CubeFunction, _check_dim, popcount
+from .cube_fourier import CubeFunction, _check_dim, subset_levels
 from .report import BoundViolationError, ResourceLimitError
 
 MAX_ELL = 15  # beyond this the deviation 8 ell / 2^ell is below 1e-3 and adds nothing
@@ -80,25 +80,9 @@ class AngleGrid:
                     f"grid geometric-sum identity failed at a={a}: |{total:.3e} - {want}| > {_IDENTITY_TOL}"
                 )
 
-    def angle(self, k: int) -> float:
-        """theta_k = 2 pi k / (4 ell)."""
-        if not 0 <= k < self.size:
-            raise ValueError(f"grid index {k} out of range [0, {self.size})")
-        return 2.0 * math.pi * k / self.size
-
-    def sin(self, k: int) -> float:
-        """sin(theta_k) from the mirrored table."""
-        if not 0 <= k < self.size:
-            raise ValueError(f"grid index {k} out of range [0, {self.size})")
-        return float(self._sin[k])
-
     @property
     def angles(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.size) / self.size
-
-    @property
-    def support_angles(self) -> np.ndarray:
-        return 2.0 * math.pi * np.asarray(self.support) / self.size
 
 
 class ProxyKernel:
@@ -127,16 +111,6 @@ class ProxyKernel:
             raise ValueError("kernel has a pole at theta in {0, pi}")
         idx = int(np.searchsorted(self.support, k))
         return float(self.phi[idx])
-
-
-def make_grid(ell: int) -> AngleGrid:
-    """Angle grid for an odd ell, with the geometric-sum identity verified."""
-    return AngleGrid(ell)
-
-
-def kernel_value(kernel: ProxyKernel, k: int) -> float:
-    """phi(theta_k) for a support index k."""
-    return kernel.value(k)
 
 
 def kernel_moment(kernel: ProxyKernel, k: int) -> float:
@@ -181,10 +155,9 @@ def proxy_eval_by_weight(kernel: ProxyKernel, n: int, a: int) -> float:
     _check_dim(n)
     if not 0 <= a <= n:
         raise ValueError(f"weight a={a} out of range [0, {n}]")
+    # |sin theta| <= 1, so both factors lie in [1/2, 3/2]: every power stays positive
     plus = 1.0 + kernel.sin_support / 2.0
     minus = 1.0 - kernel.sin_support / 2.0
-    # every factor sits in [1/2, 3/2]; the l1 computation depends on positivity
-    assert plus.min() >= 0.5 and minus.min() >= 0.5
     terms = kernel.phi * plus ** (n - a) * minus**a
     return 2.0 * math.fsum(terms) / terms.size
 
@@ -207,6 +180,4 @@ def proxy_as_cube_function(kernel: ProxyKernel, n: int) -> CubeFunction:
     _check_dim(n)
     if n > MAX_PROXY_DIM:
         raise ResourceLimitError(f"proxy tables capped at n={MAX_PROXY_DIM}, got {n}")
-    coeffs = proxy_level_coeffs(kernel, n)
-    levels = popcount(np.arange(1 << n, dtype=np.uint32))
-    return CubeFunction.from_spectrum(n, coeffs[levels])
+    return CubeFunction.from_spectrum(n, proxy_level_coeffs(kernel, n)[subset_levels(n)])

@@ -20,17 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_fourier import (
-    CubeFunction,
-    character_values,
-    popcount,
-    spectrum_sparsity,
-)
+from .cube_fourier import CubeFunction, spectrum_sparsity, subset_levels
 from .report import BoundReport, ResourceLimitError
 from .vector_field import Norm, VectorFunction, rademacher_projection
 
 MAX_WITNESS_DIM = 20
+# CLI cap for the lower-bound and sparsity records: FAMILY_THRESHOLD drops
+# genuine coefficients from n = 19 on, so counted sparsity is not trusted up to 20.
+MAX_RECORD_DIM = 16
 MAX_INSTANCE_DIM = 12  # per-point sup-functional scans cost n * 4^n
+WITNESS_VARIANTS = ("truncated", "chebyshev")
 FAMILY_THRESHOLD = 1e-8
 _INSTANCE_TOL = 1e-10
 
@@ -43,14 +42,17 @@ def _check_witness_dim(n: int) -> None:
         raise ValueError(f"witness dimension must lie in 1..{MAX_WITNESS_DIM}, got {n!r}")
 
 
+def _product_level_coeffs(n: int) -> np.ndarray:
+    """Im(i^k) n^(-k/2) for k = 0..n, the product witness's coefficient at every level-k subset."""
+    _check_witness_dim(n)
+    k = np.arange(n + 1)
+    signs = np.asarray(_IM_UNIT_POWERS, dtype=np.float64)[k % 4]
+    return signs * (1.0 / math.sqrt(n)) ** k.astype(np.float64)
+
+
 def build_product_witness(n: int) -> CubeFunction:
     """Im prod_j (1 + i x_j / sqrt(n)), constructed level-exactly from its spectrum."""
-    _check_witness_dim(n)
-    root = 1.0 / math.sqrt(n)
-    levels = popcount(np.arange(1 << n, dtype=np.uint32))
-    signs = np.asarray(_IM_UNIT_POWERS, dtype=np.float64)[levels % 4]
-    spectrum = signs * root ** levels.astype(np.float64)
-    return CubeFunction.from_spectrum(int(n), spectrum)
+    return CubeFunction.from_spectrum(int(n), _product_level_coeffs(n)[subset_levels(n)])
 
 
 def truncation_level(n: int) -> int:
@@ -62,10 +64,9 @@ def truncation_level(n: int) -> int:
 
 def build_truncated_witness(n: int) -> CubeFunction:
     """The product witness with all levels above floor(3 sqrt(n)) removed."""
-    base = build_product_witness(n)
-    cut = truncation_level(n)
-    levels = popcount(np.arange(1 << n, dtype=np.uint32))
-    return CubeFunction.from_spectrum(int(n), np.where(levels <= cut, base.spectrum, 0.0))
+    coeffs = _product_level_coeffs(n)
+    coeffs[truncation_level(n) + 1 :] = 0.0
+    return CubeFunction.from_spectrum(int(n), coeffs[subset_levels(n)])
 
 
 def build_chebyshev_witness(n: int) -> CubeFunction:
@@ -86,8 +87,7 @@ def build_chebyshev_witness(n: int) -> CubeFunction:
         for _ in range(2, k + 1):
             prev, cur = cur, 2.0 * t * cur - prev
         by_weight[a] = cur
-    weights = popcount(np.arange(1 << n, dtype=np.uint32))
-    return CubeFunction.from_values(int(n), by_weight[weights])
+    return CubeFunction.from_values(int(n), by_weight[subset_levels(n)])
 
 
 def truncation_tail_bound(n: int) -> float:
@@ -126,7 +126,8 @@ class LowerBoundInstance:
         return self.linear_norm_value / self.field_norm_value
 
 
-def _build_witness(n: int, variant: str) -> CubeFunction:
+def build_witness(n: int, variant: str) -> CubeFunction:
+    """The witness named by one of WITNESS_VARIANTS."""
     if variant == "truncated":
         return build_truncated_witness(n)
     if variant == "chebyshev":
@@ -142,20 +143,21 @@ def lower_bound_instance(
         raise ResourceLimitError(
             f"instance mode capped at n={MAX_INSTANCE_DIM} (sup-functional scans cost n*4^n)"
         )
-    witness = _build_witness(n, variant)
+    witness = build_witness(n, variant)
     spectrum = witness.spectrum
     family = np.nonzero(np.abs(spectrum) > threshold)[0]
     if family.size == 0:
         raise ValueError("witness spectrum is empty at this threshold")
 
-    columns = np.empty((1 << n, family.size))
-    for idx, mask in enumerate(family):
-        columns[:, idx] = spectrum[mask] * character_values(n, int(mask))
-    vector = VectorFunction.from_values_matrix(n, columns)
+    # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x)
+    spectra = np.zeros((1 << n, family.size))
+    spectra[family, np.arange(family.size)] = spectrum[family]
+    vector = VectorFunction.from_spectrum_matrix(n, spectra)
+    del spectra  # the vector holds its own copy; do not keep a second one alive
     norm = Norm.sup_functional(n, family)
 
     witness_sup = witness.sup_norm()
-    per_point = norm.evaluate_rows(columns)
+    per_point = norm.evaluate_rows(vector.values_matrix())
     spread = float(np.abs(per_point - witness_sup).max())
     if spread > _INSTANCE_TOL:
         raise RuntimeError(f"instance invariant failed: ||f(x)|| deviates from ||F||_inf by {spread:.3e}")
@@ -218,7 +220,8 @@ def sparsity_inequality_check(
                 f"sup norm {sup:.6g} exceeds 1; pass rescale=True to normalize first"
             )
         scale = sup
-        checked = f * (1.0 / sup)
+        # scale the spectrum, so a function held as values is transformed once
+        checked = CubeFunction.from_spectrum(f.n, f.spectrum * (1.0 / sup))
 
     sparsity = spectrum_sparsity(checked, threshold)
     if sparsity == 0:

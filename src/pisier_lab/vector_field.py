@@ -1,9 +1,10 @@
 """Vector-valued cube functions, the norm suite, and convolution facts.
 
-A VectorFunction is m coordinate CubeFunctions over one cube.  Norms on the
-target space come in three kinds: the lp family, the sup-functional norm
-(the sup norm of the function whose spectrum is the vector, over a fixed
-subset family), and caller-supplied evaluators that are spot-validated at
+A VectorFunction is one (2^n, m) table over one cube: row x is the vector
+f(x), or row S is the vector coefficient fhat(S).  Norms on the target
+space come in three kinds: the lp family, the sup-functional norm (the sup
+norm of the function whose spectrum is the vector, over a fixed subset
+family), and caller-supplied evaluators that are spot-validated at
 construction.  All cube averages are exact enumerations over the 2^n
 points; sampling appears only in sandwich validation, where the inequality
 ranges over all of R^m and cannot be enumerated.
@@ -15,19 +16,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cube_fourier import (
-    MAX_DIM,
-    CubeFunction,
-    convolve,
-    from_bytes,
-    inverse_fwht_rows,
-    project_degree_one,
-    to_bytes,
-)
+from .cube_fourier import _HEADER, MAX_DIM, CubeFunction, _check_dim, character_values, inverse_fwht_rows
 from .report import BoundReport, BoundViolationError, ResourceLimitError
 
 _SUPPLIED_NORM_TOL = 1e-9
@@ -36,44 +29,55 @@ _SUP_CHUNK_DOUBLES = 1 << 22
 
 
 class VectorFunction:
-    """Function from the cube to R^m, held as m coordinate CubeFunctions."""
+    """Function from the cube to R^m, held as a read-only (2^n, m) value and/or spectrum table.
 
-    def __init__(self, coords: Iterable[CubeFunction]):
-        coords = tuple(coords)
-        if not coords:
-            raise ValueError("need at least one coordinate function")
-        n = coords[0].n
-        if any(c.n != n for c in coords):
-            raise ValueError("coordinate functions must share one cube dimension")
+    The missing table is filled lazily by one batched transform and cached.
+    """
+
+    __slots__ = ("n", "m", "_values", "_spectrum")
+
+    def __init__(self, n: int, values=None, spectrum=None):
+        _check_dim(n)
+        if (values is None) == (spectrum is None):
+            raise ValueError("need exactly one of a value table and a spectrum table")
+        table = np.array(values if spectrum is None else spectrum, dtype=np.float64, order="C")
+        if table.ndim != 2 or table.shape[0] != 1 << n or table.shape[1] < 1:
+            raise ValueError(f"expected a (2^{n}, m) table with m >= 1, got {table.shape}")
+        table.flags.writeable = False
         self.n = n
-        self.m = len(coords)
-        self.coords = coords
+        self.m = table.shape[1]
+        self._values = table if spectrum is None else None
+        self._spectrum = table if values is None else None
 
     @classmethod
-    def from_values_matrix(cls, n: int, values: np.ndarray) -> "VectorFunction":
-        """Columns of a (2^n, m) matrix become the coordinate value tables."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != 1 << n:
-            raise ValueError(f"expected a (2^{n}, m) matrix, got {values.shape}")
-        return cls(CubeFunction.from_values(n, values[:, j]) for j in range(values.shape[1]))
+    def from_values_matrix(cls, n: int, values) -> "VectorFunction":
+        """Row x of a (2^n, m) matrix is the vector f(x)."""
+        return cls(n, values=values)
 
     @classmethod
-    def from_spectrum_matrix(cls, n: int, spectra: np.ndarray) -> "VectorFunction":
-        """Columns of a (2^n, m) matrix become the coordinate spectra."""
-        spectra = np.asarray(spectra, dtype=np.float64)
-        if spectra.ndim != 2 or spectra.shape[0] != 1 << n:
-            raise ValueError(f"expected a (2^{n}, m) matrix, got {spectra.shape}")
-        return cls(CubeFunction.from_spectrum(n, spectra[:, j]) for j in range(spectra.shape[1]))
+    def from_spectrum_matrix(cls, n: int, spectra) -> "VectorFunction":
+        """Row S of a (2^n, m) matrix is the vector coefficient fhat(S)."""
+        return cls(n, spectrum=spectra)
 
     def values_matrix(self) -> np.ndarray:
-        return np.column_stack([c.values for c in self.coords])
+        if self._values is None:
+            # the transposed view keeps the table's memory order through the butterfly
+            v = inverse_fwht_rows(self._spectrum.T).T
+            v.flags.writeable = False
+            self._values = v
+        return self._values
 
     def spectrum_matrix(self) -> np.ndarray:
-        return np.column_stack([c.spectrum for c in self.coords])
+        if self._spectrum is None:
+            s = inverse_fwht_rows(self._values.T).T
+            s /= self._values.shape[0]
+            s.flags.writeable = False
+            self._spectrum = s
+        return self._spectrum
 
     def coefficient(self, s_mask: int) -> np.ndarray:
         """The vector Fourier coefficient at one subset."""
-        return np.array([c.spectrum[s_mask] for c in self.coords])
+        return self.spectrum_matrix()[s_mask]
 
     def __repr__(self):
         return f"VectorFunction(n={self.n}, m={self.m})"
@@ -207,6 +211,10 @@ class Norm:
             out[start : start + chunk] = np.abs(inverse_fwht_rows(embedded)).max(axis=1)
         return out
 
+    def mean_square(self, table) -> float:
+        """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point."""
+        return float(np.sqrt(np.mean(self.evaluate_rows(table) ** 2)))
+
     def __call__(self, v) -> float:
         return self.evaluate(v)
 
@@ -225,7 +233,8 @@ class SandwichTransform:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("transform matrix must be square")
-        if not np.isfinite(np.linalg.cond(matrix)) or np.linalg.cond(matrix) > 1e12:
+        cond = np.linalg.cond(matrix)
+        if not np.isfinite(cond) or cond > 1e12:
             raise ValueError("transform matrix must be invertible")
         if self.distortion < 1.0:
             raise ValueError("distortion must be at least 1")
@@ -304,22 +313,14 @@ def sandwich_validate(
 
 def mean_square_norm(f: VectorFunction, norm: Norm) -> float:
     """(E ||f(X)||^2)^(1/2), averaged exactly over all 2^n cube points."""
-    if norm.dim not in (None, f.m):
-        raise ValueError(f"norm is on R^{norm.dim}, function maps into R^{f.m}")
-    per_point = norm.evaluate_rows(f.values_matrix())
-    return float(np.sqrt(np.mean(per_point**2)))
-
-
-def vector_convolve(f: VectorFunction, g: CubeFunction) -> VectorFunction:
-    """Coordinate-wise convolution with a scalar function."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    return VectorFunction(convolve(c, g) for c in f.coords)
+    return norm.mean_square(f.values_matrix())
 
 
 def rademacher_projection(f: VectorFunction) -> VectorFunction:
-    """Keep the level-1 part of every coordinate."""
-    return VectorFunction(project_degree_one(c) for c in f.coords)
+    """lin f(x) = sum_j fhat({j}) x_j, formed as a (2^n, n) by (n, m) product with no transform."""
+    singletons = 1 << np.arange(f.n)
+    coordinates = character_values(f.n, singletons)  # column j is x_j
+    return VectorFunction.from_values_matrix(f.n, coordinates @ f.spectrum_matrix()[singletons])
 
 
 def apply_linear(matrix: np.ndarray, f: VectorFunction) -> VectorFunction:
@@ -334,7 +335,10 @@ def young_bound_check(
     f: VectorFunction, g: CubeFunction, norm: Norm, tol: float = 1e-9
 ) -> BoundReport:
     """Convolution contraction: msn(f * g) <= E|g| * msn(f) for any norm."""
-    lhs = mean_square_norm(vector_convolve(f, g), norm)
+    if f.n != g.n:
+        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
+    convolved = VectorFunction.from_spectrum_matrix(f.n, f.spectrum_matrix() * g.spectrum[:, None])
+    lhs = mean_square_norm(convolved, norm)
     g_l1 = float(np.mean(np.abs(g.values)))
     rhs = g_l1 * mean_square_norm(f, norm)
     report = BoundReport.of(
@@ -352,7 +356,8 @@ def young_bound_check(
 
 def write_vector(f: VectorFunction, data_path, sidecar_path) -> None:
     """m concatenated coordinate binaries plus a {n, m} JSON sidecar."""
-    blob = b"".join(to_bytes(c) for c in f.coords)
+    header = _HEADER.pack(f.n)
+    blob = b"".join(header + column.astype("<f8").tobytes() for column in f.values_matrix().T)
     Path(data_path).write_bytes(blob)
     Path(sidecar_path).write_text(json.dumps({"n": f.n, "m": f.m}, sort_keys=True) + "\n")
 
@@ -360,9 +365,12 @@ def write_vector(f: VectorFunction, data_path, sidecar_path) -> None:
 def read_vector(data_path, sidecar_path) -> VectorFunction:
     meta = json.loads(Path(sidecar_path).read_text())
     n, m = int(meta["n"]), int(meta["m"])
+    _check_dim(n)
     blob = Path(data_path).read_bytes()
-    record = 4 + 8 * (1 << n)
-    if len(blob) != m * record:
+    record = np.dtype([("n", "<u4"), ("values", "<f8", (1 << n,))])  # one cube-function binary
+    if len(blob) != m * record.itemsize:
         raise ValueError(f"vector blob length {len(blob)} does not match n={n}, m={m}")
-    coords = [from_bytes(blob[i * record : (i + 1) * record]) for i in range(m)]
-    return VectorFunction(coords)
+    records = np.frombuffer(blob, dtype=record)
+    if np.any(records["n"] != n):
+        raise ValueError(f"a coordinate record's header does not match the sidecar's n={n}")
+    return VectorFunction.from_values_matrix(n, records["values"].T)

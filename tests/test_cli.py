@@ -9,6 +9,10 @@ import pytest
 
 from pisier_lab import CubeFunction, build_truncated_witness, write_binary
 from pisier_lab import cli
+from pisier_lab.cube_fourier import MAX_DIM
+from pisier_lab.linear_proxy import MAX_ELL
+from pisier_lab.lower_bound import MAX_RECORD_DIM
+from pisier_lab.pisier_bench import MAX_AUDIT_DIM
 from pisier_lab.report import BoundViolationError
 
 
@@ -138,6 +142,33 @@ class TestSparsity:
         path = tmp_path / "big.bin"
         write_binary(CubeFunction.constant(3, 5.0), path)
         assert run_main(["sparsity", "--input", str(path), "--no-rescale"]) == 2
+
+
+CAPPED_FLAGS = [
+    (["proxy-check", "--n", "3", "--ell"], MAX_ELL),
+    (["proxy-check", "--ell", "1", "--n"], MAX_DIM),
+    (["audit", "--n", "4", "--m", "1", "--ell"], MAX_ELL),
+    (["audit", "--m", "1", "--n"], MAX_AUDIT_DIM),
+    (["lower-bound", "--scalar-only", "--n"], MAX_RECORD_DIM),
+    (["sparsity", "--n"], MAX_RECORD_DIM),
+]
+
+
+class TestCaps:
+    @pytest.mark.parametrize(("argv", "limit"), CAPPED_FLAGS,
+                             ids=[" ".join(argv) for argv, _ in CAPPED_FLAGS])
+    def test_accepts_limit_rejects_next(self, capsys, tmp_path, argv, limit):
+        out = ["--out", str(tmp_path / "out.json")]
+        assert run_main(argv + [str(limit)] + out) == 0
+        assert run_main(argv + [str(limit + 1)] + out) == 2
+        assert f"1..{limit}" in capsys.readouterr().err
+
+    def test_help_states_the_caps(self, capsys):
+        with pytest.raises(SystemExit):
+            run_main(["proxy-check", "--help"])
+        text = capsys.readouterr().out
+        assert f"1..{MAX_ELL}" in text
+        assert f"1..{MAX_DIM}" in text
 
 
 class TestSweep:

@@ -1,4 +1,4 @@
-"""Transform, character, convolution, and projection checks for the scalar core."""
+"""Transform, character, convolution, and level-operator checks for the scalar core."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,14 @@ from pisier_lab import (
     from_bytes,
     from_spectrum_json,
     fwht,
-    group_mul,
     inverse_fwht,
+    level_multiply,
     linear_function,
-    project_degree_one,
     spectrum_sparsity,
     to_bytes,
     to_spectrum_json,
 )
+from pisier_lab.cube_fourier import inverse_fwht_rows, popcount
 from pisier_lab.lower_bound import build_truncated_witness
 
 
@@ -109,16 +109,23 @@ class TestCharacters:
 
 
 class TestGroupMul:
+    """The coordinate-wise product of cube points is the XOR of their masks."""
+
     def test_identity_element(self):
-        # the all-ones point is mask 0
-        assert group_mul(0b10110, 0) == 0b10110
+        # the all-ones point is mask 0, where every character is 1
+        assert 0b10110 ^ 0 == 0b10110
+        assert all(character_eval(s, 0) == 1 for s in range(32))
 
     def test_self_inverse(self):
-        assert group_mul(0b10110, 0b10110) == 0
+        assert 0b10110 ^ 0b10110 == 0
 
     def test_coordinate_product(self):
-        # (-1, +1) . (-1, -1) = (+1, -1)
-        assert group_mul(0b01, 0b11) == 0b10
+        # (-1, +1) . (-1, -1) = (+1, -1); characters are multiplicative under the product
+        assert 0b01 ^ 0b11 == 0b10
+        for s in range(8):
+            for x in range(8):
+                for z in range(8):
+                    assert character_eval(s, x ^ z) == character_eval(s, x) * character_eval(s, z)
 
 
 class TestConvolve:
@@ -159,26 +166,34 @@ class TestConvolve:
             convolve(CubeFunction.constant(3, 1.0), CubeFunction.constant(4, 1.0))
 
 
+def level_one(n):
+    """Level multipliers of the degree-one projection: keep |S| = 1, drop the rest."""
+    c = np.zeros(n + 1)
+    c[1] = 1.0
+    return c
+
+
 class TestProjectDegreeOne:
+    """The scalar Rademacher projection is level_multiply with the level-1 indicator."""
+
     def test_constant_projects_to_zero(self):
-        out = project_degree_one(CubeFunction.constant(4, 7.0))
-        assert np.all(out.spectrum == 0.0)
+        out = level_multiply(CubeFunction.constant(4, 7.0).spectrum, level_one(4))
+        assert np.all(out == 0.0)
 
     def test_coefficient_selection(self):
         # x1 x2 + 3 x3 keeps only 3 x3
         spec = np.zeros(8)
         spec[0b011] = 1.0
         spec[0b100] = 3.0
-        out = project_degree_one(CubeFunction.from_spectrum(3, spec))
         expected = np.zeros(8)
         expected[0b100] = 3.0
-        assert np.array_equal(out.spectrum, expected)
+        assert np.array_equal(level_multiply(spec, level_one(3)), expected)
 
     def test_equals_convolution_with_linear_function(self):
         rng = np.random.default_rng(5)
         f = CubeFunction.from_values(8, rng.standard_normal(256))
         via_convolve = convolve(f, linear_function(8))
-        out = project_degree_one(f)
+        out = CubeFunction.from_spectrum(8, level_multiply(f.spectrum, level_one(8)))
         assert np.abs(out.values - via_convolve.values).max() < 1e-12
 
     @pytest.mark.parametrize("n", [4, 7, 10])
@@ -186,7 +201,47 @@ class TestProjectDegreeOne:
         rng = np.random.default_rng(50 + n)
         f = CubeFunction.from_values(n, rng.standard_normal(1 << n))
         via_convolve = convolve(f, linear_function(n))
-        assert np.abs(project_degree_one(f).spectrum - via_convolve.spectrum).max() < 1e-12
+        assert np.abs(level_multiply(f.spectrum, level_one(n)) - via_convolve.spectrum).max() < 1e-12
+
+
+class TestLevelMultiply:
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_matches_convolution_with_a_symmetric_function(self, n):
+        """Convolving with g whose coefficient depends only on |S| is spec[S] * c[|S|]."""
+        rng = np.random.default_rng(60 + n)
+        c = rng.standard_normal(n + 1)
+        g = CubeFunction.from_spectrum(n, c[popcount(np.arange(1 << n))])
+        f = CubeFunction.from_values(n, rng.standard_normal(1 << n))
+        assert np.array_equal(level_multiply(f.spectrum, c), convolve(f, g).spectrum)
+
+    def test_table_scales_every_column_alike(self):
+        rng = np.random.default_rng(70)
+        table = rng.standard_normal((64, 5))
+        c = rng.standard_normal(7)
+        out = level_multiply(table, c)
+        assert out.shape == (64, 5)
+        for j in range(5):
+            assert np.array_equal(out[:, j], level_multiply(table[:, j], c))
+
+    def test_rejects_wrong_level_count_and_length(self):
+        with pytest.raises(ValueError):
+            level_multiply(np.ones(8), np.ones(3))
+        with pytest.raises(ValueError):
+            level_multiply(np.ones((8, 2)), np.ones(5))
+        with pytest.raises(ValueError):
+            level_multiply(np.ones(6), np.ones(3))
+
+
+class TestBatchedTransform:
+    @pytest.mark.parametrize(("n", "m"), [(3, 1), (8, 5), (10, 16)])
+    def test_transposed_table_matches_per_column_transforms(self, n, m):
+        """Rows of a (2^n, m) table's transpose transform exactly as single columns do."""
+        rng = np.random.default_rng(80 + n)
+        table = rng.standard_normal((1 << n, m))
+        out = inverse_fwht_rows(table.T).T
+        assert out.flags.c_contiguous
+        for j in range(m):
+            assert np.array_equal(out[:, j], inverse_fwht(table[:, j]))
 
 
 class TestSparsity:

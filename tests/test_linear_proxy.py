@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from pisier_lab import (
+    AngleGrid,
     ProxyKernel,
     ResourceLimitError,
     deviation_bound,
     kernel_l1,
     kernel_moment,
-    kernel_value,
-    make_grid,
     proxy_as_cube_function,
     proxy_eval_by_weight,
     proxy_l1,
     proxy_level_coeffs,
 )
 from pisier_lab.cube_fourier import popcount
+from pisier_lab.linear_proxy import MAX_ELL
 
 ODD_ELLS = (1, 3, 5, 7, 9, 11, 13, 15)
 
@@ -37,13 +37,13 @@ def direct_moment(ell, k):
 
 class TestAngleGrid:
     def test_ell_one_layout(self):
-        grid = make_grid(1)
+        grid = AngleGrid(1)
         assert np.allclose(grid.angles, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
         assert grid.support == (1, 3)
 
     @pytest.mark.parametrize("ell", ODD_ELLS)
     def test_sizes_and_mirror_closure(self, ell):
-        grid = make_grid(ell)
+        grid = AngleGrid(ell)
         assert grid.size == 4 * ell
         assert len(grid.support) == 4 * ell - 2
         mirrored = {(-k) % grid.size for k in grid.support}
@@ -51,39 +51,39 @@ class TestAngleGrid:
 
     def test_geometric_sum_zero_case(self):
         # ell=3, a=5: the 12-term complex sum cancels
-        grid = make_grid(3)
+        grid = AngleGrid(3)
         total = sum(complex(math.cos(5 * t), math.sin(5 * t)) for t in grid.angles)
         assert abs(total) < 1e-10
 
     def test_geometric_sum_full_case(self):
-        grid = make_grid(3)
+        grid = AngleGrid(3)
         assert sum(complex(math.cos(0), math.sin(0)) for _ in grid.angles) == 12.0
 
     @pytest.mark.parametrize("bad", [0, -1, 2, 4, 17])
     def test_rejects_bad_ell(self, bad):
         with pytest.raises(ValueError):
-            make_grid(bad)
+            AngleGrid(bad)
 
 
 class TestKernelValues:
     def test_ell_one_values(self):
         kernel = ProxyKernel(1)
-        assert kernel_value(kernel, 1) == 1.0  # theta = pi/2
-        assert kernel_value(kernel, 3) == -1.0  # theta = 3 pi/2
+        assert kernel.value(1) == 1.0  # theta = pi/2
+        assert kernel.value(3) == -1.0  # theta = 3 pi/2
 
     def test_poles_rejected(self):
         kernel = ProxyKernel(3)
         with pytest.raises(ValueError):
-            kernel_value(kernel, 0)
+            kernel.value(0)
         with pytest.raises(ValueError):
-            kernel_value(kernel, 6)
+            kernel.value(6)
 
     @pytest.mark.parametrize("ell", (1, 5, 11))
     def test_exact_antisymmetry(self, ell):
         """phi(2 pi - theta) = -phi(theta) holds bit for bit."""
         kernel = ProxyKernel(ell)
         for k in kernel.grid.support:
-            assert kernel_value(kernel, (-k) % (4 * ell)) == -kernel_value(kernel, k)
+            assert kernel.value((-k) % (4 * ell)) == -kernel.value(k)
 
     @pytest.mark.parametrize("ell", (3, 7))
     def test_matches_direct_formula(self, ell):
@@ -91,7 +91,7 @@ class TestKernelValues:
         for k in kernel.grid.support:
             theta = 2 * math.pi * k / (4 * ell)
             direct = (2 * ell - 1) / ell * math.sin(ell * theta) / math.sin(theta) ** 2
-            assert kernel_value(kernel, k) == pytest.approx(direct, abs=1e-12)
+            assert kernel.value(k) == pytest.approx(direct, abs=1e-12)
 
 
 class TestMoments:
@@ -185,6 +185,15 @@ class TestProxyEvaluation:
         kernel = ProxyKernel(1)
         assert proxy_eval_by_weight(kernel, 1, 0) == pytest.approx(1.0, abs=1e-14)
         assert proxy_eval_by_weight(kernel, 1, 1) == pytest.approx(-1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("ell", range(1, MAX_ELL + 1, 2))
+    def test_weight_factors_stay_in_half_to_three_halves(self, ell):
+        """|sin| <= 1 on the support, so 1 +- sin/2 lies in [1/2, 3/2] and its powers stay positive."""
+        sin = ProxyKernel(ell).sin_support
+        assert np.abs(sin).max() <= 1.0
+        for factor in (1.0 + sin / 2.0, 1.0 - sin / 2.0):
+            assert factor.min() >= 0.5
+            assert factor.max() <= 1.5
 
     def test_weight_out_of_range(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from pisier_lab import (
     truncation_tail_bound,
     truncation_tail_chain,
 )
+from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import popcount
 
 
@@ -191,6 +192,14 @@ class TestInstance:
         instance = lower_bound_instance(n, "truncated")
         assert instance.ratio >= math.sqrt(n) / (3.0 + truncation_tail_bound(n))
 
+    def test_vector_columns_are_scaled_characters(self):
+        """Coordinate S of the instance is Fhat(S) chi_S(x), computed by direct character sums."""
+        instance = lower_bound_instance(6, "truncated")
+        values = instance.vector.values_matrix()
+        for idx, mask in enumerate(instance.family):
+            want = instance.witness.coefficient(mask) * character_values(6, mask)
+            assert np.array_equal(values[:, idx], want)
+
     def test_family_sorted_ascending(self):
         instance = lower_bound_instance(6, "truncated")
         assert list(instance.family) == sorted(instance.family)
@@ -242,6 +251,22 @@ class TestSparsityRecord:
             sparsity_inequality_check(f)
         report = sparsity_inequality_check(f, rescale=True)
         assert report.params["scale"] == 2.0
+
+    def test_values_only_input_transforms_once(self, monkeypatch):
+        """A function held as values is rescaled on its spectrum: one transform in all."""
+        calls = []
+        butterfly = cube_fourier._walsh_butterfly
+
+        def counted(a):
+            calls.append(a.shape)
+            return butterfly(a)
+
+        f = CubeFunction.from_values(9, 2.0 * build_truncated_witness(9).values)
+        monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
+        report = sparsity_inequality_check(f, rescale=True)
+        assert len(calls) == 1
+        assert report.params["sparsity"] == 256
+        assert report.params["level1_sum_raw"] == pytest.approx(6.0, rel=1e-12)
 
     def test_rejects_zero_function(self):
         with pytest.raises(ValueError):

@@ -12,14 +12,16 @@ from pisier_lab import (
     SandwichTransform,
     VectorFunction,
     choose_ell,
+    convolve,
     decomposition_audit,
+    level_multiply,
     linear_function,
     mean_square_norm,
     pisier_ratio,
     proxy_as_cube_function,
-    rademacher_projection,
-    vector_convolve,
+    proxy_level_coeffs,
 )
+from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import popcount
 from pisier_lab.lower_bound import lower_bound_instance
 
@@ -27,6 +29,29 @@ from pisier_lab.lower_bound import lower_bound_instance
 def random_vector(n, m, seed):
     rng = np.random.default_rng(seed)
     return VectorFunction.from_spectrum_matrix(n, rng.standard_normal((1 << n, m)))
+
+
+def single_column(f: CubeFunction) -> VectorFunction:
+    return VectorFunction.from_spectrum_matrix(f.n, f.spectrum[:, None])
+
+
+def oracle_terms(f: VectorFunction, norm: Norm, ell: int) -> dict:
+    """The four audited norms, built column by column from scalar convolutions."""
+    n = f.n
+    proxy = proxy_as_cube_function(ProxyKernel(ell), n)
+    linear = linear_function(n)
+    columns = [CubeFunction.from_spectrum(n, f.spectrum_matrix()[:, j]) for j in range(f.m)]
+
+    def msn(parts):
+        table = np.column_stack([part.values for part in parts])
+        return math.sqrt(float(np.mean(norm.evaluate_rows(table) ** 2)))
+
+    return {
+        "rhs_raw": msn(columns),
+        "lhs": msn([convolve(c, linear) for c in columns]),
+        "term_proxy": msn([convolve(c, proxy) for c in columns]),
+        "term_remainder": msn([convolve(c, linear - proxy) for c in columns]),
+    }
 
 
 class TestChooseEll:
@@ -49,17 +74,17 @@ class TestChooseEll:
 
 class TestPisierRatio:
     def test_constant_function(self):
-        f = VectorFunction([CubeFunction.constant(5, 2.0)])
+        f = single_column(CubeFunction.constant(5, 2.0))
         report = pisier_ratio(f, Norm.lp(2))
         assert report.params["ratio"] == 0.0
 
     def test_purely_linear_function(self):
-        f = VectorFunction([linear_function(6)])
+        f = single_column(linear_function(6))
         report = pisier_ratio(f, Norm.lp(2))
         assert report.params["ratio"] == 1.0
 
     def test_zero_function(self):
-        f = VectorFunction([CubeFunction.constant(4, 0.0)])
+        f = single_column(CubeFunction.constant(4, 0.0))
         assert pisier_ratio(f, Norm.lp(2)).params["ratio"] == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -124,7 +149,11 @@ class TestDecompositionAudit:
         transform = SandwichTransform.for_lp(math.inf, m)
         tf = VectorFunction.from_spectrum_matrix(n, f.spectrum_matrix() @ transform.matrix.T)
         gap = linear_function(n) - proxy_as_cube_function(ProxyKernel(ell), n)
-        lhs = mean_square_norm(vector_convolve(tf, gap), Norm.lp(2)) ** 2
+        levels = np.zeros(n + 1)
+        levels[1] = 1.0
+        levels -= proxy_level_coeffs(ProxyKernel(ell), n)
+        remainder = VectorFunction.from_spectrum_matrix(n, level_multiply(tf.spectrum_matrix(), levels))
+        lhs = mean_square_norm(remainder, Norm.lp(2)) ** 2
         rhs = float(np.sum((tf.spectrum_matrix() ** 2) * (gap.spectrum[:, None] ** 2)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -153,6 +182,42 @@ class TestDecompositionAudit:
         f = random_vector(7, 5, 500 + seed)
         audit = decomposition_audit(f, Norm.lp(p), SandwichTransform.for_lp(p, 5))
         assert audit.lhs <= audit.derived_constant * audit.rhs_raw + 1e-9
+
+    @pytest.mark.parametrize("norm_name", ["linf", "l1", "l2"])
+    @pytest.mark.parametrize("n", [1, 4, 7, 10])
+    def test_matches_per_column_oracle(self, n, norm_name):
+        """All four audited norms agree with column-by-column convolutions to 1e-12 relative.
+
+        With no odd level above ell present (n <= 4 at ell = 3) the remainder
+        vanishes exactly, so both sides are rounding noise: they must then
+        stay below 1e-12 of the function's own norm instead.
+        """
+        p = {"linf": math.inf, "l1": 1.0, "l2": 2.0}[norm_name]
+        m = 5
+        f = random_vector(n, m, 600 + n)
+        audit = decomposition_audit(f, Norm.lp(p), SandwichTransform.for_lp(p, m))
+        oracle = oracle_terms(f, Norm.lp(p), audit.ell)
+        noise = 1e-12 * oracle["rhs_raw"]
+        for name, want in oracle.items():
+            got = getattr(audit, name)
+            if n <= audit.ell + 1 and name == "term_remainder":
+                assert max(got, want) < noise
+            else:
+                assert got == pytest.approx(want, rel=1e-12), name
+
+    def test_two_batched_transforms(self, monkeypatch):
+        """One transform fills f's value table and one takes f*P to value space; lin f needs none."""
+        calls = []
+        butterfly = cube_fourier._walsh_butterfly
+
+        def counted(a):
+            calls.append(a.shape)
+            return butterfly(a)
+
+        f = random_vector(8, 4, 15)
+        monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
+        decomposition_audit(f, Norm.lp(math.inf), SandwichTransform.for_lp(math.inf, 4))
+        assert calls == [(4, 256), (4, 256)]
 
     def test_audit_serializes_cleanly(self):
         import json

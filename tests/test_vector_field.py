@@ -1,4 +1,4 @@
-"""Norm suite, vector convolution, and sandwich-transform checks."""
+"""Vector tables, the norm suite, level-operator convolution, and sandwich-transform checks."""
 
 import math
 
@@ -14,6 +14,10 @@ from pisier_lab import (
     SandwichTransform,
     VectorFunction,
     apply_linear,
+    convolve,
+    fwht,
+    inverse_fwht,
+    level_multiply,
     linear_function,
     mean_square_norm,
     proxy_as_cube_function,
@@ -21,7 +25,7 @@ from pisier_lab import (
     read_vector,
     sandwich_validate,
     sup_functional_norm,
-    vector_convolve,
+    to_bytes,
     write_vector,
     young_bound_check,
 )
@@ -33,15 +37,50 @@ def random_vector(n, m, seed):
     return VectorFunction.from_spectrum_matrix(n, rng.standard_normal((1 << n, m)))
 
 
+def constant_vector(n, v):
+    """The constant function x -> v, as a spectrum table with v on the empty set."""
+    spectra = np.zeros((1 << n, len(v)))
+    spectra[0] = v
+    return VectorFunction.from_spectrum_matrix(n, spectra)
+
+
 class TestVectorFunction:
     def test_rejects_mixed_dimensions(self):
+        # a table needs exactly 2^n rows and at least one column
         with pytest.raises(ValueError):
-            VectorFunction([CubeFunction.constant(3, 1.0), CubeFunction.constant(4, 1.0)])
+            VectorFunction.from_values_matrix(3, np.zeros((16, 2)))
+        with pytest.raises(ValueError):
+            VectorFunction.from_spectrum_matrix(3, np.zeros((8, 0)))
+        with pytest.raises(ValueError):
+            VectorFunction(3, values=np.zeros((8, 1)), spectrum=np.zeros((8, 1)))
 
     def test_coefficient_vector(self):
-        f = random_vector(4, 3, 0)
-        want = np.array([c.spectrum[5] for c in f.coords])
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((16, 3))
+        f = VectorFunction.from_values_matrix(4, values)
+        want = np.array([fwht(values[:, j])[5] for j in range(3)])
         assert np.array_equal(f.coefficient(5), want)
+
+    @pytest.mark.parametrize(("n", "m"), [(1, 1), (6, 3), (10, 8)])
+    def test_batched_fills_match_per_column_transforms(self, n, m):
+        """One batched fill per table, bit for bit what the 1-D transforms give."""
+        rng = np.random.default_rng(n + m)
+        table = rng.standard_normal((1 << n, m))
+        from_spec = VectorFunction.from_spectrum_matrix(n, table).values_matrix()
+        from_vals = VectorFunction.from_values_matrix(n, table).spectrum_matrix()
+        for j in range(m):
+            assert np.array_equal(from_spec[:, j], inverse_fwht(table[:, j]))
+            assert np.array_equal(from_vals[:, j], fwht(table[:, j]))
+        for out in (from_spec, from_vals):
+            assert out.flags.c_contiguous and not out.flags.writeable
+
+    def test_tables_are_private_copies(self):
+        table = np.ones((8, 2))
+        f = VectorFunction.from_values_matrix(3, table)
+        table[0, 0] = 5.0
+        assert f.values_matrix()[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            f.values_matrix()[0, 0] = 5.0
 
     def test_matrix_round_trips(self):
         f = random_vector(5, 2, 1)
@@ -49,14 +88,20 @@ class TestVectorFunction:
         assert np.abs(again.spectrum_matrix() - f.spectrum_matrix()).max() < 1e-12
 
 
+def keep_level(n, level):
+    """Level multipliers that keep one level of the spectrum and drop the rest."""
+    c = np.zeros(n + 1)
+    c[level] = 1.0
+    return c
+
+
 class TestMeanSquareNorm:
     def test_constant_function(self):
-        v = np.array([3.0, -4.0])
-        coords = [CubeFunction.constant(4, c) for c in v]
-        assert mean_square_norm(VectorFunction(coords), Norm.lp(2)) == pytest.approx(5.0, abs=1e-12)
+        f = constant_vector(4, [3.0, -4.0])
+        assert mean_square_norm(f, Norm.lp(2)) == pytest.approx(5.0, abs=1e-12)
 
     def test_single_coordinate_sign(self):
-        f = VectorFunction([linear_function(1)])
+        f = VectorFunction.from_spectrum_matrix(1, linear_function(1).spectrum[:, None])
         assert mean_square_norm(f, Norm.lp(2)) == pytest.approx(1.0, abs=1e-14)
 
     def test_euclidean_parseval(self):
@@ -86,42 +131,56 @@ class TestMeanSquareNorm:
 
 
 class TestVectorConvolve:
+    """Convolving a vector function with a symmetric g is level_multiply on its spectrum table."""
+
     def test_with_constant_one(self):
         f = random_vector(5, 3, 4)
-        out = vector_convolve(f, CubeFunction.constant(5, 1.0))
+        out = VectorFunction.from_spectrum_matrix(5, level_multiply(f.spectrum_matrix(), keep_level(5, 0)))
         assert np.abs(out.values_matrix() - f.coefficient(0)).max() < 1e-12
 
     @pytest.mark.parametrize(("n", "m"), [(4, 2), (6, 3), (8, 4)])
     def test_linear_map_commutes(self, n, m):
-        """T(f * g) = T(f) * g for a random linear map."""
+        """T(f * g) = T(f) * g for a random linear map and a random symmetric g."""
         rng = np.random.default_rng(5 + n)
         f = random_vector(n, m, 6 + n)
-        g = CubeFunction.from_values(n, rng.standard_normal(1 << n))
+        c = rng.standard_normal(n + 1)
         matrix = rng.standard_normal((m, m))
-        left = apply_linear(matrix, vector_convolve(f, g))
-        right = vector_convolve(apply_linear(matrix, f), g)
+
+        def convolved(h):
+            return VectorFunction.from_spectrum_matrix(n, level_multiply(h.spectrum_matrix(), c))
+
+        left = apply_linear(matrix, convolved(f))
+        right = convolved(apply_linear(matrix, f))
         assert np.abs(left.values_matrix() - right.values_matrix()).max() < 1e-12
 
     def test_linear_function_gives_projection(self):
-        f = random_vector(7, 2, 7)
-        via_l = vector_convolve(f, linear_function(7))
-        via_proj = rademacher_projection(f)
-        assert np.abs(via_l.values_matrix() - via_proj.values_matrix()).max() < 1e-12
+        """The transform-free product for lin f agrees with convolving every column with L."""
+        for n, m in ((1, 1), (7, 2), (10, 5)):
+            f = random_vector(n, m, 7 + n)
+            spectra = f.spectrum_matrix()
+            via_l = np.column_stack([
+                convolve(CubeFunction.from_spectrum(n, spectra[:, j]), linear_function(n)).values
+                for j in range(m)
+            ])
+            assert np.abs(via_l - rademacher_projection(f).values_matrix()).max() < 1e-12
 
     def test_dimension_mismatch(self):
+        f = random_vector(3, 2, 8)
         with pytest.raises(ValueError):
-            vector_convolve(random_vector(3, 2, 8), CubeFunction.constant(4, 1.0))
+            level_multiply(f.spectrum_matrix(), np.ones(5))
+        with pytest.raises(ValueError):
+            young_bound_check(f, CubeFunction.constant(4, 1.0), Norm.lp(2))
 
 
 class TestRademacherProjection:
     def test_constant_maps_to_zero(self):
-        f = VectorFunction([CubeFunction.constant(4, 2.0), CubeFunction.constant(4, -1.0)])
+        f = constant_vector(4, [2.0, -1.0])
         assert np.all(rademacher_projection(f).values_matrix() == 0.0)
 
     def test_level_two_killed(self):
-        spec = np.zeros(8)
+        spec = np.zeros((8, 1))
         spec[0b011] = 1.0
-        f = VectorFunction([CubeFunction.from_spectrum(3, spec)])
+        f = VectorFunction.from_spectrum_matrix(3, spec)
         assert np.all(rademacher_projection(f).values_matrix() == 0.0)
 
     def test_euclidean_contraction(self):
@@ -150,8 +209,7 @@ class TestYoungBound:
 
     def test_constant_vector_function(self):
         rng = np.random.default_rng(11)
-        v = np.array([1.0, -2.0])
-        f = VectorFunction([CubeFunction.constant(5, c) for c in v])
+        f = constant_vector(5, [1.0, -2.0])
         g = CubeFunction.from_values(5, rng.standard_normal(32))
         report = young_bound_check(f, g, Norm.lp(1))
         assert report.lhs == pytest.approx(abs(g.coefficient(0)) * 3.0, rel=1e-12)
@@ -273,6 +331,25 @@ class TestVectorSerialization:
         g = read_vector(data, sidecar)
         assert (g.n, g.m) == (5, 3)
         assert np.array_equal(g.values_matrix(), f.values_matrix())
+
+    def test_format_is_concatenated_cube_function_binaries(self, tmp_path):
+        f = random_vector(4, 3, 15)
+        data, sidecar = tmp_path / "f.bin", tmp_path / "f.json"
+        write_vector(f, data, sidecar)
+        columns = f.values_matrix()
+        want = b"".join(to_bytes(CubeFunction.from_values(4, columns[:, j])) for j in range(3))
+        assert data.read_bytes() == want
+
+    def test_rejects_wrong_record_header(self, tmp_path):
+        f = random_vector(4, 3, 16)
+        data, sidecar = tmp_path / "f.bin", tmp_path / "f.json"
+        write_vector(f, data, sidecar)
+        blob = bytearray(data.read_bytes())
+        record = 4 + 8 * 16
+        blob[2 * record] = 5  # the third coordinate now claims n = 5
+        data.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="header"):
+            read_vector(data, sidecar)
 
     def test_rejects_wrong_length(self, tmp_path):
         f = random_vector(4, 2, 14)
