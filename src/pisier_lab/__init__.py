@@ -72,7 +72,6 @@ from .vector_field import (  # noqa: E402
     rademacher_projection,
     read_vector,
     sandwich_validate,
-    sup_functional_norm,
     write_vector,
     young_bound_check,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "sparsity_inequality_check",
     "spectrum_sparsity",
     "structural_sparsity",
-    "sup_functional_norm",
     "to_bytes",
     "to_spectrum_json",
     "truncation_level",

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +28,7 @@ from .pisier_bench import AUDIT_CSV_FIELDS, MAX_AUDIT_DIM
 from .report import BoundViolationError
 
 _MOMENT_TOL = 1e-10
+_GATE_SAMPLES = 64  # random directions for the sandwich validation gate
 
 LOWER_CSV_FIELDS = (
     "n", "variant", "mode", "witness_sup", "product_sup", "diff_sup", "tail_exact",
@@ -48,71 +49,38 @@ AUDIT_SWEEP_FIELDS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation; validated against module preconditions before dispatch."""
-
-    command: str
-    n: int | None = None
-    m: int | None = None
-    ell: int | None = None
-    p: float | None = None
-    variant: str = "truncated"
-    seed: int = 0
-    sample_count: int = 64
-    norm: str = "linf"
-    emit: str = "json"
-    out: str | None = None
-    csv_path: str | None = None
-    threshold: float = 0.0
-    scalar_only: bool = False
-    rescale: bool = True
-    input_path: str | None = None
-    kind: str | None = None
-    ells: list[int] = field(default_factory=list)
-    ns: list[int] = field(default_factory=list)
-    ms: list[int] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
-    variants: list[str] = field(default_factory=list)
-
-    def validate(self) -> None:
-        if self.command == "proxy-check":
-            _require(self.ell is not None and self.ell % 2 == 1 and 1 <= self.ell <= MAX_ELL,
-                     f"--ell must be odd in 1..{MAX_ELL}, got {self.ell}")
-            _require(self.n is not None and 1 <= self.n <= MAX_DIM,
-                     f"--n must lie in 1..{MAX_DIM}, got {self.n}")
-        elif self.command == "audit":
-            _require(self.n is not None and 1 <= self.n <= MAX_AUDIT_DIM,
-                     f"--n must lie in 1..{MAX_AUDIT_DIM}, got {self.n}")
-            _require(self.m is not None and self.m >= 1, f"--m must be positive, got {self.m}")
-            _require(self.ell is None or (self.ell % 2 == 1 and 1 <= self.ell <= MAX_ELL),
-                     f"--ell must be odd in 1..{MAX_ELL}, got {self.ell}")
-            _require(self.norm in ("linf", "l1", "l2", "lp"), f"unknown norm {self.norm!r}")
-            _require(self.norm != "lp" or (self.p is not None and self.p >= 1),
-                     "--norm lp needs --p >= 1")
-            _require(self.seed >= 0, "--seed must be nonnegative")
-        elif self.command == "lower-bound":
-            _require(self.n is not None and 1 <= self.n <= MAX_RECORD_DIM,
-                     f"--n must lie in 1..{MAX_RECORD_DIM}, got {self.n}")
-            _require(self.variant in WITNESS_VARIANTS, f"unknown variant {self.variant!r}")
-            _require(self.emit in ("json", "csv"), f"--emit must be json or csv, got {self.emit!r}")
-        elif self.command == "sparsity":
-            _require((self.input_path is None) != (self.n is None),
-                     "pass exactly one of --input or --n")
-            if self.n is not None:
-                _require(1 <= self.n <= MAX_RECORD_DIM, f"--n must lie in 1..{MAX_RECORD_DIM}, got {self.n}")
-                _require(self.variant in WITNESS_VARIANTS, f"unknown variant {self.variant!r}")
-        elif self.command == "sweep":
-            _require(self.kind in ("proxy", "lower-bound", "audit"), f"unknown sweep kind {self.kind!r}")
-        elif self.command == "fourier":
-            _require(self.input_path is not None, "--input is required")
-        else:
-            raise ValueError(f"unknown command {self.command!r}")
-
-
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ValueError(message)
+
+
+def _require_n(n: int, cap: int) -> None:
+    _require(1 <= n <= cap, f"--n must lie in 1..{cap}, got {n}")
+
+
+def _require_ell(ell: int) -> None:
+    _require(ell % 2 == 1 and 1 <= ell <= MAX_ELL, f"--ell must be odd in 1..{MAX_ELL}, got {ell}")
+
+
+def _validate(args: argparse.Namespace) -> None:
+    """The preconditions argparse cannot express: ranges against the caps and pairings."""
+    if args.command == "proxy-check":
+        _require_ell(args.ell)
+        _require_n(args.n, MAX_DIM)
+    elif args.command == "audit":
+        _require_n(args.n, MAX_AUDIT_DIM)
+        _require(args.m >= 1, f"--m must be positive, got {args.m}")
+        if args.ell is not None:
+            _require_ell(args.ell)
+        _require(args.norm != "lp" or (args.p is not None and args.p >= 1),
+                 "--norm lp needs --p >= 1")
+        _require(args.seed >= 0, "--seed must be nonnegative")
+    elif args.command == "lower-bound":
+        _require_n(args.n, MAX_RECORD_DIM)
+    elif args.command == "sparsity":
+        _require((args.input_path is None) != (args.n is None), "pass exactly one of --input or --n")
+        if args.n is not None:
+            _require_n(args.n, MAX_RECORD_DIM)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -134,12 +102,17 @@ def _fmt_cell(value: Any) -> str:
     return str(value)
 
 
+def _write_rows(fh, fields: tuple | None, rows: list[tuple]) -> None:
+    """CSV rows with '.' decimals and 17 significant digits; the header unless fields is None."""
+    writer = csv.writer(fh, lineterminator="\n")
+    if fields is not None:
+        writer.writerow(fields)
+    writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+
+
 def _csv_text(fields: tuple, rows: list[tuple]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+    _write_rows(buf, fields, rows)
     return buf.getvalue()
 
 
@@ -147,11 +120,7 @@ def _append_csv(path: str, fields: tuple, rows: list[tuple]) -> None:
     target = Path(path)
     fresh = not target.exists() or target.stat().st_size == 0
     with open(target, "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        _write_rows(fh, fields if fresh else None, rows)
 
 
 def _norm_and_transform(name: str, p: float | None, m: int):
@@ -190,12 +159,12 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
         phi_l1 = linear_proxy.kernel_l1(kernel)
     except BoundViolationError as exc:
         violations.append(str(exc))
-        phi_l1 = math.fsum(np.abs(kernel.phi)) / kernel.phi.size
+        phi_l1 = exc.report.lhs
     try:
         p_l1 = linear_proxy.proxy_l1(kernel, n)
     except BoundViolationError as exc:
         violations.append(str(exc))
-        p_l1 = float("nan")
+        p_l1 = exc.report.lhs
 
     coeffs = linear_proxy.proxy_level_coeffs(kernel, n)
     dev_bound = linear_proxy.deviation_bound(ell)
@@ -227,9 +196,9 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
     }
 
 
-def cmd_proxy_check(cfg: RunConfig) -> int:
-    payload = proxy_check_payload(cfg.ell, cfg.n)
-    _emit_text(_json_text(payload), cfg.out)
+def cmd_proxy_check(args: argparse.Namespace) -> int:
+    payload = proxy_check_payload(args.ell, args.n)
+    _emit_text(_json_text(payload), args.out)
     for violation in payload["violations"]:
         print(f"violation: {violation}", file=sys.stderr)
     return 1 if payload["violations"] else 0
@@ -239,30 +208,37 @@ def cmd_proxy_check(cfg: RunConfig) -> int:
 # audit
 
 
-def audit_report_json(n: int, m: int, norm: str, seed: int, ell: int | None = None,
-                      p: float | None = None, sample_count: int = 64) -> str:
-    """The audit subcommand's exact JSON text, shared with the test suite."""
+def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
+              p: float | None) -> pisier_bench.PisierAudit:
+    """Audit the seeded random instance; the one run path of the audit command and sweep."""
     f = random_vector_function(n, m, seed)
     norm_obj, transform = _norm_and_transform(norm, p, m)
-    audit = pisier_bench.decomposition_audit(f, norm_obj, transform, ell=ell,
-                                             gate_samples=sample_count)
+    return pisier_bench.decomposition_audit(f, norm_obj, transform, ell=ell,
+                                            gate_samples=_GATE_SAMPLES)
+
+
+def _audit_text(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> str:
     payload = {
         "command": "audit",
-        "config": {"n": n, "m": m, "ell": ell, "norm": norm, "p": p, "seed": seed,
-                   "sample_count": sample_count},
+        "config": {**config, "sample_count": _GATE_SAMPLES},
         "audit": audit.to_dict(),
     }
     return _json_text(payload)
 
 
-def cmd_audit(cfg: RunConfig) -> int:
-    text = audit_report_json(cfg.n, cfg.m, cfg.norm, cfg.seed, ell=cfg.ell, p=cfg.p,
-                             sample_count=cfg.sample_count)
-    _emit_text(text, cfg.out)
-    if cfg.csv_path:
-        audit = json.loads(text)["audit"]
-        row = tuple(audit[k] for k in AUDIT_CSV_FIELDS)
-        _append_csv(cfg.csv_path, AUDIT_CSV_FIELDS, [row])
+def audit_report_json(n: int, m: int, norm: str, seed: int, ell: int | None = None,
+                      p: float | None = None) -> str:
+    """The audit subcommand's exact JSON text, shared with the test suite."""
+    config = {"n": n, "m": m, "ell": ell, "norm": norm, "p": p, "seed": seed}
+    return _audit_text(run_audit(**config), config)
+
+
+def cmd_audit(args: argparse.Namespace) -> int:
+    config = {key: getattr(args, key) for key in ("n", "m", "ell", "norm", "p", "seed")}
+    audit = run_audit(**config)
+    _emit_text(_audit_text(audit, config), args.out)
+    if args.csv_path:
+        _append_csv(args.csv_path, AUDIT_CSV_FIELDS, [audit.csv_row()])
     return 0
 
 
@@ -274,7 +250,8 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
     instance_mode = n <= lower_bound.MAX_INSTANCE_DIM and not scalar_only
     violations: list[str] = []
 
-    witness = lower_bound.build_witness(n, variant)
+    instance = lower_bound.lower_bound_instance(n, variant) if instance_mode else None
+    witness = instance.witness if instance_mode else lower_bound.build_witness(n, variant)
     witness_sup = witness.sup_norm()
     singletons = [1 << j for j in range(n)]
     singles = witness.spectrum[singletons]
@@ -329,7 +306,6 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
             violations.append(f"counted sparsity {counted} exceeds the structural bound {structural}")
 
     if instance_mode:
-        instance = lower_bound.lower_bound_instance(n, variant)
         payload.update({
             "family_size": len(instance.family),
             "field_norm_value": instance.field_norm_value,
@@ -341,16 +317,14 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
     return payload
 
 
-def cmd_lower_bound(cfg: RunConfig) -> int:
-    if cfg.n > lower_bound.MAX_INSTANCE_DIM:
-        cfg.scalar_only = True
-    payload = lower_bound_payload(cfg.n, cfg.variant, cfg.scalar_only)
-    if cfg.emit == "json":
-        _emit_text(_json_text(payload), cfg.out)
+def cmd_lower_bound(args: argparse.Namespace) -> int:
+    payload = lower_bound_payload(args.n, args.variant, args.scalar_only)
+    if args.emit == "json":
+        _emit_text(_json_text(payload), args.out)
     else:
         row = tuple(payload.get(k) for k in LOWER_CSV_FIELDS)
-        if cfg.out:
-            _append_csv(cfg.out, LOWER_CSV_FIELDS, [row])
+        if args.out:
+            _append_csv(args.out, LOWER_CSV_FIELDS, [row])
         else:
             sys.stdout.write(_csv_text(LOWER_CSV_FIELDS, [row]))
     for violation in payload["violations"]:
@@ -362,16 +336,16 @@ def cmd_lower_bound(cfg: RunConfig) -> int:
 # sparsity
 
 
-def cmd_sparsity(cfg: RunConfig) -> int:
-    if cfg.input_path is not None:
-        f = cube_fourier.read_binary(cfg.input_path)
-        source = f"file:{cfg.input_path}"
+def cmd_sparsity(args: argparse.Namespace) -> int:
+    if args.input_path is not None:
+        f = cube_fourier.read_binary(args.input_path)
+        source = f"file:{args.input_path}"
     else:
-        f = lower_bound.build_witness(cfg.n, cfg.variant)
-        source = f"witness:{cfg.variant}:{cfg.n}"
-    report = lower_bound.sparsity_inequality_check(f, rescale=cfg.rescale)
+        f = lower_bound.build_witness(args.n, args.variant)
+        source = f"witness:{args.variant}:{args.n}"
+    report = lower_bound.sparsity_inequality_check(f, rescale=args.rescale)
     payload = {"command": "sparsity", "source": source, **report.to_dict()}
-    _emit_text(_json_text(payload), cfg.out)
+    _emit_text(_json_text(payload), args.out)
     return 0
 
 
@@ -379,80 +353,54 @@ def cmd_sparsity(cfg: RunConfig) -> int:
 # sweep
 
 
-def _proxy_sweep_rows(cfg: RunConfig):
+def _sweep_rows(fields: tuple, grid, row) -> tuple[list[tuple], bool]:
+    """Run row(*base[1:]) for each base in grid; base fills the leading columns.
+
+    row returns a mapping from column name to value; its "violations" make the
+    row a violation, as does a BoundViolationError.  Any other exception is
+    recorded as an error and the sweep goes on.  Unfilled columns stay empty.
+    """
     rows, violated = [], False
-    for ell in cfg.ells:
-        for n in cfg.ns:
-            base = ["proxy", ell, n]
-            try:
-                payload = proxy_check_payload(ell, n)
-                status = "violation" if payload["violations"] else "ok"
-                violated |= bool(payload["violations"])
-                rows.append(tuple(base + [
-                    payload["phi_l1"], payload["phi_l1_bound"], payload["proxy_l1"],
-                    payload["proxy_l1_bound"], payload["max_deviation"],
-                    payload["deviation_bound"], status,
-                    "; ".join(payload["violations"]),
-                ]))
-            except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
-                rows.append(tuple(base + [None] * 6 + ["error", str(exc)]))
+    for base in grid:
+        cells = dict(zip(fields, base))
+        try:
+            values = row(*base[1:])
+            cells.update(values)
+            problems = values.get("violations", [])
+            status, error = ("violation" if problems else "ok"), "; ".join(problems)
+        except BoundViolationError as exc:
+            status, error = "violation", str(exc)
+        except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
+            status, error = "error", str(exc)
+        violated |= status == "violation"
+        rows.append(tuple(cells.get(name) for name in fields[:-2]) + (status, error))
     return rows, violated
 
 
-def _lower_sweep_rows(cfg: RunConfig):
-    rows, violated = [], False
-    variants = cfg.variants or ["truncated"]
-    for n in cfg.ns:
-        for variant in variants:
-            base = ["lower-bound", n, variant]
-            try:
-                payload = lower_bound_payload(n, variant, cfg.scalar_only)
-                status = "violation" if payload["violations"] else "ok"
-                violated |= bool(payload["violations"])
-                rows.append(tuple(base + [
-                    payload["witness_sup"], payload["singleton_coefficient"],
-                    payload["sparsity_counted"], payload.get("ratio"), status,
-                    "; ".join(payload["violations"]),
-                ]))
-            except Exception as exc:  # noqa: BLE001
-                rows.append(tuple(base + [None] * 4 + ["error", str(exc)]))
-    return rows, violated
+def _lower_sweep_row(n: int, variant: str, scalar_only: bool) -> dict[str, Any]:
+    payload = lower_bound_payload(n, variant, scalar_only)
+    return {**payload, "sparsity": payload["sparsity_counted"]}
 
 
-def _audit_sweep_rows(cfg: RunConfig):
-    rows, violated = [], False
-    seeds = cfg.seeds or [cfg.seed]
-    for n in cfg.ns:
-        for m in cfg.ms:
-            for seed in seeds:
-                base = ["audit", n, m, cfg.ell, cfg.norm, seed]
-                try:
-                    f = random_vector_function(n, m, seed)
-                    norm_obj, transform = _norm_and_transform(cfg.norm, cfg.p, m)
-                    audit = pisier_bench.decomposition_audit(
-                        f, norm_obj, transform, ell=cfg.ell, gate_samples=cfg.sample_count)
-                    base[3] = audit.ell
-                    rows.append(tuple(base + [
-                        audit.lhs, audit.rhs_raw, audit.ratio, audit.derived_constant,
-                        audit.slack, "ok", "",
-                    ]))
-                except BoundViolationError as exc:
-                    violated = True
-                    rows.append(tuple(base + [None] * 5 + ["violation", str(exc)]))
-                except Exception as exc:  # noqa: BLE001
-                    rows.append(tuple(base + [None] * 5 + ["error", str(exc)]))
-    return rows, violated
+def _audit_sweep_row(n: int, m: int, ell: int | None, norm: str, seed: int,
+                     p: float | None) -> dict[str, Any]:
+    return dict(zip(AUDIT_CSV_FIELDS, run_audit(n, m, norm, seed, ell, p).csv_row()))
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.kind == "proxy":
-        fields, (rows, violated) = PROXY_SWEEP_FIELDS, _proxy_sweep_rows(cfg)
-    elif cfg.kind == "lower-bound":
-        fields, (rows, violated) = LOWER_SWEEP_FIELDS, _lower_sweep_rows(cfg)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.kind == "proxy":
+        fields, row = PROXY_SWEEP_FIELDS, proxy_check_payload
+        grid = [("proxy", ell, n) for ell in args.ells for n in args.ns]
+    elif args.kind == "lower-bound":
+        fields, row = LOWER_SWEEP_FIELDS, partial(_lower_sweep_row, scalar_only=args.scalar_only)
+        grid = [("lower-bound", n, variant)
+                for n in args.ns for variant in args.variants or ["truncated"]]
     else:
-        fields, (rows, violated) = AUDIT_SWEEP_FIELDS, _audit_sweep_rows(cfg)
-    text = _csv_text(fields, rows)
-    _emit_text(text, cfg.out)
+        fields, row = AUDIT_SWEEP_FIELDS, partial(_audit_sweep_row, p=args.p)
+        grid = [("audit", n, m, args.ell, args.norm, seed)
+                for n in args.ns for m in args.ms for seed in args.seeds or [0]]
+    rows, violated = _sweep_rows(fields, grid, row)
+    _emit_text(_csv_text(fields, rows), args.out)
     return 1 if violated else 0
 
 
@@ -460,9 +408,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # fourier
 
 
-def cmd_fourier(cfg: RunConfig) -> int:
-    f = cube_fourier.read_binary(cfg.input_path)
-    _emit_text(cube_fourier.to_spectrum_json(f, threshold=cfg.threshold) + "\n", cfg.out)
+def cmd_fourier(args: argparse.Namespace) -> int:
+    f = cube_fourier.read_binary(args.input_path)
+    _emit_text(cube_fourier.to_spectrum_json(f, threshold=args.threshold) + "\n", args.out)
     return 0
 
 
@@ -512,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="exponent for --norm lp")
     p.add_argument("--seed", type=int, default=0,
                    help="spectrum entries are standard_normal((2**n, m)) from default_rng(seed)")
-    p.add_argument("--sample-count", type=int, default=64,
-                   help="random directions for the sandwich validation gate")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--csv", dest="csv_path",
                    help=f"append a CSV row here (columns: {', '.join(AUDIT_CSV_FIELDS)})")
@@ -552,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--scalar-only", action="store_true")
-    p.add_argument("--sample-count", type=int, default=64)
     p.add_argument("--out", help="write the CSV table here instead of stdout")
 
     p = sub.add_parser("fourier", help="transform a serialized value table to a sparse spectrum")
@@ -574,21 +519,12 @@ _HANDLERS = {
 }
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        cfg.validate()
-        return _HANDLERS[cfg.command](cfg)
+        _validate(args)
+        return _HANDLERS[args.command](args)
     except BoundViolationError as exc:
         print(f"bound violated: {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .cube_fourier import CubeFunction, _check_dim, subset_levels
-from .report import BoundViolationError, ResourceLimitError
+from .report import BoundReport, BoundViolationError, ResourceLimitError
 
 MAX_ELL = 15  # beyond this the deviation 8 ell / 2^ell is below 1e-3 and adds nothing
 MAX_PROXY_DIM = 20
@@ -126,7 +126,8 @@ def kernel_l1(kernel: ProxyKernel) -> float:
     value = math.fsum(np.abs(kernel.phi)) / kernel.phi.size
     bound = 4.0 * kernel.ell
     if value > bound:
-        raise BoundViolationError(f"kernel l1 norm {value} exceeds 4*ell = {bound}")
+        raise BoundViolationError(f"kernel l1 norm {value} exceeds 4*ell = {bound}",
+                                  BoundReport.of("kernel-l1-bound", value, bound, {"ell": kernel.ell}))
     return value
 
 
@@ -171,7 +172,8 @@ def proxy_l1(kernel: ProxyKernel, n: int) -> float:
     value = total / 2.0**n
     bound = 8.0 * kernel.ell
     if value > bound:
-        raise BoundViolationError(f"proxy l1 norm {value} exceeds 8*ell = {bound}")
+        raise BoundViolationError(f"proxy l1 norm {value} exceeds 8*ell = {bound}",
+                                  BoundReport.of("proxy-l1-bound", value, bound, {"ell": kernel.ell, "n": n}))
     return value
 
 

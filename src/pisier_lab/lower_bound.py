@@ -20,17 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_fourier import CubeFunction, spectrum_sparsity, subset_levels
-from .report import BoundReport, ResourceLimitError
-from .vector_field import Norm, VectorFunction, rademacher_projection
+from .cube_fourier import SPARSITY_THRESHOLD, CubeFunction, spectrum_sparsity, subset_levels
+from .report import BoundReport, BoundViolationError, ResourceLimitError
+from .vector_field import (
+    MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM,
+    Norm,
+    VectorFunction,
+    rademacher_projection,
+)
 
 MAX_WITNESS_DIM = 20
-# CLI cap for the lower-bound and sparsity records: FAMILY_THRESHOLD drops
+# CLI cap for the lower-bound and sparsity records: SPARSITY_THRESHOLD drops
 # genuine coefficients from n = 19 on, so counted sparsity is not trusted up to 20.
 MAX_RECORD_DIM = 16
-MAX_INSTANCE_DIM = 12  # per-point sup-functional scans cost n * 4^n
 WITNESS_VARIANTS = ("truncated", "chebyshev")
-FAMILY_THRESHOLD = 1e-8
 _INSTANCE_TOL = 1e-10
 
 # imaginary part of i^k by k mod 4, exact
@@ -135,10 +138,26 @@ def build_witness(n: int, variant: str) -> CubeFunction:
     raise ValueError(f"unknown witness variant {variant!r}")
 
 
+def _require_constant(claim: str, failure: str, per_point: np.ndarray, target: float,
+                      n: int, variant: str) -> None:
+    """Raise BoundViolationError, reporting the worst point, unless every norm is target."""
+    worst = int(np.argmax(np.abs(per_point - target)))
+    spread = abs(float(per_point[worst]) - target)
+    if not spread <= _INSTANCE_TOL:  # a NaN norm fails too
+        raise BoundViolationError(
+            f"instance invariant failed: {failure} by {spread:.3e}",
+            BoundReport.of(claim, per_point[worst], target,
+                           {"n": n, "variant": variant, "point": worst, "tol": _INSTANCE_TOL}),
+        )
+
+
 def lower_bound_instance(
-    n: int, variant: str = "truncated", threshold: float = FAMILY_THRESHOLD
+    n: int, variant: str = "truncated", threshold: float = SPARSITY_THRESHOLD
 ) -> LowerBoundInstance:
-    """Build the witness instance and verify its two invariants by enumeration."""
+    """Build the witness instance and verify its two invariants by enumeration.
+
+    A point where either invariant fails raises BoundViolationError.
+    """
     if n > MAX_INSTANCE_DIM:
         raise ResourceLimitError(
             f"instance mode capped at n={MAX_INSTANCE_DIM} (sup-functional scans cost n*4^n)"
@@ -158,20 +177,16 @@ def lower_bound_instance(
 
     witness_sup = witness.sup_norm()
     per_point = norm.evaluate_rows(vector.values_matrix())
-    spread = float(np.abs(per_point - witness_sup).max())
-    if spread > _INSTANCE_TOL:
-        raise RuntimeError(f"instance invariant failed: ||f(x)|| deviates from ||F||_inf by {spread:.3e}")
+    _require_constant("instance-field-norm", "||f(x)|| deviates from ||F||_inf",
+                      per_point, witness_sup, n, variant)
 
     lin_rows = rademacher_projection(vector).values_matrix()
     lin_per_point = norm.evaluate_rows(lin_rows)
     singleton_mass = math.fsum(
         abs(float(spectrum[mask])) for mask in family if int(mask).bit_count() == 1
     )
-    lin_spread = float(np.abs(lin_per_point - singleton_mass).max())
-    if lin_spread > _INSTANCE_TOL:
-        raise RuntimeError(
-            f"instance invariant failed: ||lin f(x)|| deviates from the singleton mass by {lin_spread:.3e}"
-        )
+    _require_constant("instance-linear-norm", "||lin f(x)|| deviates from the singleton mass",
+                      lin_per_point, singleton_mass, n, variant)
 
     return LowerBoundInstance(
         n=int(n),
@@ -203,7 +218,7 @@ def structural_sparsity(n: int, variant: str = "truncated") -> int:
 
 
 def sparsity_inequality_check(
-    f: CubeFunction, rescale: bool = False, threshold: float = FAMILY_THRESHOLD
+    f: CubeFunction, rescale: bool = False, threshold: float = SPARSITY_THRESHOLD
 ) -> BoundReport:
     """Record log2 of the spectrum sparsity next to the singleton coefficient mass.
 

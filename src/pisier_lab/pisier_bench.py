@@ -22,6 +22,7 @@ from .cube_fourier import inverse_fwht_rows, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, BoundViolationError
 from .vector_field import (
+    MAX_SUP_FUNCTIONAL_DIM,
     Norm,
     SandwichTransform,
     VectorFunction,
@@ -32,7 +33,6 @@ from .vector_field import (
 
 _AUDIT_TOL = 1e-9
 MAX_AUDIT_DIM = 16
-_MAX_SUP_AUDIT_DIM = 12
 
 AUDIT_CSV_FIELDS = ("n", "m", "ell", "lhs", "rhs_raw", "ratio", "derived_constant", "slack")
 
@@ -92,7 +92,7 @@ def choose_ell(m: int) -> int:
 
 
 def _check_audit_dims(f: VectorFunction, norm: Norm) -> None:
-    cap = _MAX_SUP_AUDIT_DIM if norm.kind == "sup_functional" else MAX_AUDIT_DIM
+    cap = MAX_SUP_FUNCTIONAL_DIM if norm.kind == "sup_functional" else MAX_AUDIT_DIM
     if f.n > cap:
         raise ValueError(
             f"exhaustive audit capped at n={cap} for {norm.kind} norms, got n={f.n}"

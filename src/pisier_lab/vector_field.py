@@ -24,6 +24,9 @@ from .cube_fourier import _HEADER, MAX_DIM, CubeFunction, _check_dim, character_
 from .report import BoundReport, BoundViolationError, ResourceLimitError
 
 _SUPPLIED_NORM_TOL = 1e-9
+# cap for exhaustive per-point sup-functional scans (lower-bound instances, audits):
+# 2^n points, each one 2^n-point inverse transform, cost n * 4^n
+MAX_SUP_FUNCTIONAL_DIM = 12
 # keep each embedded sup-functional block under ~32 MB
 _SUP_CHUNK_DOUBLES = 1 << 22
 
@@ -81,19 +84,6 @@ class VectorFunction:
 
     def __repr__(self):
         return f"VectorFunction(n={self.n}, m={self.m})"
-
-
-def sup_functional_norm(coeffs, family: Sequence[int], n_dual: int) -> float:
-    """max over z of |sum_S v_S chi_S(z)|: one inverse transform and a max scan."""
-    if n_dual > MAX_DIM:
-        raise ResourceLimitError(f"dual dimension {n_dual} exceeds the cap {MAX_DIM}")
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    family = np.asarray(family, dtype=np.int64)
-    if coeffs.shape != family.shape:
-        raise ValueError("coefficient vector and subset family differ in length")
-    spectrum = np.zeros(1 << n_dual)
-    spectrum[family] = coeffs
-    return float(np.abs(inverse_fwht_rows(spectrum[None, :])).max())
 
 
 class Norm:

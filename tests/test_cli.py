@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pisier_lab import CubeFunction, build_truncated_witness, write_binary
-from pisier_lab import cli
+from pisier_lab import cli, linear_proxy, lower_bound
 from pisier_lab.cube_fourier import MAX_DIM
 from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
@@ -41,6 +41,19 @@ class TestProxyCheck:
 
     def test_out_of_range_n(self, capsys):
         assert run_main(["proxy-check", "--ell", "3", "--n", "25"]) == 2
+
+    def test_violation_reports_the_measured_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(linear_proxy, "proxy_eval_by_weight", lambda kernel, n, a: 100.0)
+        assert run_main(["proxy-check", "--ell", "1", "--n", "4"]) == 1
+        captured = capsys.readouterr()
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(captured.out, parse_constant=reject)
+        assert payload["proxy_l1"] == 100.0
+        assert payload["violations"] == ["proxy l1 norm 100.0 exceeds 8*ell = 8.0"]
+        assert "violation: proxy l1 norm" in captured.err
 
 
 class TestAudit:
@@ -119,6 +132,25 @@ class TestLowerBound:
     def test_dimension_cap(self, capsys):
         assert run_main(["lower-bound", "--n", "17"]) == 2
 
+    def test_failed_instance_invariant_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(lower_bound, "_INSTANCE_TOL", -1.0)
+        assert run_main(["lower-bound", "--n", "4"]) == 1
+        assert capsys.readouterr().err.startswith("bound violated: instance invariant failed")
+
+    @pytest.mark.parametrize(("n", "variant"), [(6, "truncated"), (6, "chebyshev"),
+                                                (14, "truncated")])
+    def test_witness_built_once(self, monkeypatch, n, variant):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        build = lower_bound.build_witness
+        monkeypatch.setattr(lower_bound, "build_witness", counted)
+        cli.lower_bound_payload(n, variant)
+        assert calls == [(n, variant)]
+
 
 class TestSparsity:
     def test_witness_mode(self, capsys):
@@ -194,6 +226,13 @@ class TestSweep:
                          "--seeds", "0:3", "--norm", "l2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 7
+
+    def test_failed_instance_invariant_is_a_violation_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(lower_bound, "_INSTANCE_TOL", -1.0)
+        assert run_main(["sweep", "--kind", "lower-bound", "--n", "4,13"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("lower-bound,4,truncated,,,,,violation,instance invariant failed")
+        assert lines[2].split(",")[-2] == "ok"  # scalar mode builds no instance
 
     def test_row_errors_recorded_not_fatal(self, capsys):
         # even ell rows fail, the sweep still completes

@@ -7,6 +7,7 @@ import pytest
 
 from pisier_lab import (
     AngleGrid,
+    BoundViolationError,
     ProxyKernel,
     ResourceLimitError,
     deviation_bound,
@@ -144,6 +145,14 @@ class TestL1Bounds:
             for t in (2 * math.pi * j / (4 * ell) for j in range(4 * ell) if j not in (0, 2 * ell))
         ) / (4 * ell - 2)
         assert value == pytest.approx(direct, rel=1e-13)
+
+    def test_kernel_l1_violation_reports_the_measured_value(self):
+        kernel = ProxyKernel(3)
+        kernel.phi = 100.0 * kernel.phi
+        with pytest.raises(BoundViolationError) as info:
+            kernel_l1(kernel)
+        assert info.value.report.lhs == math.fsum(np.abs(kernel.phi)) / kernel.phi.size
+        assert info.value.report.rhs == 12.0
 
     @pytest.mark.parametrize(("ell", "n"), [(1, 1), (3, 16), (5, 24), (15, 24)])
     def test_proxy_l1_bound(self, ell, n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pisier_lab import (
+    BoundViolationError,
     CubeFunction,
     ResourceLimitError,
     build_chebyshev_witness,
@@ -21,7 +22,7 @@ from pisier_lab import (
     truncation_tail_bound,
     truncation_tail_chain,
 )
-from pisier_lab import cube_fourier
+from pisier_lab import cube_fourier, lower_bound
 from pisier_lab.cube_fourier import popcount
 
 
@@ -212,6 +213,15 @@ class TestInstance:
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
             lower_bound_instance(13, "truncated")
+
+    def test_failed_invariant_is_a_bound_violation(self, monkeypatch):
+        monkeypatch.setattr(lower_bound, "_INSTANCE_TOL", -1.0)
+        with pytest.raises(BoundViolationError, match="instance invariant failed") as info:
+            lower_bound_instance(4, "truncated")
+        report = info.value.report
+        assert report.claim == "instance-field-norm"
+        assert report.rhs == build_truncated_witness(4).sup_norm()
+        assert abs(report.lhs - report.rhs) < 1e-10
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from pisier_lab import (
     rademacher_projection,
     read_vector,
     sandwich_validate,
-    sup_functional_norm,
     to_bytes,
     write_vector,
     young_bound_check,
@@ -226,20 +225,20 @@ class TestYoungBound:
 
 class TestSupFunctionalNorm:
     def test_empty_set_indicator(self):
-        assert sup_functional_norm([1.0], [0], 3) == 1.0
+        assert Norm.sup_functional(3, [0]).evaluate([1.0]) == 1.0
 
     def test_two_singletons(self):
-        assert sup_functional_norm([1.0, 1.0], [0b01, 0b10], 3) == 2.0
+        assert Norm.sup_functional(3, [0b01, 0b10]).evaluate([1.0, 1.0]) == 2.0
 
     def test_witness_support_gives_sup_norm(self):
         witness = build_truncated_witness(4)
         family = np.nonzero(np.abs(witness.spectrum) > 1e-8)[0]
-        value = sup_functional_norm(witness.spectrum[family], family, 4)
+        value = Norm.sup_functional(4, family).evaluate(witness.spectrum[family])
         assert value == pytest.approx(witness.sup_norm(), abs=1e-14)
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
-            sup_functional_norm([1.0], [0], 25)
+            Norm.sup_functional(25, [0])
 
     def test_homogeneity_exact_for_dyadic_scalars(self):
         # dyadic scaling is error-free in floating point
@@ -259,10 +258,10 @@ class TestSupFunctionalNorm:
         assert norm.evaluate(u + v) <= norm.evaluate(u) + norm.evaluate(v) + 1e-12
 
     def test_family_must_be_unique_and_in_range(self):
-        with pytest.raises(ValueError):
-            Norm.sup_functional(3, [1, 1, 2])
-        with pytest.raises(ValueError):
-            Norm.sup_functional(2, [0, 4])
+        # [-1] must not wrap around to mask 7; a duplicate mask must not drop a coefficient
+        for n_dual, family in ((3, [1, 1, 2]), (2, [0, 4]), (3, [-1]), (3, [0b01, 0b01])):
+            with pytest.raises(ValueError):
+                Norm.sup_functional(n_dual, family)
 
     def test_family_must_be_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
