@@ -63,18 +63,10 @@ def _require_ell(ell: int) -> None:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """The preconditions argparse cannot express: ranges against the caps and pairings."""
+    """The preconditions argparse cannot express; run_audit checks the audit's."""
     if args.command == "proxy-check":
         _require_ell(args.ell)
         _require_n(args.n, MAX_DIM)
-    elif args.command == "audit":
-        _require_n(args.n, MAX_AUDIT_DIM)
-        _require(args.m >= 1, f"--m must be positive, got {args.m}")
-        if args.ell is not None:
-            _require_ell(args.ell)
-        _require(args.norm != "lp" or (args.p is not None and args.p >= 1),
-                 "--norm lp needs --p >= 1")
-        _require(args.seed >= 0, "--seed must be nonnegative")
     elif args.command == "lower-bound":
         _require_n(args.n, MAX_RECORD_DIM)
     elif args.command == "sparsity":
@@ -210,7 +202,13 @@ def cmd_proxy_check(args: argparse.Namespace) -> int:
 
 def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
               p: float | None) -> pisier_bench.PisierAudit:
-    """Audit the seeded random instance; the one run path of the audit command and sweep."""
+    """Check the preconditions, then audit the seeded instance: the one path of audit and its sweep."""
+    _require_n(n, MAX_AUDIT_DIM)
+    _require(m >= 1, f"--m must be positive, got {m}")
+    if ell is not None:
+        _require_ell(ell)
+    _require(norm != "lp" or (p is not None and p >= 1), "--norm lp needs --p >= 1")
+    _require(seed >= 0, "--seed must be nonnegative")
     f = random_vector_function(n, m, seed)
     norm_obj, transform = _norm_and_transform(norm, p, m)
     return pisier_bench.decomposition_audit(f, norm_obj, transform, ell=ell,
@@ -528,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except BoundViolationError as exc:
         print(f"bound violated: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unreadable --input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

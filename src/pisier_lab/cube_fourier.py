@@ -1,10 +1,11 @@
-"""Scalar Fourier analysis on the discrete cube {+1, -1}^n.
+"""Fourier analysis of real functions on the discrete cube {+1, -1}^n.
 
 Points and subsets share the bitmask index space [0, 2^n): bit j of a point
 mask means x_j = -1, bit j of a subset mask means j belongs to the subset.
 Under this encoding chi_S(x) = (-1)^popcount(S & x), the coordinate-wise
 product of points is XOR of masks, and a single Walsh-Hadamard butterfly
-converts between the value table and the spectrum in both directions.
+along axis 0, the cube axis of every table, converts between the value table
+and the spectrum in both directions.
 
 Spectra are stored in expectation normalization: spectrum[S] = E[f(X) chi_S(X)],
 so that values[x] = sum_S spectrum[S] chi_S(x) with no extra scaling.
@@ -13,7 +14,6 @@ so that values[x] = sum_S spectrum[S] chi_S(x) with no extra scaling.
 from __future__ import annotations
 
 import json
-import struct
 from numbers import Real
 from pathlib import Path
 
@@ -25,7 +25,7 @@ MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
 _CONSISTENCY_RTOL = 1e-12
 
-_HEADER = struct.Struct("<I")
+_HEADER = np.dtype("<u4")  # each binary record opens with n as a u32 little-endian
 
 
 def _check_dim(n: int) -> None:
@@ -45,20 +45,23 @@ def subset_levels(n: int) -> np.ndarray:
     return popcount(np.arange(1 << n, dtype=np.uint32))
 
 
-def _walsh_butterfly(a: np.ndarray) -> np.ndarray:
-    # In-place radix-2 pass over a fresh copy; out[s] = sum_x a[x] (-1)^popcount(s & x)
-    # along the last axis.  Works on any leading batch shape.
-    *lead, size = a.shape
-    a = a.astype(np.float64, copy=True)
+def _walsh_butterfly(a) -> np.ndarray:
+    # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
+    # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x).  Each pass reads one
+    # buffer and writes the other; the first is a fresh C-order copy of the input.
+    src = np.array(a, dtype=np.float64, order="C")
+    size = src.shape[0] if src.ndim else 0
+    _check_power_of_two(size, "a Walsh transform")
+    dst = np.empty_like(src)
     h = 1
     while h < size:
-        a = a.reshape(*lead, -1, 2, h)
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a[..., 0, :] = top
-        a[..., 1, :] = bot
+        pairs = src.reshape(size // (2 * h), 2, -1)
+        out = dst.reshape(pairs.shape)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        src, dst = dst, src
         h *= 2
-    return a.reshape(*lead, size)
+    return src
 
 
 def _check_power_of_two(size: int, what: str) -> None:
@@ -67,30 +70,20 @@ def _check_power_of_two(size: int, what: str) -> None:
 
 
 def fwht(values) -> np.ndarray:
-    """Spectrum of a value table: out[S] = E_x[f(x) chi_S(x)]."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("fwht expects a 1-D value table")
-    _check_power_of_two(v.size, "fwht")
-    return _walsh_butterfly(v) / v.size
+    """Spectrum of a value table along axis 0: out[S] = E_x[f(x) chi_S(x)]."""
+    out = _walsh_butterfly(values)
+    out /= out.shape[0]
+    return out
 
 
 def inverse_fwht(spectrum) -> np.ndarray:
-    """Value table of a spectrum: out[x] = sum_S spectrum[S] chi_S(x)."""
-    s = np.asarray(spectrum, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("inverse_fwht expects a 1-D spectrum")
-    _check_power_of_two(s.size, "inverse_fwht")
-    return _walsh_butterfly(s)
+    """Value table of a spectrum along axis 0: out[x] = sum_S spectrum[S] chi_S(x)."""
+    return _walsh_butterfly(spectrum)
 
 
 def inverse_fwht_rows(spectra: np.ndarray) -> np.ndarray:
-    """Inverse transform applied to every row of a 2-D array of spectra."""
-    s = np.asarray(spectra, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError("inverse_fwht_rows expects a 2-D array")
-    _check_power_of_two(s.shape[1], "inverse_fwht_rows")
-    return _walsh_butterfly(s)
+    """Inverse transform along the last axis (every row of a 2-D array), through the transposed view."""
+    return _walsh_butterfly(np.asarray(spectra).T).T
 
 
 def character_eval(s_mask: int, x_mask: int) -> int:
@@ -123,36 +116,38 @@ def level_multiply(spec, c) -> np.ndarray:
 
 
 class CubeFunction:
-    """Real function on the cube held as a 2^n value table and/or its spectrum.
+    """Real function on the cube held as a value table and/or its spectrum.
 
+    A (2^n,) table is one function; a (2^n, m) table holds m functions, one
+    per column, so row x is the vector f(x) and row S the vector fhat(S).
     Immutable after construction; whichever representation is missing is
     computed lazily through the transform and cached (idempotent fill, safe
     under concurrent readers).
     """
 
     __slots__ = ("n", "_values", "_spectrum")
+    _RANKS = (1, 2)  # numbers of table axes accepted
 
     def __init__(self, n: int, values=None, spectrum=None):
         _check_dim(n)
         if values is None and spectrum is None:
             raise ValueError("need a value table or a spectrum")
-        size = 1 << n
         self.n = n
-        self._values = self._own(values, size)
-        self._spectrum = self._own(spectrum, size)
+        self._values = self._own(values)
+        self._spectrum = self._own(spectrum)
         if self._values is not None and self._spectrum is not None:
             back = _walsh_butterfly(self._spectrum)
             scale = max(1.0, float(np.abs(self._values).max()))
-            if float(np.abs(back - self._values).max()) > _CONSISTENCY_RTOL * scale:
-                raise ValueError("value table and spectrum disagree beyond 1e-12 relative")
+            if back.shape != self._values.shape or np.abs(back - self._values).max() > _CONSISTENCY_RTOL * scale:
+                raise ValueError("value table and spectrum disagree in shape or beyond 1e-12 relative")
 
-    @staticmethod
-    def _own(arr, size: int):
+    def _own(self, arr):
         if arr is None:
             return None
-        a = np.array(arr, dtype=np.float64)
-        if a.shape != (size,):
-            raise ValueError(f"expected shape ({size},), got {a.shape}")
+        a = np.array(arr, dtype=np.float64, order="C")
+        if a.ndim not in self._RANKS or a.shape[0] != self.size or a.size == 0:
+            ranks = " or ".join(map(str, self._RANKS))
+            raise ValueError(f"expected 2^{self.n} rows, {ranks} axes and m >= 1 columns, got shape {a.shape}")
         a.flags.writeable = False
         return a
 
@@ -176,6 +171,11 @@ class CubeFunction:
         return 1 << self.n
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """(2^n,) or (2^n, m), the shape of both tables."""
+        return (self._values if self._values is not None else self._spectrum).shape
+
+    @property
     def values(self) -> np.ndarray:
         if self._values is None:
             v = _walsh_butterfly(self._spectrum)
@@ -186,16 +186,19 @@ class CubeFunction:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            s = _walsh_butterfly(self._values) / self._values.size
+            s = _walsh_butterfly(self._values)
+            s /= self.size
             s.flags.writeable = False
             self._spectrum = s
         return self._spectrum
 
-    def value(self, x_mask: int) -> float:
-        return float(self.values[x_mask])
+    def value(self, x_mask: int):
+        """f(x): a float, or the row of m values of a (2^n, m) table."""
+        return self.values[x_mask] if self.values.ndim == 2 else float(self.values[x_mask])
 
-    def coefficient(self, s_mask: int) -> float:
-        return float(self.spectrum[s_mask])
+    def coefficient(self, s_mask: int):
+        """fhat(S): a float, or the row of m coefficients of a (2^n, m) table."""
+        return self.spectrum[s_mask] if self.spectrum.ndim == 2 else float(self.spectrum[s_mask])
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
@@ -203,11 +206,11 @@ class CubeFunction:
     def _binary(self, other: "CubeFunction", op) -> "CubeFunction":
         if not isinstance(other, CubeFunction):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        if self.shape != other.shape:  # a (2^n,) and a (2^n, m) table would broadcast wrongly
+            raise ValueError(f"table shape mismatch: {self.shape} vs {other.shape}")
         if self._spectrum is not None and other._spectrum is not None:
-            return CubeFunction(self.n, spectrum=op(self._spectrum, other._spectrum))
-        return CubeFunction(self.n, values=op(self.values, other.values))
+            return type(self)(self.n, spectrum=op(self._spectrum, other._spectrum))
+        return type(self)(self.n, values=op(self.values, other.values))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -219,8 +222,8 @@ class CubeFunction:
         if not isinstance(scalar, Real):
             return NotImplemented
         if self._spectrum is not None:
-            return CubeFunction(self.n, spectrum=self._spectrum * float(scalar))
-        return CubeFunction(self.n, values=self._values * float(scalar))
+            return type(self)(self.n, spectrum=self._spectrum * float(scalar))
+        return type(self)(self.n, values=self._values * float(scalar))
 
     __rmul__ = __mul__
 
@@ -228,14 +231,14 @@ class CubeFunction:
         return self * -1.0
 
     def __repr__(self):
-        return f"CubeFunction(n={self.n})"
+        return f"{type(self).__name__}(n={self.n}, shape={self.shape})"
 
 
 def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """Convolution E_Z[g(Z) f(x . Z)], realized as the pointwise spectrum product."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    return CubeFunction.from_spectrum(f.n, f.spectrum * g.spectrum)
+    if f.shape != g.shape:
+        raise ValueError(f"table shape mismatch: {f.shape} vs {g.shape}")
+    return type(f)(f.n, spectrum=f.spectrum * g.spectrum)
 
 
 def spectrum_sparsity(f: CubeFunction, threshold: float = SPARSITY_THRESHOLD) -> int:
@@ -253,21 +256,29 @@ def linear_function(n: int) -> CubeFunction:
     return CubeFunction.from_spectrum(n, spec)
 
 
+def _record(n: int) -> np.dtype:
+    """One binary record: the header n, then the 2^n value-table doubles, little-endian."""
+    return np.dtype([("n", _HEADER), ("values", "<f8", (1 << n,))])
+
+
 def to_bytes(f: CubeFunction) -> bytes:
-    """Flat binary form: u32 little-endian n, then 2^n IEEE doubles in value order."""
-    return _HEADER.pack(f.n) + f.values.astype("<f8").tobytes()
+    """Flat binary form: u32 little-endian n, then 2^n IEEE doubles in value order, per column."""
+    table = f.values.reshape(f.size, -1)
+    records = np.empty(table.shape[1], dtype=_record(f.n))
+    records["n"] = f.n
+    records["values"] = table.T
+    return records.tobytes()
 
 
 def from_bytes(blob: bytes) -> CubeFunction:
-    if len(blob) < _HEADER.size:
+    if len(blob) < _HEADER.itemsize:
         raise ValueError("truncated cube-function blob")
-    (n,) = _HEADER.unpack_from(blob, 0)
+    n = int(np.frombuffer(blob, dtype=_HEADER, count=1)[0])
     _check_dim(n)
-    expected = _HEADER.size + 8 * (1 << n)
-    if len(blob) != expected:
-        raise ValueError(f"blob length {len(blob)} does not match n={n} (expected {expected})")
-    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    return CubeFunction.from_values(n, values)
+    record = _record(n)
+    if len(blob) != record.itemsize:
+        raise ValueError(f"blob length {len(blob)} does not match n={n} (expected {record.itemsize})")
+    return CubeFunction.from_values(n, np.frombuffer(blob, dtype=record)["values"][0])
 
 
 def write_binary(f: CubeFunction, path) -> None:

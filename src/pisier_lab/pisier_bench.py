@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import inverse_fwht_rows, level_multiply
+from .cube_fourier import inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, BoundViolationError
 from .vector_field import (
@@ -145,7 +145,7 @@ def decomposition_audit(
     rhs_raw = mean_square_norm(f, norm)
     # f*P in value space; its (2^n, m) spectrum is dropped once transformed
     coeffs = proxy_level_coeffs(kernel, f.n)
-    split = inverse_fwht_rows(level_multiply(f.spectrum_matrix(), coeffs).T).T
+    split = inverse_fwht(level_multiply(f.spectrum_matrix(), coeffs))
     term_proxy = norm.mean_square(split)
     linear = rademacher_projection(f).values_matrix()
     lhs = norm.mean_square(linear)

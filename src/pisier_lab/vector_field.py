@@ -1,7 +1,7 @@
 """Vector-valued cube functions, the norm suite, and convolution facts.
 
-A VectorFunction is one (2^n, m) table over one cube: row x is the vector
-f(x), or row S is the vector coefficient fhat(S).  Norms on the target
+A VectorFunction is a CubeFunction whose table is (2^n, m): row x is the
+vector f(x), row S the vector coefficient fhat(S).  Norms on the target
 space come in three kinds: the lp family, the sup-functional norm (the sup
 norm of the function whose spectrum is the vector, over a fixed subset
 family), and caller-supplied evaluators that are spot-validated at
@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cube_fourier import _HEADER, MAX_DIM, CubeFunction, _check_dim, character_values, inverse_fwht_rows
+from .cube_fourier import MAX_DIM, CubeFunction, _check_dim, _record, character_values, inverse_fwht, to_bytes
+from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
 from .report import BoundReport, BoundViolationError, ResourceLimitError
 
 _SUPPLIED_NORM_TOL = 1e-9
@@ -31,26 +32,15 @@ MAX_SUP_FUNCTIONAL_DIM = 12
 _SUP_CHUNK_DOUBLES = 1 << 22
 
 
-class VectorFunction:
-    """Function from the cube to R^m, held as a read-only (2^n, m) value and/or spectrum table.
+class VectorFunction(CubeFunction):
+    """Function from the cube to R^m: a CubeFunction whose tables are (2^n, m)."""
 
-    The missing table is filled lazily by one batched transform and cached.
-    """
+    __slots__ = ()
+    _RANKS = (2,)
 
-    __slots__ = ("n", "m", "_values", "_spectrum")
-
-    def __init__(self, n: int, values=None, spectrum=None):
-        _check_dim(n)
-        if (values is None) == (spectrum is None):
-            raise ValueError("need exactly one of a value table and a spectrum table")
-        table = np.array(values if spectrum is None else spectrum, dtype=np.float64, order="C")
-        if table.ndim != 2 or table.shape[0] != 1 << n or table.shape[1] < 1:
-            raise ValueError(f"expected a (2^{n}, m) table with m >= 1, got {table.shape}")
-        table.flags.writeable = False
-        self.n = n
-        self.m = table.shape[1]
-        self._values = table if spectrum is None else None
-        self._spectrum = table if values is None else None
+    @property
+    def m(self) -> int:
+        return self.shape[1]
 
     @classmethod
     def from_values_matrix(cls, n: int, values) -> "VectorFunction":
@@ -63,27 +53,10 @@ class VectorFunction:
         return cls(n, spectrum=spectra)
 
     def values_matrix(self) -> np.ndarray:
-        if self._values is None:
-            # the transposed view keeps the table's memory order through the butterfly
-            v = inverse_fwht_rows(self._spectrum.T).T
-            v.flags.writeable = False
-            self._values = v
-        return self._values
+        return self.values
 
     def spectrum_matrix(self) -> np.ndarray:
-        if self._spectrum is None:
-            s = inverse_fwht_rows(self._values.T).T
-            s /= self._values.shape[0]
-            s.flags.writeable = False
-            self._spectrum = s
-        return self._spectrum
-
-    def coefficient(self, s_mask: int) -> np.ndarray:
-        """The vector Fourier coefficient at one subset."""
-        return self.spectrum_matrix()[s_mask]
-
-    def __repr__(self):
-        return f"VectorFunction(n={self.n}, m={self.m})"
+        return self.spectrum
 
 
 class Norm:
@@ -196,9 +169,10 @@ class Norm:
         chunk = max(1, _SUP_CHUNK_DOUBLES // size)
         for start in range(0, rows.shape[0], chunk):
             block = rows[start : start + chunk]
-            embedded = np.zeros((block.shape[0], size))
-            embedded[:, self.family] = block
-            out[start : start + chunk] = np.abs(inverse_fwht_rows(embedded)).max(axis=1)
+            embedded = np.zeros((size, block.shape[0]))
+            embedded[self.family] = block.T
+            # column j is g_v for v the j-th row of the block
+            out[start : start + chunk] = np.abs(inverse_fwht(embedded)).max(axis=0)
         return out
 
     def mean_square(self, table) -> float:
@@ -327,8 +301,7 @@ def young_bound_check(
     """Convolution contraction: msn(f * g) <= E|g| * msn(f) for any norm."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    convolved = VectorFunction.from_spectrum_matrix(f.n, f.spectrum_matrix() * g.spectrum[:, None])
-    lhs = mean_square_norm(convolved, norm)
+    lhs = norm.mean_square(inverse_fwht(f.spectrum_matrix() * g.spectrum[:, None]))
     g_l1 = float(np.mean(np.abs(g.values)))
     rhs = g_l1 * mean_square_norm(f, norm)
     report = BoundReport.of(
@@ -346,9 +319,7 @@ def young_bound_check(
 
 def write_vector(f: VectorFunction, data_path, sidecar_path) -> None:
     """m concatenated coordinate binaries plus a {n, m} JSON sidecar."""
-    header = _HEADER.pack(f.n)
-    blob = b"".join(header + column.astype("<f8").tobytes() for column in f.values_matrix().T)
-    Path(data_path).write_bytes(blob)
+    Path(data_path).write_bytes(to_bytes(f))
     Path(sidecar_path).write_text(json.dumps({"n": f.n, "m": f.m}, sort_keys=True) + "\n")
 
 
@@ -357,7 +328,7 @@ def read_vector(data_path, sidecar_path) -> VectorFunction:
     n, m = int(meta["n"]), int(meta["m"])
     _check_dim(n)
     blob = Path(data_path).read_bytes()
-    record = np.dtype([("n", "<u4"), ("values", "<f8", (1 << n,))])  # one cube-function binary
+    record = _record(n)  # one cube-function binary
     if len(blob) != m * record.itemsize:
         raise ValueError(f"vector blob length {len(blob)} does not match n={n}, m={m}")
     records = np.frombuffer(blob, dtype=record)

@@ -1,5 +1,7 @@
 """Subcommand behavior: exit codes, JSON/CSV shapes, determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -176,6 +178,14 @@ class TestSparsity:
         assert run_main(["sparsity", "--input", str(path), "--no-rescale"]) == 2
 
 
+@pytest.mark.parametrize("command", ["sparsity", "fourier"])
+def test_missing_input_is_a_usage_error(capsys, tmp_path, command):
+    missing = tmp_path / "missing.bin"
+    assert run_main([command, "--input", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 CAPPED_FLAGS = [
     (["proxy-check", "--n", "3", "--ell"], MAX_ELL),
     (["proxy-check", "--ell", "1", "--n"], MAX_DIM),
@@ -233,6 +243,19 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("lower-bound,4,truncated,,,,,violation,instance invariant failed")
         assert lines[2].split(",")[-2] == "ok"  # scalar mode builds no instance
+
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--m", "2", "--norm", "lp"], "--norm lp needs --p >= 1"),
+        (["--m", "0"], "--m must be positive, got 0"),
+        (["--m", "2", "--seed", "-1"], "--seed must be nonnegative"),
+    ])
+    def test_audit_rows_get_the_audit_preconditions(self, capsys, flags, message):
+        assert run_main(["audit", "--n", "5", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        sweep_flags = ["--seeds" if flag == "--seed" else flag for flag in flags]
+        assert run_main(["sweep", "--kind", "audit", "--n", "5", *sweep_flags]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
 
     def test_row_errors_recorded_not_fatal(self, capsys):
         # even ell rows fail, the sweep still completes

@@ -232,16 +232,46 @@ class TestLevelMultiply:
             level_multiply(np.ones(6), np.ones(3))
 
 
+def character_matrix(n):
+    """Sylvester's H_n = H_1 (x) H_(n-1): entry (S, x) is chi_S(x), built with no bit counting."""
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), h)
+    return h
+
+
 class TestBatchedTransform:
     @pytest.mark.parametrize(("n", "m"), [(3, 1), (8, 5), (10, 16)])
     def test_transposed_table_matches_per_column_transforms(self, n, m):
-        """Rows of a (2^n, m) table's transpose transform exactly as single columns do."""
+        """A (2^n, m) table, and its transposed row view, transform exactly as single columns do."""
         rng = np.random.default_rng(80 + n)
         table = rng.standard_normal((1 << n, m))
-        out = inverse_fwht_rows(table.T).T
-        assert out.flags.c_contiguous
+        spectra, values, rows = fwht(table), inverse_fwht(table), inverse_fwht_rows(table.T)
+        assert spectra.flags.c_contiguous and values.flags.c_contiguous
         for j in range(m):
-            assert np.array_equal(out[:, j], inverse_fwht(table[:, j]))
+            assert np.array_equal(spectra[:, j], fwht(table[:, j]))
+            assert np.array_equal(values[:, j], inverse_fwht(table[:, j]))
+            assert np.array_equal(rows[j], inverse_fwht(table[:, j]))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_character_matrix_oracle(self, n):
+        """1-D, (2^n, m) and (2^n, 2, 3) tables against the O(4^n) character sums."""
+        rng = np.random.default_rng(90 + n)
+        h = character_matrix(n)
+        for table in (rng.standard_normal(1 << n), rng.standard_normal((1 << n, 5)),
+                      rng.standard_normal((1 << n, 2, 3))):
+            scale = max(1.0, float(np.abs(table).max())) * (1 << n)
+            want_spec = np.tensordot(h, table, axes=1) / (1 << n)
+            want_vals = np.tensordot(h, table, axes=1)
+            assert fwht(table).shape == table.shape
+            assert np.abs(fwht(table) - want_spec).max() < 1e-12 * scale
+            assert np.abs(inverse_fwht(table) - want_vals).max() < 1e-12 * scale
+
+    def test_rejects_a_scalar_and_a_bad_axis_0(self):
+        with pytest.raises(ValueError):
+            fwht(1.0)
+        with pytest.raises(ValueError):
+            inverse_fwht(np.zeros((6, 2)))
 
 
 class TestSparsity:
@@ -302,6 +332,32 @@ class TestCubeFunction:
         assert np.abs((2.5 * a).values - 2.5 * a.values).max() < 1e-12
         with pytest.raises(ValueError):
             a + CubeFunction.constant(3, 1.0)
+
+    def test_mixed_shapes_rejected(self):
+        """A (4,) function and a (4, 4) table would broadcast along the wrong axis."""
+        rng = np.random.default_rng(8)
+        f = CubeFunction.from_values(2, rng.standard_normal(4))
+        table = CubeFunction.from_values(2, rng.standard_normal((4, 4)))
+        for a, b in ((f, table), (table, f)):
+            with pytest.raises(ValueError, match="shape"):
+                a + b
+            with pytest.raises(ValueError, match="shape"):
+                a - b
+            with pytest.raises(ValueError, match="shape"):
+                convolve(a, b)
+
+    def test_table_arithmetic_is_per_column(self):
+        rng = np.random.default_rng(9)
+        a = CubeFunction.from_spectrum(3, rng.standard_normal((8, 3)))
+        b = CubeFunction.from_values(3, rng.standard_normal((8, 3)))
+        total, product = a + b, convolve(a, b)
+        for j in range(3):
+            col_a = CubeFunction.from_spectrum(3, a.spectrum[:, j])
+            col_b = CubeFunction.from_values(3, b.values[:, j])
+            assert np.array_equal(total.values[:, j], (col_a + col_b).values)
+            assert np.array_equal(product.spectrum[:, j], convolve(col_a, col_b).spectrum)
+        assert np.array_equal(a.coefficient(5), a.spectrum[5])
+        assert isinstance(CubeFunction.constant(3, 2.0).value(1), float)
 
 
 class TestSerialization:

@@ -217,7 +217,7 @@ class TestDecompositionAudit:
         f = random_vector(8, 4, 15)
         monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
         decomposition_audit(f, Norm.lp(math.inf), SandwichTransform.for_lp(math.inf, 4))
-        assert calls == [(4, 256), (4, 256)]
+        assert calls == [(256, 4), (256, 4)]
 
     def test_audit_serializes_cleanly(self):
         import json

@@ -18,3 +18,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_transform_and_record_format_have_one_owner():
+    """Only cube_fourier names the butterfly and the binary record header."""
+    owned = {"_walsh_butterfly", "_HEADER"}
+    found = []
+    for path in SOURCES:
+        if path.name == "cube_fourier.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+            found += [f"{path.name}:{getattr(node, 'lineno', '?')}:{name}" for name in names & owned]
+    assert found == []

@@ -45,13 +45,21 @@ def constant_vector(n, v):
 
 class TestVectorFunction:
     def test_rejects_mixed_dimensions(self):
-        # a table needs exactly 2^n rows and at least one column
+        # a table needs exactly 2^n rows, two axes and at least one column
         with pytest.raises(ValueError):
             VectorFunction.from_values_matrix(3, np.zeros((16, 2)))
         with pytest.raises(ValueError):
             VectorFunction.from_spectrum_matrix(3, np.zeros((8, 0)))
         with pytest.raises(ValueError):
-            VectorFunction(3, values=np.zeros((8, 1)), spectrum=np.zeros((8, 1)))
+            VectorFunction.from_values_matrix(3, np.zeros(8))
+        # tables given together must agree in shape and within 1e-12, as for CubeFunction
+        with pytest.raises(ValueError):
+            VectorFunction(3, values=np.ones((8, 2)), spectrum=np.zeros((8, 2)))
+        with pytest.raises(ValueError):
+            VectorFunction(3, values=np.ones((8, 2)), spectrum=np.zeros((8, 1)))
+        spectra = np.zeros((8, 2))
+        spectra[0] = 1.0
+        assert VectorFunction(3, values=np.ones((8, 2)), spectrum=spectra).m == 2
 
     def test_coefficient_vector(self):
         rng = np.random.default_rng(0)
