@@ -18,7 +18,6 @@ if _threads:
 from .cube_fourier import (  # noqa: E402
     MAX_DIM,
     CubeFunction,
-    character_eval,
     character_values,
     convolve,
     from_bytes,
@@ -26,7 +25,6 @@ from .cube_fourier import (  # noqa: E402
     fwht,
     inverse_fwht,
     level_multiply,
-    linear_function,
     read_binary,
     spectrum_sparsity,
     to_bytes,
@@ -39,7 +37,6 @@ from .linear_proxy import (  # noqa: E402
     deviation_bound,
     kernel_l1,
     kernel_moment,
-    proxy_as_cube_function,
     proxy_eval_by_weight,
     proxy_l1,
     proxy_level_coeffs,
@@ -60,19 +57,14 @@ from .pisier_bench import (  # noqa: E402
     PisierAudit,
     choose_ell,
     decomposition_audit,
-    pisier_ratio,
 )
 from .report import BoundReport, BoundViolationError, ResourceLimitError  # noqa: E402
 from .vector_field import (  # noqa: E402
     Norm,
     SandwichTransform,
     VectorFunction,
-    apply_linear,
-    mean_square_norm,
     rademacher_projection,
-    read_vector,
     sandwich_validate,
-    write_vector,
     young_bound_check,
 )
 
@@ -89,11 +81,9 @@ __all__ = [
     "ResourceLimitError",
     "SandwichTransform",
     "VectorFunction",
-    "apply_linear",
     "build_chebyshev_witness",
     "build_product_witness",
     "build_truncated_witness",
-    "character_eval",
     "character_values",
     "choose_ell",
     "convolve",
@@ -106,17 +96,12 @@ __all__ = [
     "kernel_l1",
     "kernel_moment",
     "level_multiply",
-    "linear_function",
     "lower_bound_instance",
-    "mean_square_norm",
-    "pisier_ratio",
-    "proxy_as_cube_function",
     "proxy_eval_by_weight",
     "proxy_l1",
     "proxy_level_coeffs",
     "rademacher_projection",
     "read_binary",
-    "read_vector",
     "sandwich_validate",
     "sparsity_inequality_check",
     "spectrum_sparsity",
@@ -127,7 +112,6 @@ __all__ = [
     "truncation_tail_bound",
     "truncation_tail_chain",
     "write_binary",
-    "write_vector",
     "young_bound_check",
 ]
 

@@ -62,19 +62,6 @@ def _require_ell(ell: int) -> None:
     _require(ell % 2 == 1 and 1 <= ell <= MAX_ELL, f"--ell must be odd in 1..{MAX_ELL}, got {ell}")
 
 
-def _validate(args: argparse.Namespace) -> None:
-    """The preconditions argparse cannot express; run_audit checks the audit's."""
-    if args.command == "proxy-check":
-        _require_ell(args.ell)
-        _require_n(args.n, MAX_DIM)
-    elif args.command == "lower-bound":
-        _require_n(args.n, MAX_RECORD_DIM)
-    elif args.command == "sparsity":
-        _require((args.input_path is None) != (args.n is None), "pass exactly one of --input or --n")
-        if args.n is not None:
-            _require_n(args.n, MAX_RECORD_DIM)
-
-
 def _emit_text(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -138,6 +125,9 @@ def random_vector_function(n: int, m: int, seed: int) -> vector_field.VectorFunc
 
 
 def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
+    """Check the preconditions, then every kernel and proxy claim: proxy-check and each proxy sweep row."""
+    _require_ell(ell)
+    _require_n(n, MAX_DIM)
     kernel = linear_proxy.ProxyKernel(ell)
     violations: list[str] = []
 
@@ -161,8 +151,7 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
     coeffs = linear_proxy.proxy_level_coeffs(kernel, n)
     dev_bound = linear_proxy.deviation_bound(ell)
     linear_levels = np.zeros(n + 1)
-    if n >= 1:
-        linear_levels[1] = 1.0
+    linear_levels[1] = 1.0
     mismatch_low = float(np.abs(coeffs[: min(ell, n) + 1] - linear_levels[: min(ell, n) + 1]).max())
     if mismatch_low > _MOMENT_TOL:
         violations.append(f"proxy differs from the linear levels below ell by {mismatch_low!r}")
@@ -245,6 +234,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict[str, Any]:
+    """Check the preconditions, then build and verify the witness: lower-bound and each of its sweep rows."""
+    _require_n(n, MAX_RECORD_DIM)
     instance_mode = n <= lower_bound.MAX_INSTANCE_DIM and not scalar_only
     violations: list[str] = []
 
@@ -263,7 +254,7 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
         "variant": variant,
         "mode": "instance" if instance_mode else "scalar",
         "witness_sup": witness_sup,
-        "singleton_coefficient": float(singles[0]) if n >= 1 else 0.0,
+        "singleton_coefficient": float(singles[0]),
         "singleton_spread": float(np.abs(singles - singles[0]).max()),
         "singleton_roundtrip_dev": float(np.abs(roundtrip - singles).max()),
         "sparsity_counted": int(counted),
@@ -335,10 +326,12 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sparsity(args: argparse.Namespace) -> int:
+    _require((args.input_path is None) != (args.n is None), "pass exactly one of --input or --n")
     if args.input_path is not None:
         f = cube_fourier.read_binary(args.input_path)
         source = f"file:{args.input_path}"
     else:
+        _require_n(args.n, MAX_RECORD_DIM)
         f = lower_bound.build_witness(args.n, args.variant)
         source = f"witness:{args.variant}:{args.n}"
     report = lower_bound.sparsity_inequality_check(f, rescale=args.rescale)
@@ -521,7 +514,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate(args)
         return _HANDLERS[args.command](args)
     except BoundViolationError as exc:
         print(f"bound violated: {exc}", file=sys.stderr)

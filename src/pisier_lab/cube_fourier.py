@@ -86,11 +86,6 @@ def inverse_fwht_rows(spectra: np.ndarray) -> np.ndarray:
     return _walsh_butterfly(np.asarray(spectra).T).T
 
 
-def character_eval(s_mask: int, x_mask: int) -> int:
-    """chi_S(x), the product of x_j over j in S: +-1 by parity of popcount(S & x)."""
-    return -1 if (s_mask & x_mask).bit_count() & 1 else 1
-
-
 def character_values(n: int, s_masks) -> np.ndarray:
     """Value table of chi_S over the whole cube; an array of masks gives one column per mask."""
     _check_dim(n)
@@ -192,14 +187,6 @@ class CubeFunction:
             self._spectrum = s
         return self._spectrum
 
-    def value(self, x_mask: int):
-        """f(x): a float, or the row of m values of a (2^n, m) table."""
-        return self.values[x_mask] if self.values.ndim == 2 else float(self.values[x_mask])
-
-    def coefficient(self, s_mask: int):
-        """fhat(S): a float, or the row of m coefficients of a (2^n, m) table."""
-        return self.spectrum[s_mask] if self.spectrum.ndim == 2 else float(self.spectrum[s_mask])
-
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -248,14 +235,6 @@ def spectrum_sparsity(f: CubeFunction, threshold: float = SPARSITY_THRESHOLD) ->
     return int(np.count_nonzero(np.abs(f.spectrum) > threshold))
 
 
-def linear_function(n: int) -> CubeFunction:
-    """L(x) = x_1 + ... + x_n, the function whose spectrum is the level-1 indicator."""
-    _check_dim(n)
-    spec = np.zeros(1 << n)
-    spec[[1 << j for j in range(n)]] = 1.0
-    return CubeFunction.from_spectrum(n, spec)
-
-
 def _record(n: int) -> np.dtype:
     """One binary record: the header n, then the 2^n value-table doubles, little-endian."""
     return np.dtype([("n", _HEADER), ("values", "<f8", (1 << n,))])
@@ -293,6 +272,8 @@ def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:
     """Sparse JSON spectrum: subset bitmask (as a decimal string key) to coefficient."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
+    if len(f.shape) != 1:
+        raise ValueError(f"expected one function, a (2^n,) table, got shape {f.shape}")
     spec = f.spectrum
     keep = np.nonzero(np.abs(spec) > threshold)[0] if threshold > 0 else np.nonzero(spec)[0]
     payload = {"n": f.n, "spectrum": {str(int(m)): float(spec[m]) for m in keep}}

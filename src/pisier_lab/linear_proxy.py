@@ -30,11 +30,10 @@ import math
 
 import numpy as np
 
-from .cube_fourier import CubeFunction, _check_dim, subset_levels
-from .report import BoundReport, BoundViolationError, ResourceLimitError
+from .cube_fourier import _check_dim
+from .report import BoundReport, BoundViolationError
 
 MAX_ELL = 15  # beyond this the deviation 8 ell / 2^ell is below 1e-3 and adds nothing
-MAX_PROXY_DIM = 20
 _IDENTITY_TOL = 1e-10
 
 # sin(k * pi / 2) by k mod 4, exact
@@ -79,10 +78,6 @@ class AngleGrid:
                 raise RuntimeError(
                     f"grid geometric-sum identity failed at a={a}: |{total:.3e} - {want}| > {_IDENTITY_TOL}"
                 )
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.size) / self.size
 
 
 class ProxyKernel:
@@ -175,11 +170,3 @@ def proxy_l1(kernel: ProxyKernel, n: int) -> float:
         raise BoundViolationError(f"proxy l1 norm {value} exceeds 8*ell = {bound}",
                                   BoundReport.of("proxy-l1-bound", value, bound, {"ell": kernel.ell, "n": n}))
     return value
-
-
-def proxy_as_cube_function(kernel: ProxyKernel, n: int) -> CubeFunction:
-    """Materialize the proxy on the n-cube from its level coefficients."""
-    _check_dim(n)
-    if n > MAX_PROXY_DIM:
-        raise ResourceLimitError(f"proxy tables capped at n={MAX_PROXY_DIM}, got {n}")
-    return CubeFunction.from_spectrum(n, proxy_level_coeffs(kernel, n)[subset_levels(n)])

@@ -226,6 +226,8 @@ def sparsity_inequality_check(
     universal constant relating them is asserted.  The function must be
     bounded by 1 in sup norm; pass rescale=True to divide it down first.
     """
+    if len(f.shape) != 1:
+        raise ValueError(f"expected one function, a (2^n,) table, got shape {f.shape}")
     sup = f.sup_norm()
     scale = 1.0
     checked = f

@@ -26,7 +26,6 @@ from .vector_field import (
     Norm,
     SandwichTransform,
     VectorFunction,
-    mean_square_norm,
     rademacher_projection,
     sandwich_validate,
 )
@@ -99,22 +98,6 @@ def _check_audit_dims(f: VectorFunction, norm: Norm) -> None:
         )
 
 
-def pisier_ratio(f: VectorFunction, norm: Norm) -> BoundReport:
-    """Record msn(lin f) against msn(f); the ratio is the audited operator blow-up."""
-    _check_audit_dims(f, norm)
-    lhs = mean_square_norm(rademacher_projection(f), norm)
-    rhs = mean_square_norm(f, norm)
-    if rhs == 0.0 and lhs > 0.0:
-        raise RuntimeError("internal consistency failure: projection of the zero function is nonzero")
-    ratio = 0.0 if (rhs == 0.0 and lhs == 0.0) else lhs / rhs
-    return BoundReport.of(
-        "rademacher-projection-ratio",
-        lhs,
-        rhs,
-        params={"n": f.n, "m": f.m, "norm": norm.name, "ratio": ratio},
-    )
-
-
 def decomposition_audit(
     f: VectorFunction,
     norm: Norm,
@@ -142,7 +125,7 @@ def decomposition_audit(
         ell = choose_ell(f.m)
 
     kernel = ProxyKernel(ell)
-    rhs_raw = mean_square_norm(f, norm)
+    rhs_raw = norm.mean_square(f.values_matrix())
     # f*P in value space; its (2^n, m) spectrum is dropped once transformed
     coeffs = proxy_level_coeffs(kernel, f.n)
     split = inverse_fwht(level_multiply(f.spectrum_matrix(), coeffs))

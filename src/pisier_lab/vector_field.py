@@ -2,29 +2,25 @@
 
 A VectorFunction is a CubeFunction whose table is (2^n, m): row x is the
 vector f(x), row S the vector coefficient fhat(S).  Norms on the target
-space come in three kinds: the lp family, the sup-functional norm (the sup
+space come in two kinds: the lp family and the sup-functional norm (the sup
 norm of the function whose spectrum is the vector, over a fixed subset
-family), and caller-supplied evaluators that are spot-validated at
-construction.  All cube averages are exact enumerations over the 2^n
+family).  All cube averages are exact enumerations over the 2^n
 points; sampling appears only in sandwich validation, where the inequality
 ranges over all of R^m and cannot be enumerated.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cube_fourier import MAX_DIM, CubeFunction, _check_dim, _record, character_values, inverse_fwht, to_bytes
+from .cube_fourier import MAX_DIM, CubeFunction, character_values, inverse_fwht
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
 from .report import BoundReport, BoundViolationError, ResourceLimitError
 
-_SUPPLIED_NORM_TOL = 1e-9
 # cap for exhaustive per-point sup-functional scans (lower-bound instances, audits):
 # 2^n points, each one 2^n-point inverse transform, cost n * 4^n
 MAX_SUP_FUNCTIONAL_DIM = 12
@@ -60,14 +56,13 @@ class VectorFunction(CubeFunction):
 
 
 class Norm:
-    """Norm on R^m: lp, sup-functional over a subset family, or supplied."""
+    """Norm on R^m: lp, or sup-functional over a subset family."""
 
-    def __init__(self, kind: str, *, p=None, n_dual=None, family=None, evaluator=None, dim=None, name=None):
+    def __init__(self, kind: str, *, p=None, n_dual=None, family=None, dim=None, name=None):
         self.kind = kind
         self.p = p
         self.n_dual = n_dual
         self.family = family
-        self.evaluator = evaluator
         self.dim = dim
         self._name = name
 
@@ -110,38 +105,6 @@ class Norm:
             name=f"sup_functional(n={n_dual},|family|={fam.size})",
         )
 
-    @classmethod
-    def supplied(
-        cls,
-        evaluator: Callable[[np.ndarray], float],
-        dim: int,
-        samples: int = 32,
-        seed: int = 0,
-        name: str = "supplied",
-    ) -> "Norm":
-        """Wrap a caller-provided evaluator after spot-validating the norm axioms."""
-        norm = cls("supplied", evaluator=evaluator, dim=int(dim), name=f"{name}(m={dim})")
-        norm._validate_axioms(samples, seed)
-        return norm
-
-    def _validate_axioms(self, samples: int, seed: int) -> None:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            u = rng.standard_normal(self.dim)
-            v = rng.standard_normal(self.dim)
-            alpha = float(rng.standard_normal())
-            nu, nv = self.evaluate(u), self.evaluate(v)
-            if nu < 0 or nv < 0:
-                raise ValueError("supplied evaluator returned a negative value")
-            scaled = self.evaluate(alpha * u)
-            target = abs(alpha) * nu
-            if abs(scaled - target) > _SUPPLIED_NORM_TOL * max(1.0, target):
-                raise ValueError(
-                    f"supplied evaluator fails homogeneity: |{scaled} - {target}| > tol"
-                )
-            if self.evaluate(u + v) > nu + nv + _SUPPLIED_NORM_TOL:
-                raise ValueError("supplied evaluator fails the triangle inequality")
-
     @property
     def name(self) -> str:
         return self._name or self.kind
@@ -159,9 +122,7 @@ class Norm:
             raise ValueError(f"norm is on R^{self.dim}, got vectors in R^{rows.shape[1]}")
         if self.kind == "lp":
             return np.linalg.norm(rows, ord=self.p, axis=1)
-        if self.kind == "sup_functional":
-            return self._sup_functional_rows(rows)
-        return np.array([float(self.evaluator(row)) for row in rows])
+        return self._sup_functional_rows(rows)
 
     def _sup_functional_rows(self, rows: np.ndarray) -> np.ndarray:
         size = 1 << self.n_dual
@@ -178,9 +139,6 @@ class Norm:
     def mean_square(self, table) -> float:
         """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point."""
         return float(np.sqrt(np.mean(self.evaluate_rows(table) ** 2)))
-
-    def __call__(self, v) -> float:
-        return self.evaluate(v)
 
     def __repr__(self):
         return f"Norm({self.name})"
@@ -275,24 +233,11 @@ def sandwich_validate(
     )
 
 
-def mean_square_norm(f: VectorFunction, norm: Norm) -> float:
-    """(E ||f(X)||^2)^(1/2), averaged exactly over all 2^n cube points."""
-    return norm.mean_square(f.values_matrix())
-
-
 def rademacher_projection(f: VectorFunction) -> VectorFunction:
     """lin f(x) = sum_j fhat({j}) x_j, formed as a (2^n, n) by (n, m) product with no transform."""
     singletons = 1 << np.arange(f.n)
     coordinates = character_values(f.n, singletons)  # column j is x_j
     return VectorFunction.from_values_matrix(f.n, coordinates @ f.spectrum_matrix()[singletons])
-
-
-def apply_linear(matrix: np.ndarray, f: VectorFunction) -> VectorFunction:
-    """Compose with a linear map on the target space (acts on spectra)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != f.m:
-        raise ValueError(f"expected a (k, {f.m}) matrix, got {matrix.shape}")
-    return VectorFunction.from_spectrum_matrix(f.n, f.spectrum_matrix() @ matrix.T)
 
 
 def young_bound_check(
@@ -303,7 +248,7 @@ def young_bound_check(
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     lhs = norm.mean_square(inverse_fwht(f.spectrum_matrix() * g.spectrum[:, None]))
     g_l1 = float(np.mean(np.abs(g.values)))
-    rhs = g_l1 * mean_square_norm(f, norm)
+    rhs = g_l1 * norm.mean_square(f.values_matrix())
     report = BoundReport.of(
         "convolution-l1-contraction",
         lhs,
@@ -316,22 +261,3 @@ def young_bound_check(
         )
     return report
 
-
-def write_vector(f: VectorFunction, data_path, sidecar_path) -> None:
-    """m concatenated coordinate binaries plus a {n, m} JSON sidecar."""
-    Path(data_path).write_bytes(to_bytes(f))
-    Path(sidecar_path).write_text(json.dumps({"n": f.n, "m": f.m}, sort_keys=True) + "\n")
-
-
-def read_vector(data_path, sidecar_path) -> VectorFunction:
-    meta = json.loads(Path(sidecar_path).read_text())
-    n, m = int(meta["n"]), int(meta["m"])
-    _check_dim(n)
-    blob = Path(data_path).read_bytes()
-    record = _record(n)  # one cube-function binary
-    if len(blob) != m * record.itemsize:
-        raise ValueError(f"vector blob length {len(blob)} does not match n={n}, m={m}")
-    records = np.frombuffer(blob, dtype=record)
-    if np.any(records["n"] != n):
-        raise ValueError(f"a coordinate record's header does not match the sidecar's n={n}")
-    return VectorFunction.from_values_matrix(n, records["values"].T)

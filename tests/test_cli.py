@@ -257,6 +257,20 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
 
+    @pytest.mark.parametrize(("command", "kind", "flags", "message"), [
+        ("proxy-check", "proxy", ["--ell", "2", "--n", "8"], f"--ell must be odd in 1..{MAX_ELL}, got 2"),
+        ("proxy-check", "proxy", ["--ell", "3", "--n", "30"], f"--n must lie in 1..{MAX_DIM}, got 30"),
+        ("lower-bound", "lower-bound", ["--n", "17"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 17"),
+        ("lower-bound", "lower-bound", ["--n", "19"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 19"),
+    ], ids=["proxy-even-ell", "proxy-n-above-cap", "lower-bound-n-17", "lower-bound-n-19"])
+    def test_rows_get_their_command_preconditions(self, capsys, command, kind, flags, message):
+        """Above a cap a row is an error with the command's message, not a row past the cap."""
+        assert run_main([command, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run_main(["sweep", "--kind", kind, *flags]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
+
     def test_row_errors_recorded_not_fatal(self, capsys):
         # even ell rows fail, the sweep still completes
         import csv as csv_mod

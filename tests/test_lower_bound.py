@@ -198,7 +198,7 @@ class TestInstance:
         instance = lower_bound_instance(6, "truncated")
         values = instance.vector.values_matrix()
         for idx, mask in enumerate(instance.family):
-            want = instance.witness.coefficient(mask) * character_values(6, mask)
+            want = instance.witness.spectrum[mask] * character_values(6, mask)
             assert np.array_equal(values[:, idx], want)
 
     def test_family_sorted_ascending(self):
@@ -281,3 +281,6 @@ class TestSparsityRecord:
     def test_rejects_zero_function(self):
         with pytest.raises(ValueError):
             sparsity_inequality_check(CubeFunction.constant(3, 0.0))
+        # a (2^n, m) table is m functions, not one whose sparsity can be recorded
+        with pytest.raises(ValueError, match="shape"):
+            sparsity_inequality_check(CubeFunction.from_values(2, np.ones((4, 2))))

@@ -15,15 +15,14 @@ from pisier_lab import (
     convolve,
     decomposition_audit,
     level_multiply,
-    linear_function,
-    mean_square_norm,
-    pisier_ratio,
-    proxy_as_cube_function,
     proxy_level_coeffs,
+    rademacher_projection,
 )
 from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import popcount
 from pisier_lab.lower_bound import lower_bound_instance
+
+from oracles import linear_function, proxy_as_cube_function
 
 
 def random_vector(n, m, seed):
@@ -33,6 +32,13 @@ def random_vector(n, m, seed):
 
 def single_column(f: CubeFunction) -> VectorFunction:
     return VectorFunction.from_spectrum_matrix(f.n, f.spectrum[:, None])
+
+
+def projection_ratio(f: VectorFunction, norm: Norm) -> tuple[float, float, float]:
+    """msn(lin f), msn(f) and their ratio (0 for the zero function), the audited blow-up."""
+    lhs = norm.mean_square(rademacher_projection(f).values_matrix())
+    rhs = norm.mean_square(f.values_matrix())
+    return lhs, rhs, (0.0 if rhs == 0.0 else lhs / rhs)
 
 
 def oracle_terms(f: VectorFunction, norm: Norm, ell: int) -> dict:
@@ -75,41 +81,39 @@ class TestChooseEll:
 class TestPisierRatio:
     def test_constant_function(self):
         f = single_column(CubeFunction.constant(5, 2.0))
-        report = pisier_ratio(f, Norm.lp(2))
-        assert report.params["ratio"] == 0.0
+        assert projection_ratio(f, Norm.lp(2))[2] == 0.0
 
     def test_purely_linear_function(self):
         f = single_column(linear_function(6))
-        report = pisier_ratio(f, Norm.lp(2))
-        assert report.params["ratio"] == 1.0
+        assert projection_ratio(f, Norm.lp(2))[2] == 1.0
 
     def test_zero_function(self):
         f = single_column(CubeFunction.constant(4, 0.0))
-        assert pisier_ratio(f, Norm.lp(2)).params["ratio"] == 0.0
+        assert projection_ratio(f, Norm.lp(2)) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_euclidean_never_expands(self, seed):
         f = random_vector(8, 4, seed)
-        assert pisier_ratio(f, Norm.lp(2)).params["ratio"] <= 1.0 + 1e-12
+        assert projection_ratio(f, Norm.lp(2))[2] <= 1.0 + 1e-12
 
     def test_witness_instance_beats_one(self):
         """At n=9 the tailored instance forces ratio sqrt(n) / ||F||_inf >= 1."""
         instance = lower_bound_instance(9, "truncated")
-        report = pisier_ratio(instance.vector, instance.norm)
-        assert report.lhs == pytest.approx(3.0, abs=1e-10)
-        assert report.rhs == pytest.approx(instance.witness_sup, abs=1e-10)
-        assert report.params["ratio"] >= 1.0
+        lhs, rhs, ratio = projection_ratio(instance.vector, instance.norm)
+        assert lhs == pytest.approx(3.0, abs=1e-10)
+        assert rhs == pytest.approx(instance.witness_sup, abs=1e-10)
+        assert ratio >= 1.0
 
     def test_dimension_cap(self):
-        f = random_vector(4, 2, 0)
-        with pytest.raises(ValueError):
-            pisier_ratio(
-                VectorFunction.from_spectrum_matrix(
-                    13, np.zeros((1 << 13, 1))
-                ),
+        """Audits stop at n = 12 for sup-functional norms, whose scans cost n * 4^n."""
+        with pytest.raises(ValueError, match="capped at n=12"):
+            decomposition_audit(
+                VectorFunction.from_spectrum_matrix(13, np.zeros((1 << 13, 1))),
                 Norm.sup_functional(13, [0]),
+                SandwichTransform(matrix=np.eye(1), distortion=1.0),
             )
-        assert pisier_ratio(f, Norm.lp(1)).rhs > 0
+        f = random_vector(4, 2, 0)
+        assert decomposition_audit(f, Norm.lp(1), SandwichTransform.for_lp(1.0, 2)).rhs_raw > 0
 
 
 class TestDecompositionAudit:
@@ -153,7 +157,7 @@ class TestDecompositionAudit:
         levels[1] = 1.0
         levels -= proxy_level_coeffs(ProxyKernel(ell), n)
         remainder = VectorFunction.from_spectrum_matrix(n, level_multiply(tf.spectrum_matrix(), levels))
-        lhs = mean_square_norm(remainder, Norm.lp(2)) ** 2
+        lhs = Norm.lp(2).mean_square(remainder.values_matrix()) ** 2
         rhs = float(np.sum((tf.spectrum_matrix() ** 2) * (gap.spectrum[:, None] ** 2)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 

@@ -13,22 +13,17 @@ from pisier_lab import (
     ResourceLimitError,
     SandwichTransform,
     VectorFunction,
-    apply_linear,
     convolve,
     fwht,
     inverse_fwht,
     level_multiply,
-    linear_function,
-    mean_square_norm,
-    proxy_as_cube_function,
     rademacher_projection,
-    read_vector,
     sandwich_validate,
-    to_bytes,
-    write_vector,
     young_bound_check,
 )
 from pisier_lab.lower_bound import build_truncated_witness
+
+from oracles import linear_function, proxy_as_cube_function
 
 
 def random_vector(n, m, seed):
@@ -66,7 +61,7 @@ class TestVectorFunction:
         values = rng.standard_normal((16, 3))
         f = VectorFunction.from_values_matrix(4, values)
         want = np.array([fwht(values[:, j])[5] for j in range(3)])
-        assert np.array_equal(f.coefficient(5), want)
+        assert np.array_equal(f.spectrum_matrix()[5], want)
 
     @pytest.mark.parametrize(("n", "m"), [(1, 1), (6, 3), (10, 8)])
     def test_batched_fills_match_per_column_transforms(self, n, m):
@@ -105,23 +100,23 @@ def keep_level(n, level):
 class TestMeanSquareNorm:
     def test_constant_function(self):
         f = constant_vector(4, [3.0, -4.0])
-        assert mean_square_norm(f, Norm.lp(2)) == pytest.approx(5.0, abs=1e-12)
+        assert Norm.lp(2).mean_square(f.values_matrix()) == pytest.approx(5.0, abs=1e-12)
 
     def test_single_coordinate_sign(self):
         f = VectorFunction.from_spectrum_matrix(1, linear_function(1).spectrum[:, None])
-        assert mean_square_norm(f, Norm.lp(2)) == pytest.approx(1.0, abs=1e-14)
+        assert Norm.lp(2).mean_square(f.values_matrix()) == pytest.approx(1.0, abs=1e-14)
 
     def test_euclidean_parseval(self):
         """The l2 mean square norm equals the coefficient energy."""
         f = random_vector(8, 4, 2)
-        via_values = mean_square_norm(f, Norm.lp(2))
+        via_values = Norm.lp(2).mean_square(f.values_matrix())
         via_spectrum = math.sqrt(float(np.sum(f.spectrum_matrix() ** 2)))
         assert via_values == pytest.approx(via_spectrum, rel=1e-12)
 
     def test_dimension_mismatch(self):
         f = random_vector(3, 2, 3)
         with pytest.raises(ValueError):
-            mean_square_norm(f, Norm.sup_functional(3, [0, 1, 2]))
+            Norm.sup_functional(3, [0, 1, 2]).mean_square(f.values_matrix())
 
     def test_sup_functional_instance_constant(self):
         """The witness instance at n=4 has constant point norms equal to the sup norm."""
@@ -134,7 +129,7 @@ class TestMeanSquareNorm:
         norm = Norm.sup_functional(4, family)
         per_point = norm.evaluate_rows(columns)
         assert np.abs(per_point - witness.sup_norm()).max() < 1e-12
-        assert mean_square_norm(f, norm) == pytest.approx(witness.sup_norm(), rel=1e-12)
+        assert norm.mean_square(f.values_matrix()) == pytest.approx(witness.sup_norm(), rel=1e-12)
 
 
 class TestVectorConvolve:
@@ -143,7 +138,7 @@ class TestVectorConvolve:
     def test_with_constant_one(self):
         f = random_vector(5, 3, 4)
         out = VectorFunction.from_spectrum_matrix(5, level_multiply(f.spectrum_matrix(), keep_level(5, 0)))
-        assert np.abs(out.values_matrix() - f.coefficient(0)).max() < 1e-12
+        assert np.abs(out.values_matrix() - f.spectrum_matrix()[0]).max() < 1e-12
 
     @pytest.mark.parametrize(("n", "m"), [(4, 2), (6, 3), (8, 4)])
     def test_linear_map_commutes(self, n, m):
@@ -156,8 +151,11 @@ class TestVectorConvolve:
         def convolved(h):
             return VectorFunction.from_spectrum_matrix(n, level_multiply(h.spectrum_matrix(), c))
 
-        left = apply_linear(matrix, convolved(f))
-        right = convolved(apply_linear(matrix, f))
+        def mapped(h):  # T acts on every vector coefficient, so on the spectrum table's rows
+            return VectorFunction.from_spectrum_matrix(n, h.spectrum_matrix() @ matrix.T)
+
+        left = mapped(convolved(f))
+        right = convolved(mapped(f))
         assert np.abs(left.values_matrix() - right.values_matrix()).max() < 1e-12
 
     def test_linear_function_gives_projection(self):
@@ -194,9 +192,9 @@ class TestRademacherProjection:
         """Projection never increases the l2 mean square norm."""
         for seed in range(5):
             f = random_vector(8, 4, 100 + seed)
-            assert mean_square_norm(rademacher_projection(f), Norm.lp(2)) <= mean_square_norm(
-                f, Norm.lp(2)
-            ) + 1e-12
+            norm = Norm.lp(2)
+            lin = rademacher_projection(f)
+            assert norm.mean_square(lin.values_matrix()) <= norm.mean_square(f.values_matrix()) + 1e-12
 
 
 class TestYoungBound:
@@ -205,7 +203,7 @@ class TestYoungBound:
         report = young_bound_check(f, CubeFunction.constant(6, 1.0), Norm.lp(math.inf))
         assert report.holds(1e-9)
         assert report.lhs == pytest.approx(
-            float(np.abs(f.coefficient(0)).max()), abs=1e-12
+            float(np.abs(f.spectrum_matrix()[0]).max()), abs=1e-12
         )
 
     def test_with_proxy_kernel(self):
@@ -219,7 +217,7 @@ class TestYoungBound:
         f = constant_vector(5, [1.0, -2.0])
         g = CubeFunction.from_values(5, rng.standard_normal(32))
         report = young_bound_check(f, g, Norm.lp(1))
-        assert report.lhs == pytest.approx(abs(g.coefficient(0)) * 3.0, rel=1e-12)
+        assert report.lhs == pytest.approx(abs(g.spectrum[0]) * 3.0, rel=1e-12)
         assert report.holds(1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -276,20 +274,6 @@ class TestSupFunctionalNorm:
             Norm.sup_functional(3, [2, 1])
 
 
-class TestSuppliedNorm:
-    def test_valid_weighted_max(self):
-        norm = Norm.supplied(lambda v: max(abs(v[0]), 2.0 * abs(v[1])), dim=2)
-        assert norm.evaluate([1.0, 3.0]) == 6.0
-
-    def test_rejects_non_homogeneous(self):
-        with pytest.raises(ValueError):
-            Norm.supplied(lambda v: float(np.sum(v**2)), dim=3)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Norm.supplied(lambda v: float(v[0]), dim=2)
-
-
 class TestSandwich:
     def test_linf_analytic_transform(self):
         """x: ||x||_2 / sqrt(m) <= ||x||_inf <= ||x||_2."""
@@ -329,39 +313,3 @@ class TestSandwich:
         with pytest.raises(ValueError):
             SandwichTransform(matrix=np.eye(2), distortion=0.5)
 
-
-class TestVectorSerialization:
-    def test_round_trip(self, tmp_path):
-        f = random_vector(5, 3, 13)
-        data, sidecar = tmp_path / "f.bin", tmp_path / "f.json"
-        write_vector(f, data, sidecar)
-        g = read_vector(data, sidecar)
-        assert (g.n, g.m) == (5, 3)
-        assert np.array_equal(g.values_matrix(), f.values_matrix())
-
-    def test_format_is_concatenated_cube_function_binaries(self, tmp_path):
-        f = random_vector(4, 3, 15)
-        data, sidecar = tmp_path / "f.bin", tmp_path / "f.json"
-        write_vector(f, data, sidecar)
-        columns = f.values_matrix()
-        want = b"".join(to_bytes(CubeFunction.from_values(4, columns[:, j])) for j in range(3))
-        assert data.read_bytes() == want
-
-    def test_rejects_wrong_record_header(self, tmp_path):
-        f = random_vector(4, 3, 16)
-        data, sidecar = tmp_path / "f.bin", tmp_path / "f.json"
-        write_vector(f, data, sidecar)
-        blob = bytearray(data.read_bytes())
-        record = 4 + 8 * 16
-        blob[2 * record] = 5  # the third coordinate now claims n = 5
-        data.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="header"):
-            read_vector(data, sidecar)
-
-    def test_rejects_wrong_length(self, tmp_path):
-        f = random_vector(4, 2, 14)
-        data, sidecar = tmp_path / "f.bin", tmp_path / "f.json"
-        write_vector(f, data, sidecar)
-        data.write_bytes(data.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            read_vector(data, sidecar)
