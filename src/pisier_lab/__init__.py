@@ -32,7 +32,6 @@ from .cube_fourier import (  # noqa: E402
     write_binary,
 )
 from .linear_proxy import (  # noqa: E402
-    AngleGrid,
     ProxyKernel,
     deviation_bound,
     kernel_l1,
@@ -70,7 +69,6 @@ from .vector_field import (  # noqa: E402
 
 __all__ = [
     "MAX_DIM",
-    "AngleGrid",
     "BoundReport",
     "BoundViolationError",
     "CubeFunction",

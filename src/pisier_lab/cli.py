@@ -24,11 +24,10 @@ from . import cube_fourier, linear_proxy, lower_bound, pisier_bench, vector_fiel
 from .cube_fourier import MAX_DIM
 from .linear_proxy import MAX_ELL
 from .lower_bound import MAX_RECORD_DIM, WITNESS_VARIANTS
-from .pisier_bench import AUDIT_CSV_FIELDS, MAX_AUDIT_DIM
+from .pisier_bench import AUDIT_CSV_FIELDS, GATE_SAMPLES, MAX_AUDIT_DIM
 from .report import BoundViolationError
 
 _MOMENT_TOL = 1e-10
-_GATE_SAMPLES = 64  # random directions for the sandwich validation gate
 
 LOWER_CSV_FIELDS = (
     "n", "variant", "mode", "witness_sup", "product_sup", "diff_sup", "tail_exact",
@@ -163,7 +162,7 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
         "command": "proxy-check",
         "ell": ell,
         "n": n,
-        "grid_size": 4 * ell,
+        "grid_size": kernel.size,
         "moments": [float(v) for v in moments],
         "phi_l1": float(phi_l1),
         "phi_l1_bound": 4.0 * ell,
@@ -194,20 +193,22 @@ def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
     """Check the preconditions, then audit the seeded instance: the one path of audit and its sweep."""
     _require_n(n, MAX_AUDIT_DIM)
     _require(m >= 1, f"--m must be positive, got {m}")
+    _require((1 << n) * m <= 1 << MAX_DIM,
+             f"--n {n} --m {m} asks for a 2^{n} x {m} table; 2^n * m is capped at 2^{MAX_DIM} doubles")
     if ell is not None:
         _require_ell(ell)
     _require(norm != "lp" or (p is not None and p >= 1), "--norm lp needs --p >= 1")
+    _require(p is None or math.isfinite(p), f"--p must be finite, got {p}; use --norm linf for the sup norm")
     _require(seed >= 0, "--seed must be nonnegative")
     f = random_vector_function(n, m, seed)
     norm_obj, transform = _norm_and_transform(norm, p, m)
-    return pisier_bench.decomposition_audit(f, norm_obj, transform, ell=ell,
-                                            gate_samples=_GATE_SAMPLES)
+    return pisier_bench.decomposition_audit(f, norm_obj, transform, ell=ell)
 
 
 def _audit_text(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> str:
     payload = {
         "command": "audit",
-        "config": {**config, "sample_count": _GATE_SAMPLES},
+        "config": {**config, "sample_count": GATE_SAMPLES},
         "audit": audit.to_dict(),
     }
     return _json_text(payload)
@@ -444,11 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="audit one seeded random instance end to end")
     p.add_argument("--n", type=int, required=True, help=f"cube dimension in 1..{MAX_AUDIT_DIM}")
-    p.add_argument("--m", type=int, required=True, help="target dimension")
+    p.add_argument("--m", type=int, required=True,
+                   help=f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}")
     p.add_argument("--ell", type=int, default=None,
                    help="override the proxy parameter (default: smallest odd > log2(m)/2)")
     p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
-    p.add_argument("--p", type=float, default=None, help="exponent for --norm lp")
+    p.add_argument("--p", type=float, default=None, help="finite exponent >= 1 for --norm lp")
     p.add_argument("--seed", type=int, default=0,
                    help="spectrum entries are standard_normal((2**n, m)) from default_rng(seed)")
     p.add_argument("--out", help="write JSON here instead of stdout")

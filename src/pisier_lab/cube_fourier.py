@@ -228,11 +228,14 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     return type(f)(f.n, spectrum=f.spectrum * g.spectrum)
 
 
-def spectrum_sparsity(f: CubeFunction, threshold: float = SPARSITY_THRESHOLD) -> int:
-    """Number of subsets whose coefficient exceeds the threshold in magnitude."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    return int(np.count_nonzero(np.abs(f.spectrum) > threshold))
+def spectrum_support(f: CubeFunction) -> np.ndarray:
+    """Ascending masks S with |fhat(S)| > SPARSITY_THRESHOLD: the support every count and family uses."""
+    return np.nonzero(np.abs(f.spectrum) > SPARSITY_THRESHOLD)[0]
+
+
+def spectrum_sparsity(f: CubeFunction) -> int:
+    """Size of the spectrum support."""
+    return int(spectrum_support(f).size)
 
 
 def _record(n: int) -> np.dtype:
@@ -240,13 +243,15 @@ def _record(n: int) -> np.dtype:
     return np.dtype([("n", _HEADER), ("values", "<f8", (1 << n,))])
 
 
+def _require_one_function(f: CubeFunction) -> None:
+    if len(f.shape) != 1:
+        raise ValueError(f"expected one function, a (2^n,) table, got shape {f.shape}")
+
+
 def to_bytes(f: CubeFunction) -> bytes:
-    """Flat binary form: u32 little-endian n, then 2^n IEEE doubles in value order, per column."""
-    table = f.values.reshape(f.size, -1)
-    records = np.empty(table.shape[1], dtype=_record(f.n))
-    records["n"] = f.n
-    records["values"] = table.T
-    return records.tobytes()
+    """Flat binary form, one record: u32 little-endian n, then 2^n IEEE doubles in value order."""
+    _require_one_function(f)
+    return np.array((f.n, f.values), dtype=_record(f.n)).tobytes()
 
 
 def from_bytes(blob: bytes) -> CubeFunction:
@@ -272,8 +277,7 @@ def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:
     """Sparse JSON spectrum: subset bitmask (as a decimal string key) to coefficient."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    if len(f.shape) != 1:
-        raise ValueError(f"expected one function, a (2^n,) table, got shape {f.shape}")
+    _require_one_function(f)
     spec = f.spectrum
     keep = np.nonzero(np.abs(spec) > threshold)[0] if threshold > 0 else np.nonzero(spec)[0]
     payload = {"n": f.n, "spectrum": {str(int(m)): float(spec[m]) for m in keep}}

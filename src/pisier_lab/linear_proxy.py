@@ -47,16 +47,28 @@ def _check_ell(ell: int) -> None:
         raise ValueError(f"ell={ell} unsupported; the odd range 1..{MAX_ELL} covers all useful deviations")
 
 
-class AngleGrid:
-    """The 4*ell equally spaced angles on [0, 2 pi); support excludes 0 and pi."""
+class ProxyKernel:
+    """phi on the 4*ell-point angle grid, whose support leaves out the poles 0 and pi.
+
+    support holds the grid indices k of the kept angles, sin_support and phi
+    the sine and kernel values there, ready for moments and level coefficients.
+    """
 
     def __init__(self, ell: int):
         _check_ell(ell)
         self.ell = int(ell)
         self.size = 4 * self.ell
-        self.support = tuple(k for k in range(self.size) if k not in (0, 2 * self.ell))
-        self._sin = self._mirrored_sin_table(self.ell)
         self._verify_geometric_sums()
+        support = np.array([k for k in range(self.size) if k not in (0, 2 * self.ell)])
+        sin_support = self._mirrored_sin_table(self.ell)[support]
+        prefactor = (2 * self.ell - 1) / self.ell
+        sin_ell_theta = np.asarray(_SIN_HALF_PI, dtype=np.float64)[support % 4]
+        phi = prefactor * sin_ell_theta / sin_support**2
+        for arr in (support, sin_support, phi):
+            arr.flags.writeable = False
+        self.support = support
+        self.sin_support = sin_support
+        self.phi = phi
 
     @staticmethod
     def _mirrored_sin_table(ell: int) -> np.ndarray:
@@ -64,9 +76,7 @@ class AngleGrid:
         # satisfies s[4l - k] == -s[k] bit for bit.
         base = np.sin(np.pi * np.arange(ell + 1) / (2 * ell))
         half = np.concatenate([base, base[ell - 1 :: -1]])  # k = 0 .. 2l
-        table = np.concatenate([half, -half[2 * ell - 1 : 0 : -1]])  # k = 0 .. 4l-1
-        table.flags.writeable = False
-        return table
+        return np.concatenate([half, -half[2 * ell - 1 : 0 : -1]])  # k = 0 .. 4l-1
 
     def _verify_geometric_sums(self) -> None:
         # sum over the full grid of e^{i a theta} is 4l when 4l divides a, else 0.
@@ -78,34 +88,6 @@ class AngleGrid:
                 raise RuntimeError(
                     f"grid geometric-sum identity failed at a={a}: |{total:.3e} - {want}| > {_IDENTITY_TOL}"
                 )
-
-
-class ProxyKernel:
-    """Kernel values on the grid support, ready for moments and level coefficients."""
-
-    def __init__(self, ell: int):
-        self.ell = int(ell)
-        self.grid = AngleGrid(ell)
-        support = np.asarray(self.grid.support)
-        sin_support = self.grid._sin[support]
-        prefactor = (2 * self.ell - 1) / self.ell
-        sin_ell_theta = np.asarray(_SIN_HALF_PI, dtype=np.float64)[support % 4]
-        phi = prefactor * sin_ell_theta / sin_support**2
-        phi.flags.writeable = False
-        sin_support = sin_support.copy()
-        sin_support.flags.writeable = False
-        self.support = support
-        self.sin_support = sin_support
-        self.phi = phi
-
-    def value(self, k: int) -> float:
-        """phi at grid index k; the angles 0 and pi are poles and rejected."""
-        if not 0 <= k < self.grid.size:
-            raise ValueError(f"grid index {k} out of range [0, {self.grid.size})")
-        if k in (0, 2 * self.ell):
-            raise ValueError("kernel has a pole at theta in {0, pi}")
-        idx = int(np.searchsorted(self.support, k))
-        return float(self.phi[idx])
 
 
 def kernel_moment(kernel: ProxyKernel, k: int) -> float:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_fourier import SPARSITY_THRESHOLD, CubeFunction, spectrum_sparsity, subset_levels
+from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _require_one_function,
+                           spectrum_sparsity, spectrum_support, subset_levels)
 from .report import BoundReport, BoundViolationError, ResourceLimitError
 from .vector_field import (
     MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM,
@@ -151,9 +152,7 @@ def _require_constant(claim: str, failure: str, per_point: np.ndarray, target: f
         )
 
 
-def lower_bound_instance(
-    n: int, variant: str = "truncated", threshold: float = SPARSITY_THRESHOLD
-) -> LowerBoundInstance:
+def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
     """Build the witness instance and verify its two invariants by enumeration.
 
     A point where either invariant fails raises BoundViolationError.
@@ -164,7 +163,7 @@ def lower_bound_instance(
         )
     witness = build_witness(n, variant)
     spectrum = witness.spectrum
-    family = np.nonzero(np.abs(spectrum) > threshold)[0]
+    family = spectrum_support(witness)
     if family.size == 0:
         raise ValueError("witness spectrum is empty at this threshold")
 
@@ -217,17 +216,14 @@ def structural_sparsity(n: int, variant: str = "truncated") -> int:
     raise ValueError(f"unknown witness variant {variant!r}")
 
 
-def sparsity_inequality_check(
-    f: CubeFunction, rescale: bool = False, threshold: float = SPARSITY_THRESHOLD
-) -> BoundReport:
+def sparsity_inequality_check(f: CubeFunction, rescale: bool = False) -> BoundReport:
     """Record log2 of the spectrum sparsity next to the singleton coefficient mass.
 
     Record only: the two quantities and their ratio are reported, and no
     universal constant relating them is asserted.  The function must be
     bounded by 1 in sup norm; pass rescale=True to divide it down first.
     """
-    if len(f.shape) != 1:
-        raise ValueError(f"expected one function, a (2^n,) table, got shape {f.shape}")
+    _require_one_function(f)
     sup = f.sup_norm()
     scale = 1.0
     checked = f
@@ -240,7 +236,7 @@ def sparsity_inequality_check(
         # scale the spectrum, so a function held as values is transformed once
         checked = CubeFunction.from_spectrum(f.n, f.spectrum * (1.0 / sup))
 
-    sparsity = spectrum_sparsity(checked, threshold)
+    sparsity = spectrum_sparsity(checked)
     if sparsity == 0:
         raise ValueError("zero function: the spectrum has no support to count")
     singletons = [1 << j for j in range(f.n)]
@@ -259,6 +255,6 @@ def sparsity_inequality_check(
             "level1_sum_raw": level1_sum_raw,
             "scale": scale,
             "ratio": ratio,
-            "threshold": threshold,
+            "threshold": SPARSITY_THRESHOLD,
         },
     )

@@ -13,7 +13,7 @@ an audit runs two batched transforms, for f and f*P, and no more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -31,6 +31,7 @@ from .vector_field import (
 )
 
 _AUDIT_TOL = 1e-9
+GATE_SAMPLES = 64  # random directions for the sandwich validation gate
 MAX_AUDIT_DIM = 16
 
 AUDIT_CSV_FIELDS = ("n", "m", "ell", "lhs", "rhs_raw", "ratio", "derived_constant", "slack")
@@ -62,24 +63,10 @@ class PisierAudit:
         return self.derived_constant * self.rhs_raw - self.lhs
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "ell": self.ell,
-            "norm": self.norm,
-            "distortion": self.distortion,
-            "lhs": self.lhs,
-            "rhs_raw": self.rhs_raw,
-            "ratio": self.ratio,
-            "term_proxy": self.term_proxy,
-            "term_remainder": self.term_remainder,
-            "derived_constant": self.derived_constant,
-            "slack": self.slack,
-        }
+        return {**asdict(self), "ratio": self.ratio, "slack": self.slack}
 
     def csv_row(self) -> tuple:
-        return (self.n, self.m, self.ell, self.lhs, self.rhs_raw, self.ratio,
-                self.derived_constant, self.slack)
+        return tuple(getattr(self, name) for name in AUDIT_CSV_FIELDS)
 
 
 def choose_ell(m: int) -> int:
@@ -98,24 +85,19 @@ def _check_audit_dims(f: VectorFunction, norm: Norm) -> None:
         )
 
 
-def decomposition_audit(
-    f: VectorFunction,
-    norm: Norm,
-    transform: SandwichTransform,
-    ell: int | None = None,
-    tol: float = _AUDIT_TOL,
-    gate_samples: int = 64,
-) -> PisierAudit:
+def decomposition_audit(f: VectorFunction, norm: Norm, transform: SandwichTransform,
+                        ell: int | None = None) -> PisierAudit:
     """Split lin f through the proxy and check every step's bound.
 
-    Raises BoundViolationError if any of the three audited inequalities
-    fails beyond the tolerance; rejects the transform up front if it does
-    not validate against the norm.
+    Checks all four audited inequalities, then raises BoundViolationError
+    naming each one that fails beyond the tolerance, with the first failure
+    as its report; rejects the transform up front if it does not validate
+    against the norm.
     """
     _check_audit_dims(f, norm)
     if transform.m != f.m:
         raise ValueError(f"transform is on R^{transform.m}, function maps into R^{f.m}")
-    gate = sandwich_validate(transform, norm, sample_count=gate_samples)
+    gate = sandwich_validate(transform, norm, sample_count=GATE_SAMPLES)
     if not gate.holds(gate.params["tol"]):
         raise ValueError(
             f"sandwich transform rejected: worst slack {gate.slack:.3e} on the "
@@ -150,16 +132,16 @@ def decomposition_audit(
         term_remainder=term_remainder,
         derived_constant=derived,
     )
-
-    def _require(label: str, lhs_val: float, rhs_val: float) -> None:
-        if lhs_val > rhs_val + tol:
-            raise BoundViolationError(
-                f"{label} violated: {lhs_val} > {rhs_val} + {tol}",
-                BoundReport.of(label, lhs_val, rhs_val, params=audit.to_dict()),
-            )
-
-    _require("proxy-term-bound", term_proxy, 8.0 * ell * rhs_raw)
-    _require("remainder-term-bound", term_remainder, (8.0 * ell * d / 2.0**ell) * rhs_raw)
-    _require("split-triangle-inequality", lhs, term_proxy + term_remainder)
-    _require("projection-derived-bound", lhs, derived * rhs_raw)
+    claims = (
+        ("proxy-term-bound", term_proxy, 8.0 * ell * rhs_raw),
+        ("remainder-term-bound", term_remainder, (8.0 * ell * d / 2.0**ell) * rhs_raw),
+        ("split-triangle-inequality", lhs, term_proxy + term_remainder),
+        ("projection-derived-bound", lhs, derived * rhs_raw),
+    )
+    failed = [(label, a, b) for label, a, b in claims if a > b + _AUDIT_TOL]
+    if failed:
+        raise BoundViolationError(
+            "; ".join(f"{label} violated: {a} > {b} + {_AUDIT_TOL}" for label, a, b in failed),
+            BoundReport.of(*failed[0], params=audit.to_dict()),
+        )
     return audit

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 
@@ -39,13 +38,4 @@ class BoundReport:
         return self.slack >= -tol
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "params": self.params,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return asdict(self)

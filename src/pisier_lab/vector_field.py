@@ -26,6 +26,7 @@ from .report import BoundReport, BoundViolationError, ResourceLimitError
 MAX_SUP_FUNCTIONAL_DIM = 12
 # keep each embedded sup-functional block under ~32 MB
 _SUP_CHUNK_DOUBLES = 1 << 22
+_YOUNG_TOL = 1e-9
 
 
 class VectorFunction(CubeFunction):
@@ -108,10 +109,6 @@ class Norm:
     @property
     def name(self) -> str:
         return self._name or self.kind
-
-    def evaluate(self, v) -> float:
-        """Norm of a single vector."""
-        return float(self.evaluate_rows(np.asarray(v, dtype=np.float64)[None, :])[0])
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         """Norms of the rows of a (k, m) matrix."""
@@ -240,9 +237,7 @@ def rademacher_projection(f: VectorFunction) -> VectorFunction:
     return VectorFunction.from_values_matrix(f.n, coordinates @ f.spectrum_matrix()[singletons])
 
 
-def young_bound_check(
-    f: VectorFunction, g: CubeFunction, norm: Norm, tol: float = 1e-9
-) -> BoundReport:
+def young_bound_check(f: VectorFunction, g: CubeFunction, norm: Norm) -> BoundReport:
     """Convolution contraction: msn(f * g) <= E|g| * msn(f) for any norm."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
@@ -255,9 +250,9 @@ def young_bound_check(
         rhs,
         params={"n": f.n, "m": f.m, "norm": norm.name, "g_l1": g_l1},
     )
-    if not report.holds(tol):
+    if not report.holds(_YOUNG_TOL):
         raise BoundViolationError(
-            f"convolution contraction violated: {lhs} > {rhs} + {tol}", report
+            f"convolution contraction violated: {lhs} > {rhs} + {_YOUNG_TOL}", report
         )
     return report
 

@@ -95,6 +95,37 @@ class TestAudit:
         assert run_main(["audit", "--n", "6", "--m", "4", "--norm", "lp"]) == 2
         assert run_main(["audit", "--n", "6", "--m", "4", "--norm", "lp", "--p", "3"]) == 0
 
+    def test_table_cap(self, capsys):
+        """2^n * m above 2^MAX_DIM is a usage error before any table is drawn."""
+        assert run_main(["audit", "--n", "16", "--m", "257"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --n 16 --m 257 asks for a 2^16 x 257 table; 2^n * m is capped at 2^{MAX_DIM} doubles\n")
+        with pytest.raises(SystemExit):
+            run_main(["audit", "--help"])
+        assert f"2**n * m <= 2**{MAX_DIM}" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("norm", ["lp", "linf", "l2"])
+    @pytest.mark.parametrize("p", ["3", "inf", "-inf", "nan"])
+    def test_p_must_be_finite(self, capsys, norm, p):
+        """Every audit that prints JSON prints strict JSON: a non-finite --p is a usage error."""
+        code = run_main(["audit", "--n", "4", "--m", "3", "--norm", norm, f"--p={p}"])
+        captured = capsys.readouterr()
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        if p == "3":
+            assert code == 0
+            assert json.loads(captured.out, parse_constant=reject)["config"]["p"] == 3.0
+        else:
+            assert code == 2
+            assert captured.out == ""
+            if norm == "lp" and p != "inf":
+                assert captured.err == "error: --norm lp needs --p >= 1\n"
+            else:
+                assert captured.err == (f"error: --p must be finite, got {float(p)}; "
+                                        "use --norm linf for the sup norm\n")
+
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise BoundViolationError("synthetic violation")
@@ -248,6 +279,8 @@ class TestSweep:
         (["--m", "2", "--norm", "lp"], "--norm lp needs --p >= 1"),
         (["--m", "0"], "--m must be positive, got 0"),
         (["--m", "2", "--seed", "-1"], "--seed must be nonnegative"),
+        (["--m", "524289"], f"--n 5 --m 524289 asks for a 2^5 x 524289 table; 2^n * m is capped at 2^{MAX_DIM} doubles"),
+        (["--m", "2", "--p", "inf"], "--p must be finite, got inf; use --norm linf for the sup norm"),
     ])
     def test_audit_rows_get_the_audit_preconditions(self, capsys, flags, message):
         assert run_main(["audit", "--n", "5", *flags]) == 2

@@ -16,8 +16,9 @@ from pisier_lab import (
     spectrum_sparsity,
     to_bytes,
     to_spectrum_json,
+    write_binary,
 )
-from pisier_lab.cube_fourier import inverse_fwht_rows, popcount
+from pisier_lab.cube_fourier import inverse_fwht_rows, popcount, spectrum_support
 from pisier_lab.lower_bound import build_truncated_witness
 
 from oracles import character_eval, linear_function
@@ -276,21 +277,23 @@ class TestBatchedTransform:
 
 class TestSparsity:
     def test_constant(self):
-        assert spectrum_sparsity(CubeFunction.constant(3, 1.0), 1e-8) == 1
+        assert spectrum_sparsity(CubeFunction.constant(3, 1.0)) == 1
 
     def test_two_characters(self):
         spec = np.zeros(8)
         spec[0b001] = 1.0
         spec[0b010] = 1.0
-        assert spectrum_sparsity(CubeFunction.from_spectrum(3, spec), 1e-8) == 2
+        assert spectrum_sparsity(CubeFunction.from_spectrum(3, spec)) == 2
 
     def test_truncated_witness_n4(self):
         """The level-exact witness at n=4 keeps exactly the 8 odd-level subsets."""
-        assert spectrum_sparsity(build_truncated_witness(4), 1e-8) == 8
+        assert spectrum_sparsity(build_truncated_witness(4)) == 8
 
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum_sparsity(CubeFunction.constant(2, 1.0), -1.0)
+    def test_support_keeps_coefficients_above_the_threshold(self):
+        spec = np.zeros(8)
+        spec[[0b011, 0b101, 0b110]] = [-1.0, 1e-8, 2e-8]  # 1e-8 is at the threshold, not above it
+        support = spectrum_support(CubeFunction.from_spectrum(3, spec))
+        assert support.tolist() == [0b011, 0b110]
 
 
 class TestCubeFunction:
@@ -371,6 +374,15 @@ class TestSerialization:
         blob = to_bytes(f)
         assert blob[:4] == (1).to_bytes(4, "little")
         assert len(blob) == 4 + 16
+
+    def test_binary_holds_one_function(self, tmp_path):
+        # a (2^n, m) table would write m records, which from_bytes cannot read back
+        table = CubeFunction.from_values(2, np.ones((4, 2)))
+        with pytest.raises(ValueError, match=r"expected one function, a \(2\^n,\) table, got shape \(4, 2\)"):
+            to_bytes(table)
+        with pytest.raises(ValueError, match="shape"):
+            write_binary(table, tmp_path / "table.bin")
+        assert not (tmp_path / "table.bin").exists()
 
     def test_binary_rejects_truncated_blob(self):
         f = CubeFunction.from_values(3, np.arange(8.0))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pisier_lab import (
-    AngleGrid,
     BoundViolationError,
     ProxyKernel,
     ResourceLimitError,
@@ -37,68 +36,73 @@ def direct_moment(ell, k):
     return math.fsum(terms) / len(terms)
 
 
-def grid_angles(grid):
+def grid_angles(kernel):
     """theta_k = 2 pi k / (4 ell) for every grid index k."""
-    return 2.0 * math.pi * np.arange(grid.size) / grid.size
+    return 2.0 * math.pi * np.arange(kernel.size) / kernel.size
+
+
+def phi_by_index(kernel):
+    """Grid index k -> phi(theta_k), over the support."""
+    return dict(zip(kernel.support.tolist(), kernel.phi.tolist()))
 
 
 class TestAngleGrid:
     def test_ell_one_layout(self):
-        grid = AngleGrid(1)
-        assert np.allclose(grid_angles(grid), [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-        assert grid.support == (1, 3)
+        kernel = ProxyKernel(1)
+        assert np.allclose(grid_angles(kernel), [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+        assert kernel.support.tolist() == [1, 3]
 
     @pytest.mark.parametrize("ell", ODD_ELLS)
     def test_sizes_and_mirror_closure(self, ell):
-        grid = AngleGrid(ell)
-        assert grid.size == 4 * ell
-        assert len(grid.support) == 4 * ell - 2
-        mirrored = {(-k) % grid.size for k in grid.support}
-        assert mirrored == set(grid.support)
+        kernel = ProxyKernel(ell)
+        assert kernel.size == 4 * ell
+        assert kernel.support.size == kernel.phi.size == kernel.sin_support.size == 4 * ell - 2
+        support = set(kernel.support.tolist())
+        assert {(-k) % kernel.size for k in support} == support
 
     def test_geometric_sum_zero_case(self):
         # ell=3, a=5: the 12-term complex sum cancels
-        grid = AngleGrid(3)
-        total = sum(complex(math.cos(5 * t), math.sin(5 * t)) for t in grid_angles(grid))
+        kernel = ProxyKernel(3)
+        total = sum(complex(math.cos(5 * t), math.sin(5 * t)) for t in grid_angles(kernel))
         assert abs(total) < 1e-10
 
     def test_geometric_sum_full_case(self):
-        grid = AngleGrid(3)
-        assert sum(complex(math.cos(0), math.sin(0)) for _ in grid_angles(grid)) == 12.0
+        kernel = ProxyKernel(3)
+        assert sum(complex(math.cos(0), math.sin(0)) for _ in grid_angles(kernel)) == 12.0
 
     @pytest.mark.parametrize("bad", [0, -1, 2, 4, 17])
     def test_rejects_bad_ell(self, bad):
         with pytest.raises(ValueError):
-            AngleGrid(bad)
+            ProxyKernel(bad)
 
 
 class TestKernelValues:
     def test_ell_one_values(self):
-        kernel = ProxyKernel(1)
-        assert kernel.value(1) == 1.0  # theta = pi/2
-        assert kernel.value(3) == -1.0  # theta = 3 pi/2
+        phi = phi_by_index(ProxyKernel(1))
+        assert phi[1] == 1.0  # theta = pi/2
+        assert phi[3] == -1.0  # theta = 3 pi/2
 
     def test_poles_rejected(self):
+        """theta in {0, pi} are poles of phi and stay out of the support."""
         kernel = ProxyKernel(3)
-        with pytest.raises(ValueError):
-            kernel.value(0)
-        with pytest.raises(ValueError):
-            kernel.value(6)
+        assert 0 not in kernel.support
+        assert 6 not in kernel.support
+        assert np.all(np.isfinite(kernel.phi))
 
     @pytest.mark.parametrize("ell", (1, 5, 11))
     def test_exact_antisymmetry(self, ell):
         """phi(2 pi - theta) = -phi(theta) holds bit for bit."""
-        kernel = ProxyKernel(ell)
-        for k in kernel.grid.support:
-            assert kernel.value((-k) % (4 * ell)) == -kernel.value(k)
+        phi = phi_by_index(ProxyKernel(ell))
+        for k, value in phi.items():
+            assert phi[(-k) % (4 * ell)] == -value
 
     @pytest.mark.parametrize("ell", (3, 7))
     def test_matches_direct_formula(self, ell):
         kernel = ProxyKernel(ell)
-        for k in kernel.grid.support:
+        for k, value in phi_by_index(kernel).items():
             theta = 2 * math.pi * k / (4 * ell)
             direct = (2 * ell - 1) / ell * math.sin(ell * theta) / math.sin(theta) ** 2
-            assert kernel.value(k) == pytest.approx(direct, abs=1e-12)
+            assert value == pytest.approx(direct, abs=1e-12)
 
 
 class TestMoments:
@@ -130,7 +134,7 @@ class TestMoments:
         """Averaging phi against any even grid function cancels to roundoff."""
         kernel = ProxyKernel(ell)
         assert math.fsum(kernel.phi * kernel.sin_support**2) == 0.0
-        cosines = np.cos(2 * math.pi * np.asarray(kernel.grid.support) / (4 * ell))
+        cosines = np.cos(2 * math.pi * kernel.support / (4 * ell))
         assert abs(math.fsum(kernel.phi * cosines)) < 1e-12
 
     def test_negative_order_rejected(self):

@@ -205,6 +205,13 @@ class TestInstance:
         instance = lower_bound_instance(6, "truncated")
         assert list(instance.family) == sorted(instance.family)
 
+    @pytest.mark.parametrize("variant", ["truncated", "chebyshev"])
+    def test_family_is_the_counted_support(self, variant):
+        """The instance's family and the sparsity count read one support rule."""
+        instance = lower_bound_instance(9, variant)
+        assert list(instance.family) == cube_fourier.spectrum_support(instance.witness).tolist()
+        assert len(instance.family) == spectrum_sparsity(instance.witness)
+
     def test_chebyshev_instance(self):
         instance = lower_bound_instance(9, "chebyshev")
         assert instance.field_norm_value == pytest.approx(instance.witness.sup_norm(), abs=1e-12)

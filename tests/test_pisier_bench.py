@@ -1,11 +1,13 @@
 """Projection-audit pipeline checks: parameter choice, splitting, derived bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pisier_lab import (
+    BoundViolationError,
     CubeFunction,
     Norm,
     ProxyKernel,
@@ -18,7 +20,7 @@ from pisier_lab import (
     proxy_level_coeffs,
     rademacher_projection,
 )
-from pisier_lab import cube_fourier
+from pisier_lab import cube_fourier, pisier_bench
 from pisier_lab.cube_fourier import popcount
 from pisier_lab.lower_bound import lower_bound_instance
 
@@ -222,6 +224,35 @@ class TestDecompositionAudit:
         monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
         decomposition_audit(f, Norm.lp(math.inf), SandwichTransform.for_lp(math.inf, 4))
         assert calls == [(256, 4), (256, 4)]
+
+    def test_every_failed_claim_is_reported(self, monkeypatch):
+        """All four inequalities are checked; the message names each failure, the report the first."""
+        f = random_vector(6, 4, 16)
+        norm, transform = Norm.lp(2), SandwichTransform.for_lp(2.0, 4)
+        audit = decomposition_audit(f, norm, transform)
+        tol = -1e9
+        monkeypatch.setattr(pisier_bench, "_AUDIT_TOL", tol)
+        with pytest.raises(BoundViolationError) as caught:
+            decomposition_audit(f, norm, transform)
+        ell, d = audit.ell, audit.distortion
+        claims = [
+            ("proxy-term-bound", audit.term_proxy, 8.0 * ell * audit.rhs_raw),
+            ("remainder-term-bound", audit.term_remainder, (8.0 * ell * d / 2.0**ell) * audit.rhs_raw),
+            ("split-triangle-inequality", audit.lhs, audit.term_proxy + audit.term_remainder),
+            ("projection-derived-bound", audit.lhs, audit.derived_constant * audit.rhs_raw),
+        ]
+        assert str(caught.value) == "; ".join(f"{c} violated: {a} > {b} + {tol}" for c, a, b in claims)
+        report = caught.value.report
+        assert (report.claim, report.lhs, report.rhs) == claims[0]
+        assert report.params == audit.to_dict()
+
+    def test_records_serialize_their_fields(self):
+        f = random_vector(5, 3, 17)
+        audit = decomposition_audit(f, Norm.lp(1), SandwichTransform.for_lp(1.0, 3))
+        payload = audit.to_dict()
+        assert set(payload) == {field.name for field in dataclasses.fields(audit)} | {"ratio", "slack"}
+        assert (payload["ratio"], payload["slack"]) == (audit.ratio, audit.slack)
+        assert audit.csv_row() == tuple(payload[name] for name in pisier_bench.AUDIT_CSV_FIELDS)
 
     def test_audit_serializes_cleanly(self):
         import json

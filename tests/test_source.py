@@ -34,7 +34,7 @@ def test_transform_and_record_format_have_one_owner():
 
 
 PUBLIC_NAMES = [
-    "AngleGrid", "BoundReport", "BoundViolationError", "CubeFunction", "LowerBoundInstance",
+    "BoundReport", "BoundViolationError", "CubeFunction", "LowerBoundInstance",
     "MAX_DIM", "Norm", "PisierAudit", "ProxyKernel", "ResourceLimitError", "SandwichTransform",
     "VectorFunction", "build_chebyshev_witness", "build_product_witness",
     "build_truncated_witness", "character_values", "choose_ell", "convolve",
@@ -49,7 +49,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface():
     """The package exports what the CLI and the checks of the paper's claims use, and no more."""
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert sorted(pisier_lab.__all__) == PUBLIC_NAMES
     missing = [name for name in PUBLIC_NAMES if not hasattr(pisier_lab, name)]
     assert missing == []
