@@ -199,6 +199,7 @@ def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
         _require_ell(ell)
     _require(norm != "lp" or (p is not None and p >= 1), "--norm lp needs --p >= 1")
     _require(p is None or math.isfinite(p), f"--p must be finite, got {p}; use --norm linf for the sup norm")
+    _require(p is None or norm == "lp", "--p applies only to --norm lp")
     _require(seed >= 0, "--seed must be nonnegative")
     f = random_vector_function(n, m, seed)
     norm_obj, transform = _norm_and_transform(norm, p, m)

@@ -79,15 +79,19 @@ class ProxyKernel:
         return np.concatenate([half, -half[2 * ell - 1 : 0 : -1]])  # k = 0 .. 4l-1
 
     def _verify_geometric_sums(self) -> None:
-        # sum over the full grid of e^{i a theta} is 4l when 4l divides a, else 0.
+        # sum over the full grid of e^{i a theta} is 4l when 4l divides a, else 0;
+        # row a of the (8l + 1, 4l) table holds the terms of one sum
+        a = np.arange(-self.size, self.size + 1)
         k = np.arange(self.size)
-        for a in range(-self.size, self.size + 1):
-            total = np.exp(2j * np.pi * a * k / self.size).sum()
-            want = self.size if a % self.size == 0 else 0.0
-            if abs(total - want) > _IDENTITY_TOL:
-                raise RuntimeError(
-                    f"grid geometric-sum identity failed at a={a}: |{total:.3e} - {want}| > {_IDENTITY_TOL}"
-                )
+        totals = np.exp(2j * np.pi * np.outer(a, k) / self.size).sum(axis=1)
+        want = np.where(a % self.size == 0, float(self.size), 0.0)
+        failed = np.nonzero(~(np.abs(totals - want) <= _IDENTITY_TOL))[0]  # a NaN sum fails too
+        if failed.size:
+            i = failed[0]
+            raise RuntimeError(
+                f"grid geometric-sum identity failed at a={a[i]}: "
+                f"|{totals[i]:.3e} - {want[i]}| > {_IDENTITY_TOL}"
+            )
 
 
 def kernel_moment(kernel: ProxyKernel, k: int) -> float:

@@ -10,7 +10,11 @@ A Chebyshev variant evaluates T_k of the coordinate average instead.
 Feeding a witness F into the vector function (f(x))_S = Fhat(S) chi_S(x),
 measured in the sup-functional norm over the support family, makes ||f(x)||
 constant at ||F||_inf while ||lin f(x)|| stays at the full singleton mass,
-which is how the projection's blow-up is exhibited.
+which is how the projection's blow-up is exhibited.  Both are group
+identities: row x embeds as the translate z -> F(x . z), and lin f(x) as the
+translate of lin F.  The instance is verified through that structure: each
+norm is evaluated once, at x = 0, and every row is checked against the
+character formula, so no per-point norm scan runs.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _require_one_function,
+from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _require_one_function, popcount,
                            spectrum_sparsity, spectrum_support, subset_levels)
 from .report import BoundReport, BoundViolationError, ResourceLimitError
 from .vector_field import (
+    _SUP_CHUNK_DOUBLES,
     MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM,
     Norm,
     VectorFunction,
-    rademacher_projection,
 )
 
 MAX_WITNESS_DIM = 20
@@ -110,9 +114,12 @@ def truncation_tail_chain(n: int) -> float:
 class LowerBoundInstance:
     """A witness, its spectrum support family, and the tailored norm instance.
 
-    Both defining invariants are verified point-by-point at construction:
-    the norm of f(x) is the witness sup norm for every x, and the norm of
-    lin f(x) is the total singleton coefficient mass for every x.
+    Both defining invariants are verified structurally at construction: the
+    norm of f(0) is the witness sup norm and every row f(x) is exactly the
+    translate Fhat(S) chi_S(x) of f(0), so the norm of f(x) is that sup norm
+    for every x; the singleton rows of the spectrum hold Fhat({j}) alone, so
+    lin f(x) is a translate of lin f(0), whose norm is the total singleton
+    coefficient mass.
     """
 
     n: int
@@ -139,53 +146,92 @@ def build_witness(n: int, variant: str) -> CubeFunction:
     raise ValueError(f"unknown witness variant {variant!r}")
 
 
-def _require_constant(claim: str, failure: str, per_point: np.ndarray, target: float,
-                      n: int, variant: str) -> None:
-    """Raise BoundViolationError, reporting the worst point, unless every norm is target."""
-    worst = int(np.argmax(np.abs(per_point - target)))
-    spread = abs(float(per_point[worst]) - target)
-    if not spread <= _INSTANCE_TOL:  # a NaN norm fails too
+def _require_close(claim: str, failure: str, lhs: float, rhs: float, n: int, variant: str,
+                   **where) -> None:
+    """Raise BoundViolationError, naming where it happened, unless lhs is rhs within the tolerance."""
+    spread = abs(float(lhs) - float(rhs))
+    if not spread <= _INSTANCE_TOL:  # a NaN fails too
         raise BoundViolationError(
             f"instance invariant failed: {failure} by {spread:.3e}",
-            BoundReport.of(claim, per_point[worst], target,
-                           {"n": n, "variant": variant, "point": worst, "tol": _INSTANCE_TOL}),
+            BoundReport.of(claim, lhs, rhs, {"n": n, "variant": variant, **where, "tol": _INSTANCE_TOL}),
         )
 
 
-def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
-    """Build the witness instance and verify its two invariants by enumeration.
+def _require_embedding(values: np.ndarray, family: np.ndarray, coeffs: np.ndarray,
+                       n: int, variant: str) -> None:
+    """Check values[x, j] == Fhat(S_j) chi_{S_j}(x) at every x, reporting the worst entry.
 
-    A point where either invariant fails raises BoundViolationError.
+    The character signs come from popcount(x & S_j), in row blocks of about
+    _SUP_CHUNK_DOUBLES doubles, so no full-table temporary is formed.
+    """
+    masks = family.astype(np.uint32)
+    rows = max(1, _SUP_CHUNK_DOUBLES // masks.size)
+    worst = (-1.0, 0, 0, 0.0, 0.0)  # deviation, x, j, values[x, j], its character formula
+    for start in range(0, values.shape[0], rows):
+        block = values[start : start + rows]
+        points = np.arange(start, start + block.shape[0], dtype=np.uint32)
+        odd = (popcount(np.bitwise_and.outer(points, masks)) & 1).astype(bool)
+        deviation = np.where(odd, -coeffs, coeffs)
+        np.subtract(block, deviation, out=deviation)
+        np.abs(deviation, out=deviation)
+        x, j = divmod(int(np.argmax(deviation)), masks.size)  # argmax stops at a NaN
+        if not deviation[x, j] <= worst[0]:
+            want = -coeffs[j] if odd[x, j] else coeffs[j]
+            worst = (float(deviation[x, j]), start + x, j, float(block[x, j]), float(want))
+            if math.isnan(worst[0]):
+                break
+    _, x, j, lhs, rhs = worst
+    _require_close("instance-embedding", "f(x) deviates from Fhat(S) chi_S(x)", lhs, rhs,
+                   n, variant, point=x, subset=int(family[j]))
+
+
+def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
+    """Build the witness instance and verify its two invariants through its translation structure.
+
+    A failed check raises BoundViolationError.
     """
     if n > MAX_INSTANCE_DIM:
         raise ResourceLimitError(
-            f"instance mode capped at n={MAX_INSTANCE_DIM} (sup-functional scans cost n*4^n)"
+            f"instance mode capped at n={MAX_INSTANCE_DIM} (the instance holds a (2^n, |family|) table)"
         )
     witness = build_witness(n, variant)
     spectrum = witness.spectrum
     family = spectrum_support(witness)
     if family.size == 0:
         raise ValueError("witness spectrum is empty at this threshold")
+    coeffs = spectrum[family]
 
     # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x)
     spectra = np.zeros((1 << n, family.size))
-    spectra[family, np.arange(family.size)] = spectrum[family]
+    spectra[family, np.arange(family.size)] = coeffs
     vector = VectorFunction.from_spectrum_matrix(n, spectra)
     del spectra  # the vector holds its own copy; do not keep a second one alive
     norm = Norm.sup_functional(n, family)
-
     witness_sup = witness.sup_norm()
-    per_point = norm.evaluate_rows(vector.values_matrix())
-    _require_constant("instance-field-norm", "||f(x)|| deviates from ||F||_inf",
-                      per_point, witness_sup, n, variant)
+    values = vector.values_matrix()
 
-    lin_rows = rademacher_projection(vector).values_matrix()
-    lin_per_point = norm.evaluate_rows(lin_rows)
+    field_norm_value = float(norm.evaluate_rows(values[:1])[0])
+    _require_close("instance-field-norm", "||f(0)|| deviates from ||F||_inf",
+                   field_norm_value, witness_sup, n, variant, point=0)
+
+    # with every row the translate of row 0, ||f(x)|| = ||f(0)|| at every x
+    _require_embedding(values, family, coeffs, n, variant)
+
+    # lin f(x) = sum_j x_j fhat({j}); fhat({j}) is Fhat({j}) at {j} when {j} is in the
+    # family and zero otherwise, so lin f(x) is the translate of lin f(0) too
+    singletons = 1 << np.arange(n)
+    linear_spectrum = vector.spectrum_matrix()[singletons]
+    want = np.where(family == singletons[:, None], coeffs, 0.0)
+    j, c = np.unravel_index(int(np.argmax(np.abs(linear_spectrum - want))), want.shape)
+    _require_close("instance-linear-norm", "a singleton coefficient of f is misplaced",
+                   linear_spectrum[j, c], want[j, c], n, variant, subset=int(singletons[j]),
+                   coordinate=int(family[c]))
     singleton_mass = math.fsum(
         abs(float(spectrum[mask])) for mask in family if int(mask).bit_count() == 1
     )
-    _require_constant("instance-linear-norm", "||lin f(x)|| deviates from the singleton mass",
-                      lin_per_point, singleton_mass, n, variant)
+    linear_norm_value = float(norm.evaluate_rows(linear_spectrum.sum(axis=0, keepdims=True))[0])
+    _require_close("instance-linear-norm", "||lin f(0)|| deviates from the singleton mass",
+                   linear_norm_value, singleton_mass, n, variant, point=0)
 
     return LowerBoundInstance(
         n=int(n),
@@ -195,8 +241,8 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
         vector=vector,
         norm=norm,
         witness_sup=witness_sup,
-        field_norm_value=float(per_point[0]),
-        linear_norm_value=float(lin_per_point[0]),
+        field_norm_value=field_norm_value,
+        linear_norm_value=linear_norm_value,
     )
 
 

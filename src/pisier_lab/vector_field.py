@@ -21,8 +21,9 @@ from .cube_fourier import MAX_DIM, CubeFunction, character_values, inverse_fwht
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
 from .report import BoundReport, BoundViolationError, ResourceLimitError
 
-# cap for exhaustive per-point sup-functional scans (lower-bound instances, audits):
-# 2^n points, each one 2^n-point inverse transform, cost n * 4^n
+# cap for sup-functional norms: an audit's per-point scan runs 2^n inverse transforms of
+# 2^n points, n * 4^n in all; the lower-bound instance holds a (2^n, |family|) table,
+# 8,192 x 4,017 doubles (263 MB) for the truncated witness at n = 13
 MAX_SUP_FUNCTIONAL_DIM = 12
 # keep each embedded sup-functional block under ~32 MB
 _SUP_CHUNK_DOUBLES = 1 << 22

@@ -114,17 +114,19 @@ class TestAudit:
         def reject(name):
             raise ValueError(f"not JSON: {name}")
 
-        if p == "3":
+        if p == "3" and norm == "lp":
             assert code == 0
             assert json.loads(captured.out, parse_constant=reject)["config"]["p"] == 3.0
+            return
+        assert code == 2
+        assert captured.out == ""
+        if p == "3":  # a norm that ignores --p must not echo it in its record
+            assert captured.err == "error: --p applies only to --norm lp\n"
+        elif norm == "lp" and p != "inf":
+            assert captured.err == "error: --norm lp needs --p >= 1\n"
         else:
-            assert code == 2
-            assert captured.out == ""
-            if norm == "lp" and p != "inf":
-                assert captured.err == "error: --norm lp needs --p >= 1\n"
-            else:
-                assert captured.err == (f"error: --p must be finite, got {float(p)}; "
-                                        "use --norm linf for the sup norm\n")
+            assert captured.err == (f"error: --p must be finite, got {float(p)}; "
+                                    "use --norm linf for the sup norm\n")
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -281,6 +283,7 @@ class TestSweep:
         (["--m", "2", "--seed", "-1"], "--seed must be nonnegative"),
         (["--m", "524289"], f"--n 5 --m 524289 asks for a 2^5 x 524289 table; 2^n * m is capped at 2^{MAX_DIM} doubles"),
         (["--m", "2", "--p", "inf"], "--p must be finite, got inf; use --norm linf for the sup norm"),
+        (["--m", "2", "--norm", "l1", "--p", "3"], "--p applies only to --norm lp"),
     ])
     def test_audit_rows_get_the_audit_preconditions(self, capsys, flags, message):
         assert run_main(["audit", "--n", "5", *flags]) == 2

@@ -16,6 +16,7 @@ from pisier_lab import (
     proxy_l1,
     proxy_level_coeffs,
 )
+from pisier_lab import linear_proxy
 from pisier_lab.cube_fourier import popcount
 from pisier_lab.linear_proxy import MAX_ELL
 
@@ -69,6 +70,13 @@ class TestAngleGrid:
     def test_geometric_sum_full_case(self):
         kernel = ProxyKernel(3)
         assert sum(complex(math.cos(0), math.sin(0)) for _ in grid_angles(kernel)) == 12.0
+
+    @pytest.mark.parametrize("ell", [1, 5])
+    def test_failed_geometric_sum_names_the_first_exponent(self, monkeypatch, ell):
+        """The identity is checked for every a in -4 ell..4 ell; a failure names the first a."""
+        monkeypatch.setattr(linear_proxy, "_IDENTITY_TOL", -1.0)
+        with pytest.raises(RuntimeError, match=f"identity failed at a={-4 * ell}:"):
+            ProxyKernel(ell)
 
     @pytest.mark.parametrize("bad", [0, -1, 2, 4, 17])
     def test_rejects_bad_ell(self, bad):

@@ -8,13 +8,16 @@ import pytest
 from pisier_lab import (
     BoundViolationError,
     CubeFunction,
+    Norm,
     ResourceLimitError,
+    VectorFunction,
     build_chebyshev_witness,
     build_product_witness,
     build_truncated_witness,
     character_values,
     fwht,
     lower_bound_instance,
+    rademacher_projection,
     sparsity_inequality_check,
     spectrum_sparsity,
     structural_sparsity,
@@ -24,6 +27,7 @@ from pisier_lab import (
 )
 from pisier_lab import cube_fourier, lower_bound
 from pisier_lab.cube_fourier import popcount
+from pisier_lab.lower_bound import WITNESS_VARIANTS
 
 
 def product_witness_values_oracle(n):
@@ -233,6 +237,75 @@ class TestInstance:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             lower_bound_instance(4, "fancy")
+
+
+class TestStructuralVerification:
+    """The instance's norms come from x = 0 and its translation structure; these pin that."""
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    @pytest.mark.parametrize("n", [2, 4, 6, 9, 10])
+    def test_norms_match_per_point_scans(self, n, variant):
+        """Both norms, scanned at every point, equal the constants the instance reports."""
+        instance = lower_bound_instance(n, variant)
+        field = instance.norm.evaluate_rows(instance.vector.values_matrix())
+        linear = instance.norm.evaluate_rows(rademacher_projection(instance.vector).values_matrix())
+        assert np.abs(field - instance.field_norm_value).max() <= 1e-12
+        assert np.abs(linear - instance.linear_norm_value).max() <= 1e-12
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_two_norm_rows_per_instance(self, monkeypatch, variant):
+        """One row for ||f(0)||, one for ||lin f(0)||: no per-point scan."""
+        rows = []
+        evaluate_rows = Norm.evaluate_rows
+
+        def counted(norm, table):
+            rows.append(len(table))
+            return evaluate_rows(norm, table)
+
+        monkeypatch.setattr(Norm, "evaluate_rows", counted)
+        lower_bound_instance(9, variant)
+        assert rows == [1, 1]
+
+    def test_flipped_entry_is_an_embedding_violation(self, monkeypatch):
+        """A sign flipped at one point x != 0 leaves f(0) intact and is named by its x.
+
+        Blocks of 4 rows make the flipped row the third of four blocks.
+        """
+        point, column = 11, 3
+        monkeypatch.setattr(lower_bound, "_SUP_CHUNK_DOUBLES", 32)
+        build = lower_bound.VectorFunction.from_spectrum_matrix
+
+        def tampered(n, spectra):
+            values = build(n, spectra).values_matrix().copy()
+            values[point, column] *= -1.0
+            return lower_bound.VectorFunction.from_values_matrix(n, values)
+
+        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum_matrix", tampered)
+        with pytest.raises(BoundViolationError, match="instance invariant failed") as info:
+            lower_bound_instance(4, "truncated")
+        report = info.value.report
+        assert report.claim == "instance-embedding"
+        family = lower_bound.spectrum_support(build_truncated_witness(4))
+        assert report.params["point"] == point
+        assert report.params["subset"] == family[column]
+        assert report.lhs == -report.rhs != 0.0
+
+    def test_moved_singleton_coefficient_is_a_linear_norm_violation(self, monkeypatch):
+        """Fhat({0}) moved to the column of {1} keeps the norm of the sum, but not the structure."""
+        spectrum_matrix = VectorFunction.spectrum_matrix
+
+        def moved(vector):
+            spec = spectrum_matrix(vector).copy()
+            spec[0b01, [0, 1]] = spec[0b01, [1, 0]]
+            return spec
+
+        monkeypatch.setattr(VectorFunction, "spectrum_matrix", moved)
+        with pytest.raises(BoundViolationError, match="instance invariant failed") as info:
+            lower_bound_instance(4, "truncated")
+        report = info.value.report
+        assert report.claim == "instance-linear-norm"
+        assert (report.params["subset"], report.params["coordinate"]) == (0b01, 0b01)
+        assert (report.lhs, report.rhs) == (0.0, 0.5)
 
 
 class TestSparsityRecord:
