@@ -24,6 +24,8 @@ from .report import ResourceLimitError
 MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
 _CONSISTENCY_RTOL = 1e-12
+# Doubles per butterfly block: 512 KB, so a block and its scratch partner fit a 2 MiB L2.
+_BLOCK_DOUBLES = 1 << 16
 
 _HEADER = np.dtype("<u4")  # each binary record opens with n as a u32 little-endian
 
@@ -47,15 +49,40 @@ def subset_levels(n: int) -> np.ndarray:
 
 def _walsh_butterfly(a) -> np.ndarray:
     # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
-    # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x).  Each pass reads one
-    # buffer and writes the other; the first is a fresh C-order copy of the input.
-    src = np.array(a, dtype=np.float64, order="C")
-    size = src.shape[0] if src.ndim else 0
+    # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x).  A table of at most
+    # _BLOCK_DOUBLES doubles ping-pongs between a fresh C-order copy and one scratch
+    # table.  A larger one is blocked so that every pass runs in cache (the locality
+    # idea of the FFHT, Andoni et al., NeurIPS 2015): with c the most rows that fit a
+    # block, phase 1 runs strides 1 .. c/2 inside each contiguous run of c rows, and
+    # phase 2 strides c .. size/2 over column strips of the (size/c, c*width) view, each
+    # block transformed in one of two scratch blocks and copied back.  Every entry sees
+    # the same additions with the strides in ascending order, so the result is
+    # bit-identical to unblocked passes; peak memory is one table plus two blocks.
+    table = np.array(a, dtype=np.float64, order="C")
+    size = table.shape[0] if table.ndim else 0
     _check_power_of_two(size, "a Walsh transform")
-    dst = np.empty_like(src)
+    if table.size <= _BLOCK_DOUBLES:
+        return _radix2_passes(table, np.empty_like(table))
+    width = table.size // size
+    c = min(size, 1 << max(0, (_BLOCK_DOUBLES // width).bit_length() - 1))
+    rows = table.reshape(size // c, c * width)
+    strip = max(1, _BLOCK_DOUBLES // rows.shape[0])
+    blocks = [*table.reshape(size // c, c, width)] if c > 1 else []
+    blocks += [rows[:, j : j + strip] for j in range(0, rows.shape[1], strip)]
+    scratch = np.empty((2, max(block.size for block in blocks)))
+    for block in blocks:
+        src, dst = (s[: block.size].reshape(block.shape) for s in scratch)
+        np.copyto(src, block)
+        np.copyto(block, _radix2_passes(src, dst))
+    return table
+
+
+def _radix2_passes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Full Walsh transform along axis 0 of src, ping-ponging src and dst; returns whichever holds it."""
+    size = src.shape[0]
     h = 1
     while h < size:
-        pairs = src.reshape(size // (2 * h), 2, -1)
+        pairs = src.reshape(size // (2 * h), 2, h, *src.shape[1:])
         out = dst.reshape(pairs.shape)
         np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
         np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])

@@ -63,10 +63,14 @@ def build_product_witness(n: int) -> CubeFunction:
     return CubeFunction.from_spectrum(int(n), _product_level_coeffs(n)[subset_levels(n)])
 
 
+def _check_positive_dim(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+
+
 def truncation_level(n: int) -> int:
     """floor(3 sqrt(n)), via integer isqrt so no float floor is trusted."""
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    _check_positive_dim(n)
     return math.isqrt(9 * n)
 
 
@@ -253,6 +257,7 @@ def structural_sparsity(n: int, variant: str = "truncated") -> int:
     levels of the parity of floor(sqrt(n)) up to that degree (an upper bound
     that is exact unless a coefficient vanishes accidentally).
     """
+    _check_positive_dim(n)
     if variant == "truncated":
         cut = truncation_level(n)
         return sum(math.comb(n, k) for k in range(1, min(cut, n) + 1, 2))

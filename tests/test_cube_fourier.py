@@ -1,5 +1,7 @@
 """Transform, character, convolution, and level-operator checks for the scalar core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,11 @@ from pisier_lab import (
     to_spectrum_json,
     write_binary,
 )
+from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import inverse_fwht_rows, popcount, spectrum_support
 from pisier_lab.lower_bound import build_truncated_witness
 
-from oracles import character_eval, linear_function
+from oracles import character_eval, linear_function, walsh_butterfly_unblocked
 
 
 def naive_spectrum(values):
@@ -273,6 +276,47 @@ class TestBatchedTransform:
             fwht(1.0)
         with pytest.raises(ValueError):
             inverse_fwht(np.zeros((6, 2)))
+
+
+def assert_matches_unblocked(table):
+    """The butterfly equals the unblocked reference bit for bit, in a fresh array, leaving its input alone."""
+    before = table.copy()
+    out = cube_fourier._walsh_butterfly(table)
+    assert np.array_equal(out, walsh_butterfly_unblocked(table))
+    assert np.array_equal(table, before)
+    assert out.shape == table.shape and out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, table)
+
+
+class TestBlockedButterfly:
+    @pytest.mark.parametrize("shape", [(1 << 17,), (1 << 16, 3), (1 << 12, 40), (2, 1 << 17)])
+    def test_matches_unblocked_passes_at_the_block_size(self, shape):
+        """Tables above one block, including a batch wider than a block, take both phases."""
+        table = np.random.default_rng(sum(shape)).standard_normal(shape)
+        assert table.size > cube_fourier._BLOCK_DOUBLES
+        assert_matches_unblocked(table)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("block", [1 << 3, 1 << 4, 1 << 5, 1 << 6])
+    def test_matches_unblocked_passes_with_small_blocks(self, monkeypatch, block, n):
+        """Tiny blocks put runs, strips and batches wider than a block through every n."""
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        rng = np.random.default_rng(100 * n + block)
+        for shape in [(1 << n,), (1 << n, 3), (1 << n, 5), (1 << n, 64), (1 << n, 2, 3)]:
+            assert_matches_unblocked(rng.standard_normal(shape))
+
+    def test_peak_memory_is_one_table_plus_two_blocks(self):
+        """The scratch is two blocks, not a second table; the slack covers numpy's ufunc
+        iterator buffers (three operands of np.getbufsize() doubles) and object headers."""
+        table = np.random.default_rng(7).standard_normal((1 << 15, 8))
+        tracemalloc.start()
+        try:
+            fwht(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 4 * np.getbufsize() * 8
+        assert peak <= table.nbytes + 2 * cube_fourier._BLOCK_DOUBLES * 8 + slack
 
 
 class TestSparsity:

@@ -117,6 +117,18 @@ class TestTruncatedWitness:
         assert structural_sparsity(n, "truncated") == want
         assert spectrum_sparsity(f) == want
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_structural_sparsity_needs_a_positive_integer_dimension(self, variant, n):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            structural_sparsity(n, variant)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    @pytest.mark.parametrize("count", [truncation_level, truncation_tail_bound, truncation_tail_chain])
+    def test_truncation_counts_need_a_positive_integer_dimension(self, count, n):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            count(n)
+
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_sparsity_bounded_by_family_size(self, n):
         cut = truncation_level(n)
