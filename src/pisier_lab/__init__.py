@@ -16,7 +16,6 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .cube_fourier import (  # noqa: E402
-    MAX_DIM,
     CubeFunction,
     character_values,
     convolve,
@@ -68,7 +67,6 @@ from .vector_field import (  # noqa: E402
 )
 
 __all__ = [
-    "MAX_DIM",
     "BoundReport",
     "BoundViolationError",
     "CubeFunction",

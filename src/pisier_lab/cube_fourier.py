@@ -30,11 +30,12 @@ _BLOCK_DOUBLES = 1 << 16
 _HEADER = np.dtype("<u4")  # each binary record opens with n as a u32 little-endian
 
 
-def _check_dim(n: int) -> None:
+def _check_dim(n: int, cap: int | None = MAX_DIM) -> None:
+    """The one dimension precondition: n a positive integer, and no larger than cap unless it is None."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if n > MAX_DIM:
-        raise ResourceLimitError(f"dimension {n} exceeds the value-table cap {MAX_DIM}")
+    if cap is not None and n > cap:
+        raise ResourceLimitError(f"dimension {n} exceeds the cap {cap}")
 
 
 def popcount(masks) -> np.ndarray:
@@ -304,6 +305,8 @@ def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:
     """Sparse JSON spectrum: subset bitmask (as a decimal string key) to coefficient."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
+    if not np.isfinite(threshold):  # NaN would keep every nonzero coefficient, inf none
+        raise ValueError(f"threshold must be finite, got {threshold}")
     _require_one_function(f)
     spec = f.spectrum
     keep = np.nonzero(np.abs(spec) > threshold)[0] if threshold > 0 else np.nonzero(spec)[0]

@@ -41,10 +41,8 @@ _SIN_HALF_PI = (0.0, 1.0, 0.0, -1.0)
 
 
 def _check_ell(ell: int) -> None:
-    if not isinstance(ell, (int, np.integer)) or ell < 1 or ell % 2 == 0:
-        raise ValueError(f"ell must be an odd positive integer, got {ell!r}")
-    if ell > MAX_ELL:
-        raise ValueError(f"ell={ell} unsupported; the odd range 1..{MAX_ELL} covers all useful deviations")
+    if not (isinstance(ell, (int, np.integer)) and 1 <= ell <= MAX_ELL and ell % 2 == 1):
+        raise ValueError(f"ell must be odd in 1..{MAX_ELL}, got {ell!r}")
 
 
 class ProxyKernel:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _require_one_function, popcount,
-                           spectrum_sparsity, spectrum_support, subset_levels)
-from .report import BoundReport, BoundViolationError, ResourceLimitError
+from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _check_dim, _require_one_function,
+                           popcount, spectrum_sparsity, spectrum_support, subset_levels)
+from .report import BoundReport, BoundViolationError
 from .vector_field import (
     _SUP_CHUNK_DOUBLES,
     MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM,
@@ -34,9 +34,8 @@ from .vector_field import (
     VectorFunction,
 )
 
-MAX_WITNESS_DIM = 20
-# CLI cap for the lower-bound and sparsity records: SPARSITY_THRESHOLD drops
-# genuine coefficients from n = 19 on, so counted sparsity is not trusted up to 20.
+# cap for the witnesses and the lower-bound and sparsity records built on them:
+# SPARSITY_THRESHOLD drops genuine coefficients from n = 19 on, so counted sparsity fails there.
 MAX_RECORD_DIM = 16
 WITNESS_VARIANTS = ("truncated", "chebyshev")
 _INSTANCE_TOL = 1e-10
@@ -45,14 +44,9 @@ _INSTANCE_TOL = 1e-10
 _IM_UNIT_POWERS = (0.0, 1.0, 0.0, -1.0)
 
 
-def _check_witness_dim(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_WITNESS_DIM:
-        raise ValueError(f"witness dimension must lie in 1..{MAX_WITNESS_DIM}, got {n!r}")
-
-
 def _product_level_coeffs(n: int) -> np.ndarray:
     """Im(i^k) n^(-k/2) for k = 0..n, the product witness's coefficient at every level-k subset."""
-    _check_witness_dim(n)
+    _check_dim(n, MAX_RECORD_DIM)
     k = np.arange(n + 1)
     signs = np.asarray(_IM_UNIT_POWERS, dtype=np.float64)[k % 4]
     return signs * (1.0 / math.sqrt(n)) ** k.astype(np.float64)
@@ -63,14 +57,9 @@ def build_product_witness(n: int) -> CubeFunction:
     return CubeFunction.from_spectrum(int(n), _product_level_coeffs(n)[subset_levels(n)])
 
 
-def _check_positive_dim(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-
-
 def truncation_level(n: int) -> int:
     """floor(3 sqrt(n)), via integer isqrt so no float floor is trusted."""
-    _check_positive_dim(n)
+    _check_dim(n, None)
     return math.isqrt(9 * n)
 
 
@@ -88,7 +77,7 @@ def build_chebyshev_witness(n: int) -> CubeFunction:
     Hamming-weight class through the three-term recurrence, then spread to
     the 2^n value table.
     """
-    _check_witness_dim(n)
+    _check_dim(n, MAX_RECORD_DIM)
     k = math.isqrt(n)
     by_weight = np.empty(n + 1)
     for a in range(n + 1):
@@ -194,10 +183,7 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
 
     A failed check raises BoundViolationError.
     """
-    if n > MAX_INSTANCE_DIM:
-        raise ResourceLimitError(
-            f"instance mode capped at n={MAX_INSTANCE_DIM} (the instance holds a (2^n, |family|) table)"
-        )
+    _check_dim(n, MAX_INSTANCE_DIM)
     witness = build_witness(n, variant)
     spectrum = witness.spectrum
     family = spectrum_support(witness)
@@ -257,7 +243,7 @@ def structural_sparsity(n: int, variant: str = "truncated") -> int:
     levels of the parity of floor(sqrt(n)) up to that degree (an upper bound
     that is exact unless a coefficient vanishes accidentally).
     """
-    _check_positive_dim(n)
+    _check_dim(n, None)
     if variant == "truncated":
         cut = truncation_level(n)
         return sum(math.comb(n, k) for k in range(1, min(cut, n) + 1, 2))

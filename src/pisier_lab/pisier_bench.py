@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import inverse_fwht, level_multiply
+from .cube_fourier import _check_dim, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, BoundViolationError
 from .vector_field import (
@@ -77,14 +77,6 @@ def choose_ell(m: int) -> int:
     return k if k % 2 else k + 1
 
 
-def _check_audit_dims(f: VectorFunction, norm: Norm) -> None:
-    cap = MAX_SUP_FUNCTIONAL_DIM if norm.kind == "sup_functional" else MAX_AUDIT_DIM
-    if f.n > cap:
-        raise ValueError(
-            f"exhaustive audit capped at n={cap} for {norm.kind} norms, got n={f.n}"
-        )
-
-
 def decomposition_audit(f: VectorFunction, norm: Norm, transform: SandwichTransform,
                         ell: int | None = None) -> PisierAudit:
     """Split lin f through the proxy and check every step's bound.
@@ -94,7 +86,7 @@ def decomposition_audit(f: VectorFunction, norm: Norm, transform: SandwichTransf
     as its report; rejects the transform up front if it does not validate
     against the norm.
     """
-    _check_audit_dims(f, norm)
+    _check_dim(f.n, MAX_SUP_FUNCTIONAL_DIM if norm.kind == "sup_functional" else MAX_AUDIT_DIM)
     if transform.m != f.m:
         raise ValueError(f"transform is on R^{transform.m}, function maps into R^{f.m}")
     gate = sandwich_validate(transform, norm, sample_count=GATE_SAMPLES)

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cube_fourier import MAX_DIM, CubeFunction, character_values, inverse_fwht
+from .cube_fourier import CubeFunction, _check_dim, character_values, inverse_fwht
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
-from .report import BoundReport, BoundViolationError, ResourceLimitError
+from .report import BoundReport, BoundViolationError
 
 # cap for sup-functional norms: an audit's per-point scan runs 2^n inverse transforms of
 # 2^n points, n * 4^n in all; the lower-bound instance holds a (2^n, |family|) table,
@@ -28,6 +28,14 @@ MAX_SUP_FUNCTIONAL_DIM = 12
 # keep each embedded sup-functional block under ~32 MB
 _SUP_CHUNK_DOUBLES = 1 << 22
 _YOUNG_TOL = 1e-9
+
+
+def _check_p(p: float) -> float:
+    """p as a float in [1, inf]: the one rule for lp norms and their transforms."""
+    p = float(p)
+    if not p >= 1.0:  # also rejects NaN
+        raise ValueError(f"lp norms need p >= 1, got {p}")
+    return p
 
 
 class VectorFunction(CubeFunction):
@@ -70,9 +78,7 @@ class Norm:
 
     @classmethod
     def lp(cls, p: float) -> "Norm":
-        p = float(p)
-        if not (p >= 1.0 or math.isinf(p)):
-            raise ValueError(f"lp norms need p >= 1, got {p}")
+        p = _check_p(p)
         if math.isinf(p):
             name = "linf"
         elif p == int(p):
@@ -88,8 +94,7 @@ class Norm:
         The family is held in ascending bitmask order so coefficient vectors
         mean the same thing across runs.
         """
-        if n_dual > MAX_DIM:
-            raise ResourceLimitError(f"dual dimension {n_dual} exceeds the cap {MAX_DIM}")
+        _check_dim(n_dual)
         fam = np.asarray(family, dtype=np.int64)
         if fam.size == 0:
             raise ValueError("subset family is empty")
@@ -169,11 +174,9 @@ class SandwichTransform:
     @classmethod
     def for_lp(cls, p: float, m: int) -> "SandwichTransform":
         """Diagonal transform with the sharp lp-vs-l2 comparison constants."""
-        p = float(p)
-        if not (p >= 1.0 or math.isinf(p)):
-            raise ValueError(f"lp transforms need p >= 1, got {p}")
-        inv_p = 0.0 if math.isinf(p) else 1.0 / p
-        if p >= 2.0 or math.isinf(p):
+        p = _check_p(p)
+        inv_p = 1.0 / p  # 0 at p = inf
+        if p >= 2.0:
             scale = m ** (inv_p - 0.5)
             distortion = m ** (0.5 - inv_p)
         else:

@@ -342,6 +342,15 @@ class TestFourier:
         assert len(payload["spectrum"]) == 8
 
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_threshold_must_be_finite(self, capsys, tmp_path, threshold):
+        path = tmp_path / "w.bin"
+        write_binary(build_truncated_witness(4), path)
+        assert run_main(["fourier", "--input", str(path), "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: threshold must be finite, got {float(threshold)}\n"
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Transform, character, convolution, and level-operator checks for the scalar core."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -449,6 +450,12 @@ class TestSerialization:
         g = from_spectrum_json(to_spectrum_json(f, threshold=1e-8))
         assert g.spectrum[2] == 0.0
         assert g.spectrum[1] == 1.0
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+    def test_spectrum_json_threshold_must_be_finite_and_nonnegative(self, threshold):
+        # NaN would keep every nonzero coefficient and inf would write an empty spectrum
+        with pytest.raises(ValueError, match="threshold must be"):
+            to_spectrum_json(CubeFunction.constant(2, 1.0), threshold=threshold)
 
     def test_spectrum_json_rejects_bad_mask(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,11 @@ class TestAngleGrid:
         with pytest.raises(ValueError):
             ProxyKernel(bad)
 
+    @pytest.mark.parametrize("bad", [0, 3.0, 17])
+    def test_bad_ell_has_one_message(self, bad):
+        with pytest.raises(ValueError, match=rf"^ell must be odd in 1\.\.{MAX_ELL}, got {bad!r}$"):
+            ProxyKernel(bad)
+
 
 class TestKernelValues:
     def test_ell_one_values(self):

@@ -9,14 +9,20 @@ from pisier_lab import (
     BoundViolationError,
     CubeFunction,
     Norm,
+    ProxyKernel,
     ResourceLimitError,
+    SandwichTransform,
     VectorFunction,
     build_chebyshev_witness,
     build_product_witness,
     build_truncated_witness,
     character_values,
+    decomposition_audit,
     fwht,
     lower_bound_instance,
+    proxy_eval_by_weight,
+    proxy_l1,
+    proxy_level_coeffs,
     rademacher_projection,
     sparsity_inequality_check,
     spectrum_sparsity,
@@ -26,8 +32,10 @@ from pisier_lab import (
     truncation_tail_chain,
 )
 from pisier_lab import cube_fourier, lower_bound
-from pisier_lab.cube_fourier import popcount
-from pisier_lab.lower_bound import WITNESS_VARIANTS
+from pisier_lab.cube_fourier import MAX_DIM, popcount
+from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS
+from pisier_lab.pisier_bench import MAX_AUDIT_DIM
+from pisier_lab.vector_field import MAX_SUP_FUNCTIONAL_DIM
 
 
 def product_witness_values_oracle(n):
@@ -40,6 +48,30 @@ def product_witness_values_oracle(n):
             z *= 1.0 + 1j * sign / math.sqrt(n)
         out[x] = z.imag
     return out
+
+
+def zero_audit(n, norm):
+    """Audit a zero function whose n is set past its constructor's check, so the audit's own check runs."""
+    f = VectorFunction.from_spectrum_matrix(1, np.zeros((2, 1)))
+    f.n = n
+    return decomposition_audit(f, norm, SandwichTransform(matrix=np.eye(1), distortion=1.0))
+
+
+# every library entry point with a capped dimension, as a function of n, and its cap
+DIMENSION_CAPS = {
+    "build_product_witness": (build_product_witness, MAX_RECORD_DIM),
+    "build_truncated_witness": (build_truncated_witness, MAX_RECORD_DIM),
+    "build_chebyshev_witness": (build_chebyshev_witness, MAX_RECORD_DIM),
+    "lower_bound_instance": (lower_bound_instance, MAX_INSTANCE_DIM),
+    "audit-lp": (lambda n: zero_audit(n, Norm.lp(2)), MAX_AUDIT_DIM),
+    "audit-sup_functional": (lambda n: zero_audit(n, Norm.sup_functional(1, [0])), MAX_SUP_FUNCTIONAL_DIM),
+    "Norm.sup_functional": (lambda n: Norm.sup_functional(n, [0]), MAX_DIM),
+    "CubeFunction": (lambda n: CubeFunction(n, spectrum=[1.0, 0.0]), MAX_DIM),
+    "character_values": (lambda n: character_values(n, [0]), MAX_DIM),
+    "proxy_level_coeffs": (lambda n: proxy_level_coeffs(ProxyKernel(1), n), MAX_DIM),
+    "proxy_eval_by_weight": (lambda n: proxy_eval_by_weight(ProxyKernel(1), n, 0), MAX_DIM),
+    "proxy_l1": (lambda n: proxy_l1(ProxyKernel(1), n), MAX_DIM),
+}
 
 
 class TestProductWitness:
@@ -124,10 +156,17 @@ class TestTruncatedWitness:
             structural_sparsity(n, variant)
 
     @pytest.mark.parametrize("n", [0, -3, 2.5])
-    @pytest.mark.parametrize("count", [truncation_level, truncation_tail_bound, truncation_tail_chain])
+    @pytest.mark.parametrize("count", [truncation_level, truncation_tail_bound, truncation_tail_chain]
+                             + [pytest.param(entry, id=name) for name, (entry, _) in DIMENSION_CAPS.items()])
     def test_truncation_counts_need_a_positive_integer_dimension(self, count, n):
+        """The counts take any positive integer n, every other entry point the same rule below its cap."""
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
             count(n)
+
+    @pytest.mark.parametrize(("entry", "cap"), DIMENSION_CAPS.values(), ids=DIMENSION_CAPS.keys())
+    def test_capped_dimensions_stop_one_past_the_cap(self, entry, cap):
+        with pytest.raises(ResourceLimitError, match=f"dimension {cap + 1} exceeds the cap {cap}"):
+            entry(cap + 1)
 
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_sparsity_bounded_by_family_size(self, n):

@@ -108,7 +108,7 @@ class TestPisierRatio:
 
     def test_dimension_cap(self):
         """Audits stop at n = 12 for sup-functional norms, whose scans cost n * 4^n."""
-        with pytest.raises(ValueError, match="capped at n=12"):
+        with pytest.raises(ValueError, match="exceeds the cap 12"):
             decomposition_audit(
                 VectorFunction.from_spectrum_matrix(13, np.zeros((1 << 13, 1))),
                 Norm.sup_functional(13, [0]),

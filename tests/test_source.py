@@ -33,9 +33,36 @@ def test_transform_and_record_format_have_one_owner():
     assert found == []
 
 
+def test_each_limit_has_one_home():
+    """Each cap is assigned once, and cube_fourier._check_dim is the one dimension check behind every cap."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assigned = sorted(
+        target.id
+        for tree in trees.values()
+        for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    )
+    assert assigned and len(assigned) == len(set(assigned)), assigned
+
+    def raises_limit(node):
+        return isinstance(node, ast.Raise) and any(
+            getattr(sub, "id", None) == "ResourceLimitError" for sub in ast.walk(node))
+
+    functions = [(name, fn) for name, tree in trees.items() for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    raising = [f"{name}:{fn.name}" for name, fn in functions for node in ast.walk(fn) if raises_limit(node)]
+    total = sum(raises_limit(node) for tree in trees.values() for node in ast.walk(tree))
+    assert raising == ["cube_fourier.py:_check_dim"] and total == 1, raising
+
+    checks = [f"{name}:{fn.name}" for name, fn in functions
+              if name != "cube_fourier.py" and "check" in fn.name and "dim" in fn.name]
+    assert checks == []
+
+
 PUBLIC_NAMES = [
     "BoundReport", "BoundViolationError", "CubeFunction", "LowerBoundInstance",
-    "MAX_DIM", "Norm", "PisierAudit", "ProxyKernel", "ResourceLimitError", "SandwichTransform",
+    "Norm", "PisierAudit", "ProxyKernel", "ResourceLimitError", "SandwichTransform",
     "VectorFunction", "build_chebyshev_witness", "build_product_witness",
     "build_truncated_witness", "character_values", "choose_ell", "convolve",
     "decomposition_audit", "deviation_bound", "from_bytes", "from_spectrum_json", "fwht",
@@ -49,7 +76,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface():
     """The package exports what the CLI and the checks of the paper's claims use, and no more."""
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(pisier_lab.__all__) == PUBLIC_NAMES
     missing = [name for name in PUBLIC_NAMES if not hasattr(pisier_lab, name)]
     assert missing == []

@@ -279,6 +279,15 @@ class TestSupFunctionalNorm:
             Norm.sup_functional(3, [2, 1])
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -math.inf, math.nan])
+def test_lp_needs_p_at_least_one(p):
+    """One rule for lp norms and their transforms: -inf would name min |v_i| linf, NaN no norm."""
+    with pytest.raises(ValueError, match="lp norms need p >= 1"):
+        Norm.lp(p)
+    with pytest.raises(ValueError, match="lp norms need p >= 1"):
+        SandwichTransform.for_lp(p, 3)
+
+
 class TestSandwich:
     def test_linf_analytic_transform(self):
         """x: ||x||_2 / sqrt(m) <= ||x||_inf <= ||x||_2."""
