@@ -20,7 +20,6 @@ from .cube_fourier import (  # noqa: E402
     character_values,
     convolve,
     from_bytes,
-    from_spectrum_json,
     fwht,
     inverse_fwht,
     level_multiply,
@@ -86,7 +85,6 @@ __all__ = [
     "decomposition_audit",
     "deviation_bound",
     "from_bytes",
-    "from_spectrum_json",
     "fwht",
     "inverse_fwht",
     "kernel_l1",

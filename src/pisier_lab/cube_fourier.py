@@ -14,7 +14,6 @@ so that values[x] = sum_S spectrum[S] chi_S(x) with no extra scaling.
 from __future__ import annotations
 
 import json
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from .report import ResourceLimitError
 
 MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
-_CONSISTENCY_RTOL = 1e-12
 # Doubles per butterfly block: 512 KB, so a block and its scratch partner fit a 2 MiB L2.
 _BLOCK_DOUBLES = 1 << 16
 
@@ -139,13 +137,13 @@ def level_multiply(spec, c) -> np.ndarray:
 
 
 class CubeFunction:
-    """Real function on the cube held as a value table and/or its spectrum.
+    """Real function on the cube, built from its value table or from its spectrum.
 
     A (2^n,) table is one function; a (2^n, m) table holds m functions, one
     per column, so row x is the vector f(x) and row S the vector fhat(S).
-    Immutable after construction; whichever representation is missing is
-    computed lazily through the transform and cached (idempotent fill, safe
-    under concurrent readers).
+    Immutable after construction; the other representation is computed
+    lazily through the transform and cached (idempotent fill, safe under
+    concurrent readers).
     """
 
     __slots__ = ("n", "_values", "_spectrum")
@@ -153,16 +151,11 @@ class CubeFunction:
 
     def __init__(self, n: int, values=None, spectrum=None):
         _check_dim(n)
-        if values is None and spectrum is None:
-            raise ValueError("need a value table or a spectrum")
+        if (values is None) == (spectrum is None):
+            raise ValueError("need exactly one of a value table and a spectrum")
         self.n = n
         self._values = self._own(values)
         self._spectrum = self._own(spectrum)
-        if self._values is not None and self._spectrum is not None:
-            back = _walsh_butterfly(self._spectrum)
-            scale = max(1.0, float(np.abs(self._values).max()))
-            if back.shape != self._values.shape or np.abs(back - self._values).max() > _CONSISTENCY_RTOL * scale:
-                raise ValueError("value table and spectrum disagree in shape or beyond 1e-12 relative")
 
     def _own(self, arr):
         if arr is None:
@@ -181,13 +174,6 @@ class CubeFunction:
     @classmethod
     def from_spectrum(cls, n: int, spectrum) -> "CubeFunction":
         return cls(n, spectrum=spectrum)
-
-    @classmethod
-    def constant(cls, n: int, value: float) -> "CubeFunction":
-        _check_dim(n)
-        spec = np.zeros(1 << n)
-        spec[0] = value
-        return cls(n, spectrum=spec)
 
     @property
     def size(self) -> int:
@@ -218,32 +204,12 @@ class CubeFunction:
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
-    def _binary(self, other: "CubeFunction", op) -> "CubeFunction":
+    def __sub__(self, other):
         if not isinstance(other, CubeFunction):
             return NotImplemented
         if self.shape != other.shape:  # a (2^n,) and a (2^n, m) table would broadcast wrongly
             raise ValueError(f"table shape mismatch: {self.shape} vs {other.shape}")
-        if self._spectrum is not None and other._spectrum is not None:
-            return type(self)(self.n, spectrum=op(self._spectrum, other._spectrum))
-        return type(self)(self.n, values=op(self.values, other.values))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, Real):
-            return NotImplemented
-        if self._spectrum is not None:
-            return type(self)(self.n, spectrum=self._spectrum * float(scalar))
-        return type(self)(self.n, values=self._values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+        return type(self)(self.n, spectrum=self.spectrum - other.spectrum)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, shape={self.shape})"
@@ -271,6 +237,15 @@ def _record(n: int) -> np.dtype:
     return np.dtype([("n", _HEADER), ("values", "<f8", (1 << n,))])
 
 
+def _finite(table: np.ndarray, what: str) -> np.ndarray:
+    """The table, unless it holds NaN or +-inf: then no count, norm or JSON number means anything."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        bad = ", ".join(map(str, np.unique(table[~finite]).tolist()))
+        raise ValueError(f"{what} holds non-finite values: {bad}")
+    return table
+
+
 def _require_one_function(f: CubeFunction) -> None:
     if len(f.shape) != 1:
         raise ValueError(f"expected one function, a (2^n,) table, got shape {f.shape}")
@@ -290,7 +265,8 @@ def from_bytes(blob: bytes) -> CubeFunction:
     record = _record(n)
     if len(blob) != record.itemsize:
         raise ValueError(f"blob length {len(blob)} does not match n={n} (expected {record.itemsize})")
-    return CubeFunction.from_values(n, np.frombuffer(blob, dtype=record)["values"][0])
+    values = np.frombuffer(blob, dtype=record)["values"][0]
+    return CubeFunction.from_values(n, _finite(values, "value table"))
 
 
 def write_binary(f: CubeFunction, path) -> None:
@@ -308,20 +284,7 @@ def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:
     if not np.isfinite(threshold):  # NaN would keep every nonzero coefficient, inf none
         raise ValueError(f"threshold must be finite, got {threshold}")
     _require_one_function(f)
-    spec = f.spectrum
-    keep = np.nonzero(np.abs(spec) > threshold)[0] if threshold > 0 else np.nonzero(spec)[0]
+    spec = _finite(f.spectrum, "spectrum")
+    keep = np.nonzero(np.abs(spec) > threshold)[0]
     payload = {"n": f.n, "spectrum": {str(int(m)): float(spec[m]) for m in keep}}
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def from_spectrum_json(text: str) -> CubeFunction:
-    obj = json.loads(text)
-    n = int(obj["n"])
-    _check_dim(n)
-    spec = np.zeros(1 << n)
-    for key, coeff in obj["spectrum"].items():
-        mask = int(key)
-        if not 0 <= mask < (1 << n):
-            raise ValueError(f"subset mask {mask} out of range for n={n}")
-        spec[mask] = float(coeff)
-    return CubeFunction.from_spectrum(n, spec)

@@ -82,9 +82,7 @@ def build_chebyshev_witness(n: int) -> CubeFunction:
     by_weight = np.empty(n + 1)
     for a in range(n + 1):
         t = (n - 2 * a) / n
-        prev, cur = 1.0, t
-        if k == 0:
-            cur = 1.0
+        prev, cur = 1.0, t  # T_0 and T_1; _check_dim makes k = isqrt(n) >= 1
         for _ in range(2, k + 1):
             prev, cur = cur, 2.0 * t * cur - prev
         by_weight[a] = cur

@@ -25,8 +25,8 @@ from .report import BoundReport, BoundViolationError
 # 2^n points, n * 4^n in all; the lower-bound instance holds a (2^n, |family|) table,
 # 8,192 x 4,017 doubles (263 MB) for the truncated witness at n = 13
 MAX_SUP_FUNCTIONAL_DIM = 12
-# keep each embedded sup-functional block under ~32 MB
-_SUP_CHUNK_DOUBLES = 1 << 22
+# doubles per row block of the sup-functional scan and the instance check: 512 KB, cache-sized
+_SUP_CHUNK_DOUBLES = 1 << 16
 _YOUNG_TOL = 1e-9
 
 

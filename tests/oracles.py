@@ -17,6 +17,14 @@ def character_eval(s_mask: int, x_mask: int) -> int:
     return -1 if (s_mask & x_mask).bit_count() & 1 else 1
 
 
+def constant_function(n: int, c: float) -> CubeFunction:
+    """The constant c: the spectrum c at the empty set and zero elsewhere."""
+    _check_dim(n)
+    spec = np.zeros(1 << n)
+    spec[0] = c
+    return CubeFunction.from_spectrum(n, spec)
+
+
 def linear_function(n: int) -> CubeFunction:
     """L(x) = x_1 + ... + x_n, the function whose spectrum is the level-1 indicator."""
     _check_dim(n)

@@ -17,6 +17,8 @@ from pisier_lab.lower_bound import MAX_RECORD_DIM
 from pisier_lab.pisier_bench import MAX_AUDIT_DIM
 from pisier_lab.report import BoundViolationError
 
+from oracles import constant_function
+
 
 def run_main(args):
     return cli.main(args)
@@ -207,7 +209,7 @@ class TestSparsity:
 
     def test_no_rescale_rejects_unbounded(self, capsys, tmp_path):
         path = tmp_path / "big.bin"
-        write_binary(CubeFunction.constant(3, 5.0), path)
+        write_binary(constant_function(3, 5.0), path)
         assert run_main(["sparsity", "--input", str(path), "--no-rescale"]) == 2
 
 
@@ -217,6 +219,20 @@ def test_missing_input_is_a_usage_error(capsys, tmp_path, command):
     assert run_main([command, "--input", str(missing)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["sparsity", "fourier"])
+def test_non_finite_input_is_a_usage_error(capsys, tmp_path, command, bad):
+    """A table holding NaN or +-inf has no meaningful spectrum: exit 2 naming the value, print nothing."""
+    values = np.arange(8.0)
+    values[[2, 5]] = bad
+    path = tmp_path / "bad.bin"
+    write_binary(CubeFunction.from_values(3, values), path)
+    assert run_main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: value table holds non-finite values: {bad}\n"
 
 
 CAPPED_FLAGS = [
@@ -341,7 +357,6 @@ class TestFourier:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["spectrum"]) == 8
 
-
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_threshold_must_be_finite(self, capsys, tmp_path, threshold):
         path = tmp_path / "w.bin"
@@ -350,6 +365,7 @@ class TestFourier:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: threshold must be finite, got {float(threshold)}\n"
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -1,6 +1,7 @@
 """Witness constructions, truncation tails, instances, and the sparsity record."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from pisier_lab.cube_fourier import MAX_DIM, popcount
 from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS
 from pisier_lab.pisier_bench import MAX_AUDIT_DIM
 from pisier_lab.vector_field import MAX_SUP_FUNCTIONAL_DIM
+
+from oracles import constant_function
 
 
 def product_witness_values_oracle(n):
@@ -317,6 +320,22 @@ class TestStructuralVerification:
         lower_bound_instance(9, variant)
         assert rows == [1, 1]
 
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_embedding_check_peak_is_a_few_cache_sized_blocks(self, variant):
+        """At n = 12 the checked table is 66.7 MB (truncated) or 7.6 MB (chebyshev); the check's
+        own allocations stay within four 512 KB row blocks, however large the table."""
+        instance = lower_bound_instance(12, variant)
+        values = instance.vector.values_matrix()
+        family = np.asarray(instance.family)
+        coeffs = instance.witness.spectrum[family]
+        tracemalloc.start()
+        try:
+            lower_bound._require_embedding(values, family, coeffs, 12, variant)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (512 << 10)
+
     def test_flipped_entry_is_an_embedding_violation(self, monkeypatch):
         """A sign flipped at one point x != 0 leaves f(0) intact and is named by its x.
 
@@ -387,7 +406,7 @@ class TestSparsityRecord:
         assert report.params["ratio"] == pytest.approx(want_ratio, rel=1e-12)
 
     def test_rejects_unbounded_without_rescale(self):
-        f = CubeFunction.constant(3, 2.0)
+        f = constant_function(3, 2.0)
         with pytest.raises(ValueError):
             sparsity_inequality_check(f)
         report = sparsity_inequality_check(f, rescale=True)
@@ -411,7 +430,7 @@ class TestSparsityRecord:
 
     def test_rejects_zero_function(self):
         with pytest.raises(ValueError):
-            sparsity_inequality_check(CubeFunction.constant(3, 0.0))
+            sparsity_inequality_check(constant_function(3, 0.0))
         # a (2^n, m) table is m functions, not one whose sparsity can be recorded
         with pytest.raises(ValueError, match="shape"):
             sparsity_inequality_check(CubeFunction.from_values(2, np.ones((4, 2))))

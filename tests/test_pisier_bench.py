@@ -24,7 +24,7 @@ from pisier_lab import cube_fourier, pisier_bench
 from pisier_lab.cube_fourier import popcount
 from pisier_lab.lower_bound import lower_bound_instance
 
-from oracles import linear_function, proxy_as_cube_function
+from oracles import constant_function, linear_function, proxy_as_cube_function
 
 
 def random_vector(n, m, seed):
@@ -82,7 +82,7 @@ class TestChooseEll:
 
 class TestPisierRatio:
     def test_constant_function(self):
-        f = single_column(CubeFunction.constant(5, 2.0))
+        f = single_column(constant_function(5, 2.0))
         assert projection_ratio(f, Norm.lp(2))[2] == 0.0
 
     def test_purely_linear_function(self):
@@ -90,7 +90,7 @@ class TestPisierRatio:
         assert projection_ratio(f, Norm.lp(2))[2] == 1.0
 
     def test_zero_function(self):
-        f = single_column(CubeFunction.constant(4, 0.0))
+        f = single_column(constant_function(4, 0.0))
         assert projection_ratio(f, Norm.lp(2)) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(6))

@@ -23,7 +23,7 @@ from pisier_lab import (
 )
 from pisier_lab.lower_bound import build_truncated_witness
 
-from oracles import linear_function, proxy_as_cube_function
+from oracles import constant_function, linear_function, proxy_as_cube_function
 
 
 def norm_of(norm, v):
@@ -52,14 +52,11 @@ class TestVectorFunction:
             VectorFunction.from_spectrum_matrix(3, np.zeros((8, 0)))
         with pytest.raises(ValueError):
             VectorFunction.from_values_matrix(3, np.zeros(8))
-        # tables given together must agree in shape and within 1e-12, as for CubeFunction
-        with pytest.raises(ValueError):
-            VectorFunction(3, values=np.ones((8, 2)), spectrum=np.zeros((8, 2)))
-        with pytest.raises(ValueError):
-            VectorFunction(3, values=np.ones((8, 2)), spectrum=np.zeros((8, 1)))
+        # a function is built from one table, as for CubeFunction, even from a consistent pair
         spectra = np.zeros((8, 2))
         spectra[0] = 1.0
-        assert VectorFunction(3, values=np.ones((8, 2)), spectrum=spectra).m == 2
+        with pytest.raises(ValueError, match="exactly one"):
+            VectorFunction(3, values=np.ones((8, 2)), spectrum=spectra)
 
     def test_coefficient_vector(self):
         rng = np.random.default_rng(0)
@@ -179,7 +176,7 @@ class TestVectorConvolve:
         with pytest.raises(ValueError):
             level_multiply(f.spectrum_matrix(), np.ones(5))
         with pytest.raises(ValueError):
-            young_bound_check(f, CubeFunction.constant(4, 1.0), Norm.lp(2))
+            young_bound_check(f, constant_function(4, 1.0), Norm.lp(2))
 
 
 class TestRademacherProjection:
@@ -205,7 +202,7 @@ class TestRademacherProjection:
 class TestYoungBound:
     def test_constant_kernel(self):
         f = random_vector(6, 3, 9)
-        report = young_bound_check(f, CubeFunction.constant(6, 1.0), Norm.lp(math.inf))
+        report = young_bound_check(f, constant_function(6, 1.0), Norm.lp(math.inf))
         assert report.holds(1e-9)
         assert report.lhs == pytest.approx(
             float(np.abs(f.spectrum_matrix()[0]).max()), abs=1e-12
