@@ -58,7 +58,6 @@ from .pisier_bench import (  # noqa: E402
 from .report import BoundReport, BoundViolationError, ResourceLimitError  # noqa: E402
 from .vector_field import (  # noqa: E402
     Norm,
-    SandwichTransform,
     VectorFunction,
     rademacher_projection,
     sandwich_validate,
@@ -74,7 +73,6 @@ __all__ = [
     "PisierAudit",
     "ProxyKernel",
     "ResourceLimitError",
-    "SandwichTransform",
     "VectorFunction",
     "build_chebyshev_witness",
     "build_product_witness",

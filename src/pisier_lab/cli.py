@@ -24,8 +24,9 @@ from . import cube_fourier, linear_proxy, lower_bound, pisier_bench, vector_fiel
 from .cube_fourier import MAX_DIM
 from .linear_proxy import MAX_ELL
 from .lower_bound import MAX_RECORD_DIM, WITNESS_VARIANTS
-from .pisier_bench import AUDIT_CSV_FIELDS, GATE_SAMPLES, MAX_AUDIT_DIM
+from .pisier_bench import AUDIT_CSV_FIELDS, MAX_AUDIT_DIM
 from .report import BoundViolationError
+from .vector_field import GATE_SAMPLES
 
 _MOMENT_TOL = 1e-10
 
@@ -101,16 +102,8 @@ def _append_csv(path: str, fields: tuple, rows: list[tuple]) -> None:
         _write_rows(fh, fields if fresh else None, rows)
 
 
-def _norm_and_transform(name: str, p: float | None, m: int):
-    if name == "linf":
-        p_val = math.inf
-    elif name == "l1":
-        p_val = 1.0
-    elif name == "l2":
-        p_val = 2.0
-    else:
-        p_val = float(p)
-    return vector_field.Norm.lp(p_val), vector_field.SandwichTransform.for_lp(p_val, m)
+def _norm(name: str, p: float | None) -> vector_field.Norm:
+    return vector_field.Norm.lp({"linf": math.inf, "l1": 1.0, "l2": 2.0}.get(name, p))
 
 
 def random_vector_function(n: int, m: int, seed: int) -> vector_field.VectorFunction:
@@ -195,6 +188,9 @@ def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
     _require(m >= 1, f"--m must be positive, got {m}")
     _require((1 << n) * m <= 1 << MAX_DIM,
              f"--n {n} --m {m} asks for a 2^{n} x {m} table; 2^n * m is capped at 2^{MAX_DIM} doubles")
+    _require((GATE_SAMPLES + 2 * m) * m <= 1 << MAX_DIM,
+             f"--m {m} asks for a {GATE_SAMPLES + 2 * m} x {m} sandwich gate table; "
+             f"({GATE_SAMPLES} + 2m) * m is capped at 2^{MAX_DIM} doubles")
     if ell is not None:
         _require_ell(ell)
     _require(norm != "lp" or (p is not None and p >= 1), "--norm lp needs --p >= 1")
@@ -202,8 +198,7 @@ def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
     _require(p is None or norm == "lp", "--p applies only to --norm lp")
     _require(seed >= 0, "--seed must be nonnegative")
     f = random_vector_function(n, m, seed)
-    norm_obj, transform = _norm_and_transform(norm, p, m)
-    return pisier_bench.decomposition_audit(f, norm_obj, transform, ell=ell)
+    return pisier_bench.decomposition_audit(f, _norm(norm, p), ell=ell)
 
 
 def _audit_text(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> str:
@@ -215,10 +210,9 @@ def _audit_text(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> str:
     return _json_text(payload)
 
 
-def audit_report_json(n: int, m: int, norm: str, seed: int, ell: int | None = None,
-                      p: float | None = None) -> str:
-    """The audit subcommand's exact JSON text, shared with the test suite."""
-    config = {"n": n, "m": m, "ell": ell, "norm": norm, "p": p, "seed": seed}
+def audit_report_json(n: int, m: int, norm: str, seed: int) -> str:
+    """The audit subcommand's exact JSON text at the default ell, shared with the test suite."""
+    config = {"n": n, "m": m, "ell": None, "norm": norm, "p": None, "seed": seed}
     return _audit_text(run_audit(**config), config)
 
 
@@ -447,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit one seeded random instance end to end")
     p.add_argument("--n", type=int, required=True, help=f"cube dimension in 1..{MAX_AUDIT_DIM}")
     p.add_argument("--m", type=int, required=True,
-                   help=f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}")
+                   help=f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}, "
+                        f"the sandwich gate's ({GATE_SAMPLES} + 2m) x m table at ({GATE_SAMPLES} + 2m) * m "
+                        f"<= 2**{MAX_DIM}")
     p.add_argument("--ell", type=int, default=None,
                    help="override the proxy parameter (default: smallest odd > log2(m)/2)")
     p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])

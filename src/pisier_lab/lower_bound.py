@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _check_dim, _require_one_function,
-                           popcount, spectrum_sparsity, spectrum_support, subset_levels)
+from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _check_dim, _finite,
+                           _require_one_function, popcount, spectrum_sparsity, spectrum_support,
+                           subset_levels)
 from .report import BoundReport, BoundViolationError
 from .vector_field import (
     _SUP_CHUNK_DOUBLES,
@@ -257,8 +258,10 @@ def sparsity_inequality_check(f: CubeFunction, rescale: bool = False) -> BoundRe
     Record only: the two quantities and their ratio are reported, and no
     universal constant relating them is asserted.  The function must be
     bounded by 1 in sup norm; pass rescale=True to divide it down first.
+    A spectrum that overflowed to +-inf is rejected before anything is counted.
     """
     _require_one_function(f)
+    _finite(f.spectrum, "spectrum")
     sup = f.sup_norm()
     scale = 1.0
     checked = f

@@ -2,9 +2,9 @@
 
 The projection lin f is the convolution of f with the linear function L.
 Splitting through the proxy P gives lin f = f*P + f*(L-P); the first term is
-controlled by E|P| <= 8 ell, the second through a sandwich transform by the
-per-level deviation 8 ell / 2^ell, yielding the audited constant
-8 ell (1 + d / 2^ell) with d the transform's distortion.
+controlled by E|P| <= 8 ell, the second through the norm's Euclidean sandwich
+by the per-level deviation 8 ell / 2^ell, yielding the audited constant
+8 ell (1 + d / 2^ell) with d the sandwich's distortion.
 
 L and P are symmetric, so convolving with either scales each spectrum level:
 an audit runs two batched transforms, for f and f*P, and no more.
@@ -22,16 +22,15 @@ from .cube_fourier import _check_dim, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, BoundViolationError
 from .vector_field import (
+    _SANDWICH_TOL,
     MAX_SUP_FUNCTIONAL_DIM,
     Norm,
-    SandwichTransform,
     VectorFunction,
     rademacher_projection,
     sandwich_validate,
 )
 
 _AUDIT_TOL = 1e-9
-GATE_SAMPLES = 64  # random directions for the sandwich validation gate
 MAX_AUDIT_DIM = 16
 
 AUDIT_CSV_FIELDS = ("n", "m", "ell", "lhs", "rhs_raw", "ratio", "derived_constant", "slack")
@@ -77,22 +76,19 @@ def choose_ell(m: int) -> int:
     return k if k % 2 else k + 1
 
 
-def decomposition_audit(f: VectorFunction, norm: Norm, transform: SandwichTransform,
-                        ell: int | None = None) -> PisierAudit:
+def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -> PisierAudit:
     """Split lin f through the proxy and check every step's bound.
 
     Checks all four audited inequalities, then raises BoundViolationError
     naming each one that fails beyond the tolerance, with the first failure
-    as its report; rejects the transform up front if it does not validate
-    against the norm.
+    as its report; rejects the norm's sandwich on R^m up front if it does
+    not validate.
     """
     _check_dim(f.n, MAX_SUP_FUNCTIONAL_DIM if norm.kind == "sup_functional" else MAX_AUDIT_DIM)
-    if transform.m != f.m:
-        raise ValueError(f"transform is on R^{transform.m}, function maps into R^{f.m}")
-    gate = sandwich_validate(transform, norm, sample_count=GATE_SAMPLES)
-    if not gate.holds(gate.params["tol"]):
+    gate = sandwich_validate(norm, f.m)
+    if not gate.holds(_SANDWICH_TOL):
         raise ValueError(
-            f"sandwich transform rejected: worst slack {gate.slack:.3e} on the "
+            f"sandwich of {norm.name} rejected: worst slack {gate.slack:.3e} on the "
             f"{gate.params['worst_side']} side"
         )
     if ell is None:
@@ -110,7 +106,7 @@ def decomposition_audit(f: VectorFunction, norm: Norm, transform: SandwichTransf
     np.subtract(linear, split, out=split)
     term_remainder = norm.mean_square(split)
 
-    d = transform.distortion
+    _, d = norm.sandwich(f.m)
     derived = 8.0 * ell * (1.0 + d / 2.0**ell)
     audit = PisierAudit(
         n=f.n,

@@ -12,7 +12,6 @@ ranges over all of R^m and cannot be enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,14 +27,8 @@ MAX_SUP_FUNCTIONAL_DIM = 12
 # doubles per row block of the sup-functional scan and the instance check: 512 KB, cache-sized
 _SUP_CHUNK_DOUBLES = 1 << 16
 _YOUNG_TOL = 1e-9
-
-
-def _check_p(p: float) -> float:
-    """p as a float in [1, inf]: the one rule for lp norms and their transforms."""
-    p = float(p)
-    if not p >= 1.0:  # also rejects NaN
-        raise ValueError(f"lp norms need p >= 1, got {p}")
-    return p
+GATE_SAMPLES = 64  # random directions of the sandwich gate, besides the 2m signed basis vectors
+_SANDWICH_TOL = 1e-9
 
 
 class VectorFunction(CubeFunction):
@@ -68,24 +61,33 @@ class VectorFunction(CubeFunction):
 class Norm:
     """Norm on R^m: lp, or sup-functional over a subset family."""
 
-    def __init__(self, kind: str, *, p=None, n_dual=None, family=None, dim=None, name=None):
+    def __init__(self, kind: str, *, p=None, n_dual=None, family=None):
+        if kind == "lp":
+            p, n_dual, family = float(p), None, None
+            if not p >= 1.0:  # also rejects NaN
+                raise ValueError(f"lp norms need p >= 1, got {p}")
+        elif kind == "sup_functional":
+            _check_dim(n_dual)
+            family = np.asarray(family, dtype=np.int64)
+            if family.size == 0:
+                raise ValueError("subset family is empty")
+            if family.size > 1 and not np.all(family[1:] > family[:-1]):
+                # silent reordering would reinterpret coefficient vectors
+                raise ValueError("subset family must be strictly ascending by bitmask")
+            if family.min() < 0 or family.max() >= (1 << n_dual):
+                raise ValueError(f"subset family has masks out of range for n_dual={n_dual}")
+            family.flags.writeable = False
+            p, n_dual = None, int(n_dual)
+        else:
+            raise ValueError(f"unknown norm kind {kind!r}")
         self.kind = kind
         self.p = p
         self.n_dual = n_dual
         self.family = family
-        self.dim = dim
-        self._name = name
 
     @classmethod
     def lp(cls, p: float) -> "Norm":
-        p = _check_p(p)
-        if math.isinf(p):
-            name = "linf"
-        elif p == int(p):
-            name = f"l{int(p)}"
-        else:
-            name = f"lp({p:g})"
-        return cls("lp", p=p, name=name)
+        return cls("lp", p=p)
 
     @classmethod
     def sup_functional(cls, n_dual: int, family: Sequence[int]) -> "Norm":
@@ -94,27 +96,38 @@ class Norm:
         The family is held in ascending bitmask order so coefficient vectors
         mean the same thing across runs.
         """
-        _check_dim(n_dual)
-        fam = np.asarray(family, dtype=np.int64)
-        if fam.size == 0:
-            raise ValueError("subset family is empty")
-        if fam.size > 1 and not np.all(fam[1:] > fam[:-1]):
-            # silent reordering would reinterpret coefficient vectors
-            raise ValueError("subset family must be strictly ascending by bitmask")
-        if fam.min() < 0 or fam.max() >= (1 << n_dual):
-            raise ValueError(f"subset family has masks out of range for n_dual={n_dual}")
-        fam.flags.writeable = False
-        return cls(
-            "sup_functional",
-            n_dual=int(n_dual),
-            family=fam,
-            dim=int(fam.size),
-            name=f"sup_functional(n={n_dual},|family|={fam.size})",
-        )
+        return cls("sup_functional", n_dual=n_dual, family=family)
+
+    @property
+    def dim(self) -> int | None:
+        """m for a sup-functional norm, which lives on R^|family|; None for lp, which fits any m."""
+        return None if self.family is None else int(self.family.size)
 
     @property
     def name(self) -> str:
-        return self._name or self.kind
+        if self.kind == "sup_functional":
+            return f"sup_functional(n={self.n_dual},|family|={self.dim})"
+        if math.isinf(self.p):
+            return "linf"
+        return f"l{int(self.p)}" if self.p == int(self.p) else f"lp({self.p:g})"
+
+    def sandwich(self, m: int) -> tuple[float, float]:
+        """(s, d) with s ||x||_2 <= ||x|| <= d s ||x||_2 on R^m: the Euclidean sandwich of the audit.
+
+        lp: the sharp lp-vs-l2 constants.  Sup-functional, by Parseval on the
+        dual cube: ||v||_2 = ||g_v||_2 <= ||g_v||_inf <= ||v||_1 <= sqrt(m) ||v||_2,
+        so s = 1 and d = sqrt(m).
+        """
+        if self.kind == "sup_functional":
+            return 1.0, math.sqrt(m)
+        inv_p = 1.0 / self.p  # 0 at p = inf
+        if self.p >= 2.0:
+            scale = m ** (inv_p - 0.5)
+            distortion = m ** (0.5 - inv_p)
+        else:
+            scale = 1.0
+            distortion = m ** (inv_p - 0.5)
+        return scale, max(1.0, distortion)
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         """Norms of the rows of a (k, m) matrix."""
@@ -147,67 +160,21 @@ class Norm:
         return f"Norm({self.name})"
 
 
-@dataclass(frozen=True)
-class SandwichTransform:
-    """Invertible T with ||T x||_2 <= ||x|| <= d ||T x||_2 for the target norm."""
+def sandwich_validate(norm: Norm, m: int) -> BoundReport:
+    """Check the norm's sandwich on R^m on GATE_SAMPLES random unit directions plus signed basis vectors.
 
-    matrix: np.ndarray
-    distortion: float
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("transform matrix must be square")
-        cond = np.linalg.cond(matrix)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise ValueError("transform matrix must be invertible")
-        if self.distortion < 1.0:
-            raise ValueError("distortion must be at least 1")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "distortion", float(self.distortion))
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def for_lp(cls, p: float, m: int) -> "SandwichTransform":
-        """Diagonal transform with the sharp lp-vs-l2 comparison constants."""
-        p = _check_p(p)
-        inv_p = 1.0 / p  # 0 at p = inf
-        if p >= 2.0:
-            scale = m ** (inv_p - 0.5)
-            distortion = m ** (0.5 - inv_p)
-        else:
-            scale = 1.0
-            distortion = m ** (inv_p - 0.5)
-        return cls(matrix=scale * np.eye(m), distortion=max(1.0, distortion))
-
-
-def sandwich_validate(
-    transform: SandwichTransform,
-    norm: Norm,
-    sample_count: int = 64,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> BoundReport:
-    """Check the two-sided comparison on random unit directions plus signed basis vectors.
-
-    A violation beyond the tolerance makes the returned report fail; it does
+    A violation beyond _SANDWICH_TOL makes the returned report fail; it does
     not raise, so callers can surface the worst direction.
     """
-    m = transform.m
-    if norm.dim not in (None, m):
-        raise ValueError(f"norm is on R^{norm.dim}, transform on R^{m}")
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((max(0, int(sample_count)), m))
+    scale, distortion = norm.sandwich(m)
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((GATE_SAMPLES, m))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
     points = np.vstack([dirs, np.eye(m), -np.eye(m)])
-    euclid = np.linalg.norm(points @ transform.matrix.T, axis=1)
+    euclid = scale * np.linalg.norm(points, axis=1)
     target = norm.evaluate_rows(points)
     lower_slack = target - euclid
-    upper_slack = transform.distortion * euclid - target
+    upper_slack = distortion * euclid - target
     slack = float(min(lower_slack.min(), upper_slack.min()))
     if lower_slack.min() <= upper_slack.min():
         worst = int(np.argmin(lower_slack))
@@ -215,22 +182,14 @@ def sandwich_validate(
         side = "lower"
     else:
         worst = int(np.argmin(upper_slack))
-        lhs, rhs = float(target[worst]), float(transform.distortion * euclid[worst])
+        lhs, rhs = float(target[worst]), float(distortion * euclid[worst])
         side = "upper"
     return BoundReport(
         claim="sandwich-two-sided-comparison",
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        params={
-            "m": m,
-            "distortion": float(transform.distortion),
-            "norm": norm.name,
-            "sample_count": int(sample_count),
-            "seed": int(seed),
-            "tol": tol,
-            "worst_side": side,
-        },
+        params={"m": m, "distortion": distortion, "norm": norm.name, "worst_side": side},
     )
 
 

@@ -16,6 +16,7 @@ from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
 from pisier_lab.pisier_bench import MAX_AUDIT_DIM
 from pisier_lab.report import BoundViolationError
+from pisier_lab.vector_field import GATE_SAMPLES
 
 from oracles import constant_function
 
@@ -105,6 +106,18 @@ class TestAudit:
         with pytest.raises(SystemExit):
             run_main(["audit", "--help"])
         assert f"2**n * m <= 2**{MAX_DIM}" in " ".join(capsys.readouterr().out.split())
+
+    def test_gate_table_cap(self, capsys, tmp_path):
+        """The sandwich gate's (GATE_SAMPLES + 2m) x m table is capped like the value table: m <= 2880."""
+        assert (GATE_SAMPLES + 2 * 2880) * 2880 <= 1 << MAX_DIM < (GATE_SAMPLES + 2 * 2881) * 2881
+        assert run_main(["audit", "--n", "1", "--m", "2880", "--out", str(tmp_path / "a.json")]) == 0
+        for m in (2881, 4096, 1 << 22):
+            assert run_main(["audit", "--n", "1", "--m", str(m)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: --m {m} asks for a {GATE_SAMPLES + 2 * m} x {m} sandwich gate table; "
+                f"({GATE_SAMPLES} + 2m) * m is capped at 2^{MAX_DIM} doubles\n")
 
     @pytest.mark.parametrize("norm", ["lp", "linf", "l2"])
     @pytest.mark.parametrize("p", ["3", "inf", "-inf", "nan"])
@@ -233,6 +246,18 @@ def test_non_finite_input_is_a_usage_error(capsys, tmp_path, command, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: value table holds non-finite values: {bad}\n"
+
+
+@pytest.mark.parametrize("command", ["sparsity", "fourier"])
+def test_overflowing_spectrum_is_a_usage_error(capsys, tmp_path, command):
+    """A finite table whose spectrum overflows to +-inf: exit 2 with one message for both commands."""
+    path = tmp_path / "huge.bin"
+    write_binary(CubeFunction.from_values(2, np.array([1e308, 1e308, 1e308, -1e308])), path)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run_main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spectrum holds non-finite values: -inf, inf\n"
 
 
 CAPPED_FLAGS = [

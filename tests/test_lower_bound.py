@@ -12,7 +12,6 @@ from pisier_lab import (
     Norm,
     ProxyKernel,
     ResourceLimitError,
-    SandwichTransform,
     VectorFunction,
     build_chebyshev_witness,
     build_product_witness,
@@ -57,7 +56,7 @@ def zero_audit(n, norm):
     """Audit a zero function whose n is set past its constructor's check, so the audit's own check runs."""
     f = VectorFunction.from_spectrum_matrix(1, np.zeros((2, 1)))
     f.n = n
-    return decomposition_audit(f, norm, SandwichTransform(matrix=np.eye(1), distortion=1.0))
+    return decomposition_audit(f, norm)
 
 
 # every library entry point with a capped dimension, as a function of n, and its cap

@@ -11,7 +11,6 @@ from pisier_lab import (
     CubeFunction,
     Norm,
     ProxyKernel,
-    SandwichTransform,
     VectorFunction,
     choose_ell,
     convolve,
@@ -112,17 +111,15 @@ class TestPisierRatio:
             decomposition_audit(
                 VectorFunction.from_spectrum_matrix(13, np.zeros((1 << 13, 1))),
                 Norm.sup_functional(13, [0]),
-                SandwichTransform(matrix=np.eye(1), distortion=1.0),
             )
         f = random_vector(4, 2, 0)
-        assert decomposition_audit(f, Norm.lp(1), SandwichTransform.for_lp(1.0, 2)).rhs_raw > 0
+        assert decomposition_audit(f, Norm.lp(1)).rhs_raw > 0
 
 
 class TestDecompositionAudit:
     def test_random_instance_all_bounds_hold(self):
         f = random_vector(8, 4, 7)
-        transform = SandwichTransform.for_lp(math.inf, 4)
-        audit = decomposition_audit(f, Norm.lp(math.inf), transform)
+        audit = decomposition_audit(f, Norm.lp(math.inf))
         assert audit.ell == 3
         assert audit.lhs <= audit.term_proxy + audit.term_remainder + 1e-9
         assert audit.lhs <= audit.derived_constant * audit.rhs_raw + 1e-9
@@ -130,9 +127,8 @@ class TestDecompositionAudit:
 
     def test_euclidean_remainder_chain(self):
         f = random_vector(8, 4, 8)
-        transform = SandwichTransform.for_lp(2.0, 4)
-        audit = decomposition_audit(f, Norm.lp(2), transform)
-        assert transform.distortion == 1.0
+        audit = decomposition_audit(f, Norm.lp(2))
+        assert audit.distortion == 1.0
         assert audit.term_remainder <= (8 * audit.ell / 2**audit.ell) * audit.rhs_raw + 1e-9
 
     def test_mid_levels_vanish(self):
@@ -143,17 +139,16 @@ class TestDecompositionAudit:
         spectra = rng.standard_normal((1 << n, 2))
         spectra[~((levels >= 2) & (levels <= ell))] = 0.0
         f = VectorFunction.from_spectrum_matrix(n, spectra)
-        transform = SandwichTransform.for_lp(math.inf, 2)
-        audit = decomposition_audit(f, Norm.lp(math.inf), transform, ell=ell)
+        audit = decomposition_audit(f, Norm.lp(math.inf), ell=ell)
         assert audit.lhs == 0.0
         assert audit.term_proxy < 1e-10
 
     def test_remainder_parseval_step(self):
-        """E||T(f)*(L-P)||_2^2 equals the coefficient-space sum."""
+        """E||s f*(L-P)||_2^2 equals the coefficient-space sum, s the linf sandwich's scale."""
         n, m, ell = 8, 4, 3
         f = random_vector(n, m, 10)
-        transform = SandwichTransform.for_lp(math.inf, m)
-        tf = VectorFunction.from_spectrum_matrix(n, f.spectrum_matrix() @ transform.matrix.T)
+        scale, _ = Norm.lp(math.inf).sandwich(m)
+        tf = VectorFunction.from_spectrum_matrix(n, scale * f.spectrum_matrix())
         gap = linear_function(n) - proxy_as_cube_function(ProxyKernel(ell), n)
         levels = np.zeros(n + 1)
         levels[1] = 1.0
@@ -163,21 +158,22 @@ class TestDecompositionAudit:
         rhs = float(np.sum((tf.spectrum_matrix() ** 2) * (gap.spectrum[:, None] ** 2)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_rejects_invalid_transform(self):
+    def test_rejects_invalid_sandwich(self, monkeypatch):
+        """A sandwich with d = 1 cannot hold for linf on R^4: the gate rejects it before the split."""
         f = random_vector(6, 4, 11)
-        bad = SandwichTransform(matrix=np.eye(4), distortion=1.0)
-        with pytest.raises(ValueError, match="rejected"):
-            decomposition_audit(f, Norm.lp(math.inf), bad)
+        monkeypatch.setattr(Norm, "sandwich", lambda self, m: (1.0, 1.0))
+        with pytest.raises(ValueError, match="sandwich of linf rejected: .* on the lower side"):
+            decomposition_audit(f, Norm.lp(math.inf))
 
-    def test_rejects_mismatched_transform(self):
+    def test_rejects_norm_of_another_size(self):
+        """A sup-functional norm lives on R^|family|; a function into R^4 is not measured by one on R^3."""
         f = random_vector(6, 4, 12)
-        with pytest.raises(ValueError):
-            decomposition_audit(f, Norm.lp(2), SandwichTransform.for_lp(2.0, 3))
+        with pytest.raises(ValueError, match=r"norm is on R\^3, got vectors in R\^4"):
+            decomposition_audit(f, Norm.sup_functional(3, [1, 2, 4]))
 
     def test_forced_ell_changes_constant(self):
         f = random_vector(8, 4, 13)
-        transform = SandwichTransform.for_lp(1.0, 4)
-        audit5 = decomposition_audit(f, Norm.lp(1), transform, ell=5)
+        audit5 = decomposition_audit(f, Norm.lp(1), ell=5)
         assert audit5.ell == 5
         assert audit5.derived_constant == pytest.approx(40 * (1 + 2 / 32))
 
@@ -186,7 +182,7 @@ class TestDecompositionAudit:
     def test_derived_bound_over_random_grid(self, norm_name, seed):
         p = {"linf": math.inf, "l1": 1.0, "l2": 2.0}[norm_name]
         f = random_vector(7, 5, 500 + seed)
-        audit = decomposition_audit(f, Norm.lp(p), SandwichTransform.for_lp(p, 5))
+        audit = decomposition_audit(f, Norm.lp(p))
         assert audit.lhs <= audit.derived_constant * audit.rhs_raw + 1e-9
 
     @pytest.mark.parametrize("norm_name", ["linf", "l1", "l2"])
@@ -201,7 +197,7 @@ class TestDecompositionAudit:
         p = {"linf": math.inf, "l1": 1.0, "l2": 2.0}[norm_name]
         m = 5
         f = random_vector(n, m, 600 + n)
-        audit = decomposition_audit(f, Norm.lp(p), SandwichTransform.for_lp(p, m))
+        audit = decomposition_audit(f, Norm.lp(p))
         oracle = oracle_terms(f, Norm.lp(p), audit.ell)
         noise = 1e-12 * oracle["rhs_raw"]
         for name, want in oracle.items():
@@ -222,18 +218,18 @@ class TestDecompositionAudit:
 
         f = random_vector(8, 4, 15)
         monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
-        decomposition_audit(f, Norm.lp(math.inf), SandwichTransform.for_lp(math.inf, 4))
+        decomposition_audit(f, Norm.lp(math.inf))
         assert calls == [(256, 4), (256, 4)]
 
     def test_every_failed_claim_is_reported(self, monkeypatch):
         """All four inequalities are checked; the message names each failure, the report the first."""
         f = random_vector(6, 4, 16)
-        norm, transform = Norm.lp(2), SandwichTransform.for_lp(2.0, 4)
-        audit = decomposition_audit(f, norm, transform)
+        norm = Norm.lp(2)
+        audit = decomposition_audit(f, norm)
         tol = -1e9
         monkeypatch.setattr(pisier_bench, "_AUDIT_TOL", tol)
         with pytest.raises(BoundViolationError) as caught:
-            decomposition_audit(f, norm, transform)
+            decomposition_audit(f, norm)
         ell, d = audit.ell, audit.distortion
         claims = [
             ("proxy-term-bound", audit.term_proxy, 8.0 * ell * audit.rhs_raw),
@@ -248,7 +244,7 @@ class TestDecompositionAudit:
 
     def test_records_serialize_their_fields(self):
         f = random_vector(5, 3, 17)
-        audit = decomposition_audit(f, Norm.lp(1), SandwichTransform.for_lp(1.0, 3))
+        audit = decomposition_audit(f, Norm.lp(1))
         payload = audit.to_dict()
         assert set(payload) == {field.name for field in dataclasses.fields(audit)} | {"ratio", "slack"}
         assert (payload["ratio"], payload["slack"]) == (audit.ratio, audit.slack)
@@ -258,6 +254,20 @@ class TestDecompositionAudit:
         import json
 
         f = random_vector(6, 2, 14)
-        audit = decomposition_audit(f, Norm.lp(2), SandwichTransform.for_lp(2.0, 2))
+        audit = decomposition_audit(f, Norm.lp(2))
         payload = json.dumps(audit.to_dict(), sort_keys=True)
         assert json.loads(payload)["ell"] == audit.ell
+
+
+class TestLowerBoundInstanceAudit:
+    """The witness instance audited through the sup-functional sandwich s = 1, d = sqrt(|family|)."""
+
+    @pytest.mark.parametrize(("n", "variant"), [(6, "truncated"), (9, "truncated"), (9, "chebyshev")])
+    def test_all_four_claims_hold_at_the_instance_ratio(self, n, variant):
+        instance = lower_bound_instance(n, variant)
+        audit = decomposition_audit(instance.vector, instance.norm)
+        m = len(instance.family)
+        assert (audit.m, audit.distortion) == (m, math.sqrt(m))
+        assert audit.derived_constant == 8.0 * audit.ell * (1.0 + math.sqrt(m) / 2.0**audit.ell)
+        assert audit.ratio == pytest.approx(instance.ratio, rel=1e-12)
+        assert audit.ratio > 1.0

@@ -66,8 +66,8 @@ def test_each_limit_has_one_home():
 
 PUBLIC_NAMES = [
     "BoundReport", "BoundViolationError", "CubeFunction", "LowerBoundInstance",
-    "Norm", "PisierAudit", "ProxyKernel", "ResourceLimitError", "SandwichTransform",
-    "VectorFunction", "build_chebyshev_witness", "build_product_witness",
+    "Norm", "PisierAudit", "ProxyKernel", "ResourceLimitError", "VectorFunction",
+    "build_chebyshev_witness", "build_product_witness",
     "build_truncated_witness", "character_values", "choose_ell", "convolve",
     "decomposition_audit", "deviation_bound", "from_bytes", "fwht",
     "inverse_fwht", "kernel_l1", "kernel_moment", "level_multiply", "lower_bound_instance",
@@ -80,10 +80,51 @@ PUBLIC_NAMES = [
 
 def test_public_surface():
     """The package exports what the CLI and the checks of the paper's claims use, and no more."""
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(pisier_lab.__all__) == PUBLIC_NAMES
     missing = [name for name in PUBLIC_NAMES if not hasattr(pisier_lab, name)]
     assert missing == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+# where a default may be overridden: the package, the acceptance suite and the benchmark
+KNOB_CALLERS = SOURCES + [REPO / "tests" / "test_acceptance.py"] + sorted((REPO / "perfbench").glob("*.py"))
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position or None if keyword-only) of each parameter that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    found = [(arg.arg, i) for i, arg in enumerate(positional) if i >= len(positional) - len(fn.args.defaults)]
+    return found + [(arg.arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if default is not None]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call sets the parameter, by keyword, by position, or through * or ** unpacking."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def test_every_default_is_overridden_somewhere():
+    """No knob that no caller turns: each defaulted parameter of a public function is passed by some call."""
+    calls = {}
+    for path in KNOB_CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unturned = [
+        f"{path.stem}.{fn.name}({name})"
+        for path in SOURCES
+        for fn in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        for name, position in _defaulted_parameters(fn)
+        if not any(_passes(call, name, position) for call in calls.get(fn.name, []))
+    ]
+    assert unturned == []
 
 
 # Functions no CLI subcommand reaches, each with the reason it stays.

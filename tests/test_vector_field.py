@@ -1,4 +1,4 @@
-"""Vector tables, the norm suite, level-operator convolution, and sandwich-transform checks."""
+"""Vector tables, the norm suite, level-operator convolution, and the norms' Euclidean sandwiches."""
 
 import math
 
@@ -11,7 +11,6 @@ from pisier_lab import (
     Norm,
     ProxyKernel,
     ResourceLimitError,
-    SandwichTransform,
     VectorFunction,
     convolve,
     fwht,
@@ -22,6 +21,7 @@ from pisier_lab import (
     young_bound_check,
 )
 from pisier_lab.lower_bound import build_truncated_witness
+from pisier_lab.vector_field import _SANDWICH_TOL, GATE_SAMPLES
 
 from oracles import constant_function, linear_function, proxy_as_cube_function
 
@@ -275,52 +275,88 @@ class TestSupFunctionalNorm:
         with pytest.raises(ValueError, match="ascending"):
             Norm.sup_functional(3, [2, 1])
 
+    def test_constructor_derives_name_and_dim(self):
+        """The kind and its parameters make the norm; a parameter of the other kind is dropped."""
+        norm = Norm("sup_functional", n_dual=3, family=[1, 2, 4], p=2.0)
+        assert (norm.name, norm.dim, norm.p) == ("sup_functional(n=3,|family|=3)", 3, None)
+        norm = Norm("lp", p=3, n_dual=3, family=[1])
+        assert (norm.name, norm.dim, norm.family) == ("l3", None, None)
+        assert [Norm.lp(p).name for p in (1, 2.0, 1.5, math.inf)] == ["l1", "l2", "lp(1.5)", "linf"]
+        with pytest.raises(ValueError, match="unknown norm kind 'l2'"):
+            Norm("l2")
+
 
 @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -math.inf, math.nan])
 def test_lp_needs_p_at_least_one(p):
-    """One rule for lp norms and their transforms: -inf would name min |v_i| linf, NaN no norm."""
+    """One rule for lp norms, and so for their sandwich: -inf would name min |v_i| linf, NaN no norm."""
     with pytest.raises(ValueError, match="lp norms need p >= 1"):
         Norm.lp(p)
     with pytest.raises(ValueError, match="lp norms need p >= 1"):
-        SandwichTransform.for_lp(p, 3)
+        Norm("lp", p=p)
+
+
+SANDWICH_NORMS = {
+    "linf": Norm.lp(math.inf),
+    "l1": Norm.lp(1),
+    "l2": Norm.lp(2),
+    "lp(1.5)": Norm.lp(1.5),
+    "l3": Norm.lp(3),
+    "l7": Norm.lp(7),
+    "sup_functional(n=4,|family|=7)": Norm.sup_functional(4, [1, 2, 3, 4, 7, 8, 11]),
+}
 
 
 class TestSandwich:
-    def test_linf_analytic_transform(self):
-        """x: ||x||_2 / sqrt(m) <= ||x||_inf <= ||x||_2."""
-        transform = SandwichTransform.for_lp(math.inf, 4)
-        report = sandwich_validate(transform, Norm.lp(math.inf), sample_count=128, seed=1)
-        assert report.holds(report.params["tol"])
+    @pytest.mark.parametrize("name", SANDWICH_NORMS)
+    def test_gate_passes(self, name):
+        norm = SANDWICH_NORMS[name]
+        report = sandwich_validate(norm, norm.dim or 6)
+        assert report.holds(_SANDWICH_TOL)
+        assert report.params["norm"] == name == norm.name
 
-    def test_l1_analytic_transform(self):
-        transform = SandwichTransform.for_lp(1.0, 5)
-        assert transform.distortion == pytest.approx(math.sqrt(5))
-        report = sandwich_validate(transform, Norm.lp(1), sample_count=128, seed=2)
-        assert report.holds(report.params["tol"])
+    @pytest.mark.parametrize("name", SANDWICH_NORMS)
+    def test_holds_on_many_directions(self, name):
+        """s ||x||_2 <= ||x|| <= d s ||x||_2 on 1,000 Gaussian vectors and the all-ones vector."""
+        norm = SANDWICH_NORMS[name]
+        m = norm.dim or 6
+        scale, distortion = norm.sandwich(m)
+        rng = np.random.default_rng(6)
+        x = np.vstack([rng.standard_normal((1000, m)), np.ones(m)])
+        euclid = scale * np.linalg.norm(x, axis=1)
+        target = norm.evaluate_rows(x)
+        assert np.all(euclid <= target * (1 + 1e-12))
+        assert np.all(target <= distortion * euclid * (1 + 1e-12))
+
+    def test_linf_analytic_constants(self):
+        """x: ||x||_2 / sqrt(m) <= ||x||_inf <= ||x||_2."""
+        assert Norm.lp(math.inf).sandwich(4) == (0.5, 2.0)
+
+    def test_l1_analytic_constants(self):
+        scale, distortion = Norm.lp(1).sandwich(5)
+        assert scale == 1.0
+        assert distortion == pytest.approx(math.sqrt(5))
+
+    def test_sup_functional_parseval_constants(self):
+        """||v||_2 = ||g_v||_2 <= ||g_v||_inf <= ||v||_1 <= sqrt(m) ||v||_2."""
+        assert Norm.sup_functional(5, range(1, 17)).sandwich(16) == (1.0, 4.0)
 
     def test_l2_identity_zero_slack(self):
-        transform = SandwichTransform.for_lp(2.0, 3)
-        report = sandwich_validate(transform, Norm.lp(2), sample_count=64, seed=3)
+        report = sandwich_validate(Norm.lp(2), 3)
         assert report.slack == 0.0
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
-    def test_general_lp_transforms(self, p):
-        transform = SandwichTransform.for_lp(p, 6)
-        report = sandwich_validate(transform, Norm.lp(p), sample_count=256, seed=4)
-        assert report.holds(report.params["tol"])
-
-    def test_violation_reports_instead_of_raising(self):
-        # identity with d=1 cannot sandwich the sup norm: report fails, no crash
-        bad = SandwichTransform(matrix=np.eye(4), distortion=1.0)
-        report = sandwich_validate(bad, Norm.lp(math.inf), sample_count=64, seed=5)
-        assert not report.holds(report.params["tol"])
+    def test_violation_reports_instead_of_raising(self, monkeypatch):
+        # d = 1 at scale 1 cannot sandwich the sup norm: report fails, no crash
+        monkeypatch.setattr(Norm, "sandwich", lambda self, m: (1.0, 1.0))
+        report = sandwich_validate(Norm.lp(math.inf), 4)
+        assert not report.holds(_SANDWICH_TOL)
         assert report.params["worst_side"] == "lower"
 
-    def test_rejects_singular_matrix(self):
-        with pytest.raises(ValueError):
-            SandwichTransform(matrix=np.zeros((3, 3)), distortion=2.0)
-
-    def test_rejects_distortion_below_one(self):
-        with pytest.raises(ValueError):
-            SandwichTransform(matrix=np.eye(2), distortion=0.5)
+    def test_gate_table_size(self):
+        """GATE_SAMPLES random directions and 2m signed basis vectors: one (GATE_SAMPLES + 2m, m) table."""
+        rows = []
+        norm = Norm.lp(2)
+        original = norm.evaluate_rows
+        norm.evaluate_rows = lambda points: rows.append(points.shape) or original(points)
+        sandwich_validate(norm, 5)
+        assert rows == [(GATE_SAMPLES + 10, 5)]
 
