@@ -8,9 +8,12 @@ explicit bounded witnesses that force the projection to blow up.
 
 import os as _os
 
-# Thread cap must land in the environment before numpy loads its BLAS pools.
+# Thread cap must land in the environment before numpy loads its BLAS pools; it also
+# caps the butterfly's threads (cube_fourier._WORKERS).
 _threads = _os.environ.get("PISIER_LAB_THREADS")
 if _threads:
+    if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
+        raise ValueError(f"PISIER_LAB_THREADS must be a positive integer, got {_threads!r}")
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)

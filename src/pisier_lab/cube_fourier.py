@@ -14,6 +14,8 @@ so that values[x] = sum_S spectrum[S] chi_S(x) with no extra scaling.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,12 @@ MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
 # Doubles per butterfly block: 512 KB, so a block and its scratch partner fit a 2 MiB L2.
 _BLOCK_DOUBLES = 1 << 16
+
+# Threads per butterfly phase, at most: the CPUs this process may run on, capped by
+# PISIER_LAB_THREADS (validated when the package loads).  A phase never uses more
+# threads than it has blocks.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = min(_CPUS, int(os.environ.get("PISIER_LAB_THREADS") or _CPUS))
 
 _HEADER = np.dtype("<u4")  # each binary record opens with n as a u32 little-endian
 
@@ -53,27 +61,66 @@ def _walsh_butterfly(a) -> np.ndarray:
     # table.  A larger one is blocked so that every pass runs in cache (the locality
     # idea of the FFHT, Andoni et al., NeurIPS 2015): with c the most rows that fit a
     # block, phase 1 runs strides 1 .. c/2 inside each contiguous run of c rows, and
-    # phase 2 strides c .. size/2 over column strips of the (size/c, c*width) view, each
-    # block transformed in one of two scratch blocks and copied back.  Every entry sees
-    # the same additions with the strides in ascending order, so the result is
-    # bit-identical to unblocked passes; peak memory is one table plus two blocks.
-    table = np.array(a, dtype=np.float64, order="C")
-    size = table.shape[0] if table.ndim else 0
+    # phase 2 strides c .. size/2 over column strips of the (size/c, c*width) view.
+    # Each block is copied into scratch, transformed there and copied out; phase 1 (or
+    # phase 2 when c == 1) reads the input itself, so the input is neither copied
+    # (unless it is not C-contiguous float64) nor written.  The blocks of a phase are
+    # independent and are dealt to up to _WORKERS threads.  Every entry sees the same
+    # additions with the strides in ascending order, so the result is bit-identical to
+    # unblocked passes at any thread count; peak memory is one table plus two blocks
+    # per worker.
+    a = np.asarray(a, dtype=np.float64)
+    size = a.shape[0] if a.ndim else 0
     _check_power_of_two(size, "a Walsh transform")
-    if table.size <= _BLOCK_DOUBLES:
+    if a.size <= _BLOCK_DOUBLES:
+        table = np.array(a, order="C")
         return _radix2_passes(table, np.empty_like(table))
-    width = table.size // size
+    src = np.ascontiguousarray(a)
+    out = np.empty_like(src)
+    width = src.size // size
     c = min(size, 1 << max(0, (_BLOCK_DOUBLES // width).bit_length() - 1))
-    rows = table.reshape(size // c, c * width)
-    strip = max(1, _BLOCK_DOUBLES // rows.shape[0])
-    blocks = [*table.reshape(size // c, c, width)] if c > 1 else []
-    blocks += [rows[:, j : j + strip] for j in range(0, rows.shape[1], strip)]
-    scratch = np.empty((2, max(block.size for block in blocks)))
-    for block in blocks:
-        src, dst = (s[: block.size].reshape(block.shape) for s in scratch)
-        np.copyto(src, block)
-        np.copyto(block, _radix2_passes(src, dst))
-    return table
+    if c > 1:
+        _run_phase([*zip(src.reshape(size // c, c, width), out.reshape(size // c, c, width))])
+    rows_in = (out if c > 1 else src).reshape(size // c, c * width)
+    rows_out = out.reshape(rows_in.shape)
+    strip = max(1, _BLOCK_DOUBLES // rows_in.shape[0])
+    _run_phase([(rows_in[:, j : j + strip], rows_out[:, j : j + strip])
+                for j in range(0, rows_in.shape[1], strip)])
+    return out
+
+
+def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Transform each (source, destination) block pair, the pairs dealt round-robin to the workers.
+
+    The calling thread runs share 0; every thread is joined before this returns or
+    raises, and the first error a share met is raised here.
+    """
+    workers = min(_WORKERS, len(blocks))
+    errors: list[Exception] = []
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=_run_share, args=(blocks[k::workers], errors))
+            thread.start()
+            threads.append(thread)
+        _run_share(blocks[::workers], errors)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _run_share(blocks: list[tuple[np.ndarray, np.ndarray]], errors: list[Exception]) -> None:
+    """One worker's blocks through its own two scratch blocks; an error is recorded for _run_phase to raise."""
+    try:
+        scratch = np.empty((2, max(src.size for src, _ in blocks)))
+        for src, dst in blocks:
+            a, b = (s[: src.size].reshape(src.shape) for s in scratch)
+            np.copyto(a, src)
+            np.copyto(dst, _radix2_passes(a, b))
+    except Exception as exc:  # a worker thread cannot raise to the caller; _run_phase re-raises it
+        errors.append(exc)
 
 
 def _radix2_passes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -415,6 +415,38 @@ class TestConsoleScript:
         )
         assert proc.stdout.strip() == "2"
 
+    @pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5", " 2"])
+    def test_thread_cap_must_be_a_positive_integer(self, value):
+        import os
+
+        env = dict(os.environ, PISIER_LAB_THREADS=value)
+        proc = subprocess.run([sys.executable, "-c", "import pisier_lab"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"ValueError: PISIER_LAB_THREADS must be a positive integer, got {value!r}")
+
+    def test_output_is_byte_identical_at_every_thread_count(self, tmp_path):
+        """Tables above one butterfly block run on one thread or two, and print the same bytes."""
+        import os
+
+        table = tmp_path / "table.bin"
+        write_binary(CubeFunction.from_values(18, np.random.default_rng(18).standard_normal(1 << 18)), table)
+        runs = [
+            ["audit", "--n", "14", "--m", "32"],
+            ["lower-bound", "--n", "12", "--variant", "truncated"],
+            ["fourier", "--input", str(table)],
+        ]
+        for argv in runs:
+            outputs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, PISIER_LAB_THREADS=threads)
+                for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+                    env.pop(var, None)
+                proc = subprocess.run([sys.executable, "-m", "pisier_lab.cli", *argv], capture_output=True, env=env)
+                assert proc.returncode == 0, (argv, proc.stderr)
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1], argv
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pisier_lab.cli", "audit", "--n", "99", "--m", "4"],

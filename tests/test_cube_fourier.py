@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -300,24 +303,83 @@ class TestBlockedButterfly:
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("block", [1 << 3, 1 << 4, 1 << 5, 1 << 6])
     def test_matches_unblocked_passes_with_small_blocks(self, monkeypatch, block, n):
-        """Tiny blocks put runs, strips and batches wider than a block through every n."""
+        """Tiny blocks put runs, strips and batches wider than a block through every n, on 1, 2 and 3 workers."""
         monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
         rng = np.random.default_rng(100 * n + block)
         for shape in [(1 << n,), (1 << n, 3), (1 << n, 5), (1 << n, 64), (1 << n, 2, 3)]:
-            assert_matches_unblocked(rng.standard_normal(shape))
+            table = rng.standard_normal(shape)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+                assert_matches_unblocked(table)
 
-    def test_peak_memory_is_one_table_plus_two_blocks(self):
-        """The scratch is two blocks, not a second table; the slack covers numpy's ufunc
-        iterator buffers (three operands of np.getbufsize() doubles) and object headers."""
-        table = np.random.default_rng(7).standard_normal((1 << 15, 8))
-        tracemalloc.start()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transposed_and_read_only_inputs(self, monkeypatch, workers):
+        """The blocked path reads a strided view through one C-order copy, and a read-only table in place."""
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        rng = np.random.default_rng(11)
+        transposed = rng.standard_normal((40, 1 << 12)).T
+        assert not transposed.flags.c_contiguous
+        assert_matches_unblocked(transposed)
+        read_only = rng.standard_normal((1 << 14, 8))
+        read_only.flags.writeable = False
+        assert_matches_unblocked(read_only)
+
+    @pytest.mark.parametrize("transform", [fwht, inverse_fwht])
+    def test_transforms_leave_a_writable_input_alone(self, transform):
+        """Phase 1 reads the input itself, and fwht scales its output in place: neither may touch the input."""
+        table = np.random.default_rng(12).standard_normal((1 << 16, 3))
+        before = table.copy()
+        out = transform(table)
+        assert np.array_equal(table, before)
+        assert not np.shares_memory(out, table)
+
+    def test_many_threads_switching_often_stay_bit_identical(self, monkeypatch):
+        """More workers than cores, the interpreter switching threads every few microseconds."""
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 5)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            fwht(table)
-            _, peak = tracemalloc.get_traced_memory()
+            rng = np.random.default_rng(13)
+            for shape in [(1 << 12,), (1 << 10, 5), (1 << 9, 64)]:
+                assert_matches_unblocked(rng.standard_normal(shape))
         finally:
-            tracemalloc.stop()
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["calling thread", "worker thread"])
+    def test_a_failing_share_raises_after_every_thread_joins(self, monkeypatch, failing):
+        """The error of one share reaches the caller, and no worker thread outlives the transform."""
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 4)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", 2)
+        passes, caller = cube_fourier._radix2_passes, threading.current_thread()
+
+        def fail_in_one_share(src, dst):
+            if (threading.current_thread() is caller) == (failing == "calling thread"):
+                raise RuntimeError(f"block failed in the {failing}")
+            time.sleep(1e-3)  # the other share is still running when the failure happens
+            return passes(src, dst)
+
+        monkeypatch.setattr(cube_fourier, "_radix2_passes", fail_in_one_share)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block failed in the {failing}"):
+            cube_fourier._walsh_butterfly(np.ones((1 << 8, 3)))
+        assert threading.active_count() == before
+
+    def test_peak_memory_is_one_table_plus_two_blocks(self, monkeypatch):
+        """The scratch is two blocks per worker, not a second table; the slack covers numpy's
+        ufunc iterator buffers (three operands of np.getbufsize() doubles) and object headers,
+        which every worker allocates for itself while the others run."""
+        table = np.random.default_rng(7).standard_normal((1 << 15, 8))
         slack = 4 * np.getbufsize() * 8
-        assert peak <= table.nbytes + 2 * cube_fourier._BLOCK_DOUBLES * 8 + slack
+        for workers in (1, 2):
+            monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                fwht(table)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= table.nbytes + workers * (2 * cube_fourier._BLOCK_DOUBLES * 8 + slack), workers
 
 
 class TestSparsity:

@@ -163,6 +163,8 @@ def _run_every_subcommand(tmp_path) -> None:
     """Each subcommand once, sweep once per kind; the fourier input is written by the library's writer."""
     table = tmp_path / "table.bin"
     write_binary(CubeFunction.from_values(4, np.arange(16.0)), table)
+    blocked = tmp_path / "blocked.bin"  # above one butterfly block, so its phases run from this thread too
+    write_binary(CubeFunction.from_values(17, np.arange(2.0**17)), blocked)
     runs = [
         ["proxy-check", "--ell", "3", "--n", "8"],
         ["audit", "--n", "4", "--m", "3", "--ell", "3", "--norm", "lp", "--p", "3",
@@ -174,6 +176,7 @@ def _run_every_subcommand(tmp_path) -> None:
         ["sweep", "--kind", "lower-bound", "--n", "4", "--variants", "truncated"],
         ["sweep", "--kind", "audit", "--n", "3", "--m", "2", "--seeds", "0:2"],
         ["fourier", "--input", str(table), "--out", str(tmp_path / "spectrum.json")],
+        ["fourier", "--input", str(blocked), "--out", str(tmp_path / "blocked.json")],
     ]
     for argv in runs:
         assert cli.main(argv) == 0, argv
