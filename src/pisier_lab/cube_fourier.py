@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import threading
 from pathlib import Path
 
@@ -54,45 +55,52 @@ def subset_levels(n: int) -> np.ndarray:
     return popcount(np.arange(1 << n, dtype=np.uint32))
 
 
-def _walsh_butterfly(a) -> np.ndarray:
+def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
     # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
-    # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x).  A table of at most
-    # _BLOCK_DOUBLES doubles ping-pongs between a fresh C-order copy and one scratch
-    # table.  A larger one is blocked so that every pass runs in cache (the locality
-    # idea of the FFHT, Andoni et al., NeurIPS 2015): with c the most rows that fit a
-    # block, phase 1 runs strides 1 .. c/2 inside each contiguous run of c rows, and
-    # phase 2 strides c .. size/2 over column strips of the (size/c, c*width) view.
-    # Each block is copied into scratch, transformed there and copied out; phase 1 (or
-    # phase 2 when c == 1) reads the input itself, so the input is neither copied
-    # (unless it is not C-contiguous float64) nor written.  The blocks of a phase are
-    # independent and are dealt to up to _WORKERS threads.  Every entry sees the same
-    # additions with the strides in ascending order, so the result is bit-identical to
-    # unblocked passes at any thread count; peak memory is one table plus two blocks
-    # per worker.
+    # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x), divided by the length
+    # when normalize is set.  A table of at most _BLOCK_DOUBLES doubles ping-pongs between
+    # a fresh C-order copy and one scratch table.  A larger one is blocked so that every
+    # pass runs in cache (the locality idea of the FFHT, Andoni et al., NeurIPS 2015):
+    # with c the most rows that fit a block, phase 1 runs strides 1 .. c/2 inside each
+    # contiguous run of c rows, and phase 2 strides c .. size/2 over column strips of the
+    # (size/c, c*width) view.  Each block is copied into scratch, transformed there and
+    # copied out, phase 2 dividing it on the way; phase 1 (or phase 2 when c == 1) reads
+    # the input itself, so the input is neither copied (unless it is not C-contiguous
+    # float64) nor written.  The blocks of a phase are independent and are dealt to up to
+    # _WORKERS threads.  Every entry sees the same additions in the same order as in
+    # unblocked ascending-stride passes (see _radix2_passes), and dividing by a power of
+    # two is one correctly rounded step wherever it happens, so the result is
+    # bit-identical to those passes at any thread count; peak memory is one table plus two
+    # blocks per worker.
     a = np.asarray(a, dtype=np.float64)
     size = a.shape[0] if a.ndim else 0
     _check_power_of_two(size, "a Walsh transform")
+    scale = 1.0 / size if normalize else None
     if a.size <= _BLOCK_DOUBLES:
         table = np.array(a, order="C")
-        return _radix2_passes(table, np.empty_like(table))
+        out = _radix2_passes(table, np.empty_like(table))
+        if scale is not None:
+            out *= scale
+        return out
     src = np.ascontiguousarray(a)
     out = np.empty_like(src)
     width = src.size // size
     c = min(size, 1 << max(0, (_BLOCK_DOUBLES // width).bit_length() - 1))
     if c > 1:
-        _run_phase([*zip(src.reshape(size // c, c, width), out.reshape(size // c, c, width))])
+        _run_phase([*zip(src.reshape(size // c, c, width), out.reshape(size // c, c, width))], None)
     rows_in = (out if c > 1 else src).reshape(size // c, c * width)
     rows_out = out.reshape(rows_in.shape)
     strip = max(1, _BLOCK_DOUBLES // rows_in.shape[0])
     _run_phase([(rows_in[:, j : j + strip], rows_out[:, j : j + strip])
-                for j in range(0, rows_in.shape[1], strip)])
+                for j in range(0, rows_in.shape[1], strip)], scale)
     return out
 
 
-def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None) -> None:
     """Transform each (source, destination) block pair, the pairs dealt round-robin to the workers.
 
-    The calling thread runs share 0; every thread is joined before this returns or
+    Each block is multiplied by scale on its way out, unless scale is None.  The
+    calling thread runs share 0; every thread is joined before this returns or
     raises, and the first error a share met is raised here.
     """
     workers = min(_WORKERS, len(blocks))
@@ -100,10 +108,10 @@ def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
     threads = []
     try:
         for k in range(1, workers):
-            thread = threading.Thread(target=_run_share, args=(blocks[k::workers], errors))
+            thread = threading.Thread(target=_run_share, args=(blocks[k::workers], scale, errors))
             thread.start()
             threads.append(thread)
-        _run_share(blocks[::workers], errors)
+        _run_share(blocks[::workers], scale, errors)
     finally:
         for thread in threads:
             thread.join()
@@ -111,27 +119,46 @@ def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
         raise errors[0]
 
 
-def _run_share(blocks: list[tuple[np.ndarray, np.ndarray]], errors: list[Exception]) -> None:
+def _run_share(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None,
+               errors: list[Exception]) -> None:
     """One worker's blocks through its own two scratch blocks; an error is recorded for _run_phase to raise."""
     try:
         scratch = np.empty((2, max(src.size for src, _ in blocks)))
         for src, dst in blocks:
             a, b = (s[: src.size].reshape(src.shape) for s in scratch)
             np.copyto(a, src)
-            np.copyto(dst, _radix2_passes(a, b))
+            if scale is None:
+                np.copyto(dst, _radix2_passes(a, b))
+            else:
+                np.multiply(_radix2_passes(a, b), scale, out=dst)
     except Exception as exc:  # a worker thread cannot raise to the caller; _run_phase re-raises it
         errors.append(exc)
 
 
 def _radix2_passes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Full Walsh transform along axis 0 of src, ping-ponging src and dst; returns whichever holds it."""
+    """Full Walsh transform along axis 0 of src, ping-ponging src and dst; returns whichever holds it.
+
+    Pass k adds and subtracts the entries 2^(k-1) rows apart, in ascending k.  A
+    multi-column block pairs them in place, at stride 2^(k-1).  A one-column block
+    runs constant-geometry passes instead (Pease, J. ACM 15(2), 1968): each pass
+    takes rows 2i and 2i+1 to rows i and i + size/2, which performs the same
+    additions with the rows stored rotated by one bit, back in natural order after
+    all log2(size) passes.  There every operand is 1-D, so numpy runs one inner loop
+    and allocates no iterator buffers.  (Wider blocks keep the strided pairing: the
+    same geometry reads them in runs of only one row.)
+    """
     size = src.shape[0]
     h = 1
     while h < size:
-        pairs = src.reshape(size // (2 * h), 2, h, *src.shape[1:])
-        out = dst.reshape(pairs.shape)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        if src.size == size:
+            lo, hi = src.reshape(size // 2, 2).T
+            out_lo, out_hi = dst.reshape(2, size // 2)
+        else:
+            pairs = src.reshape(size // (2 * h), 2, h, *src.shape[1:])
+            out = dst.reshape(pairs.shape)
+            lo, hi, out_lo, out_hi = pairs[:, 0], pairs[:, 1], out[:, 0], out[:, 1]
+        np.add(lo, hi, out=out_lo)
+        np.subtract(lo, hi, out=out_hi)
         src, dst = dst, src
         h *= 2
     return src
@@ -144,9 +171,7 @@ def _check_power_of_two(size: int, what: str) -> None:
 
 def fwht(values) -> np.ndarray:
     """Spectrum of a value table along axis 0: out[S] = E_x[f(x) chi_S(x)]."""
-    out = _walsh_butterfly(values)
-    out /= out.shape[0]
-    return out
+    return _walsh_butterfly(values, normalize=True)
 
 
 def inverse_fwht(spectrum) -> np.ndarray:
@@ -190,7 +215,9 @@ class CubeFunction:
     per column, so row x is the vector f(x) and row S the vector fhat(S).
     Immutable after construction; the other representation is computed
     lazily through the transform and cached (idempotent fill, safe under
-    concurrent readers).
+    concurrent readers).  A given table is copied, unless it is a read-only,
+    aligned, C-contiguous float64 array: that one is adopted as it is, so pass
+    one only if nothing writes its memory afterwards (read_binary's table).
     """
 
     __slots__ = ("n", "_values", "_spectrum")
@@ -207,7 +234,9 @@ class CubeFunction:
     def _own(self, arr):
         if arr is None:
             return None
-        a = np.array(arr, dtype=np.float64, order="C")
+        a = np.asarray(arr, dtype=np.float64)
+        if a.flags.writeable or not (a.flags.c_contiguous and a.flags.aligned):
+            a = np.array(a, order="C")
         if a.ndim not in self._RANKS or a.shape[0] != self.size or a.size == 0:
             ranks = " or ".join(map(str, self._RANKS))
             raise ValueError(f"expected 2^{self.n} rows, {ranks} axes and m >= 1 columns, got shape {a.shape}")
@@ -242,14 +271,14 @@ class CubeFunction:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            s = _walsh_butterfly(self._values)
-            s /= self.size
+            s = _walsh_butterfly(self._values, normalize=True)  # not fwht, so a traced fill is one transform
             s.flags.writeable = False
             self._spectrum = s
         return self._spectrum
 
     def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
+        v = self.values  # max |v| without an |v| table; + 0.0 turns a -0.0 maximum into 0.0, and NaN propagates
+        return max(float(v.max()), -float(v.min())) + 0.0
 
     def __sub__(self, other):
         if not isinstance(other, CubeFunction):
@@ -271,7 +300,12 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
 
 def spectrum_support(f: CubeFunction) -> np.ndarray:
     """Ascending masks S with |fhat(S)| > SPARSITY_THRESHOLD: the support every count and family uses."""
-    return np.nonzero(np.abs(f.spectrum) > SPARSITY_THRESHOLD)[0]
+    return _above(f.spectrum, SPARSITY_THRESHOLD)
+
+
+def _above(spec: np.ndarray, threshold: float) -> np.ndarray:
+    """Ascending indices where |spec| > threshold >= 0, tested on the signed table so no |spec| table is built."""
+    return np.nonzero((spec > threshold) | (spec < -threshold))[0]
 
 
 def spectrum_sparsity(f: CubeFunction) -> int:
@@ -285,10 +319,13 @@ def _record(n: int) -> np.dtype:
 
 
 def _finite(table: np.ndarray, what: str) -> np.ndarray:
-    """The table, unless it holds NaN or +-inf: then no count, norm or JSON number means anything."""
-    finite = np.isfinite(table)
-    if not finite.all():
-        bad = ", ".join(map(str, np.unique(table[~finite]).tolist()))
+    """The table, unless it holds NaN or +-inf: then no count, norm or JSON number means anything.
+
+    The extremes carry the test (NaN propagates through both), so no mask of the table is built
+    unless it fails.
+    """
+    if not (np.isfinite(table.min()) and np.isfinite(table.max())):
+        bad = ", ".join(map(str, np.unique(table[~np.isfinite(table)]).tolist()))
         raise ValueError(f"{what} holds non-finite values: {bad}")
     return table
 
@@ -304,15 +341,22 @@ def to_bytes(f: CubeFunction) -> bytes:
     return np.array((f.n, f.values), dtype=_record(f.n)).tobytes()
 
 
-def from_bytes(blob: bytes) -> CubeFunction:
-    if len(blob) < _HEADER.itemsize:
+def _record_dim(head, length: int) -> int:
+    """n from a record's header, after checking the record's whole length in bytes against it."""
+    if length < _HEADER.itemsize:
         raise ValueError("truncated cube-function blob")
-    n = int(np.frombuffer(blob, dtype=_HEADER, count=1)[0])
+    n = int(np.frombuffer(head, dtype=_HEADER, count=1)[0])
     _check_dim(n)
-    record = _record(n)
-    if len(blob) != record.itemsize:
-        raise ValueError(f"blob length {len(blob)} does not match n={n} (expected {record.itemsize})")
-    values = np.frombuffer(blob, dtype=record)["values"][0]
+    expected = _record(n).itemsize
+    if length != expected:
+        raise ValueError(f"blob length {length} does not match n={n} (expected {expected})")
+    return n
+
+
+def from_bytes(blob) -> CubeFunction:
+    """One record from a bytes-like blob; a read-only blob that holds the table aligned lends it without a copy."""
+    n = _record_dim(blob, len(blob))
+    values = np.frombuffer(blob, dtype=_record(n))["values"][0]
     return CubeFunction.from_values(n, _finite(values, "value table"))
 
 
@@ -321,7 +365,22 @@ def write_binary(f: CubeFunction, path) -> None:
 
 
 def read_binary(path) -> CubeFunction:
-    return from_bytes(Path(path).read_bytes())
+    """One record, read in place: once the header and the file length agree, the file goes straight
+    into one aligned table, its header into the 4 bytes before the first double, and from_bytes
+    adopts that table read-only.  A pipe, which has no length to check first, is read whole.
+    """
+    with open(path, "rb") as file:
+        info = os.fstat(file.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return from_bytes(file.read())
+        head = file.read(_HEADER.itemsize)
+        n = _record_dim(head, info.st_size)
+        # one spare double: the record starts at byte 4, so its header fills bytes 4-7 and its doubles start aligned
+        record = np.empty(1 + (1 << n)).view(np.uint8)[8 - len(head) :]
+        record[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+        got = file.readinto(record[len(head) :])
+    record.flags.writeable = False
+    return from_bytes(record[: len(head) + got])  # a file that shrank since fstat fails the length check
 
 
 def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:
@@ -332,6 +391,6 @@ def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:
         raise ValueError(f"threshold must be finite, got {threshold}")
     _require_one_function(f)
     spec = _finite(f.spectrum, "spectrum")
-    keep = np.nonzero(np.abs(spec) > threshold)[0]
+    keep = _above(spec, threshold)
     payload = {"n": f.n, "spectrum": {str(int(m)): float(spec[m]) for m in keep}}
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -234,6 +234,20 @@ def test_missing_input_is_a_usage_error(capsys, tmp_path, command):
     assert err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize("change", [-1, 8], ids=["one-byte-short", "one-double-long"])
+@pytest.mark.parametrize("command", ["sparsity", "fourier"])
+def test_input_of_the_wrong_length_is_a_usage_error(capsys, tmp_path, command, change):
+    """The length is checked against the header before the table is read: exit 2, print nothing."""
+    path = tmp_path / "table.bin"
+    write_binary(CubeFunction.from_values(3, np.arange(8.0)), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+    assert run_main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: blob length {68 + change} does not match n=3 (expected 68)\n"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["sparsity", "fourier"])
 def test_non_finite_input_is_a_usage_error(capsys, tmp_path, command, bad):
@@ -435,6 +449,7 @@ class TestConsoleScript:
             ["audit", "--n", "14", "--m", "32"],
             ["lower-bound", "--n", "12", "--variant", "truncated"],
             ["fourier", "--input", str(table)],
+            ["sparsity", "--input", str(table)],
         ]
         for argv in runs:
             outputs = []

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import sys
 import threading
 import time
@@ -19,6 +21,7 @@ from pisier_lab import (
     fwht,
     inverse_fwht,
     level_multiply,
+    read_binary,
     spectrum_sparsity,
     to_bytes,
     to_spectrum_json,
@@ -306,7 +309,7 @@ class TestBlockedButterfly:
         """Tiny blocks put runs, strips and batches wider than a block through every n, on 1, 2 and 3 workers."""
         monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
         rng = np.random.default_rng(100 * n + block)
-        for shape in [(1 << n,), (1 << n, 3), (1 << n, 5), (1 << n, 64), (1 << n, 2, 3)]:
+        for shape in [(1 << n,), (1 << n, 1), (1 << n, 3), (1 << n, 5), (1 << n, 64), (1 << n, 2, 3)]:
             table = rng.standard_normal(shape)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
@@ -365,11 +368,12 @@ class TestBlockedButterfly:
             cube_fourier._walsh_butterfly(np.ones((1 << 8, 3)))
         assert threading.active_count() == before
 
-    def test_peak_memory_is_one_table_plus_two_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("shape", [(1 << 15, 8), (1 << 18,)])
+    def test_peak_memory_is_one_table_plus_two_blocks(self, monkeypatch, shape):
         """The scratch is two blocks per worker, not a second table; the slack covers numpy's
         ufunc iterator buffers (three operands of np.getbufsize() doubles) and object headers,
         which every worker allocates for itself while the others run."""
-        table = np.random.default_rng(7).standard_normal((1 << 15, 8))
+        table = np.random.default_rng(7).standard_normal(shape)
         slack = 4 * np.getbufsize() * 8
         for workers in (1, 2):
             monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
@@ -381,6 +385,53 @@ class TestBlockedButterfly:
                 tracemalloc.stop()
             assert peak <= table.nbytes + workers * (2 * cube_fourier._BLOCK_DOUBLES * 8 + slack), workers
 
+    @pytest.mark.parametrize("shape", [(1 << 16,), (1 << 16, 1)])
+    def test_one_column_block_allocates_no_iterator_buffers(self, shape):
+        """Constant-geometry passes give numpy 1-D operands only: a block's passes allocate almost nothing."""
+        src, dst = np.random.default_rng(8).standard_normal(shape), np.empty(shape)
+        want = walsh_butterfly_unblocked(src)
+        tracemalloc.start()
+        try:
+            out = cube_fourier._radix2_passes(src, dst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        assert np.array_equal(out, want)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestScaleInTheLastPhase:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1 << 3, 1 << 16], ids=["blocked", "default-block"])
+    @pytest.mark.parametrize("factor", [1.0, 1e-310, 1e307], ids=["random", "subnormal", "near-overflow"])
+    def test_fwht_and_spectrum_fill_equal_a_division_afterwards(self, monkeypatch, workers, block, factor):
+        """Scaling each block as it leaves scratch, or the small table after its passes, gives the bits of
+        dividing the finished butterfly by the length; 16 rows of values below 1e307 cannot overflow."""
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        rng = np.random.default_rng(int(block) + workers)
+        for shape in [(2,), (16,), (16, 1), (16, 3), (16, 2, 3)]:
+            table = rng.uniform(-1.0, 1.0, shape) * factor
+            want = cube_fourier._walsh_butterfly(table) / shape[0]
+            assert_same_bits(fwht(table), want)
+            if len(shape) <= 2:
+                assert_same_bits(CubeFunction.from_values(shape[0].bit_length() - 1, table).spectrum, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("factor", [1.0, 1e-310], ids=["random", "subnormal"])
+    @pytest.mark.parametrize("shape", [(1 << 17,), (1 << 17, 1), (1 << 14, 8)])
+    def test_blocked_tables_at_the_block_size(self, monkeypatch, workers, factor, shape):
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        table = np.random.default_rng(shape[0] + workers).uniform(-1.0, 1.0, shape) * factor
+        want = cube_fourier._walsh_butterfly(table) / shape[0]
+        assert_same_bits(fwht(table), want)
+        assert_same_bits(CubeFunction.from_values(shape[0].bit_length() - 1, table).spectrum, want)
+
 
 class TestSparsity:
     def test_constant(self):
@@ -391,6 +442,19 @@ class TestSparsity:
         spec[0b001] = 1.0
         spec[0b010] = 1.0
         assert spectrum_sparsity(CubeFunction.from_spectrum(3, spec)) == 2
+
+    def test_signed_scans_match_the_abs_form(self):
+        """The support and the JSON keep mask test s > t or s < -t: the same set as |s| > t, signed zeros,
+        values of exactly +-t and subnormals included."""
+        t = cube_fourier.SPARSITY_THRESHOLD
+        rng = np.random.default_rng(21)
+        spec = rng.choice([0.0, -0.0, t, -t, np.nextafter(t, 1), -np.nextafter(t, 1), 5e-324, -5e-324,
+                           2.5e-310, -1.0, 0.5], size=1 << 8)
+        f = CubeFunction.from_spectrum(8, spec)
+        assert spectrum_support(f).tolist() == np.nonzero(np.abs(spec) > t)[0].tolist()
+        for threshold in (0.0, t, 5e-324, 0.5):
+            kept = json.loads(to_spectrum_json(f, threshold=threshold))["spectrum"]
+            assert sorted(map(int, kept)) == np.nonzero(np.abs(spec) > threshold)[0].tolist(), threshold
 
     def test_truncated_witness_n4(self):
         """The level-exact witness at n=4 keeps exactly the 8 odd-level subsets."""
@@ -426,6 +490,17 @@ class TestCubeFunction:
             f.values[0] = 5.0
         with pytest.raises(ValueError):
             f.spectrum[0] = 5.0
+
+    @pytest.mark.parametrize("table", [
+        [-0.0] * 4, [0.0, -0.0, -0.0, 0.0], [-5e-324, 0.0, 2.5e-310, -0.0], [1.0, -3.0, 3.0, -0.0],
+        [-2.0, -1.0, -0.5, -0.25], [1.0, np.nan, -4.0, 0.0], [-np.inf, 1.0, 2.0, 3.0],
+    ], ids=["negative-zeros", "signed-zeros", "subnormals", "tie", "all-negative", "nan", "-inf"])
+    def test_sup_norm_matches_the_abs_form(self, table):
+        """max(max v, -min v), with -0.0 normalized to 0.0, has the bits of max |v|; NaN propagates."""
+        f = CubeFunction.from_values(2, table)
+        want = float(np.abs(f.values).max())
+        got = f.sup_norm()
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 
     def test_difference(self):
         rng = np.random.default_rng(6)
@@ -483,6 +558,47 @@ class TestSerialization:
         with pytest.raises(ValueError, match="shape"):
             write_binary(table, tmp_path / "table.bin")
         assert not (tmp_path / "table.bin").exists()
+
+    def test_read_binary_holds_one_aligned_read_only_table(self, tmp_path):
+        """The file is read into the table the function keeps: its peak is that table, not a second copy."""
+        path = tmp_path / "table.bin"
+        table = np.random.default_rng(18).standard_normal(1 << 18)
+        write_binary(CubeFunction.from_values(18, table), path)
+        tracemalloc.start()
+        try:
+            f = read_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 64 * 1024
+        values = f.values
+        assert values.dtype == np.float64 and values.flags.c_contiguous and values.flags.aligned
+        assert not values.flags.writeable
+        assert np.array_equal(values, table)
+
+    @pytest.mark.parametrize("change", [-1, 8], ids=["one-byte-short", "one-double-long"])
+    def test_read_binary_checks_the_length_first(self, tmp_path, change):
+        path = tmp_path / "table.bin"
+        blob = to_bytes(CubeFunction.from_values(3, np.arange(8.0)))
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        message = f"blob length {68 + change} does not match n=3 (expected 68)"
+        for read in (read_binary, lambda p: from_bytes(p.read_bytes())):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                read(path)
+
+    def test_read_binary_reads_a_pipe_whole(self, tmp_path):
+        """A pipe has no length to check before reading; its bytes go through from_bytes."""
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        blob = to_bytes(CubeFunction.from_values(4, np.arange(16.0)))
+        writer = threading.Thread(target=path.write_bytes, args=(blob,), daemon=True)  # never blocks the exit
+        writer.start()
+        try:
+            f = read_binary(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(f.values, np.arange(16.0))
 
     def test_binary_rejects_truncated_blob(self):
         f = CubeFunction.from_values(3, np.arange(8.0))
