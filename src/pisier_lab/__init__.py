@@ -58,7 +58,7 @@ from .pisier_bench import (  # noqa: E402
     choose_ell,
     decomposition_audit,
 )
-from .report import BoundReport, BoundViolationError, ResourceLimitError  # noqa: E402
+from .report import BoundReport, ResourceLimitError  # noqa: E402
 from .vector_field import (  # noqa: E402
     Norm,
     VectorFunction,
@@ -69,7 +69,6 @@ from .vector_field import (  # noqa: E402
 
 __all__ = [
     "BoundReport",
-    "BoundViolationError",
     "CubeFunction",
     "LowerBoundInstance",
     "Norm",

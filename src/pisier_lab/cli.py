@@ -16,7 +16,7 @@ import math
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -25,10 +25,8 @@ from .cube_fourier import MAX_DIM
 from .linear_proxy import MAX_ELL
 from .lower_bound import MAX_RECORD_DIM, WITNESS_VARIANTS
 from .pisier_bench import AUDIT_CSV_FIELDS, MAX_AUDIT_DIM
-from .report import BoundViolationError
+from .report import BoundReport
 from .vector_field import GATE_SAMPLES
-
-_MOMENT_TOL = 1e-10
 
 LOWER_CSV_FIELDS = (
     "n", "variant", "mode", "witness_sup", "product_sup", "diff_sup", "tail_exact",
@@ -60,6 +58,20 @@ def _require_n(n: int, cap: int) -> None:
 
 def _require_ell(ell: int) -> None:
     _require(ell % 2 == 1 and 1 <= ell <= MAX_ELL, f"--ell must be odd in 1..{MAX_ELL}, got {ell}")
+
+
+def _verdict(checks: Sequence[BoundReport]) -> dict[str, list]:
+    """A payload's checks array, and its violations: one line for each check that fails."""
+    return {"checks": [c.to_dict() for c in checks],
+            "violations": [f"{c.claim}: {c.lhs!r} <= {c.rhs!r} + {c.tol!r} fails"
+                           for c in checks if not c.holds]}
+
+
+def _exit_code(payload: dict[str, Any]) -> int:
+    """Print each violation on stderr; 1 if there is any, else 0."""
+    for violation in payload["violations"]:
+        print(f"violation: {violation}", file=sys.stderr)
+    return 1 if payload["violations"] else 0
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -109,7 +121,7 @@ def _norm(name: str, p: float | None) -> vector_field.Norm:
 def random_vector_function(n: int, m: int, seed: int) -> vector_field.VectorFunction:
     """Seeded instance: spectrum entries i.i.d. standard normal, drawn as (2^n, m)."""
     rng = np.random.default_rng(seed)
-    return vector_field.VectorFunction.from_spectrum_matrix(n, rng.standard_normal((1 << n, m)))
+    return vector_field.VectorFunction.from_spectrum(n, rng.standard_normal((1 << n, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,60 +133,21 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
     _require_ell(ell)
     _require_n(n, MAX_DIM)
     kernel = linear_proxy.ProxyKernel(ell)
-    violations: list[str] = []
-
-    moments = [linear_proxy.kernel_moment(kernel, k) for k in range(ell + 1)]
-    for k, value in enumerate(moments):
-        target = 1.0 if k == 1 else 0.0
-        if abs(value - target) > _MOMENT_TOL:
-            violations.append(f"moment[{k}] = {value!r} misses {target} beyond {_MOMENT_TOL}")
-
-    try:
-        phi_l1 = linear_proxy.kernel_l1(kernel)
-    except BoundViolationError as exc:
-        violations.append(str(exc))
-        phi_l1 = exc.report.lhs
-    try:
-        p_l1 = linear_proxy.proxy_l1(kernel, n)
-    except BoundViolationError as exc:
-        violations.append(str(exc))
-        p_l1 = exc.report.lhs
-
-    coeffs = linear_proxy.proxy_level_coeffs(kernel, n)
-    dev_bound = linear_proxy.deviation_bound(ell)
-    linear_levels = np.zeros(n + 1)
-    linear_levels[1] = 1.0
-    mismatch_low = float(np.abs(coeffs[: min(ell, n) + 1] - linear_levels[: min(ell, n) + 1]).max())
-    if mismatch_low > _MOMENT_TOL:
-        violations.append(f"proxy differs from the linear levels below ell by {mismatch_low!r}")
-    max_dev = float(np.abs(coeffs - linear_levels).max())
-    if max_dev > dev_bound:
-        violations.append(f"level deviation {max_dev!r} exceeds 8*ell/2^ell = {dev_bound!r}")
-
+    measured, checks = linear_proxy.proxy_properties(kernel, n)
     return {
         "command": "proxy-check",
         "ell": ell,
         "n": n,
         "grid_size": kernel.size,
-        "moments": [float(v) for v in moments],
-        "phi_l1": float(phi_l1),
-        "phi_l1_bound": 4.0 * ell,
-        "proxy_l1": float(p_l1),
-        "proxy_l1_bound": 8.0 * ell,
-        "level_coeffs": [float(c) for c in coeffs],
-        "deviation_bound": dev_bound,
-        "max_deviation": max_dev,
-        "mismatch_below_ell": mismatch_low,
-        "violations": violations,
+        **measured,
+        **_verdict(checks),
     }
 
 
 def cmd_proxy_check(args: argparse.Namespace) -> int:
     payload = proxy_check_payload(args.ell, args.n)
     _emit_text(_json_text(payload), args.out)
-    for violation in payload["violations"]:
-        print(f"violation: {violation}", file=sys.stderr)
-    return 1 if payload["violations"] else 0
+    return _exit_code(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +174,29 @@ def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
     return pisier_bench.decomposition_audit(f, _norm(norm, p), ell=ell)
 
 
-def _audit_text(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> str:
-    payload = {
+def _audit_payload(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> dict[str, Any]:
+    return {
         "command": "audit",
         "config": {**config, "sample_count": GATE_SAMPLES},
         "audit": audit.to_dict(),
+        **_verdict(audit.checks),
     }
-    return _json_text(payload)
 
 
 def audit_report_json(n: int, m: int, norm: str, seed: int) -> str:
     """The audit subcommand's exact JSON text at the default ell, shared with the test suite."""
     config = {"n": n, "m": m, "ell": None, "norm": norm, "p": None, "seed": seed}
-    return _audit_text(run_audit(**config), config)
+    return _json_text(_audit_payload(run_audit(**config), config))
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = {key: getattr(args, key) for key in ("n", "m", "ell", "norm", "p", "seed")}
     audit = run_audit(**config)
-    _emit_text(_audit_text(audit, config), args.out)
+    payload = _audit_payload(audit, config)
+    _emit_text(_json_text(payload), args.out)
     if args.csv_path:
         _append_csv(args.csv_path, AUDIT_CSV_FIELDS, [audit.csv_row()])
-    return 0
+    return _exit_code(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -233,63 +207,16 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
     """Check the preconditions, then build and verify the witness: lower-bound and each of its sweep rows."""
     _require_n(n, MAX_RECORD_DIM)
     instance_mode = n <= lower_bound.MAX_INSTANCE_DIM and not scalar_only
-    violations: list[str] = []
-
     instance = lower_bound.lower_bound_instance(n, variant) if instance_mode else None
     witness = instance.witness if instance_mode else lower_bound.build_witness(n, variant)
-    witness_sup = witness.sup_norm()
-    singletons = [1 << j for j in range(n)]
-    singles = witness.spectrum[singletons]
-    roundtrip = cube_fourier.fwht(witness.values)[singletons]
-    counted = cube_fourier.spectrum_sparsity(witness)
-    structural = lower_bound.structural_sparsity(n, variant)
-
+    measured, checks = lower_bound.witness_properties(witness, variant)
     payload: dict[str, Any] = {
         "command": "lower-bound",
         "n": n,
         "variant": variant,
         "mode": "instance" if instance_mode else "scalar",
-        "witness_sup": witness_sup,
-        "singleton_coefficient": float(singles[0]),
-        "singleton_spread": float(np.abs(singles - singles[0]).max()),
-        "singleton_roundtrip_dev": float(np.abs(roundtrip - singles).max()),
-        "sparsity_counted": int(counted),
-        "sparsity_structural": int(structural),
-        "family_log": math.log(max(counted, 1)),
-        "family_loglog_ratio": (math.log(counted) / math.log(math.log(counted))
-                                if counted > 3 else 0.0),
+        **measured,
     }
-
-    if variant == "truncated":
-        product = lower_bound.build_product_witness(n)
-        tail = lower_bound.truncation_tail_bound(n)
-        diff_sup = (product - witness).sup_norm()
-        payload.update({
-            "product_sup": product.sup_norm(),
-            "diff_sup": diff_sup,
-            "tail_exact": tail,
-            "tail_chain": lower_bound.truncation_tail_chain(n),
-            "truncation_level": lower_bound.truncation_level(n),
-        })
-        if payload["product_sup"] > 3.0:
-            violations.append(f"product witness sup norm {payload['product_sup']!r} exceeds 3")
-        if diff_sup > tail + 1e-15:
-            violations.append(f"truncation error {diff_sup!r} exceeds the tail bound {tail!r}")
-        expected = 1.0 / math.sqrt(n)
-        if abs(float(singles[0]) - expected) > 1e-12 or payload["singleton_spread"] > 1e-12:
-            violations.append("singleton coefficients miss 1/sqrt(n) beyond 1e-12")
-        if payload["singleton_roundtrip_dev"] > 1e-12:
-            violations.append("singleton coefficients drift beyond 1e-12 after a transform round trip")
-        if counted != structural:
-            violations.append(f"counted sparsity {counted} != structural count {structural}")
-    else:
-        if witness_sup > 1.0 + 1e-12:
-            violations.append(f"chebyshev witness sup norm {witness_sup!r} exceeds 1")
-        if payload["singleton_spread"] > 1e-12:
-            violations.append("singleton coefficients are not symmetric across coordinates")
-        if counted > structural:
-            violations.append(f"counted sparsity {counted} exceeds the structural bound {structural}")
-
     if instance_mode:
         payload.update({
             "family_size": len(instance.family),
@@ -297,9 +224,8 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
             "linear_norm_value": instance.linear_norm_value,
             "ratio": instance.ratio,
         })
-
-    payload["violations"] = violations
-    return payload
+        checks += instance.checks
+    return {**payload, **_verdict(checks)}
 
 
 def cmd_lower_bound(args: argparse.Namespace) -> int:
@@ -312,9 +238,7 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
             _append_csv(args.out, LOWER_CSV_FIELDS, [row])
         else:
             sys.stdout.write(_csv_text(LOWER_CSV_FIELDS, [row]))
-    for violation in payload["violations"]:
-        print(f"violation: {violation}", file=sys.stderr)
-    return 1 if payload["violations"] else 0
+    return _exit_code(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +249,14 @@ def cmd_sparsity(args: argparse.Namespace) -> int:
     _require((args.input_path is None) != (args.n is None), "pass exactly one of --input or --n")
     if args.input_path is not None:
         f = cube_fourier.read_binary(args.input_path)
-        source = f"file:{args.input_path}"
+        source = f"file:{Path(args.input_path).name}"  # not the path, so the bytes do not depend on it
     else:
         _require_n(args.n, MAX_RECORD_DIM)
         f = lower_bound.build_witness(args.n, args.variant)
         source = f"witness:{args.variant}:{args.n}"
     report = lower_bound.sparsity_inequality_check(f, rescale=args.rescale)
-    payload = {"command": "sparsity", "source": source, **report.to_dict()}
+    payload = {"command": "sparsity", "source": source, "claim": report.claim, "lhs": report.lhs,
+               "rhs": report.rhs, "slack": report.slack, "params": report.params}
     _emit_text(_json_text(payload), args.out)
     return 0
 
@@ -343,20 +268,16 @@ def cmd_sparsity(args: argparse.Namespace) -> int:
 def _sweep_rows(fields: tuple, grid, row) -> tuple[list[tuple], bool]:
     """Run row(*base[1:]) for each base in grid; base fills the leading columns.
 
-    row returns a mapping from column name to value; its "violations" make the
-    row a violation, as does a BoundViolationError.  Any other exception is
-    recorded as an error and the sweep goes on.  Unfilled columns stay empty.
+    row returns a mapping from column name to value; its "violations", derived
+    from its checks, make the row a violation.  An exception is recorded as an
+    error and the sweep goes on.  Unfilled columns stay empty.
     """
     rows, violated = [], False
     for base in grid:
         cells = dict(zip(fields, base))
         try:
-            values = row(*base[1:])
-            cells.update(values)
-            problems = values.get("violations", [])
-            status, error = ("violation" if problems else "ok"), "; ".join(problems)
-        except BoundViolationError as exc:
-            status, error = "violation", str(exc)
+            cells.update(row(*base[1:]))
+            status, error = ("violation" if cells["violations"] else "ok"), "; ".join(cells["violations"])
         except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
             status, error = "error", str(exc)
         violated |= status == "violation"
@@ -371,21 +292,32 @@ def _lower_sweep_row(n: int, variant: str, scalar_only: bool) -> dict[str, Any]:
 
 def _audit_sweep_row(n: int, m: int, ell: int | None, norm: str, seed: int,
                      p: float | None) -> dict[str, Any]:
-    return dict(zip(AUDIT_CSV_FIELDS, run_audit(n, m, norm, seed, ell, p).csv_row()))
+    audit = run_audit(n, m, norm, seed, ell, p)
+    return {**dict(zip(AUDIT_CSV_FIELDS, audit.csv_row())), **_verdict(audit.checks)}
+
+
+def _require_values(**flags: list) -> None:
+    """A sweep axis with no value would make a grid that checks nothing."""
+    for flag, values in flags.items():
+        _require(bool(values), f"--{flag} names no value, so the sweep would check nothing")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.kind == "proxy":
+        _require_values(ell=args.ells, n=args.ns)
         fields, row = PROXY_SWEEP_FIELDS, proxy_check_payload
         grid = [("proxy", ell, n) for ell in args.ells for n in args.ns]
     elif args.kind == "lower-bound":
+        variants = ["truncated"] if args.variants is None else args.variants
+        _require_values(n=args.ns, variants=variants)
         fields, row = LOWER_SWEEP_FIELDS, partial(_lower_sweep_row, scalar_only=args.scalar_only)
-        grid = [("lower-bound", n, variant)
-                for n in args.ns for variant in args.variants or ["truncated"]]
+        grid = [("lower-bound", n, variant) for n in args.ns for variant in variants]
     else:
+        seeds = [0] if args.seeds is None else args.seeds
+        _require_values(n=args.ns, m=args.ms, seeds=seeds)
         fields, row = AUDIT_SWEEP_FIELDS, partial(_audit_sweep_row, p=args.p)
         grid = [("audit", n, m, args.ell, args.norm, seed)
-                for n in args.ns for m in args.ms for seed in args.seeds or [0]]
+                for n in args.ns for m in args.ms for seed in seeds]
     rows, violated = _sweep_rows(fields, grid, row)
     _emit_text(_csv_text(fields, rows), args.out)
     return 1 if violated else 0
@@ -481,10 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="proxy parameter override (audit kind)")
     p.add_argument("--n", dest="ns", type=_int_list, default=[], help="comma list or lo:hi ranges")
     p.add_argument("--m", dest="ms", type=_int_list, default=[], help="comma list (audit kind)")
-    p.add_argument("--seeds", dest="seeds", type=_int_list, default=[],
-                   help="comma list or lo:hi (audit kind)")
-    p.add_argument("--variants", dest="variants", type=_str_list, default=[],
-                   help="comma list (lower-bound kind)")
+    p.add_argument("--seeds", dest="seeds", type=_int_list, default=None,
+                   help="comma list or lo:hi (audit kind; default 0)")
+    p.add_argument("--variants", dest="variants", type=_str_list, default=None,
+                   help="comma list (lower-bound kind; default truncated)")
     p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--scalar-only", action="store_true")
@@ -514,9 +446,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except BoundViolationError as exc:
-        print(f"bound violated: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:  # OSError: an unreadable --input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,14 +27,14 @@ point; moments of even powers then cancel exactly instead of to roundoff.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
 
 from .cube_fourier import _check_dim
-from .report import BoundReport, BoundViolationError
+from .report import TOLERANCES, BoundReport, check
 
 MAX_ELL = 15  # beyond this the deviation 8 ell / 2^ell is below 1e-3 and adds nothing
-_IDENTITY_TOL = 1e-10
 
 # sin(k * pi / 2) by k mod 4, exact
 _SIN_HALF_PI = (0.0, 1.0, 0.0, -1.0)
@@ -83,12 +83,12 @@ class ProxyKernel:
         k = np.arange(self.size)
         totals = np.exp(2j * np.pi * np.outer(a, k) / self.size).sum(axis=1)
         want = np.where(a % self.size == 0, float(self.size), 0.0)
-        failed = np.nonzero(~(np.abs(totals - want) <= _IDENTITY_TOL))[0]  # a NaN sum fails too
+        tol = TOLERANCES["grid-geometric-sum"]
+        failed = np.nonzero(~(np.abs(totals - want) <= tol))[0]  # a NaN sum fails too
         if failed.size:
             i = failed[0]
             raise RuntimeError(
-                f"grid geometric-sum identity failed at a={a[i]}: "
-                f"|{totals[i]:.3e} - {want[i]}| > {_IDENTITY_TOL}"
+                f"grid geometric-sum identity failed at a={a[i]}: |{totals[i]:.3e} - {want[i]}| > {tol}"
             )
 
 
@@ -102,12 +102,7 @@ def kernel_moment(kernel: ProxyKernel, k: int) -> float:
 
 def kernel_l1(kernel: ProxyKernel) -> float:
     """E|phi(theta)|; never exceeds 4 ell."""
-    value = math.fsum(np.abs(kernel.phi)) / kernel.phi.size
-    bound = 4.0 * kernel.ell
-    if value > bound:
-        raise BoundViolationError(f"kernel l1 norm {value} exceeds 4*ell = {bound}",
-                                  BoundReport.of("kernel-l1-bound", value, bound, {"ell": kernel.ell}))
-    return value
+    return math.fsum(np.abs(kernel.phi)) / kernel.phi.size
 
 
 def deviation_bound(ell: int) -> float:
@@ -148,9 +143,38 @@ def proxy_l1(kernel: ProxyKernel, n: int) -> float:
     total = math.fsum(
         math.comb(n, a) * abs(proxy_eval_by_weight(kernel, n, a)) for a in range(n + 1)
     )
-    value = total / 2.0**n
-    bound = 8.0 * kernel.ell
-    if value > bound:
-        raise BoundViolationError(f"proxy l1 norm {value} exceeds 8*ell = {bound}",
-                                  BoundReport.of("proxy-l1-bound", value, bound, {"ell": kernel.ell, "n": n}))
-    return value
+    return total / 2.0**n
+
+
+def proxy_properties(kernel: ProxyKernel, n: int) -> tuple[dict[str, Any], list[BoundReport]]:
+    """The construction's measured properties at (ell, n), and a report for each claim it makes.
+
+    The moments E[phi sin^k] are 1 at k = 1 and 0 at the other k <= ell,
+    E|phi| <= 4 ell, E|P| <= 8 ell, P matches L on the levels up to ell, and
+    no level deviates from L by more than 8 ell / 2^ell.
+    """
+    ell = kernel.ell
+    moments = [kernel_moment(kernel, k) for k in range(ell + 1)]
+    coeffs = proxy_level_coeffs(kernel, n)
+    linear = np.zeros(n + 1)
+    linear[1] = 1.0
+    gaps = np.abs(coeffs - linear)
+    measured: dict[str, Any] = {
+        "moments": moments,
+        "phi_l1": kernel_l1(kernel),
+        "phi_l1_bound": 4.0 * ell,
+        "proxy_l1": proxy_l1(kernel, n),
+        "proxy_l1_bound": 8.0 * ell,
+        "level_coeffs": [float(c) for c in coeffs],
+        "deviation_bound": deviation_bound(ell),
+        "max_deviation": float(gaps.max()),
+        "mismatch_below_ell": float(gaps[: ell + 1].max()),
+    }
+    return measured, [
+        *(check(f"kernel-moment[{k}]", abs(moment - (1.0 if k == 1 else 0.0)), 0.0)
+          for k, moment in enumerate(moments)),
+        check("kernel-l1-bound", measured["phi_l1"], measured["phi_l1_bound"]),
+        check("proxy-l1-bound", measured["proxy_l1"], measured["proxy_l1_bound"]),
+        check("proxy-low-level-match", measured["mismatch_below_ell"], 0.0),
+        check("proxy-level-deviation", measured["max_deviation"], measured["deviation_bound"]),
+    ]

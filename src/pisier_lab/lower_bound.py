@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _check_dim, _finite,
-                           _require_one_function, popcount, spectrum_sparsity, spectrum_support,
+                           _require_one_function, fwht, popcount, spectrum_sparsity, spectrum_support,
                            subset_levels)
-from .report import BoundReport, BoundViolationError
+from .report import BoundReport, check
 from .vector_field import (
     _SUP_CHUNK_DOUBLES,
     MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM,
@@ -39,7 +40,6 @@ from .vector_field import (
 # SPARSITY_THRESHOLD drops genuine coefficients from n = 19 on, so counted sparsity fails there.
 MAX_RECORD_DIM = 16
 WITNESS_VARIANTS = ("truncated", "chebyshev")
-_INSTANCE_TOL = 1e-10
 
 # imaginary part of i^k by k mod 4, exact
 _IM_UNIT_POWERS = (0.0, 1.0, 0.0, -1.0)
@@ -104,14 +104,14 @@ def truncation_tail_chain(n: int) -> float:
 
 @dataclass(frozen=True)
 class LowerBoundInstance:
-    """A witness, its spectrum support family, and the tailored norm instance.
+    """A witness, its spectrum support family, the tailored norm instance, and the checks of its invariants.
 
-    Both defining invariants are verified structurally at construction: the
+    Both defining invariants are checked structurally at construction: the
     norm of f(0) is the witness sup norm and every row f(x) is exactly the
     translate Fhat(S) chi_S(x) of f(0), so the norm of f(x) is that sup norm
     for every x; the singleton rows of the spectrum hold Fhat({j}) alone, so
     lin f(x) is a translate of lin f(0), whose norm is the total singleton
-    coefficient mass.
+    coefficient mass.  checks holds one report for each of those four facts.
     """
 
     n: int
@@ -123,6 +123,7 @@ class LowerBoundInstance:
     witness_sup: float
     field_norm_value: float
     linear_norm_value: float
+    checks: tuple[BoundReport, ...]
 
     @property
     def ratio(self) -> float:
@@ -138,19 +139,7 @@ def build_witness(n: int, variant: str) -> CubeFunction:
     raise ValueError(f"unknown witness variant {variant!r}")
 
 
-def _require_close(claim: str, failure: str, lhs: float, rhs: float, n: int, variant: str,
-                   **where) -> None:
-    """Raise BoundViolationError, naming where it happened, unless lhs is rhs within the tolerance."""
-    spread = abs(float(lhs) - float(rhs))
-    if not spread <= _INSTANCE_TOL:  # a NaN fails too
-        raise BoundViolationError(
-            f"instance invariant failed: {failure} by {spread:.3e}",
-            BoundReport.of(claim, lhs, rhs, {"n": n, "variant": variant, **where, "tol": _INSTANCE_TOL}),
-        )
-
-
-def _require_embedding(values: np.ndarray, family: np.ndarray, coeffs: np.ndarray,
-                       n: int, variant: str) -> None:
+def _embedding_check(values: np.ndarray, family: np.ndarray, coeffs: np.ndarray) -> BoundReport:
     """Check values[x, j] == Fhat(S_j) chi_{S_j}(x) at every x, reporting the worst entry.
 
     The character signs come from popcount(x & S_j), in row blocks of about
@@ -158,7 +147,7 @@ def _require_embedding(values: np.ndarray, family: np.ndarray, coeffs: np.ndarra
     """
     masks = family.astype(np.uint32)
     rows = max(1, _SUP_CHUNK_DOUBLES // masks.size)
-    worst = (-1.0, 0, 0, 0.0, 0.0)  # deviation, x, j, values[x, j], its character formula
+    worst, where = -1.0, (0, 0)  # |values[x, j] - its character formula|, and (x, j)
     for start in range(0, values.shape[0], rows):
         block = values[start : start + rows]
         points = np.arange(start, start + block.shape[0], dtype=np.uint32)
@@ -167,21 +156,16 @@ def _require_embedding(values: np.ndarray, family: np.ndarray, coeffs: np.ndarra
         np.subtract(block, deviation, out=deviation)
         np.abs(deviation, out=deviation)
         x, j = divmod(int(np.argmax(deviation)), masks.size)  # argmax stops at a NaN
-        if not deviation[x, j] <= worst[0]:
-            want = -coeffs[j] if odd[x, j] else coeffs[j]
-            worst = (float(deviation[x, j]), start + x, j, float(block[x, j]), float(want))
-            if math.isnan(worst[0]):
+        if not deviation[x, j] <= worst:
+            worst, where = float(deviation[x, j]), (start + x, j)
+            if math.isnan(worst):
                 break
-    _, x, j, lhs, rhs = worst
-    _require_close("instance-embedding", "f(x) deviates from Fhat(S) chi_S(x)", lhs, rhs,
-                   n, variant, point=x, subset=int(family[j]))
+    x, j = where
+    return check("instance-embedding", worst, 0.0, point=x, subset=int(family[j]))
 
 
 def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
-    """Build the witness instance and verify its two invariants through its translation structure.
-
-    A failed check raises BoundViolationError.
-    """
+    """Build the witness instance and check its invariants through its translation structure."""
     _check_dim(n, MAX_INSTANCE_DIM)
     witness = build_witness(n, variant)
     spectrum = witness.spectrum
@@ -193,34 +177,30 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
     # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x)
     spectra = np.zeros((1 << n, family.size))
     spectra[family, np.arange(family.size)] = coeffs
-    vector = VectorFunction.from_spectrum_matrix(n, spectra)
+    vector = VectorFunction.from_spectrum(n, spectra)
     del spectra  # the vector holds its own copy; do not keep a second one alive
     norm = Norm.sup_functional(n, family)
     witness_sup = witness.sup_norm()
     values = vector.values_matrix()
 
     field_norm_value = float(norm.evaluate_rows(values[:1])[0])
-    _require_close("instance-field-norm", "||f(0)|| deviates from ||F||_inf",
-                   field_norm_value, witness_sup, n, variant, point=0)
-
     # with every row the translate of row 0, ||f(x)|| = ||f(0)|| at every x
-    _require_embedding(values, family, coeffs, n, variant)
+    checks = [check("instance-field-norm", abs(field_norm_value - witness_sup), 0.0, point=0),
+              _embedding_check(values, family, coeffs)]
 
     # lin f(x) = sum_j x_j fhat({j}); fhat({j}) is Fhat({j}) at {j} when {j} is in the
     # family and zero otherwise, so lin f(x) is the translate of lin f(0) too
     singletons = 1 << np.arange(n)
-    linear_spectrum = vector.spectrum_matrix()[singletons]
-    want = np.where(family == singletons[:, None], coeffs, 0.0)
-    j, c = np.unravel_index(int(np.argmax(np.abs(linear_spectrum - want))), want.shape)
-    _require_close("instance-linear-norm", "a singleton coefficient of f is misplaced",
-                   linear_spectrum[j, c], want[j, c], n, variant, subset=int(singletons[j]),
-                   coordinate=int(family[c]))
+    linear_spectrum = vector.spectrum[singletons]
+    misplaced = np.abs(linear_spectrum - np.where(family == singletons[:, None], coeffs, 0.0))
+    j, c = np.unravel_index(int(np.argmax(misplaced)), misplaced.shape)
     singleton_mass = math.fsum(
         abs(float(spectrum[mask])) for mask in family if int(mask).bit_count() == 1
     )
     linear_norm_value = float(norm.evaluate_rows(linear_spectrum.sum(axis=0, keepdims=True))[0])
-    _require_close("instance-linear-norm", "||lin f(0)|| deviates from the singleton mass",
-                   linear_norm_value, singleton_mass, n, variant, point=0)
+    checks += [check("instance-linear-spectrum", misplaced[j, c], 0.0, subset=int(singletons[j]),
+                     coordinate=int(family[c])),
+               check("instance-linear-norm", abs(linear_norm_value - singleton_mass), 0.0, point=0)]
 
     return LowerBoundInstance(
         n=int(n),
@@ -232,7 +212,55 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
         witness_sup=witness_sup,
         field_norm_value=field_norm_value,
         linear_norm_value=linear_norm_value,
+        checks=tuple(checks),
     )
+
+
+def witness_properties(witness: CubeFunction, variant: str) -> tuple[dict[str, Any], list[BoundReport]]:
+    """The witness's measured properties, and a report for each one its construction claims.
+
+    Truncated: the product witness is bounded by 3, truncation moves it by at
+    most the binomial tail, every singleton coefficient is 1/sqrt(n), before
+    and after a transform round trip, and the counted sparsity is the
+    structural count.  Chebyshev: the witness is bounded by 1, its singleton
+    coefficients agree, and the counted sparsity is at most the structural count.
+    """
+    n = witness.n
+    singletons = [1 << j for j in range(n)]
+    singles = witness.spectrum[singletons]
+    counted = spectrum_sparsity(witness)
+    structural = structural_sparsity(n, variant)
+    measured: dict[str, Any] = {
+        "witness_sup": witness.sup_norm(),
+        "singleton_coefficient": float(singles[0]),
+        "singleton_spread": float(np.abs(singles - singles[0]).max()),
+        "singleton_roundtrip_dev": float(np.abs(fwht(witness.values)[singletons] - singles).max()),
+        "sparsity_counted": int(counted),
+        "sparsity_structural": int(structural),
+        "family_log": math.log(max(counted, 1)),
+        "family_loglog_ratio": math.log(counted) / math.log(math.log(counted)) if counted > 3 else 0.0,
+    }
+    spread = check("singleton-spread", measured["singleton_spread"], 0.0)
+    if variant == "chebyshev":
+        return measured, [check("chebyshev-witness-sup", measured["witness_sup"], 1.0), spread,
+                          check("sparsity-structural-bound", counted, structural)]
+
+    product = build_product_witness(n)
+    measured.update({
+        "product_sup": product.sup_norm(),
+        "diff_sup": (product - witness).sup_norm(),
+        "tail_exact": truncation_tail_bound(n),
+        "tail_chain": truncation_tail_chain(n),
+        "truncation_level": truncation_level(n),
+    })
+    return measured, [
+        check("product-witness-sup", measured["product_sup"], 3.0),
+        check("truncation-tail", measured["diff_sup"], measured["tail_exact"]),
+        check("singleton-coefficient", abs(measured["singleton_coefficient"] - 1.0 / math.sqrt(n)), 0.0),
+        spread,
+        check("singleton-roundtrip", measured["singleton_roundtrip_dev"], 0.0),
+        check("sparsity-exact", abs(counted - structural), 0.0),
+    ]
 
 
 def structural_sparsity(n: int, variant: str = "truncated") -> int:
@@ -265,7 +293,7 @@ def sparsity_inequality_check(f: CubeFunction, rescale: bool = False) -> BoundRe
     sup = f.sup_norm()
     scale = 1.0
     checked = f
-    if sup > 1.0 + 1e-9:
+    if not check("unit-sup-norm", sup, 1.0).holds:
         if not rescale:
             raise ValueError(
                 f"sup norm {sup:.6g} exceeds 1; pass rescale=True to normalize first"
@@ -282,17 +310,6 @@ def sparsity_inequality_check(f: CubeFunction, rescale: bool = False) -> BoundRe
     level1_sum_raw = math.fsum(abs(float(f.spectrum[s])) for s in singletons)
     log2_sparsity = math.log2(sparsity)
     ratio = log2_sparsity / level1_sum if level1_sum > 0 else 0.0
-    return BoundReport.of(
-        "log-sparsity-vs-singleton-mass",
-        log2_sparsity,
-        level1_sum,
-        params={
-            "n": f.n,
-            "sparsity": int(sparsity),
-            "level1_sum": level1_sum,
-            "level1_sum_raw": level1_sum_raw,
-            "scale": scale,
-            "ratio": ratio,
-            "threshold": SPARSITY_THRESHOLD,
-        },
-    )
+    return check("log-sparsity-vs-singleton-mass", log2_sparsity, level1_sum, n=f.n,
+                 sparsity=int(sparsity), level1_sum=level1_sum, level1_sum_raw=level1_sum_raw,
+                 scale=scale, ratio=ratio, threshold=SPARSITY_THRESHOLD)

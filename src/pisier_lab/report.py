@@ -1,8 +1,9 @@
-"""Shared report record and error types for bound verification."""
+"""The tolerance of every checked claim, the report of one check, and the resource error."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -10,32 +11,68 @@ class ResourceLimitError(ValueError):
     """A requested dimension exceeds the configured table caps."""
 
 
-class BoundViolationError(Exception):
-    """A checked inequality failed beyond its tolerance."""
-
-    def __init__(self, message: str, report: "BoundReport | None" = None):
-        super().__init__(message)
-        self.report = report
+# Each claim's tolerance, keyed by claim name; "name[i]" is the i-th claim of one kind and reads
+# the tolerance of "name".  An equality a = b is checked as |a - b| <= 0.
+TOLERANCES: dict[str, float] = {
+    # the proxy construction; the geometric sums are the kernel's self-check, which raises
+    "grid-geometric-sum": 1e-10,
+    "kernel-moment": 1e-10,
+    "kernel-l1-bound": 0.0,
+    "proxy-l1-bound": 0.0,
+    "proxy-low-level-match": 1e-10,
+    "proxy-level-deviation": 0.0,
+    # the projection audit, its sandwich gate (a precondition) and the convolution contraction
+    "sandwich-two-sided-comparison": 1e-9,
+    "proxy-term-bound": 1e-9,
+    "remainder-term-bound": 1e-9,
+    "split-triangle-inequality": 1e-9,
+    "projection-derived-bound": 1e-9,
+    "convolution-l1-contraction": 1e-9,
+    # the witnesses
+    "product-witness-sup": 0.0,
+    "truncation-tail": 1e-15,
+    "singleton-coefficient": 1e-12,
+    "singleton-spread": 1e-12,
+    "singleton-roundtrip": 1e-12,
+    "sparsity-exact": 0.0,
+    "sparsity-structural-bound": 0.0,
+    "chebyshev-witness-sup": 1e-12,
+    # the lower-bound instance's invariants
+    "instance-field-norm": 1e-10,
+    "instance-embedding": 1e-10,
+    "instance-linear-spectrum": 1e-10,
+    "instance-linear-norm": 1e-10,
+    # the sparsity record: a function above sup norm 1 by more than this is rescaled or rejected;
+    # the record asserts no constant between its two sides
+    "unit-sup-norm": 1e-9,
+    "log-sparsity-vs-singleton-mass": math.inf,
+}
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Record of one checked inequality lhs <= rhs, with slack = rhs - lhs."""
+    """One checked inequality lhs <= rhs: it holds iff slack = rhs - lhs >= -tol, so a NaN fails."""
 
     claim: str
     lhs: float
     rhs: float
-    slack: float
+    tol: float
     params: dict[str, Any] = field(default_factory=dict)
 
-    @classmethod
-    def of(cls, claim: str, lhs: float, rhs: float, params: dict[str, Any] | None = None) -> "BoundReport":
-        lhs = float(lhs)
-        rhs = float(rhs)
-        return cls(claim=claim, lhs=lhs, rhs=rhs, slack=rhs - lhs, params=dict(params or {}))
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
-    def holds(self, tol: float = 0.0) -> bool:
-        return self.slack >= -tol
+    @property
+    def holds(self) -> bool:
+        return self.slack >= -self.tol
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The entry of a payload's checks array."""
+        return {"claim": self.claim, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
+                "tol": self.tol, "holds": self.holds}
+
+
+def check(claim: str, lhs: float, rhs: float, **params: Any) -> BoundReport:
+    """The report of lhs <= rhs at the claim's tolerance from TOLERANCES; params record its context."""
+    return BoundReport(claim, float(lhs), float(rhs), TOLERANCES[claim.partition("[")[0]], params)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cube_fourier import CubeFunction, _check_dim, character_values, inverse_fwht
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
-from .report import BoundReport, BoundViolationError
+from .report import BoundReport, check
 
 # cap for sup-functional norms: an audit's per-point scan runs 2^n inverse transforms of
 # 2^n points, n * 4^n in all; the lower-bound instance holds a (2^n, |family|) table,
@@ -26,9 +26,7 @@ from .report import BoundReport, BoundViolationError
 MAX_SUP_FUNCTIONAL_DIM = 12
 # doubles per row block of the sup-functional scan and the instance check: 512 KB, cache-sized
 _SUP_CHUNK_DOUBLES = 1 << 16
-_YOUNG_TOL = 1e-9
 GATE_SAMPLES = 64  # random directions of the sandwich gate, besides the 2m signed basis vectors
-_SANDWICH_TOL = 1e-9
 
 
 class VectorFunction(CubeFunction):
@@ -41,21 +39,8 @@ class VectorFunction(CubeFunction):
     def m(self) -> int:
         return self.shape[1]
 
-    @classmethod
-    def from_values_matrix(cls, n: int, values) -> "VectorFunction":
-        """Row x of a (2^n, m) matrix is the vector f(x)."""
-        return cls(n, values=values)
-
-    @classmethod
-    def from_spectrum_matrix(cls, n: int, spectra) -> "VectorFunction":
-        """Row S of a (2^n, m) matrix is the vector coefficient fhat(S)."""
-        return cls(n, spectrum=spectra)
-
     def values_matrix(self) -> np.ndarray:
         return self.values
-
-    def spectrum_matrix(self) -> np.ndarray:
-        return self.spectrum
 
 
 class Norm:
@@ -163,8 +148,8 @@ class Norm:
 def sandwich_validate(norm: Norm, m: int) -> BoundReport:
     """Check the norm's sandwich on R^m on GATE_SAMPLES random unit directions plus signed basis vectors.
 
-    A violation beyond _SANDWICH_TOL makes the returned report fail; it does
-    not raise, so callers can surface the worst direction.
+    A violation beyond the claim's tolerance makes the returned report fail;
+    it does not raise, so callers can surface the worst direction.
     """
     scale, distortion = norm.sandwich(m)
     rng = np.random.default_rng(0)
@@ -175,7 +160,6 @@ def sandwich_validate(norm: Norm, m: int) -> BoundReport:
     target = norm.evaluate_rows(points)
     lower_slack = target - euclid
     upper_slack = distortion * euclid - target
-    slack = float(min(lower_slack.min(), upper_slack.min()))
     if lower_slack.min() <= upper_slack.min():
         worst = int(np.argmin(lower_slack))
         lhs, rhs = float(euclid[worst]), float(target[worst])
@@ -184,38 +168,23 @@ def sandwich_validate(norm: Norm, m: int) -> BoundReport:
         worst = int(np.argmin(upper_slack))
         lhs, rhs = float(target[worst]), float(distortion * euclid[worst])
         side = "upper"
-    return BoundReport(
-        claim="sandwich-two-sided-comparison",
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        params={"m": m, "distortion": distortion, "norm": norm.name, "worst_side": side},
-    )
+    return check("sandwich-two-sided-comparison", lhs, rhs, m=m, distortion=distortion, norm=norm.name,
+                 worst_side=side)
 
 
 def rademacher_projection(f: VectorFunction) -> VectorFunction:
     """lin f(x) = sum_j fhat({j}) x_j, formed as a (2^n, n) by (n, m) product with no transform."""
     singletons = 1 << np.arange(f.n)
     coordinates = character_values(f.n, singletons)  # column j is x_j
-    return VectorFunction.from_values_matrix(f.n, coordinates @ f.spectrum_matrix()[singletons])
+    return VectorFunction.from_values(f.n, coordinates @ f.spectrum[singletons])
 
 
 def young_bound_check(f: VectorFunction, g: CubeFunction, norm: Norm) -> BoundReport:
     """Convolution contraction: msn(f * g) <= E|g| * msn(f) for any norm."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    lhs = norm.mean_square(inverse_fwht(f.spectrum_matrix() * g.spectrum[:, None]))
+    lhs = norm.mean_square(inverse_fwht(f.spectrum * g.spectrum[:, None]))
     g_l1 = float(np.mean(np.abs(g.values)))
     rhs = g_l1 * norm.mean_square(f.values_matrix())
-    report = BoundReport.of(
-        "convolution-l1-contraction",
-        lhs,
-        rhs,
-        params={"n": f.n, "m": f.m, "norm": norm.name, "g_l1": g_l1},
-    )
-    if not report.holds(_YOUNG_TOL):
-        raise BoundViolationError(
-            f"convolution contraction violated: {lhs} > {rhs} + {_YOUNG_TOL}", report
-        )
-    return report
+    return check("convolution-l1-contraction", lhs, rhs, n=f.n, m=f.m, norm=norm.name, g_l1=g_l1)
 

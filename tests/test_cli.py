@@ -3,19 +3,20 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pisier_lab import CubeFunction, build_truncated_witness, write_binary
+from pisier_lab import CubeFunction, Norm, build_truncated_witness, write_binary
 from pisier_lab import cli, linear_proxy, lower_bound
 from pisier_lab.cube_fourier import MAX_DIM
 from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
 from pisier_lab.pisier_bench import MAX_AUDIT_DIM
-from pisier_lab.report import BoundViolationError
+from pisier_lab.report import TOLERANCES
 from pisier_lab.vector_field import GATE_SAMPLES
 
 from oracles import constant_function
@@ -23,6 +24,16 @@ from oracles import constant_function
 
 def run_main(args):
     return cli.main(args)
+
+
+def failing(monkeypatch, prefix):
+    """Give every claim whose name starts with prefix a tolerance no finite check meets."""
+    for claim in [c for c in TOLERANCES if c.startswith(prefix)]:
+        monkeypatch.setitem(TOLERANCES, claim, -1e9)
+
+
+def failed_claims(payload):
+    return [c["claim"] for c in payload["checks"] if not c["holds"]]
 
 
 class TestProxyCheck:
@@ -57,8 +68,9 @@ class TestProxyCheck:
 
         payload = json.loads(captured.out, parse_constant=reject)
         assert payload["proxy_l1"] == 100.0
-        assert payload["violations"] == ["proxy l1 norm 100.0 exceeds 8*ell = 8.0"]
-        assert "violation: proxy l1 norm" in captured.err
+        assert failed_claims(payload) == ["proxy-l1-bound"]
+        assert payload["violations"] == ["proxy-l1-bound: 100.0 <= 8.0 + 0.0 fails"]
+        assert captured.err == "violation: proxy-l1-bound: 100.0 <= 8.0 + 0.0 fails\n"
 
 
 class TestAudit:
@@ -144,12 +156,14 @@ class TestAudit:
                                     "use --norm linf for the sup norm\n")
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
-        def boom(*args, **kwargs):
-            raise BoundViolationError("synthetic violation")
-
-        monkeypatch.setattr(cli.pisier_bench, "decomposition_audit", boom)
+        """A failed claim still prints the audit, and each failure is one stderr line."""
+        failing(monkeypatch, "projection-derived-bound")
         assert run_main(["audit", "--n", "6", "--m", "4"]) == 1
-        assert "synthetic violation" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert failed_claims(payload) == ["projection-derived-bound"]
+        assert captured.err == "".join(f"violation: {v}\n" for v in payload["violations"])
+        assert captured.err.startswith("violation: projection-derived-bound: ")
 
 
 class TestLowerBound:
@@ -183,9 +197,12 @@ class TestLowerBound:
         assert run_main(["lower-bound", "--n", "17"]) == 2
 
     def test_failed_instance_invariant_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(lower_bound, "_INSTANCE_TOL", -1.0)
+        failing(monkeypatch, "instance-")
         assert run_main(["lower-bound", "--n", "4"]) == 1
-        assert capsys.readouterr().err.startswith("bound violated: instance invariant failed")
+        captured = capsys.readouterr()
+        assert failed_claims(json.loads(captured.out)) == [
+            "instance-field-norm", "instance-embedding", "instance-linear-spectrum", "instance-linear-norm"]
+        assert captured.err.startswith("violation: instance-field-norm: ")
 
     @pytest.mark.parametrize(("n", "variant"), [(6, "truncated"), (6, "chebyshev"),
                                                 (14, "truncated")])
@@ -202,6 +219,87 @@ class TestLowerBound:
         assert calls == [(n, variant)]
 
 
+class TestChecks:
+    """Every checking subcommand reports each claim it checked, and its verdict comes from that list."""
+
+    RUNS = [
+        ["proxy-check", "--ell", "3", "--n", "5"],
+        ["proxy-check", "--ell", "5", "--n", "2"],
+        ["audit", "--n", "5", "--m", "3", "--norm", "l2"],
+        ["lower-bound", "--n", "6", "--variant", "truncated"],
+        ["lower-bound", "--n", "6", "--variant", "chebyshev"],
+        ["lower-bound", "--n", "14", "--variant", "truncated"],
+    ]
+    CLAIMS = [
+        [*(f"kernel-moment[{k}]" for k in range(4)), "kernel-l1-bound", "proxy-l1-bound",
+         "proxy-low-level-match", "proxy-level-deviation"],
+        [*(f"kernel-moment[{k}]" for k in range(6)), "kernel-l1-bound", "proxy-l1-bound",
+         "proxy-low-level-match", "proxy-level-deviation"],
+        ["proxy-term-bound", "remainder-term-bound", "split-triangle-inequality", "projection-derived-bound"],
+        ["product-witness-sup", "truncation-tail", "singleton-coefficient", "singleton-spread",
+         "singleton-roundtrip", "sparsity-exact", "instance-field-norm", "instance-embedding",
+         "instance-linear-spectrum", "instance-linear-norm"],
+        ["chebyshev-witness-sup", "singleton-spread", "sparsity-structural-bound", "instance-field-norm",
+         "instance-embedding", "instance-linear-spectrum", "instance-linear-norm"],
+        ["product-witness-sup", "truncation-tail", "singleton-coefficient", "singleton-spread",
+         "singleton-roundtrip", "sparsity-exact"],
+    ]
+
+    @pytest.mark.parametrize(("argv", "claims"), zip(RUNS, CLAIMS), ids=[" ".join(a) for a in RUNS])
+    def test_passing_run_names_every_claim(self, capsys, argv, claims):
+        assert run_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["claim"] for c in payload["checks"]] == claims
+        for entry in payload["checks"]:
+            assert set(entry) == {"claim", "lhs", "rhs", "slack", "tol", "holds"}
+            assert entry["holds"] and entry["slack"] == entry["rhs"] - entry["lhs"]
+            assert entry["tol"] == TOLERANCES[entry["claim"].partition("[")[0]]
+        assert payload["violations"] == []
+
+    def test_acceptance_audits_carry_their_checks(self):
+        """The audit JSON of the acceptance grid: four holding claims, slack rhs - lhs, no params."""
+        for n, m in ((8, 4), (10, 8), (12, 16)):
+            for norm in ("linf", "l1", "l2"):
+                payload = json.loads(cli.audit_report_json(n, m, norm, 3))
+                checks = payload["checks"]
+                assert len(checks) == 4 and all(c["holds"] for c in checks)
+                assert all(c["slack"] == c["rhs"] - c["lhs"] for c in checks)
+                assert checks[3]["slack"] == payload["audit"]["slack"]
+                assert payload["violations"] == []
+
+
+class TestNaN:
+    """A NaN on either side of a claim fails that claim: the run exits 1 and names it."""
+
+    def test_proxy_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(linear_proxy, "proxy_eval_by_weight", lambda kernel, n, a: math.nan)
+        assert run_main(["proxy-check", "--ell", "3", "--n", "6"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert math.isnan(payload["proxy_l1"])
+        assert failed_claims(payload) == ["proxy-l1-bound"]
+        assert captured.err == "violation: proxy-l1-bound: nan <= 24.0 + 0.0 fails\n"
+
+    def test_audit(self, capsys, monkeypatch):
+        monkeypatch.setattr(Norm, "mean_square", lambda self, table: math.nan)
+        assert run_main(["audit", "--n", "5", "--m", "3"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isnan(payload["audit"]["lhs"])
+        assert failed_claims(payload) == [
+            "proxy-term-bound", "remainder-term-bound", "split-triangle-inequality", "projection-derived-bound"]
+
+    @pytest.mark.parametrize("scalar", [[], ["--scalar-only"]], ids=["instance", "scalar"])
+    def test_lower_bound_chebyshev_witness_sup(self, capsys, monkeypatch, scalar):
+        monkeypatch.setattr(CubeFunction, "sup_norm", lambda self: math.nan)
+        assert run_main(["lower-bound", "--n", "4", "--variant", "chebyshev", *scalar]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        checks = {c["claim"]: c for c in payload["checks"]}
+        assert math.isnan(checks["chebyshev-witness-sup"]["lhs"])
+        assert not checks["chebyshev-witness-sup"]["holds"]
+        # the witness sup is the right-hand side of the field-norm invariant
+        assert failed_claims(payload) == ["chebyshev-witness-sup"] + (["instance-field-norm"] if not scalar else [])
+
+
 class TestSparsity:
     def test_witness_mode(self, capsys):
         assert run_main(["sparsity", "--n", "9", "--variant", "truncated"]) == 0
@@ -215,6 +313,17 @@ class TestSparsity:
         assert run_main(["sparsity", "--input", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["sparsity"] == 8
+
+    def test_file_mode_bytes_do_not_depend_on_the_directory(self, tmp_path):
+        """The record names the input by its file name, so one table gives one output wherever it lies."""
+        outputs = []
+        for folder in (tmp_path / "a", tmp_path / "a much longer" / "directory name"):
+            folder.mkdir(parents=True)
+            write_binary(build_truncated_witness(4), folder / "f.bin")
+            assert run_main(["sparsity", "--input", str(folder / "f.bin"), "--out", str(folder / "s.json")]) == 0
+            outputs.append((folder / "s.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["source"] == "file:f.bin"
 
     def test_requires_exactly_one_source(self, capsys):
         assert run_main(["sparsity"]) == 2
@@ -314,10 +423,23 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
 
-    def test_empty_range_header_only(self, capsys):
-        assert run_main(["sweep", "--kind", "proxy", "--ell", "", "--n", ""]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines == [",".join(cli.PROXY_SWEEP_FIELDS)]
+    @pytest.mark.parametrize(("flags", "empty"), [
+        (["--kind", "proxy", "--ell", "", "--n", ""], "--ell"),
+        (["--kind", "proxy", "--n", "4"], "--ell"),
+        (["--kind", "proxy", "--ell", "3", "--n", "5:3"], "--n"),
+        (["--kind", "lower-bound", "--n", "5:3"], "--n"),
+        (["--kind", "lower-bound"], "--n"),
+        (["--kind", "audit", "--n", "5:3", "--m", "2"], "--n"),
+        (["--kind", "audit", "--n", "5"], "--m"),
+        (["--kind", "audit", "--n", "3", "--m", "2", "--seeds", "5:3"], "--seeds"),
+        (["--kind", "lower-bound", "--n", "3", "--variants", ","], "--variants"),
+    ])
+    def test_empty_grid_is_a_usage_error(self, capsys, flags, empty):
+        """A sweep that would check nothing cannot report that every bound holds."""
+        assert run_main(["sweep", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {empty} names no value, so the sweep would check nothing\n"
 
     def test_audit_grid_with_seed_range(self, capsys):
         assert run_main(["sweep", "--kind", "audit", "--n", "6", "--m", "4,8",
@@ -326,11 +448,24 @@ class TestSweep:
         assert len(lines) == 7
 
     def test_failed_instance_invariant_is_a_violation_row(self, capsys, monkeypatch):
-        monkeypatch.setattr(lower_bound, "_INSTANCE_TOL", -1.0)
+        failing(monkeypatch, "instance-")
         assert run_main(["sweep", "--kind", "lower-bound", "--n", "4,13"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[1].startswith("lower-bound,4,truncated,,,,,violation,instance invariant failed")
-        assert lines[2].split(",")[-2] == "ok"  # scalar mode builds no instance
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (rows[0]["n"], rows[0]["status"]) == ("4", "violation")
+        assert rows[0]["error"].startswith("instance-field-norm: ")
+        assert rows[0]["witness_sup"] != ""  # a failed check leaves the row's measurements in place
+        assert rows[1]["status"] == "ok"  # scalar mode builds no instance
+
+    @pytest.mark.parametrize(("kind", "flags", "prefix"), [
+        ("proxy", ["--ell", "1,3", "--n", "4"], "proxy-l1-bound"),
+        ("audit", ["--n", "4", "--m", "2", "--seeds", "0:2"], "split-triangle-inequality"),
+    ])
+    def test_failed_claim_is_a_violation_row(self, capsys, monkeypatch, kind, flags, prefix):
+        failing(monkeypatch, prefix)
+        assert run_main(["sweep", "--kind", kind, *flags]) == 1
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["status"] for row in rows] == ["violation", "violation"]
+        assert all(row["error"].startswith(f"{prefix}: ") and ";" not in row["error"] for row in rows)
 
     @pytest.mark.parametrize(("flags", "message"), [
         (["--m", "2", "--norm", "lp"], "--norm lp needs --p >= 1"),

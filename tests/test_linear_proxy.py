@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pisier_lab import (
-    BoundViolationError,
     ProxyKernel,
     ResourceLimitError,
     deviation_bound,
@@ -16,9 +15,9 @@ from pisier_lab import (
     proxy_l1,
     proxy_level_coeffs,
 )
-from pisier_lab import linear_proxy
 from pisier_lab.cube_fourier import popcount
-from pisier_lab.linear_proxy import MAX_ELL
+from pisier_lab.linear_proxy import MAX_ELL, proxy_properties
+from pisier_lab.report import TOLERANCES
 
 from oracles import proxy_as_cube_function
 
@@ -74,7 +73,7 @@ class TestAngleGrid:
     @pytest.mark.parametrize("ell", [1, 5])
     def test_failed_geometric_sum_names_the_first_exponent(self, monkeypatch, ell):
         """The identity is checked for every a in -4 ell..4 ell; a failure names the first a."""
-        monkeypatch.setattr(linear_proxy, "_IDENTITY_TOL", -1.0)
+        monkeypatch.setitem(TOLERANCES, "grid-geometric-sum", -1.0)
         with pytest.raises(RuntimeError, match=f"identity failed at a={-4 * ell}:"):
             ProxyKernel(ell)
 
@@ -172,10 +171,10 @@ class TestL1Bounds:
     def test_kernel_l1_violation_reports_the_measured_value(self):
         kernel = ProxyKernel(3)
         kernel.phi = 100.0 * kernel.phi
-        with pytest.raises(BoundViolationError) as info:
-            kernel_l1(kernel)
-        assert info.value.report.lhs == math.fsum(np.abs(kernel.phi)) / kernel.phi.size
-        assert info.value.report.rhs == 12.0
+        measured = math.fsum(np.abs(kernel.phi)) / kernel.phi.size
+        assert kernel_l1(kernel) == measured
+        report = {c.claim: c for c in proxy_properties(kernel, 4)[1]}["kernel-l1-bound"]
+        assert (report.lhs, report.rhs, report.holds) == (measured, 12.0, False)
 
     @pytest.mark.parametrize(("ell", "n"), [(1, 1), (3, 16), (5, 24), (15, 24)])
     def test_proxy_l1_bound(self, ell, n):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pisier_lab import (
-    BoundViolationError,
     CubeFunction,
     Norm,
     ProxyKernel,
@@ -35,6 +34,7 @@ from pisier_lab import cube_fourier, lower_bound
 from pisier_lab.cube_fourier import MAX_DIM, popcount
 from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS
 from pisier_lab.pisier_bench import MAX_AUDIT_DIM
+from pisier_lab.report import TOLERANCES
 from pisier_lab.vector_field import MAX_SUP_FUNCTIONAL_DIM
 
 from oracles import constant_function
@@ -54,7 +54,7 @@ def product_witness_values_oracle(n):
 
 def zero_audit(n, norm):
     """Audit a zero function whose n is set past its constructor's check, so the audit's own check runs."""
-    f = VectorFunction.from_spectrum_matrix(1, np.zeros((2, 1)))
+    f = VectorFunction.from_spectrum(1, np.zeros((2, 1)))
     f.n = n
     return decomposition_audit(f, norm)
 
@@ -279,17 +279,31 @@ class TestInstance:
             lower_bound_instance(13, "truncated")
 
     def test_failed_invariant_is_a_bound_violation(self, monkeypatch):
-        monkeypatch.setattr(lower_bound, "_INSTANCE_TOL", -1.0)
-        with pytest.raises(BoundViolationError, match="instance invariant failed") as info:
-            lower_bound_instance(4, "truncated")
-        report = info.value.report
-        assert report.claim == "instance-field-norm"
-        assert report.rhs == build_truncated_witness(4).sup_norm()
-        assert abs(report.lhs - report.rhs) < 1e-10
+        """Each invariant is a report at its own tolerance; a failed one is returned, not raised."""
+        assert all(c.holds for c in lower_bound_instance(4, "truncated").checks)
+        monkeypatch.setitem(TOLERANCES, "instance-field-norm", -1.0)
+        report, *others = lower_bound_instance(4, "truncated").checks
+        assert (report.claim, report.holds) == ("instance-field-norm", False)
+        assert report.lhs < 1e-10 and report.rhs == 0.0  # |f(0) norm - sup norm| <= 0
+        assert report.params == {"point": 0}
+        assert all(c.holds for c in others)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             lower_bound_instance(4, "fancy")
+
+    @pytest.mark.parametrize(("variant", "failed"), [
+        ("truncated", ["truncation-tail", "singleton-coefficient"]),
+        ("chebyshev", ["chebyshev-witness-sup"]),
+    ])
+    def test_doubled_witness_fails_its_claims(self, variant, failed):
+        """Twice a witness keeps its support and symmetry but breaks its bound and its coefficients."""
+        witness = lower_bound.build_witness(9, variant)
+        _, checks = lower_bound.witness_properties(witness, variant)
+        assert all(c.holds for c in checks)
+        doubled = CubeFunction.from_spectrum(9, 2.0 * witness.spectrum)
+        _, checks = lower_bound.witness_properties(doubled, variant)
+        assert [c.claim for c in checks if not c.holds] == failed
 
 
 class TestStructuralVerification:
@@ -329,7 +343,7 @@ class TestStructuralVerification:
         coeffs = instance.witness.spectrum[family]
         tracemalloc.start()
         try:
-            lower_bound._require_embedding(values, family, coeffs, 12, variant)
+            lower_bound._embedding_check(values, family, coeffs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -342,39 +356,40 @@ class TestStructuralVerification:
         """
         point, column = 11, 3
         monkeypatch.setattr(lower_bound, "_SUP_CHUNK_DOUBLES", 32)
-        build = lower_bound.VectorFunction.from_spectrum_matrix
+        build = lower_bound.VectorFunction.from_spectrum
 
         def tampered(n, spectra):
             values = build(n, spectra).values_matrix().copy()
             values[point, column] *= -1.0
-            return lower_bound.VectorFunction.from_values_matrix(n, values)
+            return lower_bound.VectorFunction.from_values(n, values)
 
-        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum_matrix", tampered)
-        with pytest.raises(BoundViolationError, match="instance invariant failed") as info:
-            lower_bound_instance(4, "truncated")
-        report = info.value.report
-        assert report.claim == "instance-embedding"
-        family = lower_bound.spectrum_support(build_truncated_witness(4))
+        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum", tampered)
+        failed = [c for c in lower_bound_instance(4, "truncated").checks if not c.holds]
+        # f(0) is intact; the flip also moves the spectrum, so the singleton claims fail with it
+        assert [c.claim for c in failed] == ["instance-embedding", "instance-linear-spectrum",
+                                             "instance-linear-norm"]
+        report = failed[0]
+        witness = build_truncated_witness(4)
+        family = lower_bound.spectrum_support(witness)
         assert report.params["point"] == point
         assert report.params["subset"] == family[column]
-        assert report.lhs == -report.rhs != 0.0
+        assert report.lhs == 2.0 * abs(witness.spectrum[family[column]]) != 0.0  # |-v - v|
 
     def test_moved_singleton_coefficient_is_a_linear_norm_violation(self, monkeypatch):
         """Fhat({0}) moved to the column of {1} keeps the norm of the sum, but not the structure."""
-        spectrum_matrix = VectorFunction.spectrum_matrix
+        spectrum = CubeFunction.spectrum.fget
 
         def moved(vector):
-            spec = spectrum_matrix(vector).copy()
+            spec = spectrum(vector).copy()
             spec[0b01, [0, 1]] = spec[0b01, [1, 0]]
             return spec
 
-        monkeypatch.setattr(VectorFunction, "spectrum_matrix", moved)
-        with pytest.raises(BoundViolationError, match="instance invariant failed") as info:
-            lower_bound_instance(4, "truncated")
-        report = info.value.report
-        assert report.claim == "instance-linear-norm"
+        monkeypatch.setattr(VectorFunction, "spectrum", property(moved))
+        failed = [c for c in lower_bound_instance(4, "truncated").checks if not c.holds]
+        assert [c.claim for c in failed] == ["instance-linear-spectrum"]
+        report = failed[0]
         assert (report.params["subset"], report.params["coordinate"]) == (0b01, 0b01)
-        assert (report.lhs, report.rhs) == (0.0, 0.5)
+        assert (report.lhs, report.rhs) == (0.5, 0.0)  # |0.0 - 0.5| where Fhat({0}) belongs
 
 
 class TestSparsityRecord:

@@ -8,6 +8,7 @@ import numpy as np
 
 import pisier_lab
 from pisier_lab import CubeFunction, cli, write_binary
+from pisier_lab.report import TOLERANCES
 
 SOURCES = sorted(Path(pisier_lab.__file__).parent.glob("*.py"))
 
@@ -64,8 +65,34 @@ def test_each_limit_has_one_home():
     assert checks == []
 
 
+def test_each_tolerance_has_one_home():
+    """Every tolerance is an entry of report.TOLERANCES, and the CLI decides no verdict itself."""
+    assigned = [
+        f"{path.name}:{node.lineno}:{target.id}"
+        for path in SOURCES if path.name != "report.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_TOL")
+    ]
+    assert assigned == []
+
+    cli_source = Path(cli.__file__)
+    float_comparisons = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse(cli_source.read_text(), filename=str(cli_source)))
+        if isinstance(node, ast.Compare)
+        for sub in ast.walk(node) if isinstance(sub, ast.Constant) and isinstance(sub.value, float)
+    ]
+    assert float_comparisons == []
+
+    # each claim in the table is named by the code that checks it
+    code = "".join(path.read_text() for path in SOURCES if path.name != "report.py")
+    assert [claim for claim in TOLERANCES if f'"{claim}' not in code] == []
+
+
 PUBLIC_NAMES = [
-    "BoundReport", "BoundViolationError", "CubeFunction", "LowerBoundInstance",
+    "BoundReport", "CubeFunction", "LowerBoundInstance",
     "Norm", "PisierAudit", "ProxyKernel", "ResourceLimitError", "VectorFunction",
     "build_chebyshev_witness", "build_product_witness",
     "build_truncated_witness", "character_values", "choose_ell", "convolve",
@@ -80,7 +107,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface():
     """The package exports what the CLI and the checks of the paper's claims use, and no more."""
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 39
     assert sorted(pisier_lab.__all__) == PUBLIC_NAMES
     missing = [name for name in PUBLIC_NAMES if not hasattr(pisier_lab, name)]
     assert missing == []
@@ -135,7 +162,6 @@ UNREACHED_BY_THE_CLI = {
     "vector_field.young_bound_check": "the convolution contraction, to be folded into the audit",
     "cube_fourier.CubeFunction.__repr__": "read in a debugger or a failing test, never in a run",
     "vector_field.Norm.__repr__": "read in a debugger or a failing test, never in a run",
-    "report.BoundViolationError.__init__": "runs only when a checked claim fails",
 }
 
 
