@@ -58,41 +58,40 @@ def subset_levels(n: int) -> np.ndarray:
 def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
     # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
     # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x), divided by the length
-    # when normalize is set.  A table of at most _BLOCK_DOUBLES doubles ping-pongs between
-    # a fresh C-order copy and one scratch table.  A larger one is blocked so that every
-    # pass runs in cache (the locality idea of the FFHT, Andoni et al., NeurIPS 2015):
-    # with c the most rows that fit a block, phase 1 runs strides 1 .. c/2 inside each
-    # contiguous run of c rows, and phase 2 strides c .. size/2 over column strips of the
-    # (size/c, c*width) view.  Each block is copied into scratch, transformed there and
-    # copied out, phase 2 dividing it on the way; phase 1 (or phase 2 when c == 1) reads
-    # the input itself, so the input is neither copied (unless it is not C-contiguous
-    # float64) nor written.  The blocks of a phase are independent and are dealt to up to
-    # _WORKERS threads.  Every entry sees the same additions in the same order as in
-    # unblocked ascending-stride passes (see _radix2_passes), and dividing by a power of
-    # two is one correctly rounded step wherever it happens, so the result is
-    # bit-identical to those passes at any thread count; peak memory is one table plus two
-    # blocks per worker.
+    # when normalize is set.  The table is blocked so that every pass runs in cache (the
+    # locality idea of the FFHT, Andoni et al., NeurIPS 2015): with c the most rows that
+    # fit a block, phase 1 runs strides 1 .. c/2 inside each contiguous run of c rows,
+    # and phase 2 strides c .. size/2 over column strips of the (size/c, c*width)
+    # view.  A table of at most _BLOCK_DOUBLES doubles is phase 1 alone, one block;
+    # phase 2 runs when strides remain, and alone when c == 1 (no two rows fit a block,
+    # or the table has one row).  Each block is copied into scratch, transformed there and
+    # copied out, the last phase dividing it on the way; the first phase reads the input
+    # itself, so the input is neither copied (unless it is not C-contiguous float64) nor
+    # written.  The blocks of a phase are independent and are dealt to up to _WORKERS
+    # threads, so a table of one block runs on the calling thread.  Every entry sees the
+    # same additions in the same order as in unblocked ascending-stride passes (see
+    # _radix2_passes), and dividing by a power of two is one correctly rounded step
+    # wherever it happens, so the result is bit-identical to those passes at any thread
+    # count; peak memory is one table plus two blocks per worker.
     a = np.asarray(a, dtype=np.float64)
     size = a.shape[0] if a.ndim else 0
     _check_power_of_two(size, "a Walsh transform")
     scale = 1.0 / size if normalize else None
-    if a.size <= _BLOCK_DOUBLES:
-        table = np.array(a, order="C")
-        out = _radix2_passes(table, np.empty_like(table))
-        if scale is not None:
-            out *= scale
-        return out
     src = np.ascontiguousarray(a)
     out = np.empty_like(src)
+    if not src.size:  # an empty batch: no entry to add
+        return out
     width = src.size // size
     c = min(size, 1 << max(0, (_BLOCK_DOUBLES // width).bit_length() - 1))
     if c > 1:
-        _run_phase([*zip(src.reshape(size // c, c, width), out.reshape(size // c, c, width))], None)
-    rows_in = (out if c > 1 else src).reshape(size // c, c * width)
-    rows_out = out.reshape(rows_in.shape)
-    strip = max(1, _BLOCK_DOUBLES // rows_in.shape[0])
-    _run_phase([(rows_in[:, j : j + strip], rows_out[:, j : j + strip])
-                for j in range(0, rows_in.shape[1], strip)], scale)
+        _run_phase([*zip(src.reshape(size // c, c, width), out.reshape(size // c, c, width))],
+                   scale if c == size else None)
+    if c < size or c == 1:
+        rows_in = (out if c > 1 else src).reshape(size // c, c * width)
+        rows_out = out.reshape(rows_in.shape)
+        strip = max(1, _BLOCK_DOUBLES // rows_in.shape[0])
+        _run_phase([(rows_in[:, j : j + strip], rows_out[:, j : j + strip])
+                    for j in range(0, rows_in.shape[1], strip)], scale)
     return out
 
 

@@ -87,7 +87,7 @@ class ProxyKernel:
         failed = np.nonzero(~(np.abs(totals - want) <= tol))[0]  # a NaN sum fails too
         if failed.size:
             i = failed[0]
-            raise RuntimeError(
+            raise ValueError(
                 f"grid geometric-sum identity failed at a={a[i]}: |{totals[i]:.3e} - {want[i]}| > {tol}"
             )
 

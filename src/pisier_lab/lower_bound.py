@@ -177,8 +177,8 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
     # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x)
     spectra = np.zeros((1 << n, family.size))
     spectra[family, np.arange(family.size)] = coeffs
+    spectra.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
     vector = VectorFunction.from_spectrum(n, spectra)
-    del spectra  # the vector holds its own copy; do not keep a second one alive
     norm = Norm.sup_functional(n, family)
     witness_sup = witness.sup_norm()
     values = vector.values_matrix()

@@ -73,6 +73,26 @@ class TestProxyCheck:
         assert captured.err == "violation: proxy-l1-bound: 100.0 <= 8.0 + 0.0 fails\n"
 
 
+class TestKernelSelfCheck:
+    """A failed geometric-sum self-check is a precondition, as the sandwich gate is: exit 2, not 1."""
+
+    @pytest.mark.parametrize("argv", [["audit", "--n", "3", "--m", "2"], ["proxy-check", "--ell", "3", "--n", "4"]])
+    def test_failure_is_one_error_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setitem(TOLERANCES, "grid-geometric-sum", -1.0)
+        assert run_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: grid geometric-sum identity failed at a=")
+
+    def test_failure_is_an_error_row_in_a_sweep(self, capsys, monkeypatch):
+        monkeypatch.setitem(TOLERANCES, "grid-geometric-sum", -1.0)
+        run_main(["sweep", "--kind", "proxy", "--ell", "3", "--n", "4"])
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["status"] for row in rows] == ["error"]
+        assert rows[0]["error"].startswith("grid geometric-sum identity failed at a=")
+
+
 class TestAudit:
     def test_basic_run(self, capsys):
         assert run_main(["audit", "--n", "8", "--m", "4", "--norm", "linf", "--seed", "7"]) == 0
@@ -596,6 +616,21 @@ class TestConsoleScript:
                 assert proc.returncode == 0, (argv, proc.stderr)
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1], argv
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_verdict_survives_python_optimize(self, patched):
+        """Under python -O, which strips assert statements, a failed claim still exits 1 with its line."""
+        script = "import sys; from pisier_lab import cli, report; "
+        if patched:
+            script += "report.TOLERANCES['kernel-l1-bound'] = -1e9; "
+        script += "sys.exit(cli.main(['proxy-check', '--ell', '3', '--n', '4']))"
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+        if not patched:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("violation: kernel-l1-bound: ")
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

@@ -329,7 +329,7 @@ class TestBlockedButterfly:
 
     @pytest.mark.parametrize("transform", [fwht, inverse_fwht])
     def test_transforms_leave_a_writable_input_alone(self, transform):
-        """Phase 1 reads the input itself, and fwht scales its output in place: neither may touch the input."""
+        """Phase 1 reads the input itself, and fwht scales blocks as they leave scratch: neither touches the input."""
         table = np.random.default_rng(12).standard_normal((1 << 16, 3))
         before = table.copy()
         out = transform(table)
@@ -385,6 +385,25 @@ class TestBlockedButterfly:
                 tracemalloc.stop()
             assert peak <= table.nbytes + workers * (2 * cube_fourier._BLOCK_DOUBLES * 8 + slack), workers
 
+    @pytest.mark.parametrize("shape", [(1 << 8, 4), (1 << 12, 16), (1 << 16,), (1 << 13, 16)])
+    def test_a_table_of_one_block_starts_no_thread(self, monkeypatch, shape):
+        """Up to _BLOCK_DOUBLES doubles each phase has one block, which the calling thread runs."""
+        monkeypatch.setattr(cube_fourier, "_WORKERS", 3)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread)))
+        table = np.random.default_rng(shape[0]).standard_normal(shape)
+        want = walsh_butterfly_unblocked(table)
+        assert_same_bits(inverse_fwht(table), want)
+        assert_same_bits(fwht(table), want / shape[0])
+        assert bool(started) == (table.size > cube_fourier._BLOCK_DOUBLES)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (1, 0), (2, 0, 3)])
+    def test_an_empty_batch_transforms_to_an_empty_table(self, shape):
+        for transform in (fwht, inverse_fwht):
+            out = transform(np.zeros(shape))
+            assert out.shape == shape and out.dtype == np.float64
+
     @pytest.mark.parametrize("shape", [(1 << 16,), (1 << 16, 1)])
     def test_one_column_block_allocates_no_iterator_buffers(self, shape):
         """Constant-geometry passes give numpy 1-D operands only: a block's passes allocate almost nothing."""
@@ -410,8 +429,8 @@ class TestScaleInTheLastPhase:
     @pytest.mark.parametrize("block", [1 << 3, 1 << 16], ids=["blocked", "default-block"])
     @pytest.mark.parametrize("factor", [1.0, 1e-310, 1e307], ids=["random", "subnormal", "near-overflow"])
     def test_fwht_and_spectrum_fill_equal_a_division_afterwards(self, monkeypatch, workers, block, factor):
-        """Scaling each block as it leaves scratch, or the small table after its passes, gives the bits of
-        dividing the finished butterfly by the length; 16 rows of values below 1e307 cannot overflow."""
+        """Scaling each block as it leaves scratch gives the bits of dividing the finished butterfly
+        by the length; 16 rows of values below 1e307 cannot overflow."""
         monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
         monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
         rng = np.random.default_rng(int(block) + workers)

@@ -74,7 +74,7 @@ class TestAngleGrid:
     def test_failed_geometric_sum_names_the_first_exponent(self, monkeypatch, ell):
         """The identity is checked for every a in -4 ell..4 ell; a failure names the first a."""
         monkeypatch.setitem(TOLERANCES, "grid-geometric-sum", -1.0)
-        with pytest.raises(RuntimeError, match=f"identity failed at a={-4 * ell}:"):
+        with pytest.raises(ValueError, match=f"identity failed at a={-4 * ell}:"):
             ProxyKernel(ell)
 
     @pytest.mark.parametrize("bad", [0, -1, 2, 4, 17])

@@ -292,6 +292,21 @@ class TestInstance:
         with pytest.raises(ValueError):
             lower_bound_instance(4, "fancy")
 
+    def test_vector_adopts_the_scatter_table(self, monkeypatch):
+        """The (2^n, |family|) spectrum the instance scatters is handed over read-only and kept, not copied."""
+        handed = []
+        build = lower_bound.VectorFunction.from_spectrum
+
+        def capture(n, spectra):
+            handed.append(spectra)
+            return build(n, spectra)
+
+        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum", capture)
+        instance = lower_bound_instance(9, "truncated")
+        assert len(handed) == 1
+        assert instance.vector.spectrum is handed[0]
+        assert not handed[0].flags.writeable
+
     @pytest.mark.parametrize(("variant", "failed"), [
         ("truncated", ["truncation-tail", "singleton-coefficient"]),
         ("chebyshev", ["chebyshev-witness-sup"]),
