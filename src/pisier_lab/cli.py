@@ -24,22 +24,18 @@ from . import cube_fourier, linear_proxy, lower_bound, pisier_bench, vector_fiel
 from .cube_fourier import MAX_DIM
 from .linear_proxy import MAX_ELL
 from .lower_bound import MAX_RECORD_DIM, WITNESS_VARIANTS
-from .pisier_bench import AUDIT_CSV_FIELDS, MAX_AUDIT_DIM
+from .pisier_bench import MAX_AUDIT_DIM
 from .report import BoundReport
 from .vector_field import GATE_SAMPLES
 
-LOWER_CSV_FIELDS = (
-    "n", "variant", "mode", "witness_sup", "product_sup", "diff_sup", "tail_exact",
-    "tail_chain", "singleton_coefficient", "sparsity_counted", "sparsity_structural",
-    "field_norm_value", "linear_norm_value", "ratio",
-)
 PROXY_SWEEP_FIELDS = (
     "kind", "ell", "n", "phi_l1", "phi_l1_bound", "proxy_l1", "proxy_l1_bound",
     "max_deviation", "deviation_bound", "status", "error",
 )
 LOWER_SWEEP_FIELDS = (
-    "kind", "n", "variant", "witness_sup", "singleton_coefficient", "sparsity",
-    "ratio", "status", "error",
+    "kind", "n", "variant", "mode", "witness_sup", "product_sup", "diff_sup", "tail_exact",
+    "tail_chain", "singleton_coefficient", "sparsity_counted", "sparsity_structural",
+    "field_norm_value", "linear_norm_value", "ratio", "status", "error",
 )
 AUDIT_SWEEP_FIELDS = (
     "kind", "n", "m", "ell", "norm", "seed", "lhs", "rhs_raw", "ratio",
@@ -93,25 +89,13 @@ def _fmt_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_rows(fh, fields: tuple | None, rows: list[tuple]) -> None:
-    """CSV rows with '.' decimals and 17 significant digits; the header unless fields is None."""
-    writer = csv.writer(fh, lineterminator="\n")
-    if fields is not None:
-        writer.writerow(fields)
-    writer.writerows([_fmt_cell(v) for v in row] for row in rows)
-
-
 def _csv_text(fields: tuple, rows: list[tuple]) -> str:
+    """A header and rows, with '.' decimals and 17 significant digits."""
     buf = io.StringIO()
-    _write_rows(buf, fields, rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([_fmt_cell(v) for v in row] for row in rows)
     return buf.getvalue()
-
-
-def _append_csv(path: str, fields: tuple, rows: list[tuple]) -> None:
-    target = Path(path)
-    fresh = not target.exists() or target.stat().st_size == 0
-    with open(target, "a", newline="") as fh:
-        _write_rows(fh, fields if fresh else None, rows)
 
 
 def _norm(name: str, p: float | None) -> vector_field.Norm:
@@ -191,11 +175,8 @@ def audit_report_json(n: int, m: int, norm: str, seed: int) -> str:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     config = {key: getattr(args, key) for key in ("n", "m", "ell", "norm", "p", "seed")}
-    audit = run_audit(**config)
-    payload = _audit_payload(audit, config)
+    payload = _audit_payload(run_audit(**config), config)
     _emit_text(_json_text(payload), args.out)
-    if args.csv_path:
-        _append_csv(args.csv_path, AUDIT_CSV_FIELDS, [audit.csv_row()])
     return _exit_code(payload)
 
 
@@ -203,10 +184,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # lower-bound
 
 
-def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict[str, Any]:
-    """Check the preconditions, then build and verify the witness: lower-bound and each of its sweep rows."""
+def lower_bound_payload(n: int, variant: str) -> dict[str, Any]:
+    """Check the preconditions, then build and verify the witness: lower-bound and each of its sweep rows.
+
+    n alone picks the mode: the norm instance is built exactly when n <= MAX_INSTANCE_DIM.
+    """
     _require_n(n, MAX_RECORD_DIM)
-    instance_mode = n <= lower_bound.MAX_INSTANCE_DIM and not scalar_only
+    instance_mode = n <= lower_bound.MAX_INSTANCE_DIM
     instance = lower_bound.lower_bound_instance(n, variant) if instance_mode else None
     witness = instance.witness if instance_mode else lower_bound.build_witness(n, variant)
     measured, checks = lower_bound.witness_properties(witness, variant)
@@ -229,15 +213,8 @@ def lower_bound_payload(n: int, variant: str, scalar_only: bool = False) -> dict
 
 
 def cmd_lower_bound(args: argparse.Namespace) -> int:
-    payload = lower_bound_payload(args.n, args.variant, args.scalar_only)
-    if args.emit == "json":
-        _emit_text(_json_text(payload), args.out)
-    else:
-        row = tuple(payload.get(k) for k in LOWER_CSV_FIELDS)
-        if args.out:
-            _append_csv(args.out, LOWER_CSV_FIELDS, [row])
-        else:
-            sys.stdout.write(_csv_text(LOWER_CSV_FIELDS, [row]))
+    payload = lower_bound_payload(args.n, args.variant)
+    _emit_text(_json_text(payload), args.out)
     return _exit_code(payload)
 
 
@@ -265,14 +242,14 @@ def cmd_sparsity(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _sweep_rows(fields: tuple, grid, row) -> tuple[list[tuple], bool]:
+def _sweep_rows(fields: tuple, grid, row) -> list[tuple]:
     """Run row(*base[1:]) for each base in grid; base fills the leading columns.
 
     row returns a mapping from column name to value; its "violations", derived
     from its checks, make the row a violation.  An exception is recorded as an
     error and the sweep goes on.  Unfilled columns stay empty.
     """
-    rows, violated = [], False
+    rows = []
     for base in grid:
         cells = dict(zip(fields, base))
         try:
@@ -280,20 +257,15 @@ def _sweep_rows(fields: tuple, grid, row) -> tuple[list[tuple], bool]:
             status, error = ("violation" if cells["violations"] else "ok"), "; ".join(cells["violations"])
         except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
             status, error = "error", str(exc)
-        violated |= status == "violation"
         rows.append(tuple(cells.get(name) for name in fields[:-2]) + (status, error))
-    return rows, violated
-
-
-def _lower_sweep_row(n: int, variant: str, scalar_only: bool) -> dict[str, Any]:
-    payload = lower_bound_payload(n, variant, scalar_only)
-    return {**payload, "sparsity": payload["sparsity_counted"]}
+    return rows
 
 
 def _audit_sweep_row(n: int, m: int, ell: int | None, norm: str, seed: int,
                      p: float | None) -> dict[str, Any]:
     audit = run_audit(n, m, norm, seed, ell, p)
-    return {**dict(zip(AUDIT_CSV_FIELDS, audit.csv_row())), **_verdict(audit.checks)}
+    # the audit's measurements and its resolved ell; the norm cell keeps the flag ("lp", not "l3")
+    return {**audit.to_dict(), "norm": norm, **_verdict(audit.checks)}
 
 
 def _require_values(**flags: list) -> None:
@@ -310,7 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.kind == "lower-bound":
         variants = ["truncated"] if args.variants is None else args.variants
         _require_values(n=args.ns, variants=variants)
-        fields, row = LOWER_SWEEP_FIELDS, partial(_lower_sweep_row, scalar_only=args.scalar_only)
+        fields, row = LOWER_SWEEP_FIELDS, lower_bound_payload
         grid = [("lower-bound", n, variant) for n in args.ns for variant in variants]
     else:
         seeds = [0] if args.seeds is None else args.seeds
@@ -318,9 +290,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fields, row = AUDIT_SWEEP_FIELDS, partial(_audit_sweep_row, p=args.p)
         grid = [("audit", n, m, args.ell, args.norm, seed)
                 for n in args.ns for m in args.ms for seed in seeds]
-    rows, violated = _sweep_rows(fields, grid, row)
+    rows = _sweep_rows(fields, grid, row)
     _emit_text(_csv_text(fields, rows), args.out)
-    return 1 if violated else 0
+    statuses = {cells[-2] for cells in rows}
+    _require(statuses != {"error"}, "every row of the sweep is an error row, so it checked nothing")
+    return 1 if "violation" in statuses else 0
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="spectrum entries are standard_normal((2**n, m)) from default_rng(seed)")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--csv", dest="csv_path",
-                   help=f"append a CSV row here (columns: {', '.join(AUDIT_CSV_FIELDS)})")
 
     p = sub.add_parser("lower-bound", help="build a witness and verify its properties")
     p.add_argument("--n", type=int, required=True,
                    help=f"cube dimension; instance mode up to {lower_bound.MAX_INSTANCE_DIM}, "
                         f"scalar mode up to {MAX_RECORD_DIM}")
     p.add_argument("--variant", default="truncated", choices=WITNESS_VARIANTS)
-    p.add_argument("--scalar-only", action="store_true", help="skip the norm instance")
-    p.add_argument("--emit", default="json", choices=["json", "csv"])
-    p.add_argument("--out", help="write (json) or append (csv) here instead of stdout")
+    p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("sparsity", help="record log2 spectrum sparsity vs singleton mass")
     p.add_argument("--n", type=int, default=None,
@@ -419,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list (lower-bound kind; default truncated)")
     p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--scalar-only", action="store_true")
     p.add_argument("--out", help="write the CSV table here instead of stdout")
 
     p = sub.add_parser("fourier", help="transform a serialized value table to a sparse spectrum")

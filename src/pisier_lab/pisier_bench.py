@@ -31,8 +31,6 @@ from .vector_field import (
 
 MAX_AUDIT_DIM = 16
 
-AUDIT_CSV_FIELDS = ("n", "m", "ell", "lhs", "rhs_raw", "ratio", "derived_constant", "slack")
-
 
 @dataclass(frozen=True)
 class PisierAudit:
@@ -73,9 +71,6 @@ class PisierAudit:
 
     def to_dict(self) -> dict[str, Any]:
         return {**asdict(self), "ratio": self.ratio, "slack": self.slack}
-
-    def csv_row(self) -> tuple:
-        return tuple(getattr(self, name) for name in AUDIT_CSV_FIELDS)
 
 
 def choose_ell(m: int) -> int:

@@ -117,15 +117,6 @@ class TestAudit:
         assert run_main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_csv_appends_single_header(self, capsys, tmp_path):
-        csv_path = tmp_path / "audits.csv"
-        for seed in ("1", "2"):
-            assert run_main(["audit", "--n", "6", "--m", "4", "--seed", seed,
-                             "--csv", str(csv_path), "--out", str(tmp_path / "j.json")]) == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "n,m,ell,lhs,rhs_raw,ratio,derived_constant,slack"
-        assert len(lines) == 3
-
     def test_lp_requires_p(self, capsys):
         assert run_main(["audit", "--n", "6", "--m", "4", "--norm", "lp"]) == 2
         assert run_main(["audit", "--n", "6", "--m", "4", "--norm", "lp", "--p", "3"]) == 0
@@ -198,14 +189,6 @@ class TestLowerBound:
         assert run_main(["lower-bound", "--n", "4", "--variant", "chebyshev"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["witness_sup"] <= 1.0
-
-    def test_csv_row_appended(self, capsys, tmp_path):
-        out = tmp_path / "rows.csv"
-        assert run_main(["lower-bound", "--n", "12", "--emit", "csv", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("n,variant,mode,witness_sup")
-        assert len(lines) == 2
-        assert lines[1].startswith("12,truncated,instance")
 
     def test_scalar_mode_above_instance_cap(self, capsys):
         assert run_main(["lower-bound", "--n", "16", "--variant", "truncated"]) == 0
@@ -308,16 +291,16 @@ class TestNaN:
         assert failed_claims(payload) == [
             "proxy-term-bound", "remainder-term-bound", "split-triangle-inequality", "projection-derived-bound"]
 
-    @pytest.mark.parametrize("scalar", [[], ["--scalar-only"]], ids=["instance", "scalar"])
-    def test_lower_bound_chebyshev_witness_sup(self, capsys, monkeypatch, scalar):
+    @pytest.mark.parametrize("n", [4, 13], ids=["instance", "scalar"])
+    def test_lower_bound_chebyshev_witness_sup(self, capsys, monkeypatch, n):
         monkeypatch.setattr(CubeFunction, "sup_norm", lambda self: math.nan)
-        assert run_main(["lower-bound", "--n", "4", "--variant", "chebyshev", *scalar]) == 1
+        assert run_main(["lower-bound", "--n", str(n), "--variant", "chebyshev"]) == 1
         payload = json.loads(capsys.readouterr().out)
         checks = {c["claim"]: c for c in payload["checks"]}
         assert math.isnan(checks["chebyshev-witness-sup"]["lhs"])
         assert not checks["chebyshev-witness-sup"]["holds"]
         # the witness sup is the right-hand side of the field-norm invariant
-        assert failed_claims(payload) == ["chebyshev-witness-sup"] + (["instance-field-norm"] if not scalar else [])
+        assert failed_claims(payload) == ["chebyshev-witness-sup"] + (["instance-field-norm"] if n == 4 else [])
 
 
 class TestSparsity:
@@ -408,7 +391,7 @@ CAPPED_FLAGS = [
     (["proxy-check", "--ell", "1", "--n"], MAX_DIM),
     (["audit", "--n", "4", "--m", "1", "--ell"], MAX_ELL),
     (["audit", "--m", "1", "--n"], MAX_AUDIT_DIM),
-    (["lower-bound", "--scalar-only", "--n"], MAX_RECORD_DIM),
+    (["lower-bound", "--n"], MAX_RECORD_DIM),
     (["sparsity", "--n"], MAX_RECORD_DIM),
 ]
 
@@ -430,6 +413,36 @@ class TestCaps:
         assert f"1..{MAX_DIM}" in text
 
 
+ALL_ERRORS = "every row of the sweep is an error row, so it checked nothing"
+
+# Audit sweep tables as the audit sweep has always written them: the norm cell is the --norm flag.
+AUDIT_SWEEP_TABLES = [
+    (["--n", "3,17", "--m", "2", "--norm", "lp", "--p", "3", "--seeds", "0,1"], """\
+kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
+audit,3,2,1,lp,0,1.6014309329120553,3.4306789128084056,0.46679708990926805,12.489848193237492,41.247227887805977,ok,
+audit,3,2,1,lp,1,1.6495760255926657,2.2733760502191802,0.72560631816000132,12.489848193237492,26.744545727786747,ok,
+audit,17,2,,lp,0,,,,,,error,"--n must lie in 1..16, got 17"
+audit,17,2,,lp,1,,,,,,error,"--n must lie in 1..16, got 17"
+"""),
+    (["--n", "3", "--m", "2,3", "--fixed-ell", "3", "--norm", "l1"], """\
+kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
+audit,3,2,3,l1,0,2.2764815065869084,4.8751383094940097,0.46695731732443591,28.242640687119287,135.41029806846254,ok,
+audit,3,3,3,l1,0,4.64628259059306,5.7634817975531307,0.80615897712483897,29.196152422706632,163.62521045626335,ok,
+"""),
+    (["--n", "4", "--m", "2"], """\
+kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
+audit,4,2,1,linf,0,1.5903142367077299,3.9636304243922571,0.40122667010549362,13.65685424949238,52.540408768070954,ok,
+"""),
+]
+
+
+def _cell(value):
+    """A JSON value as a sweep writes it: empty if absent, floats to 17 significant digits."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
 class TestSweep:
     def test_proxy_grid(self, capsys):
         assert run_main(["sweep", "--kind", "proxy", "--ell", "1,3,5,7", "--n", "16"]) == 0
@@ -442,6 +455,27 @@ class TestSweep:
         assert run_main(["sweep", "--kind", "lower-bound", "--n", "4,9"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("variant", ["truncated", "chebyshev"])
+    @pytest.mark.parametrize("n", [4, 13], ids=["instance", "scalar"])
+    def test_lower_bound_row_is_the_lower_bound_json(self, capsys, tmp_path, n, variant):
+        """Each cell of a lower-bound row is the same field of lower-bound's JSON, empty where it has none."""
+        assert run_main(["lower-bound", "--n", str(n), "--variant", variant, "--out", str(tmp_path / "l.json")]) == 0
+        payload = json.loads((tmp_path / "l.json").read_text())
+        assert run_main(["sweep", "--kind", "lower-bound", "--n", str(n), "--variants", variant]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["kind", "n", "variant", "mode", "witness_sup", "product_sup", "diff_sup", "tail_exact",
+                          "tail_chain", "singleton_coefficient", "sparsity_counted", "sparsity_structural",
+                          "field_norm_value", "linear_norm_value", "ratio", "status", "error"]
+        assert row == ["lower-bound", *(_cell(payload.get(name)) for name in header[1:-2]), "ok", ""]
+        assert payload["mode"] == ("instance" if n == 4 else "scalar")
+        assert (row[header.index("ratio")] == "") == (n == 13)
+
+    @pytest.mark.parametrize(("flags", "table"), AUDIT_SWEEP_TABLES,
+                             ids=["lp-p3-with-errors", "l1-fixed-ell", "linf-default"])
+    def test_audit_table_bytes_are_unchanged(self, capsys, flags, table):
+        assert run_main(["sweep", "--kind", "audit", *flags]) == 0
+        assert capsys.readouterr().out == table
 
     @pytest.mark.parametrize(("flags", "empty"), [
         (["--kind", "proxy", "--ell", "", "--n", ""], "--ell"),
@@ -499,9 +533,11 @@ class TestSweep:
         assert run_main(["audit", "--n", "5", *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         sweep_flags = ["--seeds" if flag == "--seed" else flag for flag in flags]
-        assert run_main(["sweep", "--kind", "audit", "--n", "5", *sweep_flags]) == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert run_main(["sweep", "--kind", "audit", "--n", "5", *sweep_flags]) == 2
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
         assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
+        assert captured.err == f"error: {ALL_ERRORS}\n"
 
     @pytest.mark.parametrize(("command", "kind", "flags", "message"), [
         ("proxy-check", "proxy", ["--ell", "2", "--n", "8"], f"--ell must be odd in 1..{MAX_ELL}, got 2"),
@@ -513,9 +549,27 @@ class TestSweep:
         """Above a cap a row is an error with the command's message, not a row past the cap."""
         assert run_main([command, *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert run_main(["sweep", "--kind", kind, *flags]) == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert run_main(["sweep", "--kind", kind, *flags]) == 2
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
         assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
+        assert captured.err == f"error: {ALL_ERRORS}\n"
+
+    def test_a_sweep_of_error_rows_writes_its_table_then_exits_2(self, capsys, tmp_path):
+        """Every row an error: the table is still written, then one error line, since nothing was checked."""
+        out = tmp_path / "grid.csv"
+        assert run_main(["sweep", "--kind", "lower-bound", "--n", "17,18", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {ALL_ERRORS}\n")
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(row["n"], row["status"], row["error"]) for row in rows] == [
+            (str(n), "error", f"--n must lie in 1..{MAX_RECORD_DIM}, got {n}") for n in (17, 18)]
+
+    def test_a_violation_outranks_error_rows(self, capsys, monkeypatch):
+        failing(monkeypatch, "proxy-l1-bound")
+        assert run_main(["sweep", "--kind", "proxy", "--ell", "2,3", "--n", "4"]) == 1
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["status"] for row in rows] == ["error", "violation"]
 
     def test_row_errors_recorded_not_fatal(self, capsys):
         # even ell rows fail, the sweep still completes

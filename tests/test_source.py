@@ -113,6 +113,28 @@ def test_public_surface():
     assert missing == []
 
 
+# Each subcommand's options: a flag is added or removed by editing this table on purpose.
+OPTIONS = {
+    "proxy-check": ["--ell", "--n", "--out"],
+    "audit": ["--ell", "--m", "--n", "--norm", "--out", "--p", "--seed"],
+    "lower-bound": ["--n", "--out", "--variant"],
+    "sparsity": ["--input", "--n", "--no-rescale", "--out", "--variant"],
+    "sweep": ["--ell", "--fixed-ell", "--kind", "--m", "--n", "--norm", "--out", "--p", "--seeds", "--variants"],
+    "fourier": ["--input", "--out", "--threshold"],
+}
+
+
+def test_option_sets():
+    """No option that nobody chose to add: each subcommand has exactly the flags of OPTIONS, and --help."""
+    parser = cli.build_parser()
+    [subparsers] = [action for action in parser._actions if action.choices and action.dest == "command"]
+    found = {
+        name: sorted(flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help"))
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == OPTIONS
+
+
 REPO = Path(__file__).resolve().parent.parent
 # where a default may be overridden: the package, the acceptance suite and the benchmark
 KNOB_CALLERS = SOURCES + [REPO / "tests" / "test_acceptance.py"] + sorted((REPO / "perfbench").glob("*.py"))
@@ -193,10 +215,8 @@ def _run_every_subcommand(tmp_path) -> None:
     write_binary(CubeFunction.from_values(17, np.arange(2.0**17)), blocked)
     runs = [
         ["proxy-check", "--ell", "3", "--n", "8"],
-        ["audit", "--n", "4", "--m", "3", "--ell", "3", "--norm", "lp", "--p", "3",
-         "--csv", str(tmp_path / "audit.csv")],
-        ["lower-bound", "--n", "9", "--variant", "chebyshev", "--emit", "csv",
-         "--out", str(tmp_path / "lower.csv")],
+        ["audit", "--n", "4", "--m", "3", "--ell", "3", "--norm", "lp", "--p", "3"],
+        ["lower-bound", "--n", "9", "--variant", "chebyshev", "--out", str(tmp_path / "lower.json")],
         ["sparsity", "--n", "4"],
         ["sweep", "--kind", "proxy", "--ell", "1,3", "--n", "4"],
         ["sweep", "--kind", "lower-bound", "--n", "4", "--variants", "truncated"],
