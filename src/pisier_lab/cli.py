@@ -41,6 +41,7 @@ AUDIT_SWEEP_FIELDS = (
     "kind", "n", "m", "ell", "norm", "seed", "lhs", "rhs_raw", "ratio",
     "derived_constant", "slack", "status", "error",
 )
+_VARIANT_HELP = f"witness variant: {' or '.join(WITNESS_VARIANTS)}"
 
 
 def _require(ok: bool, message: str) -> None:
@@ -104,8 +105,9 @@ def _norm(name: str, p: float | None) -> vector_field.Norm:
 
 def random_vector_function(n: int, m: int, seed: int) -> vector_field.VectorFunction:
     """Seeded instance: spectrum entries i.i.d. standard normal, drawn as (2^n, m)."""
-    rng = np.random.default_rng(seed)
-    return vector_field.VectorFunction.from_spectrum(n, rng.standard_normal((1 << n, m)))
+    spectrum = np.random.default_rng(seed).standard_normal((1 << n, m))
+    spectrum.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
+    return vector_field.VectorFunction.from_spectrum(n, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +227,14 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 def cmd_sparsity(args: argparse.Namespace) -> int:
     _require((args.input_path is None) != (args.n is None), "pass exactly one of --input or --n")
     if args.input_path is not None:
+        _require(args.variant is None, "--variant applies only to --n")
         f = cube_fourier.read_binary(args.input_path)
         source = f"file:{Path(args.input_path).name}"  # not the path, so the bytes do not depend on it
     else:
         _require_n(args.n, MAX_RECORD_DIM)
-        f = lower_bound.build_witness(args.n, args.variant)
-        source = f"witness:{args.variant}:{args.n}"
+        variant = args.variant or "truncated"
+        f = lower_bound.build_witness(args.n, variant)
+        source = f"witness:{variant}:{args.n}"
     report = lower_bound.sparsity_inequality_check(f, rescale=args.rescale)
     payload = {"command": "sparsity", "source": source, "claim": report.claim, "lhs": report.lhs,
                "rhs": report.rhs, "slack": report.slack, "params": report.params}
@@ -268,28 +272,16 @@ def _audit_sweep_row(n: int, m: int, ell: int | None, norm: str, seed: int,
     return {**audit.to_dict(), "norm": norm, **_verdict(audit.checks)}
 
 
-def _require_values(**flags: list) -> None:
-    """A sweep axis with no value would make a grid that checks nothing."""
-    for flag, values in flags.items():
-        _require(bool(values), f"--{flag} names no value, so the sweep would check nothing")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.kind == "proxy":
-        _require_values(ell=args.ells, n=args.ns)
+    if args.kind == "proxy-check":
         fields, row = PROXY_SWEEP_FIELDS, proxy_check_payload
-        grid = [("proxy", ell, n) for ell in args.ells for n in args.ns]
+        grid = [("proxy", ell, n) for ell in args.ell for n in args.n]
     elif args.kind == "lower-bound":
-        variants = ["truncated"] if args.variants is None else args.variants
-        _require_values(n=args.ns, variants=variants)
         fields, row = LOWER_SWEEP_FIELDS, lower_bound_payload
-        grid = [("lower-bound", n, variant) for n in args.ns for variant in variants]
+        grid = [("lower-bound", n, variant) for n in args.n for variant in args.variant]
     else:
-        seeds = [0] if args.seeds is None else args.seeds
-        _require_values(n=args.ns, m=args.ms, seeds=seeds)
         fields, row = AUDIT_SWEEP_FIELDS, partial(_audit_sweep_row, p=args.p)
-        grid = [("audit", n, m, args.ell, args.norm, seed)
-                for n in args.ns for m in args.ms for seed in seeds]
+        grid = [("audit", n, m, args.ell, args.norm, seed) for n in args.n for m in args.m for seed in args.seed]
     rows = _sweep_rows(fields, grid, row)
     _emit_text(_csv_text(fields, rows), args.out)
     statuses = {cells[-2] for cells in rows}
@@ -311,22 +303,63 @@ def cmd_fourier(args: argparse.Namespace) -> int:
 # parser and dispatch
 
 
+def _nonempty(values: list, text: str) -> list:
+    """A grid axis with no value would make a sweep that checks nothing."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} names no value, so the sweep would check nothing")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
     out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            lo, hi = token.split(":", 1)
-            out.extend(range(int(lo), int(hi)))
-        else:
-            out.append(int(token))
-    return out
+    for token in filter(None, map(str.strip, text.split(","))):
+        lo, colon, hi = token.partition(":")
+        out.extend(range(int(lo), int(hi)) if colon else [int(lo)])
+    return _nonempty(out, text)
 
 
 def _str_list(text: str) -> list[str]:
-    return [token.strip() for token in text.split(",") if token.strip()]
+    return _nonempty([token.strip() for token in text.split(",") if token.strip()], text)
+
+
+def _axis(p: argparse.ArgumentParser, flag: str, kind: type, text: str, grid: bool, **kwargs) -> None:
+    """A flag a sweep varies: one value in a run; in a sweep a comma list, with lo:hi ranges for integers."""
+    if grid:
+        kind, text = (_int_list, f"{text}; a comma list or lo:hi ranges") if kind is int else (
+            _str_list, f"{text}; a comma list")
+    p.add_argument(flag, type=kind, help=text, **kwargs)
+
+
+def _proxy_check_flags(p: argparse.ArgumentParser, grid: bool) -> None:
+    _axis(p, "--ell", int, f"odd proxy parameter in 1..{MAX_ELL}", grid, required=True)
+    _axis(p, "--n", int, f"cube dimension in 1..{MAX_DIM}", grid, required=True)
+
+
+def _audit_flags(p: argparse.ArgumentParser, grid: bool) -> None:
+    _axis(p, "--n", int, f"cube dimension in 1..{MAX_AUDIT_DIM}", grid, required=True)
+    _axis(p, "--m", int, f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}, the "
+                         f"sandwich gate's ({GATE_SAMPLES} + 2m) x m table at ({GATE_SAMPLES} + 2m) * m "
+                         f"<= 2**{MAX_DIM}", grid, required=True)
+    p.add_argument("--ell", type=int, default=None,
+                   help="override the proxy parameter (default: smallest odd > log2(m)/2)")
+    p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
+    p.add_argument("--p", type=float, default=None, help="finite exponent >= 1 for --norm lp")
+    _axis(p, "--seed", int, "spectrum entries are standard_normal((2**n, m)) from default_rng(seed)", grid,
+          default="0")  # a string default goes through the type: a one-value axis in a sweep
+
+
+def _lower_bound_flags(p: argparse.ArgumentParser, grid: bool) -> None:
+    _axis(p, "--n", int, f"cube dimension; instance mode up to {lower_bound.MAX_INSTANCE_DIM}, "
+                         f"scalar mode up to {MAX_RECORD_DIM}", grid, required=True)
+    _axis(p, "--variant", str, _VARIANT_HELP, grid, default="truncated")
+
+
+# each checking command's help and flags, added for the command (grid=False) and for its sweep (grid=True)
+_CHECKING_COMMANDS = {
+    "proxy-check": ("verify the kernel and proxy bounds for one (ell, n)", _proxy_check_flags),
+    "audit": ("audit one seeded random instance end to end", _audit_flags),
+    "lower-bound": ("build a witness and verify its properties", _lower_bound_flags),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,58 +371,27 @@ def build_parser() -> argparse.ArgumentParser:
                "Set PISIER_LAB_THREADS to cap numeric thread pools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("proxy-check", help="verify the kernel and proxy bounds for one (ell, n)")
-    p.add_argument("--ell", type=int, required=True, help=f"odd proxy parameter in 1..{MAX_ELL}")
-    p.add_argument("--n", type=int, required=True, help=f"cube dimension in 1..{MAX_DIM}")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-
-    p = sub.add_parser("audit", help="audit one seeded random instance end to end")
-    p.add_argument("--n", type=int, required=True, help=f"cube dimension in 1..{MAX_AUDIT_DIM}")
-    p.add_argument("--m", type=int, required=True,
-                   help=f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}, "
-                        f"the sandwich gate's ({GATE_SAMPLES} + 2m) x m table at ({GATE_SAMPLES} + 2m) * m "
-                        f"<= 2**{MAX_DIM}")
-    p.add_argument("--ell", type=int, default=None,
-                   help="override the proxy parameter (default: smallest odd > log2(m)/2)")
-    p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
-    p.add_argument("--p", type=float, default=None, help="finite exponent >= 1 for --norm lp")
-    p.add_argument("--seed", type=int, default=0,
-                   help="spectrum entries are standard_normal((2**n, m)) from default_rng(seed)")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-
-    p = sub.add_parser("lower-bound", help="build a witness and verify its properties")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"cube dimension; instance mode up to {lower_bound.MAX_INSTANCE_DIM}, "
-                        f"scalar mode up to {MAX_RECORD_DIM}")
-    p.add_argument("--variant", default="truncated", choices=WITNESS_VARIANTS)
-    p.add_argument("--out", help="write JSON here instead of stdout")
+    for name, (text, add_flags) in _CHECKING_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        add_flags(p, grid=False)
+        p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("sparsity", help="record log2 spectrum sparsity vs singleton mass")
     p.add_argument("--n", type=int, default=None,
                    help=f"build the witness at this dimension, in 1..{MAX_RECORD_DIM}")
-    p.add_argument("--variant", default="truncated", choices=WITNESS_VARIANTS)
+    p.add_argument("--variant", default=None, help=f"{_VARIANT_HELP}, with --n only (default: truncated)")
     p.add_argument("--input", dest="input_path", default=None,
                    help="check a serialized cube function instead of a witness")
     p.add_argument("--no-rescale", dest="rescale", action="store_false",
                    help="reject functions with sup norm above 1 instead of normalizing")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
-    p = sub.add_parser("sweep", help="grid-run one verification kind into a CSV table")
-    p.add_argument("--kind", required=True, choices=["proxy", "lower-bound", "audit"])
-    p.add_argument("--ell", dest="ells", type=_int_list, default=[],
-                   help="comma list or lo:hi ranges (proxy kind)")
-    p.add_argument("--fixed-ell", dest="ell", type=int, default=None,
-                   help="proxy parameter override (audit kind)")
-    p.add_argument("--n", dest="ns", type=_int_list, default=[], help="comma list or lo:hi ranges")
-    p.add_argument("--m", dest="ms", type=_int_list, default=[], help="comma list (audit kind)")
-    p.add_argument("--seeds", dest="seeds", type=_int_list, default=None,
-                   help="comma list or lo:hi (audit kind; default 0)")
-    p.add_argument("--variants", dest="variants", type=_str_list, default=None,
-                   help="comma list (lower-bound kind; default truncated)")
-    p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--out", help="write the CSV table here instead of stdout")
+    kinds = sub.add_parser("sweep", help="grid-run one checking command into a CSV table").add_subparsers(
+        dest="kind", required=True)
+    for name, (text, add_flags) in _CHECKING_COMMANDS.items():
+        p = kinds.add_parser(name, help=f"{name} over a grid: each grid flag takes a list")
+        add_flags(p, grid=True)
+        p.add_argument("--out", help="write the CSV table here instead of stdout")
 
     p = sub.add_parser("fourier", help="transform a serialized value table to a sparse spectrum")
     p.add_argument("--input", dest="input_path", required=True, help="binary cube-function file")
@@ -400,14 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "proxy-check": cmd_proxy_check,
-    "audit": cmd_audit,
-    "lower-bound": cmd_lower_bound,
-    "sparsity": cmd_sparsity,
-    "sweep": cmd_sweep,
-    "fourier": cmd_fourier,
-}
+_HANDLERS = {"proxy-check": cmd_proxy_check, "audit": cmd_audit, "lower-bound": cmd_lower_bound,
+             "sparsity": cmd_sparsity, "sweep": cmd_sweep, "fourier": cmd_fourier}
 
 
 def main(argv: list[str] | None = None) -> int:

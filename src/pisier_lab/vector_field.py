@@ -176,7 +176,9 @@ def rademacher_projection(f: VectorFunction) -> VectorFunction:
     """lin f(x) = sum_j fhat({j}) x_j, formed as a (2^n, n) by (n, m) product with no transform."""
     singletons = 1 << np.arange(f.n)
     coordinates = character_values(f.n, singletons)  # column j is x_j
-    return VectorFunction.from_values(f.n, coordinates @ f.spectrum[singletons])
+    table = coordinates @ f.spectrum[singletons]
+    table.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
+    return VectorFunction.from_values(f.n, table)
 
 
 def young_bound_check(f: VectorFunction, g: CubeFunction, norm: Norm) -> BoundReport:

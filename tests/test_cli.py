@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestKernelSelfCheck:
 
     def test_failure_is_an_error_row_in_a_sweep(self, capsys, monkeypatch):
         monkeypatch.setitem(TOLERANCES, "grid-geometric-sum", -1.0)
-        run_main(["sweep", "--kind", "proxy", "--ell", "3", "--n", "4"])
+        run_main(["sweep", "proxy-check", "--ell", "3", "--n", "4"])
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["status"] for row in rows] == ["error"]
         assert rows[0]["error"].startswith("grid geometric-sum identity failed at a=")
@@ -109,6 +110,18 @@ class TestAudit:
     def test_ell_auto_choice(self, capsys):
         assert run_main(["audit", "--n", "6", "--m", "64", "--norm", "l2", "--seed", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["audit"]["ell"] == 5
+
+    def test_the_drawn_spectrum_is_adopted(self):
+        """The instance holds the drawn table itself: the peak is one (2^n, m) table, not a copy besides."""
+        cli.random_vector_function(1, 1, 0)  # numpy's first draw allocates lasting state, outside the peak
+        tracemalloc.start()
+        try:
+            spectrum = cli.random_vector_function(10, 64, 0).spectrum
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.shape == (1 << 10, 64) and not spectrum.flags.writeable
+        assert peak < 1.5 * spectrum.nbytes
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -195,6 +208,12 @@ class TestLowerBound:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "scalar"
         assert "ratio" not in payload
+
+    @pytest.mark.parametrize("command", ["lower-bound", "sparsity"])
+    def test_unknown_variant_is_the_library_error(self, capsys, command):
+        """--variant has no choices list: the witness builder's check is the one rule (a sweep row: below)."""
+        assert run_main([command, "--n", "4", "--variant", "foo"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown witness variant 'foo'\n")
 
     def test_dimension_cap(self, capsys):
         assert run_main(["lower-bound", "--n", "17"]) == 2
@@ -332,6 +351,15 @@ class TestSparsity:
         assert run_main(["sparsity"]) == 2
         assert run_main(["sparsity", "--n", "4", "--input", "x.bin"]) == 2
 
+    def test_variant_applies_only_to_a_witness(self, capsys, tmp_path):
+        """--variant names a witness, so with --input it is a usage error, like --p with a norm but lp."""
+        path = tmp_path / "f.bin"
+        write_binary(build_truncated_witness(4), path)
+        assert run_main(["sparsity", "--input", str(path), "--variant", "chebyshev"]) == 2
+        assert capsys.readouterr() == ("", "error: --variant applies only to --n\n")
+        assert run_main(["sparsity", "--n", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["source"] == "witness:truncated:4"
+
     def test_no_rescale_rejects_unbounded(self, capsys, tmp_path):
         path = tmp_path / "big.bin"
         write_binary(constant_function(3, 5.0), path)
@@ -417,14 +445,14 @@ ALL_ERRORS = "every row of the sweep is an error row, so it checked nothing"
 
 # Audit sweep tables as the audit sweep has always written them: the norm cell is the --norm flag.
 AUDIT_SWEEP_TABLES = [
-    (["--n", "3,17", "--m", "2", "--norm", "lp", "--p", "3", "--seeds", "0,1"], """\
+    (["--n", "3,17", "--m", "2", "--norm", "lp", "--p", "3", "--seed", "0,1"], """\
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
 audit,3,2,1,lp,0,1.6014309329120553,3.4306789128084056,0.46679708990926805,12.489848193237492,41.247227887805977,ok,
 audit,3,2,1,lp,1,1.6495760255926657,2.2733760502191802,0.72560631816000132,12.489848193237492,26.744545727786747,ok,
 audit,17,2,,lp,0,,,,,,error,"--n must lie in 1..16, got 17"
 audit,17,2,,lp,1,,,,,,error,"--n must lie in 1..16, got 17"
 """),
-    (["--n", "3", "--m", "2,3", "--fixed-ell", "3", "--norm", "l1"], """\
+    (["--n", "3", "--m", "2,3", "--ell", "3", "--norm", "l1"], """\
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
 audit,3,2,3,l1,0,2.2764815065869084,4.8751383094940097,0.46695731732443591,28.242640687119287,135.41029806846254,ok,
 audit,3,3,3,l1,0,4.64628259059306,5.7634817975531307,0.80615897712483897,29.196152422706632,163.62521045626335,ok,
@@ -443,16 +471,21 @@ def _cell(value):
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
+def _no_value(flag, text):
+    """argparse's message for a grid flag whose list is empty."""
+    return f"argument {flag}: {text!r} names no value, so the sweep would check nothing"
+
+
 class TestSweep:
     def test_proxy_grid(self, capsys):
-        assert run_main(["sweep", "--kind", "proxy", "--ell", "1,3,5,7", "--n", "16"]) == 0
+        assert run_main(["sweep", "proxy-check", "--ell", "1,3,5,7", "--n", "16"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ",".join(cli.PROXY_SWEEP_FIELDS)
         assert len(lines) == 5
         assert all(line.split(",")[-2] == "ok" for line in lines[1:])
 
     def test_lower_bound_grid(self, capsys):
-        assert run_main(["sweep", "--kind", "lower-bound", "--n", "4,9"]) == 0
+        assert run_main(["sweep", "lower-bound", "--n", "4,9"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
 
@@ -462,7 +495,7 @@ class TestSweep:
         """Each cell of a lower-bound row is the same field of lower-bound's JSON, empty where it has none."""
         assert run_main(["lower-bound", "--n", str(n), "--variant", variant, "--out", str(tmp_path / "l.json")]) == 0
         payload = json.loads((tmp_path / "l.json").read_text())
-        assert run_main(["sweep", "--kind", "lower-bound", "--n", str(n), "--variants", variant]) == 0
+        assert run_main(["sweep", "lower-bound", "--n", str(n), "--variant", variant]) == 0
         header, row = csv.reader(io.StringIO(capsys.readouterr().out))
         assert header == ["kind", "n", "variant", "mode", "witness_sup", "product_sup", "diff_sup", "tail_exact",
                           "tail_chain", "singleton_coefficient", "sparsity_counted", "sparsity_structural",
@@ -474,36 +507,62 @@ class TestSweep:
     @pytest.mark.parametrize(("flags", "table"), AUDIT_SWEEP_TABLES,
                              ids=["lp-p3-with-errors", "l1-fixed-ell", "linf-default"])
     def test_audit_table_bytes_are_unchanged(self, capsys, flags, table):
-        assert run_main(["sweep", "--kind", "audit", *flags]) == 0
+        assert run_main(["sweep", "audit", *flags]) == 0
         assert capsys.readouterr().out == table
 
-    @pytest.mark.parametrize(("flags", "empty"), [
-        (["--kind", "proxy", "--ell", "", "--n", ""], "--ell"),
-        (["--kind", "proxy", "--n", "4"], "--ell"),
-        (["--kind", "proxy", "--ell", "3", "--n", "5:3"], "--n"),
-        (["--kind", "lower-bound", "--n", "5:3"], "--n"),
-        (["--kind", "lower-bound"], "--n"),
-        (["--kind", "audit", "--n", "5:3", "--m", "2"], "--n"),
-        (["--kind", "audit", "--n", "5"], "--m"),
-        (["--kind", "audit", "--n", "3", "--m", "2", "--seeds", "5:3"], "--seeds"),
-        (["--kind", "lower-bound", "--n", "3", "--variants", ","], "--variants"),
-    ])
-    def test_empty_grid_is_a_usage_error(self, capsys, flags, empty):
-        """A sweep that would check nothing cannot report that every bound holds."""
-        assert run_main(["sweep", *flags]) == 2
+    @pytest.mark.parametrize(("flags", "usage_error"), [
+        (["proxy-check", "--ell", "", "--n", ""], _no_value("--ell", "")),
+        (["proxy-check", "--n", "4"], "the following arguments are required: --ell"),
+        (["proxy-check", "--ell", "3", "--n", "5:3"], _no_value("--n", "5:3")),
+        (["lower-bound", "--n", "5:3"], _no_value("--n", "5:3")),
+        (["lower-bound"], "the following arguments are required: --n"),
+        (["audit", "--n", "5:3", "--m", "2"], _no_value("--n", "5:3")),
+        (["audit", "--n", "5"], "the following arguments are required: --m"),
+        (["audit", "--n", "3", "--m", "2", "--seed", "5:3"], _no_value("--seed", "5:3")),
+        (["lower-bound", "--n", "3", "--variant", ","], _no_value("--variant", ",")),
+    ], ids=["proxy-empty-ell-and-n", "proxy-no-ell", "proxy-empty-n", "lower-bound-empty-n", "lower-bound-no-n",
+            "audit-empty-n", "audit-no-m", "audit-empty-seed", "lower-bound-empty-variant"])
+    def test_empty_grid_is_a_usage_error(self, capsys, flags, usage_error):
+        """A sweep that would check nothing cannot report that every bound holds: argparse names the flag."""
+        with pytest.raises(SystemExit) as exit_:
+            run_main(["sweep", *flags])
+        assert exit_.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {empty} names no value, so the sweep would check nothing\n"
+        assert captured.err.endswith(f"\npisier-lab sweep {flags[0]}: error: {usage_error}\n")
+
+    def test_audit_rows_take_the_audit_ell(self, capsys, tmp_path):
+        """--ell of an audit sweep is the audit's --ell: the row is the audit at that ell."""
+        assert run_main(["audit", "--ell", "5", "--n", "4", "--m", "2", "--out", str(tmp_path / "a.json")]) == 0
+        audit = json.loads((tmp_path / "a.json").read_text())["audit"]
+        assert run_main(["sweep", "audit", "--ell", "5", "--n", "4", "--m", "2"]) == 0
+        [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["ell"] == "5" == str(audit["ell"])
+        assert [row[name] for name in ("lhs", "rhs_raw", "ratio")] == [_cell(audit[name]) for name in ("lhs", "rhs_raw", "ratio")]
+
+    @pytest.mark.parametrize("argv", [
+        ["proxy-check", "--ell", "3", "--n", "4", "--m", "5"],
+        ["lower-bound", "--n", "4", "--ell", "3"],
+        ["proxy-check", "--ell", "3", "--n", "4", "--seed", "1:3"],
+        ["audit", "--n", "4", "--m", "2", "--variant", "chebyshev"],
+    ], ids=["proxy-m", "lower-bound-ell", "proxy-seed", "audit-variant"])
+    def test_a_flag_its_rows_do_not_read_is_a_usage_error(self, capsys, tmp_path, argv):
+        """A sweep takes exactly its command's flags: any other exits 2 before any row runs."""
+        out = tmp_path / "grid.csv"
+        with pytest.raises(SystemExit) as exit_:
+            run_main(["sweep", *argv, "--out", str(out)])
+        assert exit_.value.code == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_audit_grid_with_seed_range(self, capsys):
-        assert run_main(["sweep", "--kind", "audit", "--n", "6", "--m", "4,8",
-                         "--seeds", "0:3", "--norm", "l2"]) == 0
+        assert run_main(["sweep", "audit", "--n", "6", "--m", "4,8", "--seed", "0:3", "--norm", "l2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 7
 
     def test_failed_instance_invariant_is_a_violation_row(self, capsys, monkeypatch):
         failing(monkeypatch, "instance-")
-        assert run_main(["sweep", "--kind", "lower-bound", "--n", "4,13"]) == 1
+        assert run_main(["sweep", "lower-bound", "--n", "4,13"]) == 1
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert (rows[0]["n"], rows[0]["status"]) == ("4", "violation")
         assert rows[0]["error"].startswith("instance-field-norm: ")
@@ -511,12 +570,12 @@ class TestSweep:
         assert rows[1]["status"] == "ok"  # scalar mode builds no instance
 
     @pytest.mark.parametrize(("kind", "flags", "prefix"), [
-        ("proxy", ["--ell", "1,3", "--n", "4"], "proxy-l1-bound"),
-        ("audit", ["--n", "4", "--m", "2", "--seeds", "0:2"], "split-triangle-inequality"),
+        ("proxy-check", ["--ell", "1,3", "--n", "4"], "proxy-l1-bound"),
+        ("audit", ["--n", "4", "--m", "2", "--seed", "0:2"], "split-triangle-inequality"),
     ])
     def test_failed_claim_is_a_violation_row(self, capsys, monkeypatch, kind, flags, prefix):
         failing(monkeypatch, prefix)
-        assert run_main(["sweep", "--kind", kind, *flags]) == 1
+        assert run_main(["sweep", kind, *flags]) == 1
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["status"] for row in rows] == ["violation", "violation"]
         assert all(row["error"].startswith(f"{prefix}: ") and ";" not in row["error"] for row in rows)
@@ -532,24 +591,24 @@ class TestSweep:
     def test_audit_rows_get_the_audit_preconditions(self, capsys, flags, message):
         assert run_main(["audit", "--n", "5", *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        sweep_flags = ["--seeds" if flag == "--seed" else flag for flag in flags]
-        assert run_main(["sweep", "--kind", "audit", "--n", "5", *sweep_flags]) == 2
+        assert run_main(["sweep", "audit", "--n", "5", *flags]) == 2
         captured = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(captured.out)))
         assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
         assert captured.err == f"error: {ALL_ERRORS}\n"
 
-    @pytest.mark.parametrize(("command", "kind", "flags", "message"), [
-        ("proxy-check", "proxy", ["--ell", "2", "--n", "8"], f"--ell must be odd in 1..{MAX_ELL}, got 2"),
-        ("proxy-check", "proxy", ["--ell", "3", "--n", "30"], f"--n must lie in 1..{MAX_DIM}, got 30"),
-        ("lower-bound", "lower-bound", ["--n", "17"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 17"),
-        ("lower-bound", "lower-bound", ["--n", "19"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 19"),
-    ], ids=["proxy-even-ell", "proxy-n-above-cap", "lower-bound-n-17", "lower-bound-n-19"])
-    def test_rows_get_their_command_preconditions(self, capsys, command, kind, flags, message):
+    @pytest.mark.parametrize(("command", "flags", "message"), [
+        ("proxy-check", ["--ell", "2", "--n", "8"], f"--ell must be odd in 1..{MAX_ELL}, got 2"),
+        ("proxy-check", ["--ell", "3", "--n", "30"], f"--n must lie in 1..{MAX_DIM}, got 30"),
+        ("lower-bound", ["--n", "17"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 17"),
+        ("lower-bound", ["--n", "19"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 19"),
+        ("lower-bound", ["--n", "4", "--variant", "foo"], "unknown witness variant 'foo'"),
+    ], ids=["proxy-even-ell", "proxy-n-above-cap", "lower-bound-n-17", "lower-bound-n-19", "lower-bound-variant"])
+    def test_rows_get_their_command_preconditions(self, capsys, command, flags, message):
         """Above a cap a row is an error with the command's message, not a row past the cap."""
         assert run_main([command, *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert run_main(["sweep", "--kind", kind, *flags]) == 2
+        assert run_main(["sweep", command, *flags]) == 2
         captured = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(captured.out)))
         assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
@@ -558,7 +617,7 @@ class TestSweep:
     def test_a_sweep_of_error_rows_writes_its_table_then_exits_2(self, capsys, tmp_path):
         """Every row an error: the table is still written, then one error line, since nothing was checked."""
         out = tmp_path / "grid.csv"
-        assert run_main(["sweep", "--kind", "lower-bound", "--n", "17,18", "--out", str(out)]) == 2
+        assert run_main(["sweep", "lower-bound", "--n", "17,18", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {ALL_ERRORS}\n")
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -567,7 +626,7 @@ class TestSweep:
 
     def test_a_violation_outranks_error_rows(self, capsys, monkeypatch):
         failing(monkeypatch, "proxy-l1-bound")
-        assert run_main(["sweep", "--kind", "proxy", "--ell", "2,3", "--n", "4"]) == 1
+        assert run_main(["sweep", "proxy-check", "--ell", "2,3", "--n", "4"]) == 1
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["status"] for row in rows] == ["error", "violation"]
 
@@ -576,7 +635,7 @@ class TestSweep:
         import csv as csv_mod
         import io
 
-        assert run_main(["sweep", "--kind", "proxy", "--ell", "2,3", "--n", "4"]) == 0
+        assert run_main(["sweep", "proxy-check", "--ell", "2,3", "--n", "4"]) == 0
         rows = list(csv_mod.reader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 3
         status = rows[0].index("status")

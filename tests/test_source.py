@@ -119,20 +119,32 @@ OPTIONS = {
     "audit": ["--ell", "--m", "--n", "--norm", "--out", "--p", "--seed"],
     "lower-bound": ["--n", "--out", "--variant"],
     "sparsity": ["--input", "--n", "--no-rescale", "--out", "--variant"],
-    "sweep": ["--ell", "--fixed-ell", "--kind", "--m", "--n", "--norm", "--out", "--p", "--seeds", "--variants"],
+    "sweep": [],
     "fourier": ["--input", "--out", "--threshold"],
 }
 
 
+def _subcommands(parser, dest):
+    """The parsers of the sub-commands whose name parser stores in dest."""
+    [subparsers] = [action for action in parser._actions if action.choices and action.dest == dest]
+    return subparsers.choices
+
+
+def _flags(parser):
+    return sorted(flag for action in parser._actions for flag in action.option_strings if flag not in ("-h", "--help"))
+
+
 def test_option_sets():
     """No option that nobody chose to add: each subcommand has exactly the flags of OPTIONS, and --help."""
-    parser = cli.build_parser()
-    [subparsers] = [action for action in parser._actions if action.choices and action.dest == "command"]
-    found = {
-        name: sorted(flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help"))
-        for name, sub in subparsers.choices.items()
-    }
+    found = {name: _flags(sub) for name, sub in _subcommands(cli.build_parser(), "command").items()}
     assert found == OPTIONS
+
+
+def test_each_sweep_takes_exactly_its_commands_flags():
+    """`sweep <command>` is built by its command's flag code: the same flags, no more and no fewer."""
+    sweep = _subcommands(cli.build_parser(), "command")["sweep"]
+    found = {name: _flags(sub) for name, sub in _subcommands(sweep, "kind").items()}
+    assert found == {name: OPTIONS[name] for name in ("proxy-check", "audit", "lower-bound")}
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -218,9 +230,9 @@ def _run_every_subcommand(tmp_path) -> None:
         ["audit", "--n", "4", "--m", "3", "--ell", "3", "--norm", "lp", "--p", "3"],
         ["lower-bound", "--n", "9", "--variant", "chebyshev", "--out", str(tmp_path / "lower.json")],
         ["sparsity", "--n", "4"],
-        ["sweep", "--kind", "proxy", "--ell", "1,3", "--n", "4"],
-        ["sweep", "--kind", "lower-bound", "--n", "4", "--variants", "truncated"],
-        ["sweep", "--kind", "audit", "--n", "3", "--m", "2", "--seeds", "0:2"],
+        ["sweep", "proxy-check", "--ell", "1,3", "--n", "4"],
+        ["sweep", "lower-bound", "--n", "4", "--variant", "truncated"],
+        ["sweep", "audit", "--n", "3", "--m", "2", "--seed", "0:2"],
         ["fourier", "--input", str(table), "--out", str(tmp_path / "spectrum.json")],
         ["fourier", "--input", str(blocked), "--out", str(tmp_path / "blocked.json")],
     ]

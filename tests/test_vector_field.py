@@ -1,6 +1,7 @@
 """Vector tables, the norm suite, level-operator convolution, and the norms' Euclidean sandwiches."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,19 @@ class TestVectorConvolve:
 
 
 class TestRademacherProjection:
+    def test_adopts_its_product_table(self):
+        """lin f holds the product's own read-only table: the peak is one (2^n, m) table, not a copy besides."""
+        f = random_vector(10, 64, 3)
+        f.spectrum
+        tracemalloc.start()
+        try:
+            table = rademacher_projection(f).values_matrix()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (1 << 10, 64) and not table.flags.writeable
+        assert peak < 1.5 * table.nbytes
+
     def test_constant_maps_to_zero(self):
         f = constant_vector(4, [2.0, -1.0])
         assert np.all(rademacher_projection(f).values_matrix() == 0.0)
