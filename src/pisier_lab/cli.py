@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -42,6 +42,7 @@ AUDIT_SWEEP_FIELDS = (
     "derived_constant", "slack", "status", "error",
 )
 _VARIANT_HELP = f"witness variant: {' or '.join(WITNESS_VARIANTS)}"
+_USAGE_ERRORS = (ValueError, OSError)  # a usage or precondition error: exit 2 in a run, an error row in a sweep
 
 
 def _require(ok: bool, message: str) -> None:
@@ -62,13 +63,6 @@ def _verdict(checks: Sequence[BoundReport]) -> dict[str, list]:
     return {"checks": [c.to_dict() for c in checks],
             "violations": [f"{c.claim}: {c.lhs!r} <= {c.rhs!r} + {c.tol!r} fails"
                            for c in checks if not c.holds]}
-
-
-def _exit_code(payload: dict[str, Any]) -> int:
-    """Print each violation on stderr; 1 if there is any, else 0."""
-    for violation in payload["violations"]:
-        print(f"violation: {violation}", file=sys.stderr)
-    return 1 if payload["violations"] else 0
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -130,19 +124,12 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
     }
 
 
-def cmd_proxy_check(args: argparse.Namespace) -> int:
-    payload = proxy_check_payload(args.ell, args.n)
-    _emit_text(_json_text(payload), args.out)
-    return _exit_code(payload)
-
-
 # ---------------------------------------------------------------------------
 # audit
 
 
-def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
-              p: float | None) -> pisier_bench.PisierAudit:
-    """Check the preconditions, then audit the seeded instance: the one path of audit and its sweep."""
+def audit_payload(n: int, m: int, ell: int | None, norm: str, p: float | None, seed: int) -> dict[str, Any]:
+    """Check the preconditions, then audit the seeded instance: audit and each audit sweep row."""
     _require_n(n, MAX_AUDIT_DIM)
     _require(m >= 1, f"--m must be positive, got {m}")
     _require((1 << n) * m <= 1 << MAX_DIM,
@@ -156,14 +143,10 @@ def run_audit(n: int, m: int, norm: str, seed: int, ell: int | None,
     _require(p is None or math.isfinite(p), f"--p must be finite, got {p}; use --norm linf for the sup norm")
     _require(p is None or norm == "lp", "--p applies only to --norm lp")
     _require(seed >= 0, "--seed must be nonnegative")
-    f = random_vector_function(n, m, seed)
-    return pisier_bench.decomposition_audit(f, _norm(norm, p), ell=ell)
-
-
-def _audit_payload(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> dict[str, Any]:
+    audit = pisier_bench.decomposition_audit(random_vector_function(n, m, seed), _norm(norm, p), ell=ell)
     return {
         "command": "audit",
-        "config": {**config, "sample_count": GATE_SAMPLES},
+        "config": {"n": n, "m": m, "ell": ell, "norm": norm, "p": p, "seed": seed, "sample_count": GATE_SAMPLES},
         "audit": audit.to_dict(),
         **_verdict(audit.checks),
     }
@@ -171,15 +154,7 @@ def _audit_payload(audit: pisier_bench.PisierAudit, config: dict[str, Any]) -> d
 
 def audit_report_json(n: int, m: int, norm: str, seed: int) -> str:
     """The audit subcommand's exact JSON text at the default ell, shared with the test suite."""
-    config = {"n": n, "m": m, "ell": None, "norm": norm, "p": None, "seed": seed}
-    return _json_text(_audit_payload(run_audit(**config), config))
-
-
-def cmd_audit(args: argparse.Namespace) -> int:
-    config = {key: getattr(args, key) for key in ("n", "m", "ell", "norm", "p", "seed")}
-    payload = _audit_payload(run_audit(**config), config)
-    _emit_text(_json_text(payload), args.out)
-    return _exit_code(payload)
+    return _json_text(audit_payload(n, m, None, norm, None, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +189,46 @@ def lower_bound_payload(n: int, variant: str) -> dict[str, Any]:
     return {**payload, **_verdict(checks)}
 
 
-def cmd_lower_bound(args: argparse.Namespace) -> int:
-    payload = lower_bound_payload(args.n, args.variant)
+# ---------------------------------------------------------------------------
+# a run and a sweep of a checking command
+
+
+def _flag_values(args: argparse.Namespace) -> dict[str, Any]:
+    """The checking command's own parsed flags by dest: the keyword arguments of its payload function."""
+    return {dest: value for dest, value in vars(args).items() if dest not in ("command", "kind", "out")}
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    """proxy-check, audit or lower-bound: its payload from the parsed flags as JSON, each violation on stderr."""
+    payload = _CHECKING_COMMANDS[args.command][2](**_flag_values(args))
     _emit_text(_json_text(payload), args.out)
-    return _exit_code(payload)
+    for violation in payload["violations"]:
+        print(f"violation: {violation}", file=sys.stderr)
+    return 1 if payload["violations"] else 0
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """One CSV row per point of the grid: the product of the flags parsed as lists, varied in column order."""
+    _, _, payload_of, fields, kind = _CHECKING_COMMANDS[args.kind]
+    flags = _flag_values(args)
+    grid = [name for name in fields if isinstance(flags.get(name), list)]
+    rows = []
+    for point in itertools.product(*(flags[name] for name in grid)):
+        given = {**flags, **dict(zip(grid, point))}
+        cells = {"kind": kind}
+        try:
+            payload = payload_of(**given)
+            cells.update(payload.get("audit", payload))  # an audit row's fields are its audit object's
+            status, error = ("violation" if payload["violations"] else "ok"), "; ".join(payload["violations"])
+        except _USAGE_ERRORS as exc:
+            status, error = "error", str(exc)
+        # then each flag as the row was given it: an audit row's norm cell is "lp", not "l3"
+        cells.update((name, value) for name, value in given.items() if value is not None)
+        rows.append(tuple(cells.get(name) for name in fields[:-2]) + (status, error))
+    _emit_text(_csv_text(fields, rows), args.out)
+    statuses = {cells[-2] for cells in rows}
+    _require(statuses != {"error"}, "every row of the sweep is an error row, so it checked nothing")
+    return 1 if "violation" in statuses else 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,53 +251,6 @@ def cmd_sparsity(args: argparse.Namespace) -> int:
                "rhs": report.rhs, "slack": report.slack, "params": report.params}
     _emit_text(_json_text(payload), args.out)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def _sweep_rows(fields: tuple, grid, row) -> list[tuple]:
-    """Run row(*base[1:]) for each base in grid; base fills the leading columns.
-
-    row returns a mapping from column name to value; its "violations", derived
-    from its checks, make the row a violation.  An exception is recorded as an
-    error and the sweep goes on.  Unfilled columns stay empty.
-    """
-    rows = []
-    for base in grid:
-        cells = dict(zip(fields, base))
-        try:
-            cells.update(row(*base[1:]))
-            status, error = ("violation" if cells["violations"] else "ok"), "; ".join(cells["violations"])
-        except Exception as exc:  # noqa: BLE001 - recorded per row, sweep continues
-            status, error = "error", str(exc)
-        rows.append(tuple(cells.get(name) for name in fields[:-2]) + (status, error))
-    return rows
-
-
-def _audit_sweep_row(n: int, m: int, ell: int | None, norm: str, seed: int,
-                     p: float | None) -> dict[str, Any]:
-    audit = run_audit(n, m, norm, seed, ell, p)
-    # the audit's measurements and its resolved ell; the norm cell keeps the flag ("lp", not "l3")
-    return {**audit.to_dict(), "norm": norm, **_verdict(audit.checks)}
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.kind == "proxy-check":
-        fields, row = PROXY_SWEEP_FIELDS, proxy_check_payload
-        grid = [("proxy", ell, n) for ell in args.ell for n in args.n]
-    elif args.kind == "lower-bound":
-        fields, row = LOWER_SWEEP_FIELDS, lower_bound_payload
-        grid = [("lower-bound", n, variant) for n in args.n for variant in args.variant]
-    else:
-        fields, row = AUDIT_SWEEP_FIELDS, partial(_audit_sweep_row, p=args.p)
-        grid = [("audit", n, m, args.ell, args.norm, seed) for n in args.n for m in args.m for seed in args.seed]
-    rows = _sweep_rows(fields, grid, row)
-    _emit_text(_csv_text(fields, rows), args.out)
-    statuses = {cells[-2] for cells in rows}
-    _require(statuses != {"error"}, "every row of the sweep is an error row, so it checked nothing")
-    return 1 if "violation" in statuses else 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +278,10 @@ def _int_list(text: str) -> list[int]:
     out: list[int] = []
     for token in filter(None, map(str.strip, text.split(","))):
         lo, colon, hi = token.partition(":")
-        out.extend(range(int(lo), int(hi)) if colon else [int(lo)])
+        try:
+            out.extend(range(int(lo), int(hi)) if colon else [int(lo)])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token!r} is not an integer or a lo:hi range") from None
     return _nonempty(out, text)
 
 
@@ -354,11 +321,15 @@ def _lower_bound_flags(p: argparse.ArgumentParser, grid: bool) -> None:
     _axis(p, "--variant", str, _VARIANT_HELP, grid, default="truncated")
 
 
-# each checking command's help and flags, added for the command (grid=False) and for its sweep (grid=True)
+# each checking command: its help; its flags, added for the command (grid=False) and for its sweep
+# (grid=True); its payload function, whose parameters are the flags' dests; its CSV columns; its kind cell
 _CHECKING_COMMANDS = {
-    "proxy-check": ("verify the kernel and proxy bounds for one (ell, n)", _proxy_check_flags),
-    "audit": ("audit one seeded random instance end to end", _audit_flags),
-    "lower-bound": ("build a witness and verify its properties", _lower_bound_flags),
+    "proxy-check": ("verify the kernel and proxy bounds for one (ell, n)", _proxy_check_flags,
+                    proxy_check_payload, PROXY_SWEEP_FIELDS, "proxy"),
+    "audit": ("audit one seeded random instance end to end", _audit_flags,
+              audit_payload, AUDIT_SWEEP_FIELDS, "audit"),
+    "lower-bound": ("build a witness and verify its properties", _lower_bound_flags,
+                    lower_bound_payload, LOWER_SWEEP_FIELDS, "lower-bound"),
 }
 
 
@@ -371,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                "Set PISIER_LAB_THREADS to cap numeric thread pools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_flags) in _CHECKING_COMMANDS.items():
+    for name, (text, add_flags, *_) in _CHECKING_COMMANDS.items():
         p = sub.add_parser(name, help=text)
         add_flags(p, grid=False)
         p.add_argument("--out", help="write JSON here instead of stdout")
@@ -388,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kinds = sub.add_parser("sweep", help="grid-run one checking command into a CSV table").add_subparsers(
         dest="kind", required=True)
-    for name, (text, add_flags) in _CHECKING_COMMANDS.items():
+    for name, (text, add_flags, *_) in _CHECKING_COMMANDS.items():
         p = kinds.add_parser(name, help=f"{name} over a grid: each grid flag takes a list")
         add_flags(p, grid=True)
         p.add_argument("--out", help="write the CSV table here instead of stdout")
@@ -402,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {"proxy-check": cmd_proxy_check, "audit": cmd_audit, "lower-bound": cmd_lower_bound,
+_HANDLERS = {**dict.fromkeys(_CHECKING_COMMANDS, cmd_check),
              "sparsity": cmd_sparsity, "sweep": cmd_sweep, "fourier": cmd_fourier}
 
 
@@ -411,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:  # OSError: an unreadable --input or unwritable --out
+    except _USAGE_ERRORS as exc:  # OSError: an unreadable --input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pisier_lab import CubeFunction, Norm, build_truncated_witness, write_binary
-from pisier_lab import cli, linear_proxy, lower_bound
+from pisier_lab import cli, linear_proxy, lower_bound, pisier_bench
 from pisier_lab.cube_fourier import MAX_DIM
 from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
@@ -504,6 +504,26 @@ class TestSweep:
         assert payload["mode"] == ("instance" if n == 4 else "scalar")
         assert (row[header.index("ratio")] == "") == (n == 13)
 
+    @pytest.mark.parametrize(("command", "flags", "fields"), [
+        ("proxy-check", ["--ell", "3", "--n", "8"], lambda payload: payload),
+        ("proxy-check", ["--ell", "1", "--n", "1"], lambda payload: payload),
+        ("audit", ["--n", "4", "--m", "2"], lambda payload: {**payload["audit"], "seed": payload["config"]["seed"]}),
+        ("audit", ["--n", "5", "--m", "3", "--norm", "lp", "--p", "3", "--seed", "2"],
+         lambda payload: {**payload["audit"], "norm": "lp", "seed": payload["config"]["seed"]}),
+        ("audit", ["--n", "4", "--m", "2", "--ell", "5", "--norm", "l2", "--seed", "1"],
+         lambda payload: {**payload["audit"], "seed": payload["config"]["seed"]}),
+    ], ids=["proxy-n8", "proxy-n1", "audit-linf", "audit-lp-p3", "audit-l2-fixed-ell"])
+    def test_row_is_its_commands_json(self, capsys, tmp_path, command, flags, fields):
+        """Each cell of a proxy-check row is the same field of its JSON; of an audit row, of the JSON's audit
+        object, with norm the --norm flag and seed from config."""
+        assert run_main([command, *flags, "--out", str(tmp_path / "run.json")]) == 0
+        payload = json.loads((tmp_path / "run.json").read_text())
+        assert run_main(["sweep", command, *flags]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert row == [{"proxy-check": "proxy", "audit": "audit"}[command],
+                       *(_cell(fields(payload)[name]) for name in header[1:-2]), "ok", ""]
+        assert "" not in row[:-1]
+
     @pytest.mark.parametrize(("flags", "table"), AUDIT_SWEEP_TABLES,
                              ids=["lp-p3-with-errors", "l1-fixed-ell", "linf-default"])
     def test_audit_table_bytes_are_unchanged(self, capsys, flags, table):
@@ -530,6 +550,21 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"\npisier-lab sweep {flags[0]}: error: {usage_error}\n")
+
+    @pytest.mark.parametrize(("flags", "token"), [
+        (["audit", "--n", "x", "--m", "2"], "x"),
+        (["audit", "--n", "1:3:5", "--m", "2"], "1:3:5"),
+        (["proxy-check", "--ell", "3", "--n", "4,5:y"], "5:y"),
+    ], ids=["audit-n-word", "audit-n-two-colons", "proxy-n-bad-range"])
+    def test_a_token_that_is_no_integer_is_a_usage_error(self, capsys, flags, token):
+        """argparse names the flag and the token in the flag's own words, not the parsing function's name."""
+        with pytest.raises(SystemExit) as exit_:
+            run_main(["sweep", *flags])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"\npisier-lab sweep {flags[0]}: error: argument --n: "
+                                     f"{token!r} is not an integer or a lo:hi range\n")
 
     def test_audit_rows_take_the_audit_ell(self, capsys, tmp_path):
         """--ell of an audit sweep is the audit's --ell: the row is the audit at that ell."""
@@ -629,6 +664,25 @@ class TestSweep:
         assert run_main(["sweep", "proxy-check", "--ell", "2,3", "--n", "4"]) == 1
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["status"] for row in rows] == ["error", "violation"]
+
+    @pytest.mark.parametrize(("command", "flags", "module", "name", "hit"), [
+        ("proxy-check", ["--ell", "3"], linear_proxy, "proxy_properties", lambda kernel, n: n == 5),
+        ("audit", ["--m", "2"], pisier_bench, "decomposition_audit", lambda f, norm, ell: f.n == 5),
+    ], ids=["proxy-check", "audit"])
+    def test_any_other_exception_stops_a_sweep_as_it_stops_a_run(self, capsys, monkeypatch, command, flags,
+                                                                  module, name, hit):
+        """Only a usage or precondition error is an error row: a programming error is no row's outcome."""
+        original = getattr(module, name)
+
+        def broken(*args, **kwargs):
+            if hit(*args, **kwargs):
+                raise TypeError("list indices must be integers or slices, not str")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, broken)
+        for argv in ([command, *flags, "--n", "5"], ["sweep", command, *flags, "--n", "4,5"]):
+            with pytest.raises(TypeError, match="^list indices must be integers"):
+                run_main(argv)
 
     def test_row_errors_recorded_not_fatal(self, capsys):
         # even ell rows fail, the sweep still completes

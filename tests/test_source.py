@@ -138,6 +138,7 @@ def test_option_sets():
     """No option that nobody chose to add: each subcommand has exactly the flags of OPTIONS, and --help."""
     found = {name: _flags(sub) for name, sub in _subcommands(cli.build_parser(), "command").items()}
     assert found == OPTIONS
+    assert set(cli._HANDLERS) == set(OPTIONS)
 
 
 def test_each_sweep_takes_exactly_its_commands_flags():
