@@ -13,7 +13,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -93,10 +92,6 @@ def _csv_text(fields: tuple, rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def _norm(name: str, p: float | None) -> vector_field.Norm:
-    return vector_field.Norm.lp({"linf": math.inf, "l1": 1.0, "l2": 2.0}.get(name, p))
-
-
 def random_vector_function(n: int, m: int, seed: int) -> vector_field.VectorFunction:
     """Seeded instance: spectrum entries i.i.d. standard normal, drawn as (2^n, m)."""
     spectrum = np.random.default_rng(seed).standard_normal((1 << n, m))
@@ -128,7 +123,7 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
 # audit
 
 
-def audit_payload(n: int, m: int, ell: int | None, norm: str, p: float | None, seed: int) -> dict[str, Any]:
+def audit_payload(n: int, m: int, ell: int | None, norm: str, seed: int) -> dict[str, Any]:
     """Check the preconditions, then audit the seeded instance: audit and each audit sweep row."""
     _require_n(n, MAX_AUDIT_DIM)
     _require(m >= 1, f"--m must be positive, got {m}")
@@ -139,14 +134,17 @@ def audit_payload(n: int, m: int, ell: int | None, norm: str, p: float | None, s
              f"({GATE_SAMPLES} + 2m) * m is capped at 2^{MAX_DIM} doubles")
     if ell is not None:
         _require_ell(ell)
-    _require(norm != "lp" or (p is not None and p >= 1), "--norm lp needs --p >= 1")
-    _require(p is None or math.isfinite(p), f"--p must be finite, got {p}; use --norm linf for the sup norm")
-    _require(p is None or norm == "lp", "--p applies only to --norm lp")
+    try:  # the one spelling rule is Norm.name's: a name that does not read back to itself names no norm
+        target_norm = vector_field.Norm.lp(float(norm[1:]))
+    except ValueError:  # no number after the first letter, or p < 1
+        target_norm = None
+    _require(target_norm is not None and target_norm.name == norm,
+             f"--norm must be l<p> for p >= 1 as Norm.name spells it (linf, l1, l2, l3, l2.5), got {norm!r}")
     _require(seed >= 0, "--seed must be nonnegative")
-    audit = pisier_bench.decomposition_audit(random_vector_function(n, m, seed), _norm(norm, p), ell=ell)
+    audit = pisier_bench.decomposition_audit(random_vector_function(n, m, seed), target_norm, ell=ell)
     return {
         "command": "audit",
-        "config": {"n": n, "m": m, "ell": ell, "norm": norm, "p": p, "seed": seed, "sample_count": GATE_SAMPLES},
+        "config": {"n": n, "m": m, "ell": ell, "norm": norm, "seed": seed, "sample_count": GATE_SAMPLES},
         "audit": audit.to_dict(),
         **_verdict(audit.checks),
     }
@@ -154,7 +152,7 @@ def audit_payload(n: int, m: int, ell: int | None, norm: str, p: float | None, s
 
 def audit_report_json(n: int, m: int, norm: str, seed: int) -> str:
     """The audit subcommand's exact JSON text at the default ell, shared with the test suite."""
-    return _json_text(audit_payload(n, m, None, norm, None, seed))
+    return _json_text(audit_payload(n, m, None, norm, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             status, error = ("violation" if payload["violations"] else "ok"), "; ".join(payload["violations"])
         except _USAGE_ERRORS as exc:
             status, error = "error", str(exc)
-        # then each flag as the row was given it: an audit row's norm cell is "lp", not "l3"
+        # then each flag as the row was given it: an error row's grid point, an audit row's seed
         cells.update((name, value) for name, value in given.items() if value is not None)
         rows.append(tuple(cells.get(name) for name in fields[:-2]) + (status, error))
     _emit_text(_csv_text(fields, rows), args.out)
@@ -246,7 +244,7 @@ def cmd_sparsity(args: argparse.Namespace) -> int:
         variant = args.variant or "truncated"
         f = lower_bound.build_witness(args.n, variant)
         source = f"witness:{variant}:{args.n}"
-    report = lower_bound.sparsity_inequality_check(f, rescale=args.rescale)
+    report = lower_bound.sparsity_inequality_check(f, rescale=True)
     payload = {"command": "sparsity", "source": source, "claim": report.claim, "lhs": report.lhs,
                "rhs": report.rhs, "slack": report.slack, "params": report.params}
     _emit_text(_json_text(payload), args.out)
@@ -307,10 +305,10 @@ def _audit_flags(p: argparse.ArgumentParser, grid: bool) -> None:
     _axis(p, "--m", int, f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}, the "
                          f"sandwich gate's ({GATE_SAMPLES} + 2m) x m table at ({GATE_SAMPLES} + 2m) * m "
                          f"<= 2**{MAX_DIM}", grid, required=True)
-    p.add_argument("--ell", type=int, default=None,
-                   help="override the proxy parameter (default: smallest odd > log2(m)/2)")
-    p.add_argument("--norm", default="linf", choices=["linf", "l1", "l2", "lp"])
-    p.add_argument("--p", type=float, default=None, help="finite exponent >= 1 for --norm lp")
+    _axis(p, "--ell", int, f"odd proxy parameter in 1..{MAX_ELL} (default: smallest odd > log2(m)/2)", grid,
+          default=None)
+    _axis(p, "--norm", str, "lp norm on R^m, l<p> for p >= 1 exactly as Norm.name prints it: linf (default), "
+                            "l1, l2, l3, l2.5; not lp, l3.0 or L2", grid, default="linf")
     _axis(p, "--seed", int, "spectrum entries are standard_normal((2**n, m)) from default_rng(seed)", grid,
           default="0")  # a string default goes through the type: a one-value axis in a sweep
 
@@ -352,15 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"build the witness at this dimension, in 1..{MAX_RECORD_DIM}")
     p.add_argument("--variant", default=None, help=f"{_VARIANT_HELP}, with --n only (default: truncated)")
     p.add_argument("--input", dest="input_path", default=None,
-                   help="check a serialized cube function instead of a witness")
-    p.add_argument("--no-rescale", dest="rescale", action="store_false",
-                   help="reject functions with sup norm above 1 instead of normalizing")
+                   help="check a serialized cube function instead of a witness, scaled to sup norm 1 if above it")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     kinds = sub.add_parser("sweep", help="grid-run one checking command into a CSV table").add_subparsers(
         dest="kind", required=True)
     for name, (text, add_flags, *_) in _CHECKING_COMMANDS.items():
-        p = kinds.add_parser(name, help=f"{name} over a grid: each grid flag takes a list")
+        p = kinds.add_parser(name, help=f"{name} over a grid: each flag but --out takes a list")
         add_flags(p, grid=True)
         p.add_argument("--out", help="write the CSV table here instead of stdout")
 

@@ -92,9 +92,7 @@ class Norm:
     def name(self) -> str:
         if self.kind == "sup_functional":
             return f"sup_functional(n={self.n_dual},|family|={self.dim})"
-        if math.isinf(self.p):
-            return "linf"
-        return f"l{int(self.p)}" if self.p == int(self.p) else f"lp({self.p:g})"
+        return f"l{int(self.p) if self.p.is_integer() else self.p!r}"  # l1, l2, l2.5, linf
 
     def sandwich(self, m: int) -> tuple[float, float]:
         """(s, d) with s ||x||_2 <= ||x|| <= d s ||x||_2 on R^m: the Euclidean sandwich of the audit.

@@ -130,9 +130,20 @@ class TestAudit:
         assert run_main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_lp_requires_p(self, capsys):
-        assert run_main(["audit", "--n", "6", "--m", "4", "--norm", "lp"]) == 2
-        assert run_main(["audit", "--n", "6", "--m", "4", "--norm", "lp", "--p", "3"]) == 0
+    @pytest.mark.parametrize("norm", ["linf", "l1", "l2", "l3", "l2.5", "l1.0000000000000002"])
+    def test_norm_is_named_as_norm_name_prints_it(self, capsys, norm):
+        """--norm takes Norm.name's spelling, and the config and the audit object both echo it unchanged."""
+        assert run_main(["audit", "--n", "3", "--m", "2", "--norm", norm]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["norm"] == payload["audit"]["norm"] == norm
+        assert "p" not in payload["config"]
+
+    def test_help_names_the_norms(self, capsys):
+        with pytest.raises(SystemExit):
+            run_main(["audit", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--p" not in text
+        assert "linf (default), l1, l2, l3, l2.5" in text
 
     def test_table_cap(self, capsys):
         """2^n * m above 2^MAX_DIM is a usage error before any table is drawn."""
@@ -154,30 +165,6 @@ class TestAudit:
             assert captured.err == (
                 f"error: --m {m} asks for a {GATE_SAMPLES + 2 * m} x {m} sandwich gate table; "
                 f"({GATE_SAMPLES} + 2m) * m is capped at 2^{MAX_DIM} doubles\n")
-
-    @pytest.mark.parametrize("norm", ["lp", "linf", "l2"])
-    @pytest.mark.parametrize("p", ["3", "inf", "-inf", "nan"])
-    def test_p_must_be_finite(self, capsys, norm, p):
-        """Every audit that prints JSON prints strict JSON: a non-finite --p is a usage error."""
-        code = run_main(["audit", "--n", "4", "--m", "3", "--norm", norm, f"--p={p}"])
-        captured = capsys.readouterr()
-
-        def reject(name):
-            raise ValueError(f"not JSON: {name}")
-
-        if p == "3" and norm == "lp":
-            assert code == 0
-            assert json.loads(captured.out, parse_constant=reject)["config"]["p"] == 3.0
-            return
-        assert code == 2
-        assert captured.out == ""
-        if p == "3":  # a norm that ignores --p must not echo it in its record
-            assert captured.err == "error: --p applies only to --norm lp\n"
-        elif norm == "lp" and p != "inf":
-            assert captured.err == "error: --norm lp needs --p >= 1\n"
-        else:
-            assert captured.err == (f"error: --p must be finite, got {float(p)}; "
-                                    "use --norm linf for the sup norm\n")
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         """A failed claim still prints the audit, and each failure is one stderr line."""
@@ -352,7 +339,7 @@ class TestSparsity:
         assert run_main(["sparsity", "--n", "4", "--input", "x.bin"]) == 2
 
     def test_variant_applies_only_to_a_witness(self, capsys, tmp_path):
-        """--variant names a witness, so with --input it is a usage error, like --p with a norm but lp."""
+        """--variant names a witness, so with --input it is a usage error."""
         path = tmp_path / "f.bin"
         write_binary(build_truncated_witness(4), path)
         assert run_main(["sparsity", "--input", str(path), "--variant", "chebyshev"]) == 2
@@ -360,10 +347,11 @@ class TestSparsity:
         assert run_main(["sparsity", "--n", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["source"] == "witness:truncated:4"
 
-    def test_no_rescale_rejects_unbounded(self, capsys, tmp_path):
+    def test_input_above_sup_norm_one_is_rescaled(self, capsys, tmp_path):
         path = tmp_path / "big.bin"
         write_binary(constant_function(3, 5.0), path)
-        assert run_main(["sparsity", "--input", str(path), "--no-rescale"]) == 2
+        assert run_main(["sparsity", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["scale"] == 5.0
 
 
 @pytest.mark.parametrize("command", ["sparsity", "fourier"])
@@ -442,15 +430,23 @@ class TestCaps:
 
 
 ALL_ERRORS = "every row of the sweep is an error row, so it checked nothing"
+# names that do not read back through Norm.lp to themselves: no p, a float spelling of an integer, p < 1,
+# no number, a p that overflows to the inf of linf, and a capital letter
+NOT_NORM_NAMES = ["lp", "l3.0", "l0.5", "lnan", "l1e999", "L2"]
 
-# Audit sweep tables as the audit sweep has always written them: the norm cell is the --norm flag.
+
+def _no_norm(name):
+    return f"--norm must be l<p> for p >= 1 as Norm.name spells it (linf, l1, l2, l3, l2.5), got {name!r}"
+
+
+# Audit sweep tables, byte for byte: the norm cell is the --norm flag, which is the audit object's norm name.
 AUDIT_SWEEP_TABLES = [
-    (["--n", "3,17", "--m", "2", "--norm", "lp", "--p", "3", "--seed", "0,1"], """\
+    (["--n", "3,17", "--m", "2", "--norm", "l3", "--seed", "0,1"], """\
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
-audit,3,2,1,lp,0,1.6014309329120553,3.4306789128084056,0.46679708990926805,12.489848193237492,41.247227887805977,ok,
-audit,3,2,1,lp,1,1.6495760255926657,2.2733760502191802,0.72560631816000132,12.489848193237492,26.744545727786747,ok,
-audit,17,2,,lp,0,,,,,,error,"--n must lie in 1..16, got 17"
-audit,17,2,,lp,1,,,,,,error,"--n must lie in 1..16, got 17"
+audit,3,2,1,l3,0,1.6014309329120553,3.4306789128084056,0.46679708990926805,12.489848193237492,41.247227887805977,ok,
+audit,3,2,1,l3,1,1.6495760255926657,2.2733760502191802,0.72560631816000132,12.489848193237492,26.744545727786747,ok,
+audit,17,2,,l3,0,,,,,,error,"--n must lie in 1..16, got 17"
+audit,17,2,,l3,1,,,,,,error,"--n must lie in 1..16, got 17"
 """),
     (["--n", "3", "--m", "2,3", "--ell", "3", "--norm", "l1"], """\
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
@@ -462,6 +458,11 @@ kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
 audit,4,2,1,linf,0,1.5903142367077299,3.9636304243922571,0.40122667010549362,13.65685424949238,52.540408768070954,ok,
 """),
 ]
+
+
+# the columns of each sweep that hold its command's flags, in CSV order
+SWEEP_FLAG_COLUMNS = {"proxy-check": ["ell", "n"], "audit": ["n", "m", "ell", "norm", "seed"],
+                      "lower-bound": ["n", "variant"]}
 
 
 def _cell(value):
@@ -504,28 +505,47 @@ class TestSweep:
         assert payload["mode"] == ("instance" if n == 4 else "scalar")
         assert (row[header.index("ratio")] == "") == (n == 13)
 
-    @pytest.mark.parametrize(("command", "flags", "fields"), [
-        ("proxy-check", ["--ell", "3", "--n", "8"], lambda payload: payload),
-        ("proxy-check", ["--ell", "1", "--n", "1"], lambda payload: payload),
-        ("audit", ["--n", "4", "--m", "2"], lambda payload: {**payload["audit"], "seed": payload["config"]["seed"]}),
-        ("audit", ["--n", "5", "--m", "3", "--norm", "lp", "--p", "3", "--seed", "2"],
-         lambda payload: {**payload["audit"], "norm": "lp", "seed": payload["config"]["seed"]}),
-        ("audit", ["--n", "4", "--m", "2", "--ell", "5", "--norm", "l2", "--seed", "1"],
-         lambda payload: {**payload["audit"], "seed": payload["config"]["seed"]}),
-    ], ids=["proxy-n8", "proxy-n1", "audit-linf", "audit-lp-p3", "audit-l2-fixed-ell"])
-    def test_row_is_its_commands_json(self, capsys, tmp_path, command, flags, fields):
-        """Each cell of a proxy-check row is the same field of its JSON; of an audit row, of the JSON's audit
-        object, with norm the --norm flag and seed from config."""
-        assert run_main([command, *flags, "--out", str(tmp_path / "run.json")]) == 0
-        payload = json.loads((tmp_path / "run.json").read_text())
-        assert run_main(["sweep", command, *flags]) == 0
-        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
-        assert row == [{"proxy-check": "proxy", "audit": "audit"}[command],
-                       *(_cell(fields(payload)[name]) for name in header[1:-2]), "ok", ""]
-        assert "" not in row[:-1]
+    @pytest.mark.parametrize(("command", "grid", "count"), [
+        ("proxy-check", ["--ell", "1,3", "--n", "1,8"], 4),
+        ("audit", ["--n", "4", "--m", "2"], 1),
+        ("audit", ["--n", "4,5", "--m", "3", "--norm", "linf,l3,l2.5", "--seed", "2"], 6),
+        ("audit", ["--n", "4", "--m", "2", "--ell", "1,5", "--norm", "l1,l2", "--seed", "0:2"], 8),
+        ("lower-bound", ["--n", "4,13", "--variant", "truncated,chebyshev"], 4),
+    ], ids=["proxy-check", "audit-default", "audit-norms", "audit-ell-and-seeds", "lower-bound"])
+    def test_row_is_its_commands_json(self, capsys, tmp_path, command, grid, count):
+        """Each row re-runs as its command: the argv rebuilt from its flag cells prints JSON that echoes those
+        flags, and every other cell is the same field of that JSON (an audit's, of its audit object)."""
+        assert run_main(["sweep", command, *grid]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == count
+        for cells in rows:
+            assert (cells.pop("kind"), cells.pop("status"), cells.pop("error")) == (
+                {"proxy-check": "proxy"}.get(command, command), "ok", "")
+            flags = {name: cells.pop(name) for name in SWEEP_FLAG_COLUMNS[command]}
+            out = tmp_path / "run.json"
+            assert run_main([command, *(token for name, value in flags.items() for token in (f"--{name}", value)),
+                             "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert {name: _cell(payload.get("config", payload)[name]) for name in flags} == flags
+            fields = payload.get("audit", payload)
+            assert cells == {name: _cell(fields.get(name)) for name in cells}
+            if command != "lower-bound":  # only lower-bound has fields that one mode or variant lacks
+                assert "" not in cells.values()
+
+    def test_one_command_runs_an_acceptance_cell(self, capsys):
+        """Every audit flag is a sweep axis: one sweep holds each audit the acceptance suite runs at (8, 4)."""
+        assert run_main(["sweep", "audit", "--n", "8", "--m", "4", "--norm", "linf,l1,l2", "--seed", "0:50"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(row["norm"], row["seed"]) for row in rows] == [
+            (norm, str(seed)) for norm in ("linf", "l1", "l2") for seed in range(50)]
+        for row in rows:
+            audit = json.loads(cli.audit_report_json(8, 4, row["norm"], int(row["seed"])))["audit"]
+            assert row["status"] == "ok"
+            assert [row[name] for name in ("lhs", "rhs_raw", "ratio", "derived_constant")] == [
+                _cell(audit[name]) for name in ("lhs", "rhs_raw", "ratio", "derived_constant")]
 
     @pytest.mark.parametrize(("flags", "table"), AUDIT_SWEEP_TABLES,
-                             ids=["lp-p3-with-errors", "l1-fixed-ell", "linf-default"])
+                             ids=["l3-with-errors", "l1-fixed-ell", "linf-default"])
     def test_audit_table_bytes_are_unchanged(self, capsys, flags, table):
         assert run_main(["sweep", "audit", *flags]) == 0
         assert capsys.readouterr().out == table
@@ -616,12 +636,10 @@ class TestSweep:
         assert all(row["error"].startswith(f"{prefix}: ") and ";" not in row["error"] for row in rows)
 
     @pytest.mark.parametrize(("flags", "message"), [
-        (["--m", "2", "--norm", "lp"], "--norm lp needs --p >= 1"),
+        *((["--m", "2", "--norm", name], _no_norm(name)) for name in NOT_NORM_NAMES),
         (["--m", "0"], "--m must be positive, got 0"),
         (["--m", "2", "--seed", "-1"], "--seed must be nonnegative"),
         (["--m", "524289"], f"--n 5 --m 524289 asks for a 2^5 x 524289 table; 2^n * m is capped at 2^{MAX_DIM} doubles"),
-        (["--m", "2", "--p", "inf"], "--p must be finite, got inf; use --norm linf for the sup norm"),
-        (["--m", "2", "--norm", "l1", "--p", "3"], "--p applies only to --norm lp"),
     ])
     def test_audit_rows_get_the_audit_preconditions(self, capsys, flags, message):
         assert run_main(["audit", "--n", "5", *flags]) == 2

@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -116,9 +117,9 @@ def test_public_surface():
 # Each subcommand's options: a flag is added or removed by editing this table on purpose.
 OPTIONS = {
     "proxy-check": ["--ell", "--n", "--out"],
-    "audit": ["--ell", "--m", "--n", "--norm", "--out", "--p", "--seed"],
+    "audit": ["--ell", "--m", "--n", "--norm", "--out", "--seed"],
     "lower-bound": ["--n", "--out", "--variant"],
-    "sparsity": ["--input", "--n", "--no-rescale", "--out", "--variant"],
+    "sparsity": ["--input", "--n", "--out", "--variant"],
     "sweep": [],
     "fourier": ["--input", "--out", "--threshold"],
 }
@@ -142,10 +143,15 @@ def test_option_sets():
 
 
 def test_each_sweep_takes_exactly_its_commands_flags():
-    """`sweep <command>` is built by its command's flag code: the same flags, no more and no fewer."""
+    """`sweep <command>` is built by its command's flag code: the same flags, no more and no fewer, and each
+    flag but --out is a sweep axis, so it parses to a list."""
     sweep = _subcommands(cli.build_parser(), "command")["sweep"]
     found = {name: _flags(sub) for name, sub in _subcommands(sweep, "kind").items()}
     assert found == {name: OPTIONS[name] for name in ("proxy-check", "audit", "lower-bound")}
+    for name, flags in found.items():
+        axes = [flag for flag in flags if flag != "--out"]
+        args = vars(cli.build_parser().parse_args(["sweep", name, *(token for flag in axes for token in (flag, "1"))]))
+        assert [flag for flag in axes if not isinstance(args[flag[2:]], list)] == [], name
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -220,15 +226,24 @@ def _defined_functions() -> dict[tuple[Path, int], str]:
     return found
 
 
-def _run_every_subcommand(tmp_path) -> None:
-    """Each subcommand once, sweep once per kind; the fourier input is written by the library's writer."""
+def _reject(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def _run_every_subcommand(tmp_path, capsys) -> None:
+    """Each subcommand once, sweep once per kind; the fourier input is written by the library's writer.
+
+    Every JSON document a run writes, to stdout or to --out, is strict JSON: no NaN or Infinity.
+    """
     table = tmp_path / "table.bin"
     write_binary(CubeFunction.from_values(4, np.arange(16.0)), table)
     blocked = tmp_path / "blocked.bin"  # above one butterfly block, so its phases run from this thread too
     write_binary(CubeFunction.from_values(17, np.arange(2.0**17)), blocked)
     runs = [
         ["proxy-check", "--ell", "3", "--n", "8"],
-        ["audit", "--n", "4", "--m", "3", "--ell", "3", "--norm", "lp", "--p", "3"],
+        ["audit", "--n", "4", "--m", "3", "--ell", "3", "--norm", "l3"],
+        ["audit", "--n", "4", "--m", "3", "--norm", "l2.5"],
+        ["audit", "--n", "4", "--m", "3", "--norm", "linf", "--out", str(tmp_path / "audit.json")],
         ["lower-bound", "--n", "9", "--variant", "chebyshev", "--out", str(tmp_path / "lower.json")],
         ["sparsity", "--n", "4"],
         ["sweep", "proxy-check", "--ell", "1,3", "--n", "4"],
@@ -239,6 +254,9 @@ def _run_every_subcommand(tmp_path) -> None:
     ]
     for argv in runs:
         assert cli.main(argv) == 0, argv
+        stdout = capsys.readouterr().out
+        if argv[0] != "sweep":
+            json.loads(Path(argv[-1]).read_text() if "--out" in argv else stdout, parse_constant=_reject)
 
 
 def test_every_function_runs_or_says_why_not(tmp_path, capsys):
@@ -254,7 +272,7 @@ def test_every_function_runs_or_says_why_not(tmp_path, capsys):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        _run_every_subcommand(tmp_path)
+        _run_every_subcommand(tmp_path, capsys)
     finally:
         sys.setprofile(previous)
     reached = {(Path(name).resolve(), line) for name, line in calls}

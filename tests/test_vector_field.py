@@ -300,9 +300,17 @@ class TestSupFunctionalNorm:
         assert (norm.name, norm.dim, norm.p) == ("sup_functional(n=3,|family|=3)", 3, None)
         norm = Norm("lp", p=3, n_dual=3, family=[1])
         assert (norm.name, norm.dim, norm.family) == ("l3", None, None)
-        assert [Norm.lp(p).name for p in (1, 2.0, 1.5, math.inf)] == ["l1", "l2", "lp(1.5)", "linf"]
+        assert [Norm.lp(p).name for p in (1, 2.0, 1.5, math.inf)] == ["l1", "l2", "l1.5", "linf"]
         with pytest.raises(ValueError, match="unknown norm kind 'l2'"):
             Norm("l2")
+
+
+@pytest.mark.parametrize("p", [1, 1.1, 1.5, 2, 2.5, 3, 7, 1.0000000000000002, 1e20, math.inf])
+def test_lp_name_reads_back(p):
+    """l<p> with p an integer's digits or the float's repr: the name alone rebuilds the norm, and --norm reads it."""
+    name = Norm.lp(p).name
+    assert name[0] == "l" and Norm.lp(float(name[1:])).p == float(p)
+    assert Norm.lp(float(name[1:])).name == name
 
 
 @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -math.inf, math.nan])
@@ -318,7 +326,7 @@ SANDWICH_NORMS = {
     "linf": Norm.lp(math.inf),
     "l1": Norm.lp(1),
     "l2": Norm.lp(2),
-    "lp(1.5)": Norm.lp(1.5),
+    "l1.5": Norm.lp(1.5),
     "l3": Norm.lp(3),
     "l7": Norm.lp(7),
     "sup_functional(n=4,|family|=7)": Norm.sup_functional(4, [1, 2, 3, 4, 7, 8, 11]),
