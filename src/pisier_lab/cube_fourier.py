@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -99,39 +98,32 @@ def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None)
     """Transform each (source, destination) block pair, the pairs dealt round-robin to the workers.
 
     Each block is multiplied by scale on its way out, unless scale is None.  The
-    calling thread runs share 0; every thread is joined before this returns or
-    raises, and the first error a share met is raised here.
+    calling thread runs share 0 and a pool of the other workers runs the rest; the
+    pool joins them all before this returns or raises, and a share's error is raised here.
     """
     workers = min(_WORKERS, len(blocks))
-    errors: list[Exception] = []
-    threads = []
-    try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=_run_share, args=(blocks[k::workers], scale, errors))
-            thread.start()
-            threads.append(thread)
-        _run_share(blocks[::workers], scale, errors)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    if workers == 1:  # one share needs no pool, and ThreadPoolExecutor(0) is an error
+        return _run_share(blocks, scale)
+    # imported here, not at the top: with the logging it loads it costs ~9 ms of start-up (2 vCPU),
+    # which a process that opens no pool need not pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers - 1) as pool:
+        shares = [pool.submit(_run_share, blocks[k::workers], scale) for k in range(1, workers)]
+        _run_share(blocks[::workers], scale)
+    for share in shares:
+        share.result()
 
 
-def _run_share(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None,
-               errors: list[Exception]) -> None:
-    """One worker's blocks through its own two scratch blocks; an error is recorded for _run_phase to raise."""
-    try:
-        scratch = np.empty((2, max(src.size for src, _ in blocks)))
-        for src, dst in blocks:
-            a, b = (s[: src.size].reshape(src.shape) for s in scratch)
-            np.copyto(a, src)
-            if scale is None:
-                np.copyto(dst, _radix2_passes(a, b))
-            else:
-                np.multiply(_radix2_passes(a, b), scale, out=dst)
-    except Exception as exc:  # a worker thread cannot raise to the caller; _run_phase re-raises it
-        errors.append(exc)
+def _run_share(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None) -> None:
+    """One worker's blocks through its own two scratch blocks."""
+    scratch = np.empty((2, max(src.size for src, _ in blocks)))
+    for src, dst in blocks:
+        a, b = (s[: src.size].reshape(src.shape) for s in scratch)
+        np.copyto(a, src)
+        if scale is None:
+            np.copyto(dst, _radix2_passes(a, b))
+        else:
+            np.multiply(_radix2_passes(a, b), scale, out=dst)
 
 
 def _radix2_passes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

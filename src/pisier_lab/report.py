@@ -34,8 +34,8 @@ TOLERANCES: dict[str, float] = {
     "singleton-coefficient": 1e-12,
     "singleton-spread": 1e-12,
     "singleton-roundtrip": 1e-12,
+    "singleton-mass-floor": 1e-12,  # equality for the Chebyshev witness at n <= 8, the truncated at n <= 2
     "sparsity-exact": 0.0,
-    "sparsity-structural-bound": 0.0,
     "chebyshev-witness-sup": 1e-12,
     # the lower-bound instance's invariants
     "instance-field-norm": 1e-10,

@@ -246,12 +246,12 @@ class TestChecks:
          "proxy-low-level-match", "proxy-level-deviation"],
         ["proxy-term-bound", "remainder-term-bound", "split-triangle-inequality", "projection-derived-bound"],
         ["product-witness-sup", "truncation-tail", "singleton-coefficient", "singleton-spread",
-         "singleton-roundtrip", "sparsity-exact", "instance-field-norm", "instance-embedding",
-         "instance-linear-spectrum", "instance-linear-norm"],
-        ["chebyshev-witness-sup", "singleton-spread", "sparsity-structural-bound", "instance-field-norm",
+         "singleton-roundtrip", "singleton-mass-floor", "sparsity-exact", "instance-field-norm",
          "instance-embedding", "instance-linear-spectrum", "instance-linear-norm"],
+        ["chebyshev-witness-sup", "singleton-spread", "singleton-mass-floor", "sparsity-exact",
+         "instance-field-norm", "instance-embedding", "instance-linear-spectrum", "instance-linear-norm"],
         ["product-witness-sup", "truncation-tail", "singleton-coefficient", "singleton-spread",
-         "singleton-roundtrip", "sparsity-exact"],
+         "singleton-roundtrip", "singleton-mass-floor", "sparsity-exact"],
     ]
 
     @pytest.mark.parametrize(("argv", "claims"), zip(RUNS, CLAIMS), ids=[" ".join(a) for a in RUNS])
@@ -305,8 +305,9 @@ class TestNaN:
         checks = {c["claim"]: c for c in payload["checks"]}
         assert math.isnan(checks["chebyshev-witness-sup"]["lhs"])
         assert not checks["chebyshev-witness-sup"]["holds"]
-        # the witness sup is the right-hand side of the field-norm invariant
-        assert failed_claims(payload) == ["chebyshev-witness-sup"] + (["instance-field-norm"] if n == 4 else [])
+        # the witness sup is the left-hand side of the mass floor and the right-hand side of the field-norm invariant
+        assert failed_claims(payload) == (["chebyshev-witness-sup", "singleton-mass-floor"]
+                                          + (["instance-field-norm"] if n == 4 else []))
 
 
 class TestSparsity:

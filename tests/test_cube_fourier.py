@@ -368,6 +368,21 @@ class TestBlockedButterfly:
             cube_fourier._walsh_butterfly(np.ones((1 << 8, 3)))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("transform", [fwht, inverse_fwht])
+    def test_a_transform_leaves_no_thread_behind(self, monkeypatch, transform, workers):
+        """Each phase joins the workers it started, so none outlives a successful transform."""
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 4)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread)))
+        table = np.random.default_rng(workers).standard_normal((1 << 8, 3))
+        before = threading.active_count()
+        transform(table)
+        assert started and not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("shape", [(1 << 15, 8), (1 << 18,)])
     def test_peak_memory_is_one_table_plus_two_blocks(self, monkeypatch, shape):
         """The scratch is two blocks per worker, not a second table; the slack covers numpy's

@@ -202,12 +202,22 @@ class TestChebyshevWitness:
         w = build_chebyshev_witness(1)
         assert np.array_equal(w.values, [1.0, -1.0])
 
-    def test_n4_quadratic_values(self):
-        # degree floor(sqrt(4)) = 2: value is 2 (s/4)^2 - 1 at coordinate sum s
-        w = build_chebyshev_witness(4)
-        for x in range(16):
-            s = 4 - 2 * bin(x).count("1")
-            assert w.values[x] == pytest.approx(2 * (s / 4) ** 2 - 1, abs=1e-15)
+    @pytest.mark.parametrize(("n", "k"), [(4, 1), (8, 1), (9, 3), (15, 3), (16, 3)])
+    def test_degree_is_the_largest_odd_at_most_sqrt_n(self, n, k):
+        """T_k of the coordinate average s/n; where floor(sqrt(n)) is even (n = 4, 8, 16) k is one less."""
+        w = build_chebyshev_witness(n)
+        s = n - 2 * popcount(np.arange(1 << n)).astype(np.int64)
+        want = np.polynomial.chebyshev.chebval(s / n, [0] * k + [1])
+        assert np.abs(w.values - want).max() <= 1e-14
+
+    def test_even_degree_fails_the_singleton_mass_floor(self, monkeypatch):
+        """Degree floor(sqrt(4)) = 2 makes T_2 even: no singleton mass, so the claim fires, and levels 0 and 2
+        (1 + 6 subsets) are not the odd levels the structural count assumes."""
+        monkeypatch.setattr(lower_bound, "_chebyshev_degree", math.isqrt)
+        _, checks = lower_bound.witness_properties(build_chebyshev_witness(4), "chebyshev")
+        failed = {c.claim: c for c in checks if not c.holds}
+        assert list(failed) == ["singleton-mass-floor", "sparsity-exact"]
+        assert failed["singleton-mass-floor"].rhs == 0.0 and failed["sparsity-exact"].lhs == 3
 
     @pytest.mark.parametrize("n", [1, 4, 9, 16])
     def test_bounded_by_one(self, n):
@@ -319,6 +329,14 @@ class TestInstance:
         doubled = CubeFunction.from_spectrum(9, 2.0 * witness.spectrum)
         _, checks = lower_bound.witness_properties(doubled, variant)
         assert [c.claim for c in checks if not c.holds] == failed
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    @pytest.mark.parametrize("n", range(1, MAX_RECORD_DIM + 1))
+    def test_singleton_mass_is_at_least_the_sup_norm(self, n, variant):
+        """Every record's blow-up ratio is at least 1, with equality where the witness is linear."""
+        _, checks = lower_bound.witness_properties(lower_bound.build_witness(n, variant), variant)
+        floor = next(c for c in checks if c.claim == "singleton-mass-floor")
+        assert floor.holds
 
 
 class TestStructuralVerification:
