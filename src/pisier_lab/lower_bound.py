@@ -14,7 +14,8 @@ which is how the projection's blow-up is exhibited.  Both are group
 identities: row x embeds as the translate z -> F(x . z), and lin f(x) as the
 translate of lin F.  The instance is verified through that structure: each
 norm is evaluated once, at x = 0, and every row is checked against the
-character formula, so no per-point norm scan runs.
+character formula, so no per-point norm scan runs.  The check walks the
+family in column blocks, so the (2^n, |family|) table is never held whole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _check_dim, _finite,
+from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _above, _check_dim, _finite,
                            _require_one_function, fwht, popcount, spectrum_sparsity, spectrum_support,
                            subset_levels)
 from .report import BoundReport, check
@@ -43,6 +44,9 @@ WITNESS_VARIANTS = ("truncated", "chebyshev")
 
 # imaginary part of i^k by k mod 4, exact
 _IM_UNIT_POWERS = (0.0, 1.0, 0.0, -1.0)
+# doubles per column block of the instance check: 8 MB, so a block's spectrum and values take
+# 16 MB at any n, and a block still spans many butterfly blocks for the phase pool to share
+_COLUMN_BLOCK_DOUBLES = 1 << 20
 
 
 def _product_level_coeffs(n: int) -> np.ndarray:
@@ -125,7 +129,6 @@ class LowerBoundInstance:
     variant: str
     witness: CubeFunction
     family: tuple[int, ...]
-    vector: VectorFunction
     norm: Norm
     witness_sup: float
     field_norm_value: float
@@ -135,6 +138,12 @@ class LowerBoundInstance:
     @property
     def ratio(self) -> float:
         return self.linear_norm_value / self.field_norm_value
+
+    @property
+    def vector(self) -> VectorFunction:
+        """The vector function f(x)_S = Fhat(S) chi_S(x) as one (2^n, |family|) table, built on each read."""
+        family = np.asarray(self.family)
+        return _scattered(self.n, family, self.witness.spectrum[family])
 
 
 def build_witness(n: int, variant: str) -> CubeFunction:
@@ -171,6 +180,25 @@ def _embedding_check(values: np.ndarray, family: np.ndarray, coeffs: np.ndarray)
     return check("instance-embedding", worst, 0.0, point=x, subset=int(family[j]))
 
 
+def _scattered(n: int, masks: np.ndarray, coeffs: np.ndarray) -> VectorFunction:
+    """The vector function whose coordinate j has the single coefficient coeffs[j], at masks[j]."""
+    spectra = np.zeros((1 << n, masks.size))
+    spectra[masks, np.arange(masks.size)] = coeffs
+    spectra.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
+    return VectorFunction.from_spectrum(n, spectra)
+
+
+def _check_block(n: int, masks: np.ndarray, coeffs: np.ndarray,
+                 singletons: np.ndarray) -> tuple[BoundReport, np.ndarray, np.ndarray]:
+    """One column block of the instance: its embedding report, its row f(0) and its singleton spectrum rows.
+
+    Both rows are copies, so nothing returned keeps the block's tables alive.
+    """
+    vector = _scattered(n, masks, coeffs)
+    values = vector.values_matrix()
+    return _embedding_check(values, masks, coeffs), values[0].copy(), vector.spectrum[singletons]
+
+
 def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
     """Build the witness instance and check its invariants through its translation structure."""
     _check_dim(n, MAX_INSTANCE_DIM)
@@ -180,25 +208,30 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
     if family.size == 0:
         raise ValueError("witness spectrum is empty at this threshold")
     coeffs = spectrum[family]
+    singletons = 1 << np.arange(n)
 
-    # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x)
-    spectra = np.zeros((1 << n, family.size))
-    spectra[family, np.arange(family.size)] = coeffs
-    spectra.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
-    vector = VectorFunction.from_spectrum(n, spectra)
+    # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x); the
+    # coordinates are independent, so each column block is built, checked and dropped in turn
+    cols = max(1, _COLUMN_BLOCK_DOUBLES >> n)
+    embedding, first_rows, linear_blocks = None, [], []
+    for start in range(0, family.size, cols):
+        block = slice(start, start + cols)
+        report, first_row, linear_block = _check_block(n, family[block], coeffs[block], singletons)
+        # the first worst entry in column-block order, and a NaN wins
+        if embedding is None or not (math.isnan(embedding.lhs) or report.lhs <= embedding.lhs):
+            embedding = report
+        first_rows.append(first_row)
+        linear_blocks.append(linear_block)
     norm = Norm.sup_functional(n, family)
     witness_sup = witness.sup_norm()
-    values = vector.values_matrix()
 
-    field_norm_value = float(norm.evaluate_rows(values[:1])[0])
+    field_norm_value = float(norm.evaluate_rows(np.concatenate(first_rows)[None])[0])
     # with every row the translate of row 0, ||f(x)|| = ||f(0)|| at every x
-    checks = [check("instance-field-norm", abs(field_norm_value - witness_sup), 0.0, point=0),
-              _embedding_check(values, family, coeffs)]
+    checks = [check("instance-field-norm", abs(field_norm_value - witness_sup), 0.0, point=0), embedding]
 
     # lin f(x) = sum_j x_j fhat({j}); fhat({j}) is Fhat({j}) at {j} when {j} is in the
     # family and zero otherwise, so lin f(x) is the translate of lin f(0) too
-    singletons = 1 << np.arange(n)
-    linear_spectrum = vector.spectrum[singletons]
+    linear_spectrum = np.concatenate(linear_blocks, axis=1)
     misplaced = np.abs(linear_spectrum - np.where(family == singletons[:, None], coeffs, 0.0))
     j, c = np.unravel_index(int(np.argmax(misplaced)), misplaced.shape)
     singleton_mass = math.fsum(
@@ -214,7 +247,6 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
         variant=variant,
         witness=witness,
         family=tuple(int(m) for m in family),
-        vector=vector,
         norm=norm,
         witness_sup=witness_sup,
         field_norm_value=field_norm_value,
@@ -298,25 +330,25 @@ def sparsity_inequality_check(f: CubeFunction, rescale: bool = False) -> BoundRe
     A spectrum that overflowed to +-inf is rejected before anything is counted.
     """
     _require_one_function(f)
-    _finite(f.spectrum, "spectrum")
+    spec = _finite(f.spectrum, "spectrum")
     sup = f.sup_norm()
-    scale = 1.0
-    checked = f
+    scale, factor = 1.0, 1.0
     if not check("unit-sup-norm", sup, 1.0).holds:
         if not rescale:
             raise ValueError(
                 f"sup norm {sup:.6g} exceeds 1; pass rescale=True to normalize first"
             )
-        scale = sup
-        # scale the spectrum, so a function held as values is transformed once
-        checked = CubeFunction.from_spectrum(f.n, f.spectrum * (1.0 / sup))
+        scale, factor = sup, 1.0 / sup
 
-    sparsity = spectrum_sparsity(checked)
+    # the support of the rescaled spectrum, counted a slice at a time so no rescaled table is built;
+    # multiplying by factor = 1.0 leaves an unscaled spectrum's bits as they are
+    sparsity = sum(_above(spec[i : i + _SUP_CHUNK_DOUBLES] * factor, SPARSITY_THRESHOLD).size
+                   for i in range(0, spec.size, _SUP_CHUNK_DOUBLES))
     if sparsity == 0:
         raise ValueError("zero function: the spectrum has no support to count")
-    singletons = [1 << j for j in range(f.n)]
-    level1_sum = math.fsum(abs(float(checked.spectrum[s])) for s in singletons)
-    level1_sum_raw = math.fsum(abs(float(f.spectrum[s])) for s in singletons)
+    singles = spec[1 << np.arange(f.n)]
+    level1_sum = math.fsum(np.abs(singles * factor).tolist())
+    level1_sum_raw = math.fsum(np.abs(singles).tolist())
     log2_sparsity = math.log2(sparsity)
     ratio = log2_sparsity / level1_sum if level1_sum > 0 else 0.0
     return check("log-sparsity-vs-singleton-mass", log2_sparsity, level1_sum, n=f.n,

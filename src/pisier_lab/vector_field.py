@@ -21,10 +21,11 @@ from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row
 from .report import BoundReport, check
 
 # cap for sup-functional norms: an audit's per-point scan runs 2^n inverse transforms of
-# 2^n points, n * 4^n in all; the lower-bound instance holds a (2^n, |family|) table,
-# 8,192 x 4,017 doubles (263 MB) for the truncated witness at n = 13
+# 2^n points, n * 4^n in all; the lower-bound instance checks 2^n x |family| entries, and
+# its time grows about fourfold per n (0.16 s at n = 12, 0.63 s at n = 13 truncated, 2 vCPU)
 MAX_SUP_FUNCTIONAL_DIM = 12
-# doubles per row block of the sup-functional scan and the instance check: 512 KB, cache-sized
+# doubles per row block of the sup-functional scan and of the instance's embedding check (within
+# each of its column blocks), and per slice of the sparsity record's support count: 512 KB, cache-sized
 _SUP_CHUNK_DOUBLES = 1 << 16
 GATE_SAMPLES = 64  # random directions of the sandwich gate, besides the 2m signed basis vectors
 

@@ -30,7 +30,7 @@ from pisier_lab import (
     truncation_tail_bound,
     truncation_tail_chain,
 )
-from pisier_lab import cube_fourier, lower_bound
+from pisier_lab import cli, cube_fourier, lower_bound
 from pisier_lab.cube_fourier import MAX_DIM, popcount
 from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS
 from pisier_lab.pisier_bench import MAX_AUDIT_DIM
@@ -302,20 +302,67 @@ class TestInstance:
         with pytest.raises(ValueError):
             lower_bound_instance(4, "fancy")
 
-    def test_vector_adopts_the_scatter_table(self, monkeypatch):
-        """The (2^n, |family|) spectrum the instance scatters is handed over read-only and kept, not copied."""
+    def test_each_column_block_adopts_its_scatter_table(self, monkeypatch):
+        """Each column block's (2^n, cols) spectrum is handed over read-only and kept, not copied; the blocks
+        side by side are the table instance.vector builds on demand, and that table is read-only too."""
         handed = []
         build = lower_bound.VectorFunction.from_spectrum
 
         def capture(n, spectra):
-            handed.append(spectra)
-            return build(n, spectra)
+            vector = build(n, spectra)
+            handed.append((spectra, vector))
+            return vector
 
+        monkeypatch.setattr(lower_bound, "_COLUMN_BLOCK_DOUBLES", 64 << 9)  # 64 of the 256 columns at n = 9
         monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum", capture)
         instance = lower_bound_instance(9, "truncated")
-        assert len(handed) == 1
-        assert instance.vector.spectrum is handed[0]
-        assert not handed[0].flags.writeable
+        assert [spectra.shape for spectra, _ in handed] == [(512, 64)] * 4
+        for spectra, vector in handed:
+            assert vector.spectrum is spectra
+            assert not spectra.flags.writeable
+        full = instance.vector.spectrum
+        assert not full.flags.writeable
+        assert np.array_equal(full, np.hstack([spectra for spectra, _ in handed[:4]]))
+
+    @pytest.mark.parametrize(("tampered", "reported"), [
+        ({1: "flip", 3: "flip"}, 1),
+        ({1: "nan", 3: "flip"}, 1),
+        ({1: "flip", 3: "nan"}, 3),
+    ])
+    def test_blocks_report_the_first_worst_entry(self, monkeypatch, tampered, reported):
+        """Four column blocks, one entry tampered in blocks 1 and 3: of two equal sign flips the one in block 1
+        is reported, and a NaN is reported wherever it is; an untampered instance still reports point 0 and
+        the family's first subset."""
+        point = 5
+        clean = lower_bound_instance(9, "truncated")
+        witness, family = clean.witness, np.asarray(clean.family)
+        assert clean.checks[1].params == {"point": 0, "subset": int(family[0])}
+        # a level-3 column in each block, so both flips deviate by the same 2 |Fhat(S)|
+        columns = {k: 64 * k + int(np.flatnonzero(popcount(family[64 * k : 64 * k + 64]) == 3)[0])
+                   for k in tampered}
+        calls = []
+        build = lower_bound.VectorFunction.from_spectrum
+
+        def tamper(n, spectra):
+            k = len(calls)
+            calls.append(k)
+            if k not in tampered:
+                return build(n, spectra)
+            values = build(n, spectra).values_matrix().copy()
+            entry = (point, columns[k] - 64 * k)
+            values[entry] = np.nan if tampered[k] == "nan" else -values[entry]
+            return lower_bound.VectorFunction.from_values(n, values)
+
+        monkeypatch.setattr(lower_bound, "_COLUMN_BLOCK_DOUBLES", 64 << 9)  # 64 of the 256 columns at n = 9
+        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum", tamper)
+        report = lower_bound_instance(9, "truncated").checks[1]
+        assert calls == [0, 1, 2, 3]
+        assert report.claim == "instance-embedding" and not report.holds
+        assert report.params == {"point": point, "subset": int(family[columns[reported]])}
+        if tampered[reported] == "flip":
+            assert report.lhs == 2.0 * abs(witness.spectrum[family[columns[reported]]])
+        else:
+            assert math.isnan(report.lhs)
 
     @pytest.mark.parametrize(("variant", "failed"), [
         ("truncated", ["truncation-tail", "singleton-coefficient"]),
@@ -365,6 +412,27 @@ class TestStructuralVerification:
         monkeypatch.setattr(Norm, "evaluate_rows", counted)
         lower_bound_instance(9, variant)
         assert rows == [1, 1]
+
+    def test_instance_peak_is_a_few_column_blocks(self):
+        """At n = 12 the truncated instance's (4096, 2036) table would take 66.7 MB for its spectrum and as
+        much for its values; checked in 8 MB column blocks, the whole build stays under 32 MB."""
+        tracemalloc.start()
+        try:
+            lower_bound_instance(12, "truncated")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_payload_is_byte_identical_at_every_worker_count(self, monkeypatch, variant):
+        """Each column block is one multi-block butterfly table, so the phase pool runs it; at n = 12 the
+        lower-bound JSON is the same bytes at 1, 2 and 3 workers."""
+        texts = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+            texts.add(cli._json_text(cli.lower_bound_payload(12, variant)))
+        assert len(texts) == 1
 
     @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
     def test_embedding_check_peak_is_a_few_cache_sized_blocks(self, variant):

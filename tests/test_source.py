@@ -3,12 +3,14 @@
 import ast
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import pisier_lab
-from pisier_lab import CubeFunction, cli, write_binary
+from pisier_lab import CubeFunction, cli, cube_fourier, write_binary
+from pisier_lab.lower_bound import WITNESS_VARIANTS
 from pisier_lab.report import TOLERANCES
 
 SOURCES = sorted(Path(pisier_lab.__file__).parent.glob("*.py"))
@@ -203,6 +205,8 @@ UNREACHED_BY_THE_CLI = {
     "vector_field.young_bound_check": "the convolution contraction, to be folded into the audit",
     "cube_fourier.CubeFunction.__repr__": "read in a debugger or a failing test, never in a run",
     "vector_field.Norm.__repr__": "read in a debugger or a failing test, never in a run",
+    "lower_bound.LowerBoundInstance.vector": "the (2^n, |family|) table, built on demand for acceptance "
+                                             "criterion 6 and the instance tests; no run builds it",
 }
 
 
@@ -278,3 +282,35 @@ def test_every_function_runs_or_says_why_not(tmp_path, capsys):
     reached = {(Path(name).resolve(), line) for name, line in calls}
     unreached = {name for key, name in defined.items() if key not in reached}
     assert unreached == set(UNREACHED_BY_THE_CLI)
+
+
+# What a worker thread may enter of the package: a butterfly share and its passes.  perfbench's tracer
+# wraps package functions and is not thread-safe, so no other package code may run off the calling thread.
+WORKER_CODE = {"_run_share", "_run_share.<genexpr>", "_radix2_passes"}
+
+
+def test_worker_threads_run_only_the_butterfly_share(tmp_path, capsys, monkeypatch):
+    """Every subcommand, and the n = 12 instance of both witnesses, at two workers: each package frame
+    entered off the calling thread is a butterfly share, its generator or its passes."""
+    caller = threading.get_ident()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and threading.get_ident() != caller:
+            code = frame.f_code
+            # a generator is named by the function that resumes it
+            name = f"{frame.f_back.f_code.co_name}.{code.co_name}" if code.co_name == "<genexpr>" else code.co_name
+            entered.add((code.co_filename, name))
+
+    monkeypatch.setattr(cube_fourier, "_WORKERS", 2)
+    threading.setprofile(profile)
+    try:
+        _run_every_subcommand(tmp_path, capsys)
+        for variant in WITNESS_VARIANTS:
+            cli.lower_bound_payload(12, variant)
+    finally:
+        threading.setprofile(None)
+    package = {path.resolve() for path in SOURCES}
+    ran = {name for filename, name in entered if Path(filename).resolve() in package}
+    assert "_radix2_passes" in ran  # the pool ran
+    assert ran <= WORKER_CODE, ran - WORKER_CODE
