@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -65,10 +65,16 @@ def _verdict(checks: Sequence[BoundReport]) -> dict[str, list]:
 
 
 def _emit_text(text: str, out: str | None) -> None:
+    _emit_pieces([text], out)
+
+
+def _emit_pieces(pieces: Iterable[str], out: str | None) -> None:
+    """The text of the pieces, to the --out file or to stdout, written as they come."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as file:
+            file.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_text(payload: dict[str, Any]) -> str:
@@ -257,7 +263,8 @@ def cmd_sparsity(args: argparse.Namespace) -> int:
 
 def cmd_fourier(args: argparse.Namespace) -> int:
     f = cube_fourier.read_binary(args.input_path)
-    _emit_text(cube_fourier.to_spectrum_json(f, threshold=args.threshold) + "\n", args.out)
+    pieces = cube_fourier.spectrum_json_pieces(f, threshold=args.threshold)  # checked before --out is opened
+    _emit_pieces(itertools.chain(pieces, ["\n"]), args.out)
     return 0
 
 

@@ -13,10 +13,10 @@ so that values[x] = sum_S spectrum[S] chi_S(x) with no extra scaling.
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +32,8 @@ _BLOCK_DOUBLES = 1 << 16
 # threads than it has blocks.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WORKERS = min(_CPUS, int(os.environ.get("PISIER_LAB_THREADS") or _CPUS))
+
+_JSON_ENTRIES = 1 << 16  # spectrum entries per piece of JSON text
 
 _HEADER = np.dtype("<u4")  # each binary record opens with n as a u32 little-endian
 
@@ -54,7 +56,7 @@ def subset_levels(n: int) -> np.ndarray:
     return popcount(np.arange(1 << n, dtype=np.uint32))
 
 
-def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
+def _walsh_butterfly(a, normalize: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
     # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x), divided by the length
     # when normalize is set.  The table is blocked so that every pass runs in cache (the
@@ -63,21 +65,23 @@ def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
     # and phase 2 strides c .. size/2 over column strips of the (size/c, c*width)
     # view.  A table of at most _BLOCK_DOUBLES doubles is phase 1 alone, one block;
     # phase 2 runs when strides remain, and alone when c == 1 (no two rows fit a block,
-    # or the table has one row).  Each block is copied into scratch, transformed there and
-    # copied out, the last phase dividing it on the way; the first phase reads the input
-    # itself, so the input is neither copied (unless it is not C-contiguous float64) nor
-    # written.  The blocks of a phase are independent and are dealt to up to _WORKERS
-    # threads, so a table of one block runs on the calling thread.  Every entry sees the
-    # same additions in the same order as in unblocked ascending-stride passes (see
-    # _radix2_passes), and dividing by a power of two is one correctly rounded step
+    # or the table has one row).  Each block or strip is copied whole into scratch,
+    # transformed there and copied out, the last phase dividing it on the way, and the
+    # blocks of a phase are disjoint.  So out, a new table unless one is given, may be
+    # the input itself: the transform then runs in place at any thread count.  Otherwise
+    # the first phase reads the input itself, which is neither copied (unless it is not
+    # C-contiguous float64) nor written.  The blocks of a phase are dealt to up to
+    # _WORKERS threads, so a table of one block runs on the calling thread.  Every entry
+    # sees the same additions in the same order as in unblocked ascending-stride passes
+    # (see _radix2_passes), and dividing by a power of two is one correctly rounded step
     # wherever it happens, so the result is bit-identical to those passes at any thread
-    # count; peak memory is one table plus two blocks per worker.
+    # count, in place or not; peak memory is the input and out plus two blocks per worker.
     a = np.asarray(a, dtype=np.float64)
     size = a.shape[0] if a.ndim else 0
     _check_power_of_two(size, "a Walsh transform")
     scale = 1.0 / size if normalize else None
     src = np.ascontiguousarray(a)
-    out = np.empty_like(src)
+    out = np.empty_like(src) if out is None else _checked_out(out, src)
     if not src.size:  # an empty batch: no entry to add
         return out
     width = src.size // size
@@ -91,6 +95,17 @@ def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
         strip = max(1, _BLOCK_DOUBLES // rows_in.shape[0])
         _run_phase([(rows_in[:, j : j + strip], rows_out[:, j : j + strip])
                     for j in range(0, rows_in.shape[1], strip)], scale)
+    return out
+
+
+def _checked_out(out, src: np.ndarray) -> np.ndarray:
+    """out, if it can take the transform of src: a writable C-contiguous float64 table of src's shape,
+    either src's own memory or none of it."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == src.shape
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writable C-contiguous float64 array of shape {src.shape}")
+    if out.ctypes.data != src.ctypes.data and np.may_share_memory(out, src):
+        raise ValueError("out overlaps the input without being it")
     return out
 
 
@@ -165,9 +180,13 @@ def fwht(values) -> np.ndarray:
     return _walsh_butterfly(values, normalize=True)
 
 
-def inverse_fwht(spectrum) -> np.ndarray:
-    """Value table of a spectrum along axis 0: out[x] = sum_S spectrum[S] chi_S(x)."""
-    return _walsh_butterfly(spectrum)
+def inverse_fwht(spectrum, out: np.ndarray | None = None) -> np.ndarray:
+    """Value table of a spectrum along axis 0: out[x] = sum_S spectrum[S] chi_S(x).
+
+    out, if given, receives the table and is returned: a writable C-contiguous float64
+    array of the spectrum's shape, which may be the spectrum itself (an in-place transform).
+    """
+    return _walsh_butterfly(spectrum, out=out)
 
 
 def inverse_fwht_rows(spectra: np.ndarray) -> np.ndarray:
@@ -250,6 +269,11 @@ class CubeFunction:
     def shape(self) -> tuple[int, ...]:
         """(2^n,) or (2^n, m), the shape of both tables."""
         return (self._values if self._values is not None else self._spectrum).shape
+
+    @property
+    def holds_values(self) -> bool:
+        """Whether the value table is held, so that reading values runs no transform."""
+        return self._values is not None
 
     @property
     def values(self) -> np.ndarray:
@@ -376,12 +400,41 @@ def read_binary(path) -> CubeFunction:
 
 def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:
     """Sparse JSON spectrum: subset bitmask (as a decimal string key) to coefficient."""
+    return "".join(spectrum_json_pieces(f, threshold))
+
+
+def spectrum_json_pieces(f: CubeFunction, threshold: float = 0.0) -> Iterator[str]:
+    """to_spectrum_json's text as consecutive pieces of at most _JSON_ENTRIES entries, for file.writelines.
+
+    Every check runs in this call, so nothing is written when one fails.  The text is
+    json.dumps(payload, indent=2, sort_keys=True) byte for byte: keys in the order of their
+    decimal strings, each coefficient in float.__repr__, and "spectrum": {} when none is kept.
+    """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     if not np.isfinite(threshold):  # NaN would keep every nonzero coefficient, inf none
         raise ValueError(f"threshold must be finite, got {threshold}")
     _require_one_function(f)
     spec = _finite(f.spectrum, "spectrum")
-    keep = _above(spec, threshold)
-    payload = {"n": f.n, "spectrum": {str(int(m)): float(spec[m]) for m in keep}}
-    return json.dumps(payload, indent=2, sort_keys=True)
+    keep = _decimal_order(_above(spec, threshold))
+    return _json_pieces(f.n, spec, keep)
+
+
+def _json_pieces(n: int, spec: np.ndarray, keep: np.ndarray) -> Iterator[str]:
+    yield f'{{\n  "n": {n},\n  "spectrum": {{'
+    for start in range(0, keep.size, _JSON_ENTRIES):
+        masks = keep[start : start + _JSON_ENTRIES]
+        entries = ",\n".join(f'    "{mask}": {coeff!r}' for mask, coeff in zip(masks.tolist(), spec[masks].tolist()))
+        yield ("\n" if start == 0 else ",\n") + entries
+    yield "\n  }\n}" if keep.size else "}\n}"
+
+
+def _decimal_order(masks: np.ndarray) -> np.ndarray:
+    """The masks sorted as their decimal strings are, by one lexsort: first on the digits left-aligned
+    (zero-padded on the right to a common width), then on the length, so "1" < "10" < "100" < "2"."""
+    masks = masks.astype(np.int64)
+    width = len(str(int(masks.max(initial=0))))
+    digits = np.ones_like(masks)
+    for k in range(1, width):
+        digits += masks >= 10**k
+    return masks[np.lexsort((digits, masks * 10 ** (width - digits)))]

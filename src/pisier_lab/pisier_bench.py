@@ -97,10 +97,15 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
         ell = choose_ell(f.m)
 
     kernel = ProxyKernel(ell)
-    rhs_raw = norm.mean_square(f.values_matrix())
-    # f*P in value space; its (2^n, m) spectrum is dropped once transformed
-    coeffs = proxy_level_coeffs(kernel, f.n)
-    split = inverse_fwht(level_multiply(f.spectrum, coeffs))
+    # At most f's spectrum and two (2^n, m) tables live at once.  f's value table is used if f
+    # holds it, else it is transformed into a table of the audit's own, dropped after its norm,
+    # so that f is left as it came.
+    values = f.values_matrix() if f.holds_values else inverse_fwht(f.spectrum)
+    rhs_raw = norm.mean_square(values)
+    del values
+    # f*P in value space, transformed in the buffer level_multiply returns
+    split = level_multiply(f.spectrum, proxy_level_coeffs(kernel, f.n))
+    inverse_fwht(split, out=split)
     term_proxy = norm.mean_square(split)
     linear = rademacher_projection(f).values_matrix()
     lhs = norm.mean_square(linear)

@@ -24,8 +24,9 @@ from .report import BoundReport, check
 # 2^n points, n * 4^n in all; the lower-bound instance checks 2^n x |family| entries, and
 # its time grows about fourfold per n (0.16 s at n = 12, 0.63 s at n = 13 truncated, 2 vCPU)
 MAX_SUP_FUNCTIONAL_DIM = 12
-# doubles per row block of the sup-functional scan and of the instance's embedding check (within
-# each of its column blocks), and per slice of the sparsity record's support count: 512 KB, cache-sized
+# doubles per row block of every norm's rows (of an lp block itself, of a sup-functional block's
+# embedded table) and of the instance's embedding check (within each of its column blocks), and per
+# slice of the sparsity record's support count: 512 KB, cache-sized
 _SUP_CHUNK_DOUBLES = 1 << 16
 GATE_SAMPLES = 64  # random directions of the sandwich gate, besides the 2m signed basis vectors
 
@@ -114,27 +115,34 @@ class Norm:
         return scale, max(1.0, distortion)
 
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Norms of the rows of a (k, m) matrix."""
+        """Norms of the rows of a (k, m) matrix, a row block at a time, so no temporary grows with k.
+
+        Each row is reduced alone, so on a C-contiguous matrix every norm has the bits of one
+        whole-matrix np.linalg.norm.
+        """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError("evaluate_rows expects a 2-D array")
         if self.dim is not None and rows.shape[1] != self.dim:
             raise ValueError(f"norm is on R^{self.dim}, got vectors in R^{rows.shape[1]}")
         if self.kind == "lp":
-            return np.linalg.norm(rows, ord=self.p, axis=1)
-        return self._sup_functional_rows(rows)
-
-    def _sup_functional_rows(self, rows: np.ndarray) -> np.ndarray:
-        size = 1 << self.n_dual
+            norms, width = self._lp_rows, rows.shape[1]
+        else:  # a block of rows embeds into a (2^n_dual, rows) table
+            norms, width = self._sup_functional_rows, 1 << self.n_dual
         out = np.empty(rows.shape[0])
-        chunk = max(1, _SUP_CHUNK_DOUBLES // size)
+        chunk = max(1, _SUP_CHUNK_DOUBLES // max(1, width))
         for start in range(0, rows.shape[0], chunk):
-            block = rows[start : start + chunk]
-            embedded = np.zeros((size, block.shape[0]))
-            embedded[self.family] = block.T
-            # column j is g_v for v the j-th row of the block
-            out[start : start + chunk] = np.abs(inverse_fwht(embedded)).max(axis=0)
+            out[start : start + chunk] = norms(rows[start : start + chunk])
         return out
+
+    def _lp_rows(self, block: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(block, ord=self.p, axis=1)
+
+    def _sup_functional_rows(self, block: np.ndarray) -> np.ndarray:
+        embedded = np.zeros((1 << self.n_dual, block.shape[0]))
+        embedded[self.family] = block.T
+        # column j is g_v for v the j-th row of the block
+        return np.abs(inverse_fwht(embedded)).max(axis=0)
 
     def mean_square(self, table) -> float:
         """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point."""
@@ -151,11 +159,15 @@ def sandwich_validate(norm: Norm, m: int) -> BoundReport:
     it does not raise, so callers can surface the worst direction.
     """
     scale, distortion = norm.sandwich(m)
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((GATE_SAMPLES, m))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    points = np.vstack([dirs, np.eye(m), -np.eye(m)])
-    euclid = scale * np.linalg.norm(points, axis=1)
+    points = np.zeros((GATE_SAMPLES + 2 * m, m))  # the directions, then e_1 .. e_m, then -e_1 .. -e_m
+    dirs = points[:GATE_SAMPLES]
+    np.random.default_rng(0).standard_normal(out=dirs)
+    euclidean = Norm.lp(2)
+    dirs /= np.maximum(euclidean.evaluate_rows(dirs), 1e-300)[:, None]
+    basis = np.arange(m)
+    points[GATE_SAMPLES + basis, basis] = 1.0
+    points[GATE_SAMPLES + m + basis, basis] = -1.0
+    euclid = scale * euclidean.evaluate_rows(points)
     target = norm.evaluate_rows(points)
     lower_slack = target - euclid
     upper_slack = distortion * euclid - target

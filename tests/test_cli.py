@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pisier_lab import CubeFunction, Norm, build_truncated_witness, write_binary
-from pisier_lab import cli, linear_proxy, lower_bound, pisier_bench
+from pisier_lab import cli, cube_fourier, linear_proxy, lower_bound, pisier_bench
 from pisier_lab.cube_fourier import MAX_DIM
 from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
@@ -736,6 +736,26 @@ class TestFourier:
         assert run_main(["fourier", "--input", str(path), "--threshold", "1e-8"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["spectrum"]) == 8
+
+    def test_streamed_output_is_the_library_text(self, capsys, tmp_path, monkeypatch):
+        """Written a piece at a time, to stdout or --out: to_spectrum_json's text and a newline."""
+        monkeypatch.setattr(cube_fourier, "_JSON_ENTRIES", 1 << 10)
+        path = tmp_path / "f.bin"
+        f = CubeFunction.from_values(12, np.random.default_rng(12).standard_normal(1 << 12))
+        write_binary(f, path)
+        want = cube_fourier.to_spectrum_json(f) + "\n"
+        assert run_main(["fourier", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / "spectrum.json"
+        assert run_main(["fourier", "--input", str(path), "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+    def test_a_failed_check_opens_no_out_file(self, capsys, tmp_path):
+        path = tmp_path / "w.bin"
+        write_binary(build_truncated_witness(4), path)
+        out = tmp_path / "spectrum.json"
+        assert run_main(["fourier", "--input", str(path), "--threshold", "nan", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_threshold_must_be_finite(self, capsys, tmp_path, threshold):

@@ -467,6 +467,41 @@ class TestScaleInTheLastPhase:
         assert_same_bits(CubeFunction.from_values(shape[0].bit_length() - 1, table).spectrum, want)
 
 
+class TestInverseFwhtInto:
+    """inverse_fwht(spectrum, out=): into a buffer of the caller's or in place, the bits of a new table."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(("shape", "block"), [((1 << 8, 4), 1 << 16), ((1 << 13, 16), 1 << 16),
+                                                  ((1 << 17,), 1 << 16), ((1 << 8, 3), 1 << 4)],
+                             ids=["one-block", "both-phases", "one-dimensional", "small-blocks"])
+    def test_into_a_buffer_and_in_place(self, monkeypatch, workers, shape, block):
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        table = np.random.default_rng(shape[0] + workers).standard_normal(shape)
+        want = inverse_fwht(table)
+        buffer = np.empty(shape)
+        assert inverse_fwht(table, out=buffer) is buffer
+        assert_same_bits(buffer, want)
+        assert inverse_fwht(table, out=table) is table
+        assert_same_bits(table, want)
+
+    @pytest.mark.parametrize("bad", ["read-only", "non-contiguous", "wrong-shape", "float32", "not-an-array"])
+    def test_rejects_an_out_it_cannot_fill(self, bad):
+        table = np.random.default_rng(14).standard_normal((16, 4))
+        out = {"read-only": np.empty((16, 4)), "non-contiguous": np.empty((4, 16)).T,
+               "wrong-shape": np.empty((16, 3)), "float32": np.empty((16, 4), dtype=np.float32),
+               "not-an-array": [[0.0] * 4] * 16}[bad]
+        if bad == "read-only":
+            out.flags.writeable = False
+        with pytest.raises(ValueError, match=r"out must be a writable C-contiguous float64 array of shape \(16, 4\)"):
+            inverse_fwht(table, out=out)
+
+    def test_rejects_an_out_that_overlaps_the_input_without_being_it(self):
+        memory = np.zeros(72)
+        with pytest.raises(ValueError, match="out overlaps the input without being it"):
+            inverse_fwht(memory[:64].reshape(16, 4), out=memory[8:].reshape(16, 4))
+
+
 class TestSparsity:
     def test_constant(self):
         assert spectrum_sparsity(constant_function(3, 1.0)) == 1
@@ -669,6 +704,33 @@ class TestSerialization:
         spec[[1, 2, 3]] = [5e-324, -0.0, -2.0]  # the least subnormal is kept, a signed zero is not
         text = to_spectrum_json(CubeFunction.from_spectrum(3, spec))
         assert json.loads(text)["spectrum"] == {"1": 5e-324, "3": -2.0}
+
+    @pytest.mark.parametrize("table", ["zero", "signed-zeros-and-subnormals", "sparse", "dense"])
+    @pytest.mark.parametrize("entries", [1 << 10, 1 << 16], ids=["small-pieces", "default-pieces"])
+    def test_spectrum_json_is_json_dumps_byte_for_byte(self, monkeypatch, table, entries):
+        """Pieces of at most _JSON_ENTRIES entries, keys in decimal-string order, float.__repr__
+        coefficients and {} when none is kept: the text of json.dumps, however it is cut."""
+        monkeypatch.setattr(cube_fourier, "_JSON_ENTRIES", entries)
+        rng = np.random.default_rng(17)
+        spec = {"zero": np.zeros(16),
+                "signed-zeros-and-subnormals": np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0, -1e-9, 0.3]),
+                "sparse": rng.standard_normal(1 << 12) * rng.integers(0, 2, 1 << 12),
+                "dense": rng.standard_normal(1 << 13)}[table]
+        f = CubeFunction.from_spectrum(spec.size.bit_length() - 1, spec)
+        for threshold in (0.0, 1e-9, 0.3):
+            masks = np.nonzero(np.abs(spec) > threshold)[0]
+            kept = dict(zip(map(str, masks.tolist()), spec[masks].tolist()))
+            want = json.dumps({"n": f.n, "spectrum": kept}, indent=2, sort_keys=True)
+            pieces = list(cube_fourier.spectrum_json_pieces(f, threshold))
+            assert "".join(pieces) == to_spectrum_json(f, threshold) == want, threshold
+            assert len(pieces) == 2 + -(-len(kept) // entries)
+
+    def test_spectrum_json_pieces_check_before_any_piece(self):
+        """Every check runs when the pieces are asked for, so a caller can open its file afterwards."""
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            cube_fourier.spectrum_json_pieces(constant_function(2, 1.0), -1.0)
+        with pytest.raises(ValueError, match="spectrum holds non-finite values: nan"):
+            cube_fourier.spectrum_json_pieces(CubeFunction.from_spectrum(1, [np.nan, 0.0]))
 
     @pytest.mark.parametrize(("bad", "named"), [
         ([np.nan, np.nan], "nan"), ([np.inf, np.inf], "inf"), ([-np.inf, -np.inf], "-inf"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pisier_lab import (
     choose_ell,
     convolve,
     decomposition_audit,
+    inverse_fwht,
     level_multiply,
     proxy_level_coeffs,
     rademacher_projection,
@@ -212,9 +214,9 @@ class TestDecompositionAudit:
         calls = []
         butterfly = cube_fourier._walsh_butterfly
 
-        def counted(a):
+        def counted(a, **kwargs):
             calls.append(a.shape)
-            return butterfly(a)
+            return butterfly(a, **kwargs)
 
         f = random_vector(8, 4, 15)
         monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
@@ -255,6 +257,48 @@ class TestDecompositionAudit:
         audit = decomposition_audit(f, Norm.lp(2))
         payload = json.dumps(audit.to_dict(), sort_keys=True)
         assert json.loads(payload)["ell"] == audit.ell
+
+
+def whole_table_audit(f: VectorFunction, norm: Norm, ell: int) -> dict:
+    """The six float fields of the audit from whole tables: f's values, f*P transformed out of place,
+    lin f, and np.linalg.norm over every row at once."""
+    def msn(table):
+        return float(np.sqrt(np.mean(np.linalg.norm(table, ord=norm.p, axis=1) ** 2)))
+
+    split = inverse_fwht(level_multiply(f.spectrum, proxy_level_coeffs(ProxyKernel(ell), f.n)))
+    linear = rademacher_projection(f).values_matrix()
+    d = norm.sandwich(f.m)[1]
+    return {"distortion": d, "lhs": msn(linear), "rhs_raw": msn(f.values), "term_proxy": msn(split),
+            "term_remainder": msn(linear - split), "derived_constant": 8.0 * ell * (1.0 + d / 2.0**ell)}
+
+
+class TestLeanAudit:
+    """The audit holds f's spectrum and two working tables, and its fields keep every bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
+    @pytest.mark.parametrize(("n", "m"), [(7, 1), (14, 5), (12, 64)], ids=["m1-one-row-block", "m5-two-row-blocks", "m64-four-row-blocks"])
+    @pytest.mark.parametrize("built", ["from-spectrum", "from-values"])
+    def test_fields_equal_the_whole_table_audit(self, built, n, m, p):
+        """A function built from values is measured on its own table; one built from its spectrum
+        is left holding no value table."""
+        table = np.random.default_rng(700 + n).standard_normal((1 << n, m))
+        f = VectorFunction(n, **{built.removeprefix("from-"): table})
+        audit = decomposition_audit(f, Norm.lp(p))
+        assert f.holds_values == (built == "from-values")
+        want = whole_table_audit(f, Norm.lp(p), audit.ell)
+        assert {name: getattr(audit, name) for name in want} == want
+
+    def test_peak_is_under_three_and_a_half_tables(self):
+        """f's spectrum plus the audit's own peak stays under 3.5 (2^14, 64) tables of 8 MB."""
+        f = random_vector(14, 64, 32)
+        table = f.spectrum.nbytes
+        tracemalloc.start()
+        try:
+            decomposition_audit(f, Norm.lp(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table + peak < 3.5 * table, (table + peak) / table
 
 
 class TestLowerBoundInstanceAudit:

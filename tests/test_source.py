@@ -202,6 +202,8 @@ UNREACHED_BY_THE_CLI = {
     "cli.audit_report_json": "the audit JSON entry point of the acceptance suite and the benchmark",
     "cube_fourier.convolve": "acceptance criterion 4 checks convolution against its definition",
     "cube_fourier.inverse_fwht_rows": "the row transform perfbench/test_perfbench.py binds",
+    "cube_fourier.to_spectrum_json": "the sparse spectrum as one string, for library callers and perfbench; "
+                                     "the fourier command writes spectrum_json_pieces as they come",
     "vector_field.young_bound_check": "the convolution contraction, to be folded into the audit",
     "cube_fourier.CubeFunction.__repr__": "read in a debugger or a failing test, never in a run",
     "vector_field.Norm.__repr__": "read in a debugger or a failing test, never in a run",

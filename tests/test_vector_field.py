@@ -20,6 +20,7 @@ from pisier_lab import (
     sandwich_validate,
     young_bound_check,
 )
+from pisier_lab import vector_field
 from pisier_lab.lower_bound import build_truncated_witness
 from pisier_lab.vector_field import GATE_SAMPLES
 
@@ -132,6 +133,37 @@ class TestMeanSquareNorm:
         per_point = norm.evaluate_rows(columns)
         assert np.abs(per_point - witness.sup_norm()).max() < 1e-12
         assert norm.mean_square(f.values_matrix()) == pytest.approx(witness.sup_norm(), rel=1e-12)
+
+
+class TestRowBlocks:
+    """evaluate_rows reduces each row alone, a row block at a time: the bits of one whole-table norm."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, math.inf])
+    @pytest.mark.parametrize("m", [1, 3, 64, 70_000], ids=["m1", "m3", "m64", "wider-than-a-block"])
+    @pytest.mark.parametrize("layout", ["c-order", "transposed"])
+    def test_lp_rows_equal_the_whole_table_norm(self, p, m, layout):
+        """Bit for bit on a C-contiguous table, the layout of every table a run measures.  On a strided
+        one numpy picks its reduction order from the operand's shape, which a one-row block changes."""
+        k = max(2, 3 * vector_field._SUP_CHUNK_DOUBLES // m + 7)  # several blocks and a partial one
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((k, m)) if layout == "c-order" else rng.standard_normal((m, k)).T
+        got, want = Norm.lp(p).evaluate_rows(rows), np.linalg.norm(rows, ord=p, axis=1)
+        if layout == "c-order":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_lp_rows_need_no_table_sized_temporary(self, p):
+        """The |x| or x*x temporary is one block: an 8 MB table's norms peak under a quarter of it."""
+        table = np.random.default_rng(3).standard_normal((1 << 16, 16))
+        tracemalloc.start()
+        try:
+            Norm.lp(p).evaluate_rows(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes / 4, peak / table.nbytes
 
 
 class TestVectorConvolve:
@@ -386,4 +418,36 @@ class TestSandwich:
         norm.evaluate_rows = lambda points: rows.append(points.shape) or original(points)
         sandwich_validate(norm, 5)
         assert rows == [(GATE_SAMPLES + 10, 5)]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    def test_gate_reports_equal_the_stacked_construction(self, p, m):
+        """The gate table written in place, its norms by row block: the report of vstack, eye and whole-table norms."""
+        scale, distortion = Norm.lp(p).sandwich(m)
+        dirs = np.random.default_rng(0).standard_normal((GATE_SAMPLES, m))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        points = np.vstack([dirs, np.eye(m), -np.eye(m)])
+        euclid = scale * np.linalg.norm(points, axis=1)
+        target = np.linalg.norm(points, ord=p, axis=1)
+        lower, upper = target - euclid, distortion * euclid - target
+        if lower.min() <= upper.min():
+            worst = int(np.argmin(lower))
+            lhs, rhs, side = euclid[worst], target[worst], "lower"
+        else:
+            worst = int(np.argmin(upper))
+            lhs, rhs, side = target[worst], distortion * euclid[worst], "upper"
+        report = sandwich_validate(Norm.lp(p), m)
+        assert (report.lhs, report.rhs, report.params["worst_side"]) == (lhs, rhs, side)
+
+    def test_gate_peak_is_its_table(self):
+        """No eye, negated eye or stacked copy: the gate's peak is its (GATE_SAMPLES + 2m, m) table and row blocks."""
+        m = 1440
+        table = (GATE_SAMPLES + 2 * m) * m * 8
+        tracemalloc.start()
+        try:
+            sandwich_validate(Norm.lp(3), m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * table, peak / table
 
