@@ -6,19 +6,7 @@ for the linear part, end-to-end audits of the Rademacher projection, and
 explicit bounded witnesses that force the projection to blow up.
 """
 
-import os as _os
-
-# Thread cap must land in the environment before numpy loads its BLAS pools; it also
-# caps the butterfly's threads (cube_fourier._WORKERS).
-_threads = _os.environ.get("PISIER_LAB_THREADS")
-if _threads:
-    if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
-        raise ValueError(f"PISIER_LAB_THREADS must be a positive integer, got {_threads!r}")
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from .cube_fourier import (  # noqa: E402
+from .cube_fourier import (
     CubeFunction,
     character_values,
     convolve,
@@ -32,7 +20,7 @@ from .cube_fourier import (  # noqa: E402
     to_spectrum_json,
     write_binary,
 )
-from .linear_proxy import (  # noqa: E402
+from .linear_proxy import (
     ProxyKernel,
     deviation_bound,
     kernel_l1,
@@ -41,7 +29,7 @@ from .linear_proxy import (  # noqa: E402
     proxy_l1,
     proxy_level_coeffs,
 )
-from .lower_bound import (  # noqa: E402
+from .lower_bound import (
     LowerBoundInstance,
     build_chebyshev_witness,
     build_product_witness,
@@ -53,13 +41,13 @@ from .lower_bound import (  # noqa: E402
     truncation_tail_bound,
     truncation_tail_chain,
 )
-from .pisier_bench import (  # noqa: E402
+from .pisier_bench import (
     PisierAudit,
     choose_ell,
     decomposition_audit,
 )
-from .report import BoundReport, ResourceLimitError  # noqa: E402
-from .vector_field import (  # noqa: E402
+from .report import BoundReport, ResourceLimitError
+from .vector_field import (
     Norm,
     VectorFunction,
     rademacher_projection,

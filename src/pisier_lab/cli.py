@@ -343,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pisier-lab",
         description="Verifications for cube Fourier analysis, the linear proxy, "
                     "projection audits, and lower-bound witnesses.",
-        epilog="Exit codes: 0 all bounds hold, 1 a bound was violated, 2 usage error. "
-               "Set PISIER_LAB_THREADS to cap numeric thread pools.",
+        epilog="Exit codes: 0 all bounds hold, 1 a bound was violated, 2 usage error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_flags, *_) in _CHECKING_COMMANDS.items():

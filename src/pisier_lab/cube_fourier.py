@@ -27,11 +27,9 @@ SPARSITY_THRESHOLD = 1e-8
 # Doubles per butterfly block: 512 KB, so a block and its scratch partner fit a 2 MiB L2.
 _BLOCK_DOUBLES = 1 << 16
 
-# Threads per butterfly phase, at most: the CPUs this process may run on, capped by
-# PISIER_LAB_THREADS (validated when the package loads).  A phase never uses more
-# threads than it has blocks.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_WORKERS = min(_CPUS, int(os.environ.get("PISIER_LAB_THREADS") or _CPUS))
+# Threads per butterfly phase, at most: the CPUs this process may run on, so taskset or a
+# cpuset narrows it.  A phase never uses more threads than it has blocks.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _JSON_ENTRIES = 1 << 16  # spectrum entries per piece of JSON text
 
@@ -209,8 +207,9 @@ def level_multiply(spec, c) -> np.ndarray:
     such as L, the proxy P or L - P, is exactly this operator.
     """
     spec = np.asarray(spec, dtype=np.float64)
-    _check_power_of_two(spec.shape[0], "level_multiply")
-    n = spec.shape[0].bit_length() - 1
+    size = spec.shape[0] if spec.ndim else 0
+    _check_power_of_two(size, "level_multiply")
+    n = size.bit_length() - 1
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (n + 1,):
         raise ValueError(f"need one multiplier per level 0..{n}, got shape {c.shape}")

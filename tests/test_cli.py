@@ -23,6 +23,9 @@ from pisier_lab.vector_field import GATE_SAMPLES
 from oracles import constant_function
 
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run_main(args):
     return cli.main(args)
 
@@ -777,51 +780,47 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ell"] == 1
 
-    def test_thread_cap_env_var(self):
+    def test_import_touches_no_environment_variable(self):
+        """Importing the package neither fails on a variable's value nor writes a variable."""
         import os
 
-        env = dict(os.environ, PISIER_LAB_THREADS="2")
-        env.pop("OMP_NUM_THREADS", None)
-        proc = subprocess.run(
-            [sys.executable, "-c", "import pisier_lab, os; print(os.environ['OMP_NUM_THREADS'])"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.stdout.strip() == "2"
+        env = dict(os.environ, PISIER_LAB_THREADS="abc")
+        for var in BLAS_THREAD_VARS + ("NUMEXPR_NUM_THREADS",):
+            env.pop(var, None)
+        script = ("import os, sys; before = dict(os.environ); import pisier_lab; "
+                  "after = dict(os.environ); "
+                  "sys.exit(0 if after == before else f'changed: {set(before.items()) ^ set(after.items())}')")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
-    @pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5", " 2"])
-    def test_thread_cap_must_be_a_positive_integer(self, value):
-        import os
-
-        env = dict(os.environ, PISIER_LAB_THREADS=value)
-        proc = subprocess.run([sys.executable, "-c", "import pisier_lab"], capture_output=True, text=True, env=env)
-        assert proc.returncode == 1
-        assert proc.stderr.strip().splitlines()[-1] == (
-            f"ValueError: PISIER_LAB_THREADS must be a positive integer, got {value!r}")
-
-    def test_output_is_byte_identical_at_every_thread_count(self, tmp_path):
-        """Tables above one butterfly block run on one thread or two, and print the same bytes."""
+    def test_output_is_byte_identical_at_every_thread_count(self, tmp_path, capsys, monkeypatch):
+        """Tables above one butterfly block print the same bytes at 1, 2 and 3 butterfly workers,
+        and the audit the same bytes again with numpy's BLAS on one thread or two."""
         import os
 
         table = tmp_path / "table.bin"
         write_binary(CubeFunction.from_values(18, np.random.default_rng(18).standard_normal(1 << 18)), table)
+        audit = ["audit", "--n", "14", "--m", "32"]
         runs = [
-            ["audit", "--n", "14", "--m", "32"],
+            audit,
             ["lower-bound", "--n", "12", "--variant", "truncated"],
             ["fourier", "--input", str(table)],
             ["sparsity", "--input", str(table)],
         ]
         for argv in runs:
             outputs = []
-            for threads in ("1", "2"):
-                env = dict(os.environ, PISIER_LAB_THREADS=threads)
-                for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-                    env.pop(var, None)
-                proc = subprocess.run([sys.executable, "-m", "pisier_lab.cli", *argv], capture_output=True, env=env)
-                assert proc.returncode == 0, (argv, proc.stderr)
-                outputs.append(proc.stdout)
-            assert outputs[0] == outputs[1], argv
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+                assert run_main(argv) == 0, argv
+                outputs.append(capsys.readouterr().out.encode())
+            if argv is audit:
+                for threads in ("1", "2"):
+                    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, threads))
+                    proc = subprocess.run([sys.executable, "-m", "pisier_lab.cli", *argv],
+                                          capture_output=True, env=env)
+                    assert proc.returncode == 0, (argv, proc.stderr)
+                    outputs.append(proc.stdout)
+            assert len(set(outputs)) == 1, argv
 
     @pytest.mark.parametrize("patched", [False, True])
     def test_verdict_survives_python_optimize(self, patched):

@@ -241,6 +241,8 @@ class TestLevelMultiply:
             level_multiply(np.ones((8, 2)), np.ones(5))
         with pytest.raises(ValueError):
             level_multiply(np.ones(6), np.ones(3))
+        with pytest.raises(ValueError):
+            level_multiply(5.0, [1.0])
 
 
 def character_matrix(n):

@@ -68,6 +68,18 @@ def test_each_limit_has_one_home():
     assert checks == []
 
 
+def test_the_package_reads_no_environment_variable():
+    """No module names os.environ or the getenv family: the thread count comes from the affinity set."""
+    named = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None))
+        in {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    ]
+    assert named == []
+
+
 def test_each_tolerance_has_one_home():
     """Every tolerance is an entry of report.TOLERANCES, and the CLI decides no verdict itself."""
     assigned = [
