@@ -780,11 +780,12 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ell"] == 1
 
-    def test_import_touches_no_environment_variable(self):
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", " 2"])
+    def test_import_touches_no_environment_variable(self, value):
         """Importing the package neither fails on a variable's value nor writes a variable."""
         import os
 
-        env = dict(os.environ, PISIER_LAB_THREADS="abc")
+        env = dict(os.environ, PISIER_LAB_THREADS=value)
         for var in BLAS_THREAD_VARS + ("NUMEXPR_NUM_THREADS",):
             env.pop(var, None)
         script = ("import os, sys; before = dict(os.environ); import pisier_lab; "
@@ -793,34 +794,42 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_output_is_byte_identical_at_every_thread_count(self, tmp_path, capsys, monkeypatch):
-        """Tables above one butterfly block print the same bytes at 1, 2 and 3 butterfly workers,
-        and the audit the same bytes again with numpy's BLAS on one thread or two."""
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        """An n = 18 table: above one butterfly block, so its transform runs on every worker."""
+        path = tmp_path_factory.mktemp("threads") / "table.bin"
+        write_binary(CubeFunction.from_values(18, np.random.default_rng(18).standard_normal(1 << 18)), path)
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--n", "14", "--m", "32"],
+        ["lower-bound", "--n", "12", "--variant", "truncated"],
+        ["fourier", "--input", "{table}"],
+        ["sparsity", "--input", "{table}"],
+    ], ids=["audit", "lower-bound", "fourier", "sparsity"])
+    def test_output_is_byte_identical_at_every_worker_count(self, argv, table, capsys, monkeypatch):
+        """Tables above one butterfly block print the same bytes at 1, 2 and 3 butterfly workers."""
+        argv = [arg.format(table=table) for arg in argv]
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+            assert run_main(argv) == 0, argv
+            outputs.append(capsys.readouterr().out.encode())
+        assert len(set(outputs)) == 1, argv
+
+    def test_output_is_byte_identical_at_every_thread_count(self, capsys):
+        """The audit prints the same bytes in process and with numpy's BLAS on one thread or two."""
         import os
 
-        table = tmp_path / "table.bin"
-        write_binary(CubeFunction.from_values(18, np.random.default_rng(18).standard_normal(1 << 18)), table)
-        audit = ["audit", "--n", "14", "--m", "32"]
-        runs = [
-            audit,
-            ["lower-bound", "--n", "12", "--variant", "truncated"],
-            ["fourier", "--input", str(table)],
-            ["sparsity", "--input", str(table)],
-        ]
-        for argv in runs:
-            outputs = []
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
-                assert run_main(argv) == 0, argv
-                outputs.append(capsys.readouterr().out.encode())
-            if argv is audit:
-                for threads in ("1", "2"):
-                    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, threads))
-                    proc = subprocess.run([sys.executable, "-m", "pisier_lab.cli", *argv],
-                                          capture_output=True, env=env)
-                    assert proc.returncode == 0, (argv, proc.stderr)
-                    outputs.append(proc.stdout)
-            assert len(set(outputs)) == 1, argv
+        argv = ["audit", "--n", "14", "--m", "32"]
+        assert run_main(argv) == 0
+        outputs = [capsys.readouterr().out.encode()]
+        for threads in ("1", "2"):
+            env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, threads))
+            proc = subprocess.run([sys.executable, "-m", "pisier_lab.cli", *argv], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(set(outputs)) == 1
 
     @pytest.mark.parametrize("patched", [False, True])
     def test_verdict_survives_python_optimize(self, patched):
