@@ -25,7 +25,6 @@ from .linear_proxy import MAX_ELL
 from .lower_bound import MAX_RECORD_DIM, WITNESS_VARIANTS
 from .pisier_bench import MAX_AUDIT_DIM
 from .report import BoundReport
-from .vector_field import GATE_SAMPLES
 
 PROXY_SWEEP_FIELDS = (
     "kind", "ell", "n", "phi_l1", "phi_l1_bound", "proxy_l1", "proxy_l1_bound",
@@ -135,9 +134,9 @@ def audit_payload(n: int, m: int, ell: int | None, norm: str, seed: int) -> dict
     _require(m >= 1, f"--m must be positive, got {m}")
     _require((1 << n) * m <= 1 << MAX_DIM,
              f"--n {n} --m {m} asks for a 2^{n} x {m} table; 2^n * m is capped at 2^{MAX_DIM} doubles")
-    _require((GATE_SAMPLES + 2 * m) * m <= 1 << MAX_DIM,
-             f"--m {m} asks for a {GATE_SAMPLES + 2 * m} x {m} sandwich gate table; "
-             f"({GATE_SAMPLES} + 2m) * m is capped at 2^{MAX_DIM} doubles")
+    _require((2 * m + 2) * m <= 1 << MAX_DIM,
+             f"--m {m} asks for a sandwich gate of {2 * m + 2} rows of {m}; (2m + 2) * m is capped at "
+             f"2^{MAX_DIM} doubles")
     if ell is not None:
         _require_ell(ell)
     try:  # the one spelling rule is Norm.name's: a name that does not read back to itself names no norm
@@ -150,7 +149,7 @@ def audit_payload(n: int, m: int, ell: int | None, norm: str, seed: int) -> dict
     audit = pisier_bench.decomposition_audit(random_vector_function(n, m, seed), target_norm, ell=ell)
     return {
         "command": "audit",
-        "config": {"n": n, "m": m, "ell": ell, "norm": norm, "seed": seed, "sample_count": GATE_SAMPLES},
+        "config": {"n": n, "m": m, "ell": ell, "norm": norm, "seed": seed},
         "audit": audit.to_dict(),
         **_verdict(audit.checks),
     }
@@ -310,14 +309,13 @@ def _proxy_check_flags(p: argparse.ArgumentParser, grid: bool) -> None:
 def _audit_flags(p: argparse.ArgumentParser, grid: bool) -> None:
     _axis(p, "--n", int, f"cube dimension in 1..{MAX_AUDIT_DIM}", grid, required=True)
     _axis(p, "--m", int, f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}, the "
-                         f"sandwich gate's ({GATE_SAMPLES} + 2m) x m table at ({GATE_SAMPLES} + 2m) * m "
-                         f"<= 2**{MAX_DIM}", grid, required=True)
+                         f"sandwich gate's 2m + 2 rows of m at (2m + 2) * m <= 2**{MAX_DIM}", grid, required=True)
     _axis(p, "--ell", int, f"odd proxy parameter in 1..{MAX_ELL} (default: smallest odd > log2(m)/2)", grid,
           default=None)
     _axis(p, "--norm", str, "lp norm on R^m, l<p> for p >= 1 exactly as Norm.name prints it: linf (default), "
                             "l1, l2, l3, l2.5; not lp, l3.0 or L2", grid, default="linf")
-    _axis(p, "--seed", int, "spectrum entries are standard_normal((2**n, m)) from default_rng(seed)", grid,
-          default="0")  # a string default goes through the type: a one-value axis in a sweep
+    _axis(p, "--seed", int, "spectrum entries are standard normal, one (2**n, m) draw of numpy's PCG64 at this seed",
+          grid, default="0")  # a string default goes through the type: a one-value axis in a sweep
 
 
 def _lower_bound_flags(p: argparse.ArgumentParser, grid: bool) -> None:

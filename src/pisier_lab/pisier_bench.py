@@ -12,7 +12,6 @@ an audit runs two batched transforms, for f and f*P, and no more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -74,11 +73,10 @@ class PisierAudit:
 
 
 def choose_ell(m: int) -> int:
-    """Smallest odd integer strictly greater than log2(m) / 2."""
+    """Smallest odd integer strictly greater than log2(m) / 2: the smallest odd ell with 4^ell > m, in integers."""
     if m < 1:
         raise ValueError(f"target dimension must be positive, got {m}")
-    k = math.floor(0.5 * math.log2(m)) + 1
-    return k if k % 2 else k + 1
+    return (int(m).bit_length() + 1) // 2 | 1  # 4^k > m iff 4^k > floor(m) iff 2k >= its bit length
 
 
 def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -> PisierAudit:
@@ -90,8 +88,8 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
     gate = sandwich_validate(norm, f.m)
     if not gate.holds:
         raise ValueError(
-            f"sandwich of {norm.name} rejected: worst slack {gate.slack:.3e} on the "
-            f"{gate.params['worst_side']} side"
+            f"sandwich of {norm.name} rejected: least slack {gate.params['least_slack']:.3e} on the "
+            f"{gate.params['worst_side']} side, not 0"
         )
     if ell is None:
         ell = choose_ell(f.m)

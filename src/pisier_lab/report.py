@@ -22,7 +22,7 @@ TOLERANCES: dict[str, float] = {
     "proxy-low-level-match": 1e-10,
     "proxy-level-deviation": 0.0,
     # the projection audit, its sandwich gate (a precondition) and the convolution contraction
-    "sandwich-two-sided-comparison": 1e-9,
+    "sandwich-attained": 1e-9,  # the larger |least slack| of the two sides
     "proxy-term-bound": 1e-9,
     "remainder-term-bound": 1e-9,
     "split-triangle-inequality": 1e-9,

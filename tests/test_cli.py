@@ -18,7 +18,6 @@ from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
 from pisier_lab.pisier_bench import MAX_AUDIT_DIM
 from pisier_lab.report import TOLERANCES
-from pisier_lab.vector_field import GATE_SAMPLES
 
 from oracles import constant_function
 
@@ -157,17 +156,40 @@ class TestAudit:
             run_main(["audit", "--help"])
         assert f"2**n * m <= 2**{MAX_DIM}" in " ".join(capsys.readouterr().out.split())
 
-    def test_gate_table_cap(self, capsys, tmp_path):
-        """The sandwich gate's (GATE_SAMPLES + 2m) x m table is capped like the value table: m <= 2880."""
-        assert (GATE_SAMPLES + 2 * 2880) * 2880 <= 1 << MAX_DIM < (GATE_SAMPLES + 2 * 2881) * 2881
-        assert run_main(["audit", "--n", "1", "--m", "2880", "--out", str(tmp_path / "a.json")]) == 0
-        for m in (2881, 4096, 1 << 22):
+    def test_gate_cap(self, capsys, tmp_path):
+        """The sandwich gate's 2m + 2 rows of m are capped like the value table: m <= 2895."""
+        assert (2 * 2895 + 2) * 2895 <= 1 << MAX_DIM < (2 * 2896 + 2) * 2896
+        assert run_main(["audit", "--n", "1", "--m", "2895", "--out", str(tmp_path / "a.json")]) == 0
+        for m in (2896, 4096, 1 << 22):
             assert run_main(["audit", "--n", "1", "--m", str(m)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == (
-                f"error: --m {m} asks for a {GATE_SAMPLES + 2 * m} x {m} sandwich gate table; "
-                f"({GATE_SAMPLES} + 2m) * m is capped at 2^{MAX_DIM} doubles\n")
+                f"error: --m {m} asks for a sandwich gate of {2 * m + 2} rows of {m}; "
+                f"(2m + 2) * m is capped at 2^{MAX_DIM} doubles\n")
+        with pytest.raises(SystemExit):
+            run_main(["audit", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"(2m + 2) * m <= 2**{MAX_DIM}" in text
+        assert "64 +" not in text and "sample" not in text
+
+    def test_config_is_the_flags(self, capsys):
+        """The config echoes the five flags and nothing else: the gate draws no samples to count."""
+        assert run_main(["audit", "--n", "4", "--m", "3", "--norm", "l1"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"n": 4, "m": 3, "ell": None, "norm": "l1", "seed": 0}
+
+    @pytest.mark.parametrize(("scale", "distortion", "least"), [(1.0, 2.0, "1.000e+00"), (0.5, 1.0, "-5.000e-01")])
+    def test_a_wrong_sandwich_is_rejected(self, capsys, monkeypatch, scale, distortion, least):
+        """linf on R^4 has s = 1/2, d = 2.  With d doubled the upper side is not attained (ones/2 leaves 1); with s
+        halved it fails (e_1 exceeds d s = 1/2 by 1/2).  The first would loosen every bound.  Either way: exit 2."""
+        sandwich = Norm.sandwich
+        monkeypatch.setattr(Norm, "sandwich", lambda self, m: (
+            sandwich(self, m)[0] * scale, sandwich(self, m)[1] * distortion))
+        assert run_main(["audit", "--n", "8", "--m", "4", "--norm", "linf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sandwich of linf rejected: least slack {least} on the upper side, not 0\n"
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         """A failed claim still prints the audit, and each failure is one stderr line."""

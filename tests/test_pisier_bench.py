@@ -22,7 +22,7 @@ from pisier_lab import (
 )
 from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import popcount
-from pisier_lab.lower_bound import lower_bound_instance
+from pisier_lab.lower_bound import WITNESS_VARIANTS, lower_bound_instance
 from pisier_lab.report import TOLERANCES
 
 from oracles import constant_function, linear_function, proxy_as_cube_function
@@ -71,6 +71,19 @@ class TestChooseEll:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             choose_ell(0)
+
+    def test_is_the_smallest_odd_ell_with_four_to_the_ell_above_m(self):
+        """Integer arithmetic: at 4^k - 1 for k = 27 and 31 a float log2 rounds up to k and overshoots by 2."""
+        def smallest(m):
+            ell = 1
+            while 4**ell <= m:
+                ell += 2
+            return ell
+
+        grid = list(range(1, 5001)) + [4**k + d for k in range(41) for d in (-1, 0, 1) if 4**k + d >= 1]
+        assert [choose_ell(m) for m in grid] == [smallest(m) for m in grid]
+        assert (choose_ell(4**27 - 1), choose_ell(4**31 - 1)) == (27, 31)
+        assert (choose_ell(np.int64(16)), choose_ell(15.9), choose_ell(16.0)) == (3, 3, 3)
 
     @pytest.mark.parametrize("m", [1, 3, 10, 100, 5000])
     def test_always_odd_and_large_enough(self, m):
@@ -313,3 +326,22 @@ class TestLowerBoundInstanceAudit:
         assert audit.derived_constant == 8.0 * audit.ell * (1.0 + math.sqrt(m) / 2.0**audit.ell)
         assert audit.ratio == pytest.approx(instance.ratio, rel=1e-12)
         assert audit.ratio > 1.0
+
+
+class TestTranslationRoute:
+    """The instance a second way: row x of V[x, z] = F(x xor z) is a permutation of F's values, and lin of it
+    at z is sum_j Fhat({j}) x_j z_j, so the plain linf audit of V, with no sup-functional code, has the
+    instance's ratio.  V is built by index; its gate runs at m = 2^n."""
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    @pytest.mark.parametrize("n", [6, 8, 10, 11])
+    def test_linf_audit_of_the_translates_is_the_instance(self, n, variant):
+        instance = lower_bound_instance(n, variant)
+        points = np.arange(1 << n)
+        translates = instance.witness.values[points[:, None] ^ points]
+        audit = decomposition_audit(VectorFunction.from_values(n, translates), Norm.lp(math.inf))
+        assert (audit.m, audit.distortion) == (1 << n, 2.0 ** (n / 2))
+        assert abs(audit.ratio - instance.ratio) <= 1e-12
+        assert abs(audit.rhs_raw - instance.field_norm_value) <= 1e-12
+        assert abs(audit.lhs - instance.linear_norm_value) <= 1e-12
+        assert [c.holds for c in audit.checks] == [True] * 4

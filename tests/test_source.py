@@ -80,6 +80,20 @@ def test_the_package_reads_no_environment_variable():
     assert named == []
 
 
+def test_only_the_seeded_instance_draws_random_numbers():
+    """No check samples: np.random and default_rng appear, even in text, only in cli.random_vector_function."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    drawer = next(node for node in tree.body if getattr(node, "name", None) == "random_vector_function")
+    found = [
+        f"{path.name}:{number}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if any(word in line for word in ("np.random", "numpy.random", "default_rng"))
+        and not (path.name == "cli.py" and drawer.lineno <= number <= drawer.end_lineno)
+    ]
+    assert found == []
+
+
 def test_each_tolerance_has_one_home():
     """Every tolerance is an entry of report.TOLERANCES, and the CLI decides no verdict itself."""
     assigned = [

@@ -21,8 +21,8 @@ from pisier_lab import (
     young_bound_check,
 )
 from pisier_lab import vector_field
-from pisier_lab.lower_bound import build_truncated_witness
-from pisier_lab.vector_field import GATE_SAMPLES
+from pisier_lab.cube_fourier import spectrum_support
+from pisier_lab.lower_bound import WITNESS_VARIANTS, build_truncated_witness, build_witness
 
 from oracles import constant_function, linear_function, proxy_as_cube_function
 
@@ -399,9 +399,12 @@ class TestSandwich:
         """||v||_2 = ||g_v||_2 <= ||g_v||_inf <= ||v||_1 <= sqrt(m) ||v||_2."""
         assert Norm.sup_functional(5, range(1, 17)).sandwich(16) == (1.0, 4.0)
 
-    def test_l2_identity_zero_slack(self):
-        report = sandwich_validate(Norm.lp(2), 3)
-        assert report.slack == 0.0
+    @pytest.mark.parametrize("m", [1, 3, 300])
+    def test_l2_is_attained_on_both_sides(self, m):
+        """s = d = 1: every unit vector attains both sides; e_j exactly, ones/sqrt(m) up to rounding."""
+        report = sandwich_validate(Norm.lp(2), m)
+        assert report.lhs <= 2.0**-52
+        assert m > 1 or report.lhs == 0.0
 
     def test_violation_reports_instead_of_raising(self, monkeypatch):
         # d = 1 at scale 1 cannot sandwich the sup norm: report fails, no crash
@@ -409,45 +412,81 @@ class TestSandwich:
         report = sandwich_validate(Norm.lp(math.inf), 4)
         assert not report.holds
         assert report.params["worst_side"] == "lower"
+        assert report.params["least_slack"] == -0.5 == -report.lhs
 
-    def test_gate_table_size(self):
-        """GATE_SAMPLES random directions and 2m signed basis vectors: one (GATE_SAMPLES + 2m, m) table."""
-        rows = []
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 7.0, math.inf])
+    @pytest.mark.parametrize("m", [1, 2, 4, 16, 64, 2895])
+    def test_attained_on_both_sides(self, p, m):
+        """Hoelder: each side of the lp sandwich is attained at e_j or at ones/sqrt(m), up to the gate's cap."""
+        report = sandwich_validate(Norm.lp(p), m)
+        assert report.holds and report.lhs <= 1e-9
+        assert report.claim == "sandwich-attained" and report.rhs == 0.0
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_witness_sup_functional_norms_attain_both_sides(self, variant):
+        """||g_{e_j}||_inf = 1 and g_ones(0) = m: the sup-functional sandwich (1, sqrt(m)) is sharp at n <= 12."""
+        for n in range(1, 13):
+            family = spectrum_support(build_witness(n, variant))
+            report = sandwich_validate(Norm.sup_functional(n, family), family.size)
+            assert report.holds and report.lhs <= 1e-9, (n, report)
+
+    @pytest.mark.parametrize("mutant", ["double d", "halve s"])
+    @pytest.mark.parametrize("name", ["l1", "l2", "l3", "linf", "sup_functional(n=4,|family|=7)"])
+    def test_a_wrong_sandwich_fires(self, monkeypatch, name, mutant):
+        """Too large a d (the bound would loosen unseen) and too small an s each fail the claim: lp at m = 16, the
+        sup-functional norm at its own m = 7."""
+        norm = SANDWICH_NORMS[name]
+        m = norm.dim or 16
+        scale, distortion = norm.sandwich(m)
+        wrong = (scale, 2.0 * distortion) if mutant == "double d" else (scale / 2.0, distortion)
+        monkeypatch.setattr(Norm, "sandwich", lambda self, m: wrong)
+        assert not sandwich_validate(norm, m).holds
+
+    @pytest.mark.parametrize("where", ["sandwich", "norms"])
+    def test_nan_fails(self, monkeypatch, where):
+        """A NaN in the sandwich or in one norm fails the claim, whichever side it lands on."""
+        if where == "sandwich":
+            monkeypatch.setattr(Norm, "sandwich", lambda self, m: (1.0, math.nan))
+        else:
+            evaluate = Norm.evaluate_rows
+            monkeypatch.setattr(Norm, "evaluate_rows", lambda self, rows: np.where(
+                rows[:, -1] == -1.0, math.nan, evaluate(self, rows)))
+        report = sandwich_validate(Norm.lp(1), 5)
+        assert not report.holds and math.isnan(report.lhs)
+
+    @pytest.mark.parametrize("m", [5, 3000])
+    def test_gate_rows_come_in_blocks(self, m):
+        """ones/sqrt(m) and its negative, then +-e_j a block of at most 2^16 doubles at a time: no (2m, m) table."""
+        shapes = []
         norm = Norm.lp(2)
         original = norm.evaluate_rows
-        norm.evaluate_rows = lambda points: rows.append(points.shape) or original(points)
-        sandwich_validate(norm, 5)
-        assert rows == [(GATE_SAMPLES + 10, 5)]
+        norm.evaluate_rows = lambda points: shapes.append(points.shape) or original(points)
+        sandwich_validate(norm, m)
+        assert shapes[0] == (2, m) and sum(rows for rows, _ in shapes) == 2 * m + 2
+        assert all(width == m and rows * m <= vector_field._SUP_CHUNK_DOUBLES for rows, width in shapes[1:])
+        assert len(shapes) == 1 + math.ceil(m / (vector_field._SUP_CHUNK_DOUBLES // (2 * m)))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("m", [1, 7, 300])
     def test_gate_reports_equal_the_stacked_construction(self, p, m):
-        """The gate table written in place, its norms by row block: the report of vstack, eye and whole-table norms."""
+        """The gate's points by row block: the report of vstack, eye and whole-table norms."""
         scale, distortion = Norm.lp(p).sandwich(m)
-        dirs = np.random.default_rng(0).standard_normal((GATE_SAMPLES, m))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        points = np.vstack([dirs, np.eye(m), -np.eye(m)])
-        euclid = scale * np.linalg.norm(points, axis=1)
+        points = np.vstack([np.full((1, m), 1.0 / math.sqrt(m)), np.full((1, m), -1.0 / math.sqrt(m)),
+                            np.eye(m), -np.eye(m)])
         target = np.linalg.norm(points, ord=p, axis=1)
-        lower, upper = target - euclid, distortion * euclid - target
-        if lower.min() <= upper.min():
-            worst = int(np.argmin(lower))
-            lhs, rhs, side = euclid[worst], target[worst], "lower"
-        else:
-            worst = int(np.argmin(upper))
-            lhs, rhs, side = target[worst], distortion * euclid[worst], "upper"
+        least = [min(target) - scale, distortion * scale - max(target)]
+        side = 0 if abs(least[0]) >= abs(least[1]) else 1
         report = sandwich_validate(Norm.lp(p), m)
-        assert (report.lhs, report.rhs, report.params["worst_side"]) == (lhs, rhs, side)
+        assert (report.lhs, report.params["least_slack"]) == (abs(least[side]), least[side])
+        assert report.params["worst_side"] == ("lower", "upper")[side]
 
-    def test_gate_peak_is_its_table(self):
-        """No eye, negated eye or stacked copy: the gate's peak is its (GATE_SAMPLES + 2m, m) table and row blocks."""
-        m = 1440
-        table = (GATE_SAMPLES + 2 * m) * m * 8
+    def test_gate_peak_is_a_few_row_blocks(self):
+        """No eye, negated eye or stacked copy: at the cap m = 2895 the gate peaks at a few 512 KB row blocks."""
         tracemalloc.start()
         try:
-            sandwich_validate(Norm.lp(3), m)
+            sandwich_validate(Norm.lp(3), 2895)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * table, peak / table
+        assert peak < 4 << 20, peak
 
