@@ -48,14 +48,6 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_n(n: int, cap: int) -> None:
-    _require(1 <= n <= cap, f"--n must lie in 1..{cap}, got {n}")
-
-
-def _require_ell(ell: int) -> None:
-    _require(ell % 2 == 1 and 1 <= ell <= MAX_ELL, f"--ell must be odd in 1..{MAX_ELL}, got {ell}")
-
-
 def _verdict(checks: Sequence[BoundReport]) -> dict[str, list]:
     """A payload's checks array, and its violations: one line for each check that fails."""
     return {"checks": [c.to_dict() for c in checks],
@@ -109,9 +101,7 @@ def random_vector_function(n: int, m: int, seed: int) -> vector_field.VectorFunc
 
 
 def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
-    """Check the preconditions, then every kernel and proxy claim: proxy-check and each proxy sweep row."""
-    _require_ell(ell)
-    _require_n(n, MAX_DIM)
+    """Check every kernel and proxy claim, ell and n by the library's rules: proxy-check and each proxy sweep row."""
     kernel = linear_proxy.ProxyKernel(ell)
     measured, checks = linear_proxy.proxy_properties(kernel, n)
     return {
@@ -130,7 +120,7 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
 
 def audit_payload(n: int, m: int, ell: int | None, norm: str, seed: int) -> dict[str, Any]:
     """Check the preconditions, then audit the seeded instance: audit and each audit sweep row."""
-    _require_n(n, MAX_AUDIT_DIM)
+    cube_fourier._check_dim(n, MAX_AUDIT_DIM)  # the library's checks, called before the table is drawn
     _require(m >= 1, f"--m must be positive, got {m}")
     _require((1 << n) * m <= 1 << MAX_DIM,
              f"--n {n} --m {m} asks for a 2^{n} x {m} table; 2^n * m is capped at 2^{MAX_DIM} doubles")
@@ -138,7 +128,7 @@ def audit_payload(n: int, m: int, ell: int | None, norm: str, seed: int) -> dict
              f"--m {m} asks for a sandwich gate of {2 * m + 2} rows of {m}; (2m + 2) * m is capped at "
              f"2^{MAX_DIM} doubles")
     if ell is not None:
-        _require_ell(ell)
+        linear_proxy._check_ell(ell)
     try:  # the one spelling rule is Norm.name's: a name that does not read back to itself names no norm
         target_norm = vector_field.Norm.lp(float(norm[1:]))
     except ValueError:  # no number after the first letter, or p < 1
@@ -165,11 +155,10 @@ def audit_report_json(n: int, m: int, norm: str, seed: int) -> str:
 
 
 def lower_bound_payload(n: int, variant: str) -> dict[str, Any]:
-    """Check the preconditions, then build and verify the witness: lower-bound and each of its sweep rows.
+    """Build and verify the witness, n and the variant by the library's rules: lower-bound and each sweep row.
 
     n alone picks the mode: the norm instance is built exactly when n <= MAX_INSTANCE_DIM.
     """
-    _require_n(n, MAX_RECORD_DIM)
     instance_mode = n <= lower_bound.MAX_INSTANCE_DIM
     instance = lower_bound.lower_bound_instance(n, variant) if instance_mode else None
     witness = instance.witness if instance_mode else lower_bound.build_witness(n, variant)
@@ -245,7 +234,6 @@ def cmd_sparsity(args: argparse.Namespace) -> int:
         f = cube_fourier.read_binary(args.input_path)
         source = f"file:{Path(args.input_path).name}"  # not the path, so the bytes do not depend on it
     else:
-        _require_n(args.n, MAX_RECORD_DIM)
         variant = args.variant or "truncated"
         f = lower_bound.build_witness(args.n, variant)
         source = f"witness:{variant}:{args.n}"

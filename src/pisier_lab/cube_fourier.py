@@ -37,8 +37,8 @@ _HEADER = np.dtype("<u4")  # each binary record opens with n as a u32 little-end
 
 
 def _check_dim(n: int, cap: int | None = MAX_DIM) -> None:
-    """The one dimension precondition: n a positive integer, and no larger than cap unless it is None."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """The one dimension precondition: n a positive integer, not a bool, and no larger than cap unless it is None."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if cap is not None and n > cap:
         raise ResourceLimitError(f"dimension {n} exceeds the cap {cap}")
@@ -355,12 +355,18 @@ def to_bytes(f: CubeFunction) -> bytes:
     return np.array((f.n, f.values), dtype=_record(f.n)).tobytes()
 
 
-def _record_dim(head, length: int) -> int:
-    """n from a record's header, after checking the record's whole length in bytes against it."""
-    if length < _HEADER.itemsize:
+def _header_dim(head) -> int:
+    """n from a record's header, its first 4 bytes, checked by _check_dim."""
+    if len(head) < _HEADER.itemsize:
         raise ValueError("truncated cube-function blob")
     n = int(np.frombuffer(head, dtype=_HEADER, count=1)[0])
     _check_dim(n)
+    return n
+
+
+def _record_dim(head, length: int) -> int:
+    """n from a record's header, after checking the record's whole length in bytes against it."""
+    n = _header_dim(head)
     expected = _record(n).itemsize
     if length != expected:
         raise ValueError(f"blob length {length} does not match n={n} (expected {expected})")
@@ -379,22 +385,23 @@ def write_binary(f: CubeFunction, path) -> None:
 
 
 def read_binary(path) -> CubeFunction:
-    """One record, read in place: once the header and the file length agree, the file goes straight
-    into one aligned table, its header into the 4 bytes before the first double, and from_bytes
-    adopts that table read-only.  A pipe, which has no length to check first, is read whole.
+    """One record, read in place: once the header is checked, the file goes straight into one aligned
+    table, its header into the 4 bytes before the first double, and from_bytes adopts that table
+    read-only.  A regular file's length is checked against the header before the read; a pipe, which
+    has no length to check first, is read to at most one byte past its record, so one that runs on
+    fails the length check too.
     """
     with open(path, "rb") as file:
         info = os.fstat(file.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            return from_bytes(file.read())
         head = file.read(_HEADER.itemsize)
-        n = _record_dim(head, info.st_size)
-        # one spare double: the record starts at byte 4, so its header fills bytes 4-7 and its doubles start aligned
-        record = np.empty(1 + (1 << n)).view(np.uint8)[8 - len(head) :]
+        n = _record_dim(head, info.st_size) if stat.S_ISREG(info.st_mode) else _header_dim(head)
+        # two spare doubles: the record starts at byte 4, so its header fills bytes 4-7 and its doubles
+        # start aligned, and the last one holds the byte read past the record
+        record = np.empty(2 + (1 << n)).view(np.uint8)[8 - len(head) :]
         record[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-        got = file.readinto(record[len(head) :])
+        got = file.readinto(record[len(head) : _record(n).itemsize + 1])
     record.flags.writeable = False
-    return from_bytes(record[: len(head) + got])  # a file that shrank since fstat fails the length check
+    return from_bytes(record[: len(head) + got])  # a file that changed since fstat fails the length check
 
 
 def to_spectrum_json(f: CubeFunction, threshold: float = 0.0) -> str:

@@ -41,7 +41,7 @@ _SIN_HALF_PI = (0.0, 1.0, 0.0, -1.0)
 
 
 def _check_ell(ell: int) -> None:
-    if not (isinstance(ell, (int, np.integer)) and 1 <= ell <= MAX_ELL and ell % 2 == 1):
+    if not (isinstance(ell, (int, np.integer)) and not isinstance(ell, bool) and 1 <= ell <= MAX_ELL and ell % 2 == 1):
         raise ValueError(f"ell must be odd in 1..{MAX_ELL}, got {ell!r}")
 
 

@@ -146,13 +146,17 @@ class LowerBoundInstance:
         return _scattered(self.n, family, self.witness.spectrum[family])
 
 
+def _variant_index(variant: str) -> int:
+    """The variant's place in WITNESS_VARIANTS, the one lookup of a variant and the one place it is rejected."""
+    if variant not in WITNESS_VARIANTS:
+        raise ValueError(f"unknown witness variant {variant!r}")
+    return WITNESS_VARIANTS.index(variant)
+
+
 def build_witness(n: int, variant: str) -> CubeFunction:
     """The witness named by one of WITNESS_VARIANTS."""
-    if variant == "truncated":
-        return build_truncated_witness(n)
-    if variant == "chebyshev":
-        return build_chebyshev_witness(n)
-    raise ValueError(f"unknown witness variant {variant!r}")
+    # the builders are looked up at each call, so a rebinding of their module names reaches this call too
+    return (build_truncated_witness, build_chebyshev_witness)[_variant_index(variant)](n)
 
 
 def _embedding_check(values: np.ndarray, family: np.ndarray, coeffs: np.ndarray) -> BoundReport:
@@ -312,12 +316,7 @@ def structural_sparsity(n: int, variant: str = "truncated") -> int:
     Chebyshev witness.
     """
     _check_dim(n, None)
-    if variant == "truncated":
-        top = truncation_level(n)
-    elif variant == "chebyshev":
-        top = _chebyshev_degree(n)
-    else:
-        raise ValueError(f"unknown witness variant {variant!r}")
+    top = (truncation_level, _chebyshev_degree)[_variant_index(variant)](n)
     return sum(math.comb(n, k) for k in range(1, min(top, n) + 1, 2))
 
 

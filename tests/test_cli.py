@@ -39,6 +39,13 @@ def failed_claims(payload):
     return [c["claim"] for c in payload["checks"] if not c["holds"]]
 
 
+def library_error(call, *args):
+    """The text of the ValueError the library call raises: the message a run prints after 'error: '."""
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
 class TestProxyCheck:
     def test_ok_run(self, capsys, tmp_path):
         out = tmp_path / "proxy.json"
@@ -445,7 +452,11 @@ class TestCaps:
         out = ["--out", str(tmp_path / "out.json")]
         assert run_main(argv + [str(limit)] + out) == 0
         assert run_main(argv + [str(limit + 1)] + out) == 2
-        assert f"1..{limit}" in capsys.readouterr().err
+        if argv[-1] == "--ell":
+            message = library_error(linear_proxy._check_ell, limit + 1)
+        else:
+            message = library_error(cube_fourier._check_dim, limit + 1, limit)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_help_states_the_caps(self, capsys):
         with pytest.raises(SystemExit):
@@ -471,8 +482,8 @@ AUDIT_SWEEP_TABLES = [
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
 audit,3,2,1,l3,0,1.6014309329120553,3.4306789128084056,0.46679708990926805,12.489848193237492,41.247227887805977,ok,
 audit,3,2,1,l3,1,1.6495760255926657,2.2733760502191802,0.72560631816000132,12.489848193237492,26.744545727786747,ok,
-audit,17,2,,l3,0,,,,,,error,"--n must lie in 1..16, got 17"
-audit,17,2,,l3,1,,,,,,error,"--n must lie in 1..16, got 17"
+audit,17,2,,l3,0,,,,,,error,dimension 17 exceeds the cap 16
+audit,17,2,,l3,1,,,,,,error,dimension 17 exceeds the cap 16
 """),
     (["--n", "3", "--m", "2,3", "--ell", "3", "--norm", "l1"], """\
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
@@ -677,10 +688,10 @@ class TestSweep:
         assert captured.err == f"error: {ALL_ERRORS}\n"
 
     @pytest.mark.parametrize(("command", "flags", "message"), [
-        ("proxy-check", ["--ell", "2", "--n", "8"], f"--ell must be odd in 1..{MAX_ELL}, got 2"),
-        ("proxy-check", ["--ell", "3", "--n", "30"], f"--n must lie in 1..{MAX_DIM}, got 30"),
-        ("lower-bound", ["--n", "17"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 17"),
-        ("lower-bound", ["--n", "19"], f"--n must lie in 1..{MAX_RECORD_DIM}, got 19"),
+        ("proxy-check", ["--ell", "2", "--n", "8"], f"ell must be odd in 1..{MAX_ELL}, got 2"),
+        ("proxy-check", ["--ell", "3", "--n", "30"], f"dimension 30 exceeds the cap {MAX_DIM}"),
+        ("lower-bound", ["--n", "17"], f"dimension 17 exceeds the cap {MAX_RECORD_DIM}"),
+        ("lower-bound", ["--n", "19"], f"dimension 19 exceeds the cap {MAX_RECORD_DIM}"),
         ("lower-bound", ["--n", "4", "--variant", "foo"], "unknown witness variant 'foo'"),
     ], ids=["proxy-even-ell", "proxy-n-above-cap", "lower-bound-n-17", "lower-bound-n-19", "lower-bound-variant"])
     def test_rows_get_their_command_preconditions(self, capsys, command, flags, message):
@@ -701,7 +712,7 @@ class TestSweep:
         assert (captured.out, captured.err) == ("", f"error: {ALL_ERRORS}\n")
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert [(row["n"], row["status"], row["error"]) for row in rows] == [
-            (str(n), "error", f"--n must lie in 1..{MAX_RECORD_DIM}, got {n}") for n in (17, 18)]
+            (str(n), "error", f"dimension {n} exceeds the cap {MAX_RECORD_DIM}") for n in (17, 18)]
 
     def test_a_violation_outranks_error_rows(self, capsys, monkeypatch):
         failing(monkeypatch, "proxy-l1-bound")
@@ -739,6 +750,50 @@ class TestSweep:
         status = rows[0].index("status")
         assert rows[1][status] == "error"
         assert rows[2][status] == "ok"
+
+
+# Flags that break a rule the library states, for each command that takes them: the cube dimension
+# (--n 0 and one above the command's cap), ell (even and above MAX_ELL) and the witness variant; and
+# the library call that owns the rule, with the arguments that break it.
+BROKEN_LIBRARY_RULES = [
+    *((command, [*flags, "--n", str(n)], cube_fourier._check_dim, (n, cap))
+      for command, flags, cap in [("proxy-check", ["--ell", "3"], MAX_DIM), ("audit", ["--m", "2"], MAX_AUDIT_DIM),
+                                  ("lower-bound", [], MAX_RECORD_DIM), ("sparsity", [], MAX_RECORD_DIM)]
+      for n in (0, cap + 1)),
+    *((command, [*flags, "--ell", str(ell)], linear_proxy._check_ell, (ell,))
+      for command, flags in [("proxy-check", ["--n", "4"]), ("audit", ["--n", "4", "--m", "2"])]
+      for ell in (2, MAX_ELL + 2)),
+    *((command, ["--n", "4", "--variant", "foo"], lower_bound.build_witness, (4, "foo"))
+      for command in ("lower-bound", "sparsity")),
+]
+
+
+class TestLibraryRules:
+    """The CLI states no rule of its own for n, ell or the variant: a run prints the library's error, and a
+    sweep row holds it."""
+
+    @pytest.mark.parametrize(("command", "flags", "call", "args"), BROKEN_LIBRARY_RULES,
+                             ids=[" ".join([command, *flags]) for command, flags, *_ in BROKEN_LIBRARY_RULES])
+    def test_a_broken_rule_is_the_library_error(self, capsys, command, flags, call, args):
+        message = library_error(call, *args)
+        assert run_main([command, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        if command == "sparsity":  # no sweep
+            return
+        assert run_main(["sweep", command, *flags]) == 2
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
+        assert captured.err == f"error: {ALL_ERRORS}\n"
+
+    @pytest.mark.parametrize("flags", [["--n", str(MAX_AUDIT_DIM + 1), "--m", "2"],
+                                       ["--n", "4", "--m", "2", "--ell", "2"]], ids=["n-above-cap", "even-ell"])
+    def test_an_audit_fails_before_it_draws(self, monkeypatch, flags):
+        def draw(n, m, seed):
+            raise AssertionError("the audit drew its table before it checked its flags")
+
+        monkeypatch.setattr(cli, "random_vector_function", draw)
+        assert run_main(["audit", *flags]) == 2
 
 
 class TestFourier:

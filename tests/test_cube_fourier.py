@@ -547,6 +547,11 @@ class TestCubeFunction:
         with pytest.raises(ValueError):
             CubeFunction.from_values(0, [1.0])
 
+    def test_rejects_a_bool_dimension(self):
+        """True is an int to isinstance, but no dimension: the one check rejects it with its own message."""
+        with pytest.raises(ValueError, match=r"^dimension must be a positive integer, got True$"):
+            CubeFunction.from_values(True, [1.0, 2.0])
+
     def test_takes_exactly_one_table(self):
         vals = character_values(3, 0b101)
         spec = np.zeros(8)
@@ -657,8 +662,8 @@ class TestSerialization:
             with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
                 read(path)
 
-    def test_read_binary_reads_a_pipe_whole(self, tmp_path):
-        """A pipe has no length to check before reading; its bytes go through from_bytes."""
+    def test_read_binary_reads_a_pipe_to_its_record(self, tmp_path):
+        """A pipe has no length to check before reading; its header's n says how much to read."""
         path = tmp_path / "pipe"
         os.mkfifo(path)
         blob = to_bytes(CubeFunction.from_values(4, np.arange(16.0)))
@@ -670,6 +675,34 @@ class TestSerialization:
             writer.join(timeout=10)
         assert not writer.is_alive()
         assert np.array_equal(f.values, np.arange(16.0))
+
+    def test_read_binary_reads_a_pipe_at_most_one_byte_past_its_record(self, tmp_path):
+        """A pipe that runs on past a valid n = 3 record fails the length check, and its tail is never held."""
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        stream = to_bytes(CubeFunction.from_values(3, np.arange(8.0))) + bytes(32 << 20)
+
+        def write():
+            try:
+                with open(path, "wb", buffering=0) as pipe:
+                    view = memoryview(stream)
+                    while view:
+                        view = view[pipe.write(view) :]
+            except BrokenPipeError:  # the reader closed the pipe once it had its record and one byte more
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)  # never blocks the exit
+        writer.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^blob length 69 does not match n=3 \(expected 68\)$"):
+                read_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert peak < 1 << 20
 
     def test_binary_rejects_truncated_blob(self):
         f = CubeFunction.from_values(3, np.arange(8.0))

@@ -82,7 +82,7 @@ class TestAngleGrid:
         with pytest.raises(ValueError):
             ProxyKernel(bad)
 
-    @pytest.mark.parametrize("bad", [0, 3.0, 17])
+    @pytest.mark.parametrize("bad", [0, 3.0, 17, True])
     def test_bad_ell_has_one_message(self, bad):
         with pytest.raises(ValueError, match=rf"^ell must be odd in 1\.\.{MAX_ELL}, got {bad!r}$"):
             ProxyKernel(bad)

@@ -42,7 +42,9 @@ def test_transform_and_record_format_have_one_owner():
 
 
 def test_each_limit_has_one_home():
-    """Each cap is assigned once, and cube_fourier._check_dim is the one dimension check behind every cap."""
+    """Each cap is assigned once, cube_fourier._check_dim is the one dimension check behind every cap, and
+    linear_proxy._check_ell the one ell check; the CLI compares against a cap only for the rules it alone
+    states, and one place rejects an unknown witness variant."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assigned = sorted(
         target.id
@@ -66,6 +68,22 @@ def test_each_limit_has_one_home():
     checks = [f"{name}:{fn.name}" for name, fn in functions
               if name != "cube_fourier.py" and "check" in fn.name and "dim" in fn.name]
     assert checks == []
+
+    # the innermost function around each node; functions come outer first, so an inner one overwrites
+    owner = {id(node): f"{name}:{fn.name}" for name, fn in functions for node in ast.walk(fn)}
+
+    def comparisons(files, names_cap):
+        """Where each comparison that names a matching cap, by a name or an attribute, stands."""
+        return sorted(owner.get(id(node), f"{name}:<module>") for name in files for node in ast.walk(trees[name])
+                      if isinstance(node, ast.Compare) and any(
+                          names_cap(getattr(sub, "id", None) or getattr(sub, "attr", None) or "")
+                          for sub in ast.walk(node)))
+
+    assert comparisons(trees, lambda name: name == "MAX_ELL") == ["linear_proxy.py:_check_ell"]
+    # the table cap and the gate cap of an audit, and the mode choice of a lower-bound run
+    assert comparisons(["cli.py"], lambda name: name.startswith("MAX_")) == [
+        "cli.py:audit_payload", "cli.py:audit_payload", "cli.py:lower_bound_payload"]
+    assert sum(path.read_text().count("unknown witness variant") for path in SOURCES) == 1
 
 
 def test_the_package_reads_no_environment_variable():
