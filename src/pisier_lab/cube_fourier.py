@@ -24,7 +24,8 @@ from .report import ResourceLimitError
 
 MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
-# Doubles per butterfly block: 512 KB, so a block and its scratch partner fit a 2 MiB L2.
+# Doubles per cache block, 512 KB, so a block and its scratch partner fit a 2 MiB L2: through _blocks, the size of
+# the butterfly's strips, every norm's row blocks, the gate's basis rows, the embedding check and the sparsity count.
 _BLOCK_DOUBLES = 1 << 16
 
 # Threads per butterfly phase, at most: the CPUs this process may run on, so taskset or a
@@ -44,6 +45,14 @@ def _check_dim(n: int, cap: int | None = MAX_DIM) -> None:
         raise ResourceLimitError(f"dimension {n} exceeds the cap {cap}")
 
 
+def _blocks(count: int, width: int, budget: int | None = None) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of at most max(1, budget // max(1, width)) items of width doubles:
+    the one walk of every blocked scan.  budget is _BLOCK_DOUBLES unless given, read at each call."""
+    step = max(1, (_BLOCK_DOUBLES if budget is None else budget) // max(1, width))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def popcount(masks) -> np.ndarray:
     """Number of set bits, elementwise."""
     return np.bitwise_count(np.asarray(masks, dtype=np.uint32))
@@ -52,6 +61,12 @@ def popcount(masks) -> np.ndarray:
 def subset_levels(n: int) -> np.ndarray:
     """|S| for every subset mask S in mask order; equally, the Hamming weight of every point."""
     return popcount(np.arange(1 << n, dtype=np.uint32))
+
+
+def _odd_parity(points: slice, masks) -> np.ndarray:
+    """Whether chi_S(x) = -1, popcount(x & S) odd, as a bool table: a row per point x of the slice, a column per S."""
+    x = np.arange(points.start, points.stop, dtype=np.uint32)
+    return (popcount(np.bitwise_and.outer(x, np.asarray(masks, dtype=np.uint32))) & 1).view(bool)
 
 
 def _walsh_butterfly(a, normalize: bool = False, out: np.ndarray | None = None) -> np.ndarray:
@@ -90,9 +105,8 @@ def _walsh_butterfly(a, normalize: bool = False, out: np.ndarray | None = None) 
     if c < size or c == 1:
         rows_in = (out if c > 1 else src).reshape(size // c, c * width)
         rows_out = out.reshape(rows_in.shape)
-        strip = max(1, _BLOCK_DOUBLES // rows_in.shape[0])
-        _run_phase([(rows_in[:, j : j + strip], rows_out[:, j : j + strip])
-                    for j in range(0, rows_in.shape[1], strip)], scale)
+        _run_phase([(rows_in[:, strip], rows_out[:, strip])
+                    for strip in _blocks(rows_in.shape[1], rows_in.shape[0])], scale)
     return out
 
 
@@ -195,9 +209,7 @@ def inverse_fwht_rows(spectra: np.ndarray) -> np.ndarray:
 def character_values(n: int, s_masks) -> np.ndarray:
     """Value table of chi_S over the whole cube; an array of masks gives one column per mask."""
     _check_dim(n)
-    points = np.arange(1 << n, dtype=np.uint32)
-    parity = popcount(np.bitwise_and.outer(points, np.asarray(s_masks, dtype=np.uint32))) & 1
-    return 1.0 - 2.0 * parity.astype(np.float64)
+    return 1.0 - 2.0 * _odd_parity(slice(0, 1 << n), s_masks)
 
 
 def level_multiply(spec, c) -> np.ndarray:
@@ -428,10 +440,10 @@ def spectrum_json_pieces(f: CubeFunction, threshold: float = 0.0) -> Iterator[st
 
 def _json_pieces(n: int, spec: np.ndarray, keep: np.ndarray) -> Iterator[str]:
     yield f'{{\n  "n": {n},\n  "spectrum": {{'
-    for start in range(0, keep.size, _JSON_ENTRIES):
-        masks = keep[start : start + _JSON_ENTRIES]
+    for piece in _blocks(keep.size, 1, _JSON_ENTRIES):
+        masks = keep[piece]
         entries = ",\n".join(f'    "{mask}": {coeff!r}' for mask, coeff in zip(masks.tolist(), spec[masks].tolist()))
-        yield ("\n" if start == 0 else ",\n") + entries
+        yield ("\n" if piece.start == 0 else ",\n") + entries
     yield "\n  }\n}" if keep.size else "}\n}"
 
 

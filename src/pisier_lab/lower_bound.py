@@ -26,16 +26,11 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _above, _check_dim, _finite,
-                           _require_one_function, fwht, popcount, spectrum_sparsity, spectrum_support,
+from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _above, _blocks, _check_dim, _finite,
+                           _odd_parity, _require_one_function, fwht, spectrum_sparsity, spectrum_support,
                            subset_levels)
 from .report import BoundReport, check
-from .vector_field import (
-    _SUP_CHUNK_DOUBLES,
-    MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM,
-    Norm,
-    VectorFunction,
-)
+from .vector_field import MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM, Norm, VectorFunction
 
 # cap for the witnesses and the lower-bound and sparsity records built on them:
 # SPARSITY_THRESHOLD drops genuine coefficients from n = 19 on, so counted sparsity fails there.
@@ -159,29 +154,17 @@ def build_witness(n: int, variant: str) -> CubeFunction:
     return (build_truncated_witness, build_chebyshev_witness)[_variant_index(variant)](n)
 
 
-def _embedding_check(values: np.ndarray, family: np.ndarray, coeffs: np.ndarray) -> BoundReport:
-    """Check values[x, j] == Fhat(S_j) chi_{S_j}(x) at every x, reporting the worst entry.
-
-    The character signs come from popcount(x & S_j), in row blocks of about
-    _SUP_CHUNK_DOUBLES doubles, so no full-table temporary is formed.
-    """
-    masks = family.astype(np.uint32)
-    rows = max(1, _SUP_CHUNK_DOUBLES // masks.size)
-    worst, where = -1.0, (0, 0)  # |values[x, j] - its character formula|, and (x, j)
-    for start in range(0, values.shape[0], rows):
-        block = values[start : start + rows]
-        points = np.arange(start, start + block.shape[0], dtype=np.uint32)
-        odd = (popcount(np.bitwise_and.outer(points, masks)) & 1).astype(bool)
-        deviation = np.where(odd, -coeffs, coeffs)
-        np.subtract(block, deviation, out=deviation)
+def _embedding_check(values: np.ndarray, masks: np.ndarray, coeffs: np.ndarray, worst=(-1.0, 0, 0)) -> tuple:
+    """worst, (|values[x, j] - Fhat(S_j) chi_{S_j}(x)|, x, S_j), carried over a column block a row block at a time:
+    an entry replaces worst unless worst is NaN or the entry is <= it, so the first worst entry wins, and a NaN."""
+    for rows in _blocks(values.shape[0], masks.size):
+        deviation = np.where(_odd_parity(rows, masks), -coeffs, coeffs)
+        np.subtract(values[rows], deviation, out=deviation)
         np.abs(deviation, out=deviation)
         x, j = divmod(int(np.argmax(deviation)), masks.size)  # argmax stops at a NaN
-        if not deviation[x, j] <= worst:
-            worst, where = float(deviation[x, j]), (start + x, j)
-            if math.isnan(worst):
-                break
-    x, j = where
-    return check("instance-embedding", worst, 0.0, point=x, subset=int(family[j]))
+        if not (math.isnan(worst[0]) or deviation[x, j] <= worst[0]):
+            worst = (float(deviation[x, j]), rows.start + x, int(masks[j]))
+    return worst
 
 
 def _scattered(n: int, masks: np.ndarray, coeffs: np.ndarray) -> VectorFunction:
@@ -190,17 +173,6 @@ def _scattered(n: int, masks: np.ndarray, coeffs: np.ndarray) -> VectorFunction:
     spectra[masks, np.arange(masks.size)] = coeffs
     spectra.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
     return VectorFunction.from_spectrum(n, spectra)
-
-
-def _check_block(n: int, masks: np.ndarray, coeffs: np.ndarray,
-                 singletons: np.ndarray) -> tuple[BoundReport, np.ndarray, np.ndarray]:
-    """One column block of the instance: its embedding report, its row f(0) and its singleton spectrum rows.
-
-    Both rows are copies, so nothing returned keeps the block's tables alive.
-    """
-    vector = _scattered(n, masks, coeffs)
-    values = vector.values_matrix()
-    return _embedding_check(values, masks, coeffs), values[0].copy(), vector.spectrum[singletons]
 
 
 def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
@@ -216,26 +188,23 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
 
     # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x); the
     # coordinates are independent, so each column block is built, checked and dropped in turn
-    cols = max(1, _COLUMN_BLOCK_DOUBLES >> n)
-    embedding, first_rows, linear_blocks = None, [], []
-    for start in range(0, family.size, cols):
-        block = slice(start, start + cols)
-        report, first_row, linear_block = _check_block(n, family[block], coeffs[block], singletons)
-        # the first worst entry in column-block order, and a NaN wins
-        if embedding is None or not (math.isnan(embedding.lhs) or report.lhs <= embedding.lhs):
-            embedding = report
-        first_rows.append(first_row)
-        linear_blocks.append(linear_block)
+    worst, first_row, linear_spectrum = (-1.0, 0, 0), np.empty(family.size), np.empty((n, family.size))
+    for cols in _blocks(family.size, 1 << n, _COLUMN_BLOCK_DOUBLES):
+        vector = _scattered(n, family[cols], coeffs[cols])
+        values = vector.values_matrix()
+        worst = _embedding_check(values, family[cols], coeffs[cols], worst)
+        first_row[cols], linear_spectrum[:, cols] = values[0], vector.spectrum[singletons]
+        del vector, values  # the block's tables go before the next block's are built
     norm = Norm.sup_functional(n, family)
     witness_sup = witness.sup_norm()
 
-    field_norm_value = float(norm.evaluate_rows(np.concatenate(first_rows)[None])[0])
+    field_norm_value = float(norm.evaluate_rows(first_row[None])[0])
     # with every row the translate of row 0, ||f(x)|| = ||f(0)|| at every x
-    checks = [check("instance-field-norm", abs(field_norm_value - witness_sup), 0.0, point=0), embedding]
+    checks = [check("instance-field-norm", abs(field_norm_value - witness_sup), 0.0, point=0),
+              check("instance-embedding", worst[0], 0.0, point=worst[1], subset=worst[2])]
 
     # lin f(x) = sum_j x_j fhat({j}); fhat({j}) is Fhat({j}) at {j} when {j} is in the
     # family and zero otherwise, so lin f(x) is the translate of lin f(0) too
-    linear_spectrum = np.concatenate(linear_blocks, axis=1)
     misplaced = np.abs(linear_spectrum - np.where(family == singletons[:, None], coeffs, 0.0))
     j, c = np.unravel_index(int(np.argmax(misplaced)), misplaced.shape)
     singleton_mass = math.fsum(
@@ -341,8 +310,7 @@ def sparsity_inequality_check(f: CubeFunction, rescale: bool = False) -> BoundRe
 
     # the support of the rescaled spectrum, counted a slice at a time so no rescaled table is built;
     # multiplying by factor = 1.0 leaves an unscaled spectrum's bits as they are
-    sparsity = sum(_above(spec[i : i + _SUP_CHUNK_DOUBLES] * factor, SPARSITY_THRESHOLD).size
-                   for i in range(0, spec.size, _SUP_CHUNK_DOUBLES))
+    sparsity = sum(_above(spec[piece] * factor, SPARSITY_THRESHOLD).size for piece in _blocks(spec.size, 1))
     if sparsity == 0:
         raise ValueError("zero function: the spectrum has no support to count")
     singles = spec[1 << np.arange(f.n)]

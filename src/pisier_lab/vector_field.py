@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cube_fourier import CubeFunction, _check_dim, character_values, inverse_fwht
+from .cube_fourier import CubeFunction, _blocks, _check_dim, character_values, inverse_fwht
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
 from .report import BoundReport, check
 
@@ -24,10 +24,6 @@ from .report import BoundReport, check
 # 2^n points, n * 4^n in all; the lower-bound instance checks 2^n x |family| entries, and
 # its time grows about fourfold per n (0.16 s at n = 12, 0.63 s at n = 13 truncated, 2 vCPU)
 MAX_SUP_FUNCTIONAL_DIM = 12
-# doubles per row block of every norm's rows (of an lp block itself, of a sup-functional block's
-# embedded table), of the sandwich gate's basis rows and of the instance's embedding check (within
-# each of its column blocks), and per slice of the sparsity record's support count: 512 KB, cache-sized
-_SUP_CHUNK_DOUBLES = 1 << 16
 
 
 class VectorFunction(CubeFunction):
@@ -116,8 +112,8 @@ class Norm:
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         """Norms of the rows of a (k, m) matrix, a row block at a time, so no temporary grows with k.
 
-        Each row is reduced alone, so on a C-contiguous matrix every norm has the bits of one
-        whole-matrix np.linalg.norm.
+        Each row is reduced alone, so on a C-contiguous matrix every norm has the bits of one whole-matrix
+        np.linalg.norm; an lp norm whose |x|^p leaves double range on a finite row raises ValueError.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
@@ -129,13 +125,18 @@ class Norm:
         else:  # a block of rows embeds into a (2^n_dual, rows) table
             norms, width = self._sup_functional_rows, 1 << self.n_dual
         out = np.empty(rows.shape[0])
-        chunk = max(1, _SUP_CHUNK_DOUBLES // max(1, width))
-        for start in range(0, rows.shape[0], chunk):
-            out[start : start + chunk] = norms(rows[start : start + chunk])
+        for block in _blocks(rows.shape[0], width):
+            out[block] = norms(rows[block])
         return out
 
     def _lp_rows(self, block: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(block, ord=self.p, axis=1)
+        with np.errstate(over="ignore"):  # an overflow is caught below, as a norm that is not finite
+            norms = np.linalg.norm(block, ord=self.p, axis=1)
+        # the k norms carry the test, so the block is read again only when one is inf, NaN or 0
+        if not (norms.min() > 0.0 and np.isfinite(norms.max())) and np.any(
+                (np.isfinite(block).all(axis=1) & ~np.isfinite(norms)) | (block.any(axis=1) & (norms == 0.0))):
+            raise ValueError(f"{self.name} leaves double range on a finite row: |x|^p overflows or underflows")
+        return norms
 
     def _sup_functional_rows(self, block: np.ndarray) -> np.ndarray:
         embedded = np.zeros((1 << self.n_dual, block.shape[0]))
@@ -156,9 +157,8 @@ def _gate_points(m: int):
     flat = np.full((2, m), 1.0 / math.sqrt(m))
     flat[1] *= -1.0
     yield flat
-    step = max(1, _SUP_CHUNK_DOUBLES // (2 * m))
-    for start in range(0, m, step):
-        basis = np.arange(start, min(start + step, m))
+    for rows in _blocks(m, 2 * m):
+        basis = np.arange(rows.start, rows.stop)
         block = np.zeros((2 * basis.size, m))  # e_j for j in the block, then -e_j
         block[np.arange(basis.size), basis] = 1.0
         block[np.arange(basis.size, 2 * basis.size), basis] = -1.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pisier_lab import CubeFunction, Norm, build_truncated_witness, write_binary
-from pisier_lab import cli, cube_fourier, linear_proxy, lower_bound, pisier_bench
+from pisier_lab import cli, cube_fourier, linear_proxy, lower_bound, pisier_bench, vector_field
 from pisier_lab.cube_fourier import MAX_DIM
 from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
@@ -197,6 +197,18 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: sandwich of linf rejected: least slack {least} on the upper side, not 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "6", "--m", "4", "--norm", "l1000", "--seed", "1"],  # |x|^1000 of the table overflows
+        ["--n", "6", "--m", "64", "--norm", "l1000"],  # the gate's flat vector underflows
+        ["--n", "12", "--m", "4", "--norm", "l128"],
+    ], ids=["l1000-overflow", "l1000-underflow", "l128"])
+    def test_an_lp_norm_out_of_double_range_is_a_usage_error(self, capsys, argv):
+        """No Infinity, NaN or false violation: exit 2 with one error line and no JSON."""
+        assert run_main(["audit", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[5]} leaves double range on a finite row: |x|^p overflows or underflows\n"
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         """A failed claim still prints the audit, and each failure is one stderr line."""
@@ -930,3 +942,79 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestOneBlockSize:
+    """cube_fourier._BLOCK_DOUBLES sizes every blocked scan, and no block size changes an output."""
+
+    BLOCK = 1 << 6
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        """An n = 9 table: its spectrum, 512 doubles, spans several blocks of BLOCK."""
+        path = tmp_path_factory.mktemp("block") / "table.bin"
+        write_binary(CubeFunction.from_values(9, np.random.default_rng(9).standard_normal(1 << 9)), path)
+        return path
+
+    @staticmethod
+    def spy(monkeypatch):
+        """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the embedding
+        check and the sparsity count take."""
+        blocks = []
+        lp_rows, sup_rows, gate_points = Norm._lp_rows, Norm._sup_functional_rows, vector_field._gate_points
+        odd_parity, above = lower_bound._odd_parity, lower_bound._above
+
+        def spied_lp(norm, block):
+            blocks.append(("norm rows", block.shape[0], block.shape[1]))
+            return lp_rows(norm, block)
+
+        def spied_sup(norm, block):
+            blocks.append(("norm rows", block.shape[0], 1 << norm.n_dual))
+            return sup_rows(norm, block)
+
+        def spied_gate(m):
+            points = gate_points(m)
+            yield next(points)  # the flat vectors, one pair of rows and no walk
+            for block in points:
+                blocks.append(("gate", block.shape[0] // 2, 2 * m))
+                yield block
+
+        def spied_parity(rows, masks):
+            blocks.append(("embedding check", rows.stop - rows.start, len(masks)))
+            return odd_parity(rows, masks)
+
+        def spied_above(spec, threshold):
+            blocks.append(("sparsity count", spec.size, 1))
+            return above(spec, threshold)
+
+        monkeypatch.setattr(Norm, "_lp_rows", spied_lp)
+        monkeypatch.setattr(Norm, "_sup_functional_rows", spied_sup)
+        monkeypatch.setattr(vector_field, "_gate_points", spied_gate)
+        monkeypatch.setattr(lower_bound, "_odd_parity", spied_parity)
+        monkeypatch.setattr(lower_bound, "_above", spied_above)
+        return blocks
+
+    @pytest.mark.parametrize(("argv", "scans"), [
+        (["audit", "--n", "8", "--m", "4", "--norm", "l2"], {"norm rows", "gate"}),
+        (["audit", "--n", "8", "--m", "4", "--norm", "l3"], {"norm rows", "gate"}),
+        (["audit", "--n", "8", "--m", "4", "--norm", "linf"], {"norm rows", "gate"}),
+        (["lower-bound", "--n", "9", "--variant", "truncated"], {"norm rows", "embedding check"}),
+        (["lower-bound", "--n", "9", "--variant", "chebyshev"], {"norm rows", "embedding check"}),
+        (["sparsity", "--input", "{table}"], {"sparsity count"}),
+        (["fourier", "--input", "{table}"], set()),
+    ], ids=["audit-l2", "audit-l3", "audit-linf", "lower-bound-truncated", "lower-bound-chebyshev", "sparsity",
+            "fourier"])
+    def test_blocks_of_one_size_print_the_same_bytes(self, argv, scans, table, capsys, monkeypatch):
+        """With _BLOCK_DOUBLES at 2^6, at 1 and 2 workers, each command prints the bytes it prints at 2^16,
+        and every scan it runs takes blocks of at most 2^6 doubles, or of one item where an item is wider."""
+        argv = [arg.format(table=table) for arg in argv]
+        assert run_main(argv) == 0
+        want = capsys.readouterr().out
+        blocks = self.spy(monkeypatch)
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", self.BLOCK)
+        for workers in (1, 2):
+            monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+            assert run_main(argv) == 0
+            assert capsys.readouterr().out == want
+        assert {scan for scan, _, _ in blocks} == scans
+        assert [b for b in blocks if b[1] > max(1, self.BLOCK // b[2])] == []

@@ -297,6 +297,33 @@ def assert_matches_unblocked(table):
     assert not np.shares_memory(out, table)
 
 
+class TestBlocks:
+    """_blocks, the one walk of every blocked scan: consecutive slices of range(count), in order."""
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 64, 100, 1000])
+    @pytest.mark.parametrize(("width", "budget"), [(0, 64), (1, 64), (3, 64), (64, 64), (65, 64), (1000, 64),
+                                                   (7, 1), (1, None), (40, None), (70_000, None)])
+    def test_slices_partition_the_range(self, count, width, budget):
+        """The slices cover range(count) in order, each within max(1, budget // width) items; a width above
+        the budget gives one item per slice, and a width of 0 counts as 1."""
+        limit = max(1, (cube_fourier._BLOCK_DOUBLES if budget is None else budget) // max(1, width))
+        slices = list(cube_fourier._blocks(count, width, budget))
+        assert [i for s in slices for i in range(count)[s]] == list(range(count))
+        assert all(s.step is None and 1 <= s.stop - s.start <= limit for s in slices)
+        assert [s.stop - s.start for s in slices[:-1]] == [limit] * (len(slices) - 1)  # only the last is short
+        if width > (cube_fourier._BLOCK_DOUBLES if budget is None else budget):
+            assert all(s.stop - s.start == 1 for s in slices)
+        if width == 0:
+            assert slices == list(cube_fourier._blocks(count, 1, budget))
+
+    def test_the_default_budget_is_read_at_each_call(self, monkeypatch):
+        """A patched _BLOCK_DOUBLES reaches the walker: the default is not fixed at import."""
+        assert len(list(cube_fourier._blocks(100, 1))) == 1
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 8)
+        assert [(s.start, s.stop) for s in cube_fourier._blocks(20, 2)] == [(0, 4), (4, 8), (8, 12), (12, 16),
+                                                                              (16, 20)]
+
+
 class TestBlockedButterfly:
     @pytest.mark.parametrize("shape", [(1 << 17,), (1 << 16, 3), (1 << 12, 40), (2, 1 << 17)])
     def test_matches_unblocked_passes_at_the_block_size(self, shape):

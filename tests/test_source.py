@@ -29,16 +29,30 @@ def test_no_assert_statements():
 
 
 def test_transform_and_record_format_have_one_owner():
-    """Only cube_fourier names the butterfly, its blocking and the binary record header."""
-    owned = {"_walsh_butterfly", "_radix2_passes", "_BLOCK_DOUBLES", "_HEADER"}
-    found = []
+    """Only cube_fourier names the butterfly, its blocking, the character parity and the binary record header;
+    the one blocked walk is cube_fourier._blocks, and the one other block size the instance's column block."""
+    owned = {"_walsh_butterfly", "_radix2_passes", "_BLOCK_DOUBLES", "_HEADER", "bitwise_and"}
+    found, walks, sizes = [], [], []
     for path in SOURCES:
-        if path.name == "cube_fourier.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
-            found += [f"{path.name}:{getattr(node, 'lineno', '?')}:{name}" for name in names & owned]
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        # the innermost function around each node; functions come outer first, so an inner one overwrites
+        owner = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            # a range with a computed step: a walk in steps of a block
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range" and len(node.args) == 3
+                    and not isinstance(node.args[2], ast.Constant)):
+                walks.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                sizes += [f"{path.name}:{t.id}" for t in targets
+                          if isinstance(t, ast.Name) and t.id.endswith("_DOUBLES") and path.name != "cube_fourier.py"]
+            if path.name != "cube_fourier.py":
+                names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+                found += [f"{path.name}:{getattr(node, 'lineno', '?')}:{name}" for name in names & owned]
     assert found == []
+    assert walks == ["cube_fourier.py:_blocks"]
+    assert sizes == ["lower_bound.py:_COLUMN_BLOCK_DOUBLES"]
 
 
 def test_each_limit_has_one_home():

@@ -20,7 +20,7 @@ from pisier_lab import (
     sandwich_validate,
     young_bound_check,
 )
-from pisier_lab import vector_field
+from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import spectrum_support
 from pisier_lab.lower_bound import WITNESS_VARIANTS, build_truncated_witness, build_witness
 
@@ -144,7 +144,7 @@ class TestRowBlocks:
     def test_lp_rows_equal_the_whole_table_norm(self, p, m, layout):
         """Bit for bit on a C-contiguous table, the layout of every table a run measures.  On a strided
         one numpy picks its reduction order from the operand's shape, which a one-row block changes."""
-        k = max(2, 3 * vector_field._SUP_CHUNK_DOUBLES // m + 7)  # several blocks and a partial one
+        k = max(2, 3 * cube_fourier._BLOCK_DOUBLES // m + 7)  # several blocks and a partial one
         rng = np.random.default_rng(m)
         rows = rng.standard_normal((k, m)) if layout == "c-order" else rng.standard_normal((m, k)).T
         got, want = Norm.lp(p).evaluate_rows(rows), np.linalg.norm(rows, ord=p, axis=1)
@@ -152,6 +152,26 @@ class TestRowBlocks:
             assert got.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(("p", "rows"), [
+        (1000.0, np.full((1, 64), 0.125)),  # 0.125^1000 underflows: the norm would read 0
+        (1000.0, np.full((3, 4), 3.0)),  # 3^1000 overflows: the norm would read inf
+        (128.0, np.array([[0.0, 0.0], [1.0, 300.0]])),  # a zero row beside an overflowing one
+        (2.0, np.array([[1e200, 1.0]])),  # x * x overflows
+        (2.0, np.array([[1e-200, 0.0]])),  # x * x underflows
+    ], ids=["l1000-underflow", "l1000-overflow", "l128-beside-a-zero-row", "l2-overflow", "l2-underflow"])
+    def test_an_lp_norm_out_of_double_range_is_an_error(self, p, rows):
+        """A finite row whose |x|^p leaves double range raises, naming the norm, with no numpy warning."""
+        norm = Norm.lp(p)
+        with pytest.raises(ValueError, match=rf"^{norm.name} leaves double range on a finite row"):
+            norm.evaluate_rows(rows)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1000.0, math.inf])
+    def test_zero_and_non_finite_rows_keep_their_norms(self, p):
+        """A zero row's norm is 0, a row with inf or NaN keeps the inf or NaN: no range error."""
+        rows = np.array([[0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [0.5, 0.5]])
+        got = Norm.lp(p).evaluate_rows(rows)
+        assert got[0] == 0.0 and got[1] == math.inf and math.isnan(got[2]) and 0.5 <= got[3] <= 1.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_lp_rows_need_no_table_sized_temporary(self, p):
@@ -463,8 +483,8 @@ class TestSandwich:
         norm.evaluate_rows = lambda points: shapes.append(points.shape) or original(points)
         sandwich_validate(norm, m)
         assert shapes[0] == (2, m) and sum(rows for rows, _ in shapes) == 2 * m + 2
-        assert all(width == m and rows * m <= vector_field._SUP_CHUNK_DOUBLES for rows, width in shapes[1:])
-        assert len(shapes) == 1 + math.ceil(m / (vector_field._SUP_CHUNK_DOUBLES // (2 * m)))
+        assert all(width == m and rows * m <= cube_fourier._BLOCK_DOUBLES for rows, width in shapes[1:])
+        assert len(shapes) == 1 + math.ceil(m / (cube_fourier._BLOCK_DOUBLES // (2 * m)))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("m", [1, 7, 300])
