@@ -154,7 +154,8 @@ def build_witness(n: int, variant: str) -> CubeFunction:
     return (build_truncated_witness, build_chebyshev_witness)[_variant_index(variant)](n)
 
 
-def _embedding_check(values: np.ndarray, masks: np.ndarray, coeffs: np.ndarray, worst=(-1.0, 0, 0)) -> tuple:
+def _embedding_check(values: np.ndarray, masks: np.ndarray, coeffs: np.ndarray,
+                     worst: tuple[float, int, int]) -> tuple[float, int, int]:
     """worst, (|values[x, j] - Fhat(S_j) chi_{S_j}(x)|, x, S_j), carried over a column block a row block at a time:
     an entry replaces worst unless worst is NaN or the entry is <= it, so the first worst entry wins, and a NaN."""
     for rows in _blocks(values.shape[0], masks.size):

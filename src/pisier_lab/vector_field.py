@@ -113,7 +113,7 @@ class Norm:
         """Norms of the rows of a (k, m) matrix, a row block at a time, so no temporary grows with k.
 
         Each row is reduced alone, so on a C-contiguous matrix every norm has the bits of one whole-matrix
-        np.linalg.norm; an lp norm whose |x|^p leaves double range on a finite row raises ValueError.
+        np.linalg.norm; a finite row whose sum of |x|^p is not a normal double is measured by scaling instead.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
@@ -130,12 +130,14 @@ class Norm:
         return out
 
     def _lp_rows(self, block: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflow is caught below, as a norm that is not finite
+        floor = np.finfo(np.float64).tiny ** (1.0 / self.p)  # below it, the sum of |x|^p is not a normal double
+        with np.errstate(over="ignore"):  # a row whose sum overflows, or falls below floor, is measured again
             norms = np.linalg.norm(block, ord=self.p, axis=1)
-        # the k norms carry the test, so the block is read again only when one is inf, NaN or 0
-        if not (norms.min() > 0.0 and np.isfinite(norms.max())) and np.any(
-                (np.isfinite(block).all(axis=1) & ~np.isfinite(norms)) | (block.any(axis=1) & (norms == 0.0))):
-            raise ValueError(f"{self.name} leaves double range on a finite row: |x|^p overflows or underflows")
+            if self.p < math.inf and not (norms.min() >= floor and norms.max() < math.inf):  # the k norms test it
+                peaks = np.abs(block).max(axis=1, initial=0.0)  # NaN on a row with a NaN
+                redo = ((norms < floor) | (norms == math.inf)) & (peaks > 0.0) & (peaks < math.inf)
+                # max|x| * ||x / max|x|||_p: the scaled row's sum lies in [1, m]
+                norms[redo] = peaks[redo] * np.linalg.norm(block[redo] / peaks[redo, None], ord=self.p, axis=1)
         return norms
 
     def _sup_functional_rows(self, block: np.ndarray) -> np.ndarray:
@@ -154,9 +156,7 @@ class Norm:
 
 def _gate_points(m: int):
     """The gate's unit vectors: +-ones/sqrt(m), then +-e_1 .. +-e_m a row block at a time, never a (2m, m) table."""
-    flat = np.full((2, m), 1.0 / math.sqrt(m))
-    flat[1] *= -1.0
-    yield flat
+    yield np.outer([1.0, -1.0], np.full(m, 1.0 / math.sqrt(m)))
     for rows in _blocks(m, 2 * m):
         basis = np.arange(rows.start, rows.stop)
         block = np.zeros((2 * basis.size, m))  # e_j for j in the block, then -e_j

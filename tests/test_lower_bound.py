@@ -454,7 +454,7 @@ class TestStructuralVerification:
         coeffs = instance.witness.spectrum[family]
         tracemalloc.start()
         try:
-            lower_bound._embedding_check(values, family, coeffs)
+            lower_bound._embedding_check(values, family, coeffs, (-1.0, 0, 0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -153,18 +153,21 @@ class TestRowBlocks:
         else:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize(("p", "rows"), [
-        (1000.0, np.full((1, 64), 0.125)),  # 0.125^1000 underflows: the norm would read 0
-        (1000.0, np.full((3, 4), 3.0)),  # 3^1000 overflows: the norm would read inf
-        (128.0, np.array([[0.0, 0.0], [1.0, 300.0]])),  # a zero row beside an overflowing one
-        (2.0, np.array([[1e200, 1.0]])),  # x * x overflows
-        (2.0, np.array([[1e-200, 0.0]])),  # x * x underflows
-    ], ids=["l1000-underflow", "l1000-overflow", "l128-beside-a-zero-row", "l2-overflow", "l2-underflow"])
-    def test_an_lp_norm_out_of_double_range_is_an_error(self, p, rows):
-        """A finite row whose |x|^p leaves double range raises, naming the norm, with no numpy warning."""
-        norm = Norm.lp(p)
-        with pytest.raises(ValueError, match=rf"^{norm.name} leaves double range on a finite row"):
-            norm.evaluate_rows(rows)
+    @pytest.mark.parametrize(("p", "rows", "want"), [
+        (1000.0, np.full((1, 64), 0.125), [0.125 * 64 ** 0.001]),  # 0.125^1000 underflows: unscaled, the norm reads 0
+        (1000.0, np.full((3, 4), 3.0), [3.0 * 4 ** 0.001] * 3),  # 3^1000 overflows: unscaled, the norm reads inf
+        (128.0, np.array([[0.0, 0.0], [1.0, 300.0]]), [0.0, 300.0]),  # a zero row beside an overflowing one
+        (32.0, np.array([[1e-16, -3e-16]]), [3e-16]),  # rounding noise: (1e-16)^32 underflows
+        (2.0, np.array([[1e200, 1.0]]), [1e200]),  # x * x overflows
+        (2.0, np.array([[1e-200, 0.0]]), [1e-200]),  # x * x underflows
+    ], ids=["l1000-underflow", "l1000-overflow", "l128-beside-a-zero-row", "l32-noise", "l2-overflow", "l2-underflow"])
+    def test_an_lp_norm_out_of_double_range_is_measured_by_scaling(self, p, rows, want):
+        """A finite row whose sum of |x|^p leaves double range is measured as max|x| * ||x / max|x|||_p, with no
+        numpy warning, and a row in range beside it keeps the bits of the unscaled norm."""
+        in_range = np.array([0.5, -0.75] + [0.0] * (rows.shape[1] - 2))
+        got = Norm.lp(p).evaluate_rows(np.vstack([rows, in_range]))
+        np.testing.assert_allclose(got[:-1], want, rtol=1e-15, atol=0.0)
+        assert got[-1].tobytes() == np.linalg.norm(in_range, ord=p).tobytes()
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1000.0, math.inf])
     def test_zero_and_non_finite_rows_keep_their_norms(self, p):
