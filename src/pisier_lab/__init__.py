@@ -8,7 +8,6 @@ explicit bounded witnesses that force the projection to blow up.
 
 from .cube_fourier import (
     CubeFunction,
-    character_values,
     convolve,
     from_bytes,
     fwht,
@@ -67,7 +66,6 @@ __all__ = [
     "build_chebyshev_witness",
     "build_product_witness",
     "build_truncated_witness",
-    "character_values",
     "choose_ell",
     "convolve",
     "decomposition_audit",

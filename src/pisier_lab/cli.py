@@ -23,7 +23,6 @@ from . import cube_fourier, linear_proxy, lower_bound, pisier_bench, vector_fiel
 from .cube_fourier import MAX_DIM
 from .linear_proxy import MAX_ELL
 from .lower_bound import MAX_RECORD_DIM, WITNESS_VARIANTS
-from .pisier_bench import MAX_AUDIT_DIM
 from .report import BoundReport
 
 PROXY_SWEEP_FIELDS = (
@@ -120,7 +119,7 @@ def proxy_check_payload(ell: int, n: int) -> dict[str, Any]:
 
 def audit_payload(n: int, m: int, ell: int | None, norm: str, seed: int) -> dict[str, Any]:
     """Check the preconditions, then audit the seeded instance: audit and each audit sweep row."""
-    cube_fourier._check_dim(n, MAX_AUDIT_DIM)  # the library's checks, called before the table is drawn
+    cube_fourier._check_dim(n)  # the library's checks, called before the table is drawn
     _require(m >= 1, f"--m must be positive, got {m}")
     _require((1 << n) * m <= 1 << MAX_DIM,
              f"--n {n} --m {m} asks for a 2^{n} x {m} table; 2^n * m is capped at 2^{MAX_DIM} doubles")
@@ -295,7 +294,7 @@ def _proxy_check_flags(p: argparse.ArgumentParser, grid: bool) -> None:
 
 
 def _audit_flags(p: argparse.ArgumentParser, grid: bool) -> None:
-    _axis(p, "--n", int, f"cube dimension in 1..{MAX_AUDIT_DIM}", grid, required=True)
+    _axis(p, "--n", int, f"cube dimension in 1..{MAX_DIM}, under the table cap of --m", grid, required=True)
     _axis(p, "--m", int, f"target dimension; the 2**n x m table is capped at 2**n * m <= 2**{MAX_DIM}, the "
                          f"sandwich gate's 2m + 2 rows of m at (2m + 2) * m <= 2**{MAX_DIM}", grid, required=True)
     _axis(p, "--ell", int, f"odd proxy parameter in 1..{MAX_ELL} (default: smallest odd > log2(m)/2)", grid,

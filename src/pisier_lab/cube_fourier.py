@@ -25,7 +25,7 @@ from .report import ResourceLimitError
 MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
 # Doubles per cache block, 512 KB, so a block and its scratch partner fit a 2 MiB L2: through _blocks, the size of
-# the butterfly's strips, every norm's row blocks, the gate's basis rows, the embedding check and the sparsity count.
+# every blocked scan's step, from the butterfly's strips to the projection's points and the sparsity count.
 _BLOCK_DOUBLES = 1 << 16
 
 # Threads per butterfly phase, at most: the CPUs this process may run on, so taskset or a
@@ -206,17 +206,11 @@ def inverse_fwht_rows(spectra: np.ndarray) -> np.ndarray:
     return _walsh_butterfly(np.asarray(spectra).T).T
 
 
-def character_values(n: int, s_masks) -> np.ndarray:
-    """Value table of chi_S over the whole cube; an array of masks gives one column per mask."""
-    _check_dim(n)
-    return 1.0 - 2.0 * _odd_parity(slice(0, 1 << n), s_masks)
-
-
 def level_multiply(spec, c) -> np.ndarray:
-    """spec[S] * c[|S|] along axis 0, for a 2^n spectrum or a (2^n, m) spectrum table.
+    """spec[S] * c[|S|] along axis 0, for a 2^n spectrum or a (2^n, m) spectrum table, into a new table.
 
     Convolving with a function whose coefficients depend only on the level,
-    such as L, the proxy P or L - P, is exactly this operator.
+    such as L, the proxy P or L - P, is exactly this operator, run a cache block of rows at a time.
     """
     spec = np.asarray(spec, dtype=np.float64)
     size = spec.shape[0] if spec.ndim else 0
@@ -225,8 +219,11 @@ def level_multiply(spec, c) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (n + 1,):
         raise ValueError(f"need one multiplier per level 0..{n}, got shape {c.shape}")
-    factor = c[subset_levels(n)]
-    return spec * factor.reshape(factor.shape + (1,) * (spec.ndim - 1))
+    out = np.empty(spec.shape)
+    for rows in _blocks(size, spec.size // size):
+        factor = c[popcount(np.arange(rows.start, rows.stop, dtype=np.uint32))]
+        np.multiply(spec[rows], factor.reshape(factor.shape + (1,) * (spec.ndim - 1)), out=out[rows])
+    return out
 
 
 class CubeFunction:

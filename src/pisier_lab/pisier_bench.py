@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import _check_dim, inverse_fwht, level_multiply
+from .cube_fourier import MAX_DIM, _check_dim, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
 from .vector_field import (
@@ -27,8 +27,6 @@ from .vector_field import (
     rademacher_projection,
     sandwich_validate,
 )
-
-MAX_AUDIT_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
 
     Rejects the norm's sandwich on R^m up front, a ValueError, if it does not validate.
     """
-    _check_dim(f.n, MAX_SUP_FUNCTIONAL_DIM if norm.kind == "sup_functional" else MAX_AUDIT_DIM)
+    _check_dim(f.n, MAX_SUP_FUNCTIONAL_DIM if norm.kind == "sup_functional" else MAX_DIM)
     gate = sandwich_validate(norm, f.m)
     if not gate.holds:
         raise ValueError(

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cube_fourier import CubeFunction, _blocks, _check_dim, character_values, inverse_fwht
+from .cube_fourier import CubeFunction, _blocks, _check_dim, _odd_parity, inverse_fwht
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
 from .report import BoundReport, check
 
@@ -50,14 +50,17 @@ class Norm:
                 raise ValueError(f"lp norms need p >= 1, got {p}")
         elif kind == "sup_functional":
             _check_dim(n_dual)
-            family = np.asarray(family, dtype=np.int64)
+            family = np.asarray(family, dtype=object)  # the entries as given: no cast hides a bool, a float or a list
             if family.size == 0:
                 raise ValueError("subset family is empty")
+            if family.ndim != 1 or any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in family):
+                raise ValueError("subset family must be a 1-D sequence of integer bitmasks, not bools or floats")
             if family.size > 1 and not np.all(family[1:] > family[:-1]):
                 # silent reordering would reinterpret coefficient vectors
                 raise ValueError("subset family must be strictly ascending by bitmask")
             if family.min() < 0 or family.max() >= (1 << n_dual):
                 raise ValueError(f"subset family has masks out of range for n_dual={n_dual}")
+            family = family.astype(np.int64)
             family.flags.writeable = False
             p, n_dual = None, int(n_dual)
         else:
@@ -184,10 +187,13 @@ def sandwich_validate(norm: Norm, m: int) -> BoundReport:
 
 
 def rademacher_projection(f: VectorFunction) -> VectorFunction:
-    """lin f(x) = sum_j fhat({j}) x_j, formed as a (2^n, n) by (n, m) product with no transform."""
+    """lin f(x) = sum_j fhat({j}) x_j with no transform: a (k, n) by (n, m) product for each cache block of k
+    points, its widest row max(n, m) doubles, written straight into the one (2^n, m) table."""
     singletons = 1 << np.arange(f.n)
-    coordinates = character_values(f.n, singletons)  # column j is x_j
-    table = coordinates @ f.spectrum[singletons]
+    coeffs = f.spectrum[singletons]
+    table = np.empty(f.shape)
+    for rows in _blocks(f.size, max(f.n, f.m)):  # column j of the block's coordinates is x_j
+        np.matmul(1.0 - 2.0 * _odd_parity(rows, singletons), coeffs, out=table[rows])
     table.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
     return VectorFunction.from_values(f.n, table)
 

@@ -17,6 +17,28 @@ def character_eval(s_mask: int, x_mask: int) -> int:
     return -1 if (s_mask & x_mask).bit_count() & 1 else 1
 
 
+def character_table(n: int, s_masks) -> np.ndarray:
+    """chi_S(x) over the whole cube, a column per mask of an array (one column for one mask): the parity of
+    x & S summed a bit at a time, with no popcount."""
+    _check_dim(n)
+    common = np.bitwise_and.outer(np.arange(1 << n), np.asarray(s_masks))
+    return 1.0 - 2.0 * (sum((common >> j) & 1 for j in range(n)) & 1)
+
+
+def rademacher_projection_whole(spectrum: np.ndarray) -> np.ndarray:
+    """lin f from f's (2^n, m) spectrum as one (2^n, n) by (n, m) product: the whole-table formula."""
+    n = spectrum.shape[0].bit_length() - 1
+    singletons = 1 << np.arange(n)
+    return character_table(n, singletons) @ spectrum[singletons]
+
+
+def level_multiply_whole(spec, c) -> np.ndarray:
+    """spec[S] * c[|S|] along axis 0 through one whole-cube table of levels: the whole-table formula."""
+    spec = np.asarray(spec, dtype=np.float64)
+    factor = np.asarray(c, dtype=np.float64)[subset_levels(spec.shape[0].bit_length() - 1)]
+    return spec * factor.reshape(factor.shape + (1,) * (spec.ndim - 1))
+
+
 def constant_function(n: int, c: float) -> CubeFunction:
     """The constant c: the spectrum c at the empty set and zero elsewhere."""
     _check_dim(n)

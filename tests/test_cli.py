@@ -16,7 +16,6 @@ from pisier_lab import cli, cube_fourier, linear_proxy, lower_bound, pisier_benc
 from pisier_lab.cube_fourier import MAX_DIM
 from pisier_lab.linear_proxy import MAX_ELL
 from pisier_lab.lower_bound import MAX_RECORD_DIM
-from pisier_lab.pisier_bench import MAX_AUDIT_DIM
 from pisier_lab.report import TOLERANCES
 
 from oracles import constant_function
@@ -454,7 +453,7 @@ CAPPED_FLAGS = [
     (["proxy-check", "--n", "3", "--ell"], MAX_ELL),
     (["proxy-check", "--ell", "1", "--n"], MAX_DIM),
     (["audit", "--n", "4", "--m", "1", "--ell"], MAX_ELL),
-    (["audit", "--m", "1", "--n"], MAX_AUDIT_DIM),
+    (["audit", "--m", "1", "--n"], MAX_DIM),
     (["lower-bound", "--n"], MAX_RECORD_DIM),
     (["sparsity", "--n"], MAX_RECORD_DIM),
 ]
@@ -493,12 +492,12 @@ def _no_norm(name):
 
 # Audit sweep tables, byte for byte: the norm cell is the --norm flag, which is the audit object's norm name.
 AUDIT_SWEEP_TABLES = [
-    (["--n", "3,17", "--m", "2", "--norm", "l3", "--seed", "0,1"], """\
+    (["--n", "3,25", "--m", "2", "--norm", "l3", "--seed", "0,1"], """\
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
 audit,3,2,1,l3,0,1.6014309329120553,3.4306789128084056,0.46679708990926805,12.489848193237492,41.247227887805977,ok,
 audit,3,2,1,l3,1,1.6495760255926657,2.2733760502191802,0.72560631816000132,12.489848193237492,26.744545727786747,ok,
-audit,17,2,,l3,0,,,,,,error,dimension 17 exceeds the cap 16
-audit,17,2,,l3,1,,,,,,error,dimension 17 exceeds the cap 16
+audit,25,2,,l3,0,,,,,,error,dimension 25 exceeds the cap 24
+audit,25,2,,l3,1,,,,,,error,dimension 25 exceeds the cap 24
 """),
     (["--n", "3", "--m", "2,3", "--ell", "3", "--norm", "l1"], """\
 kind,n,m,ell,norm,seed,lhs,rhs_raw,ratio,derived_constant,slack,status,error
@@ -772,7 +771,7 @@ class TestSweep:
 # the library call that owns the rule, with the arguments that break it.
 BROKEN_LIBRARY_RULES = [
     *((command, [*flags, "--n", str(n)], cube_fourier._check_dim, (n, cap))
-      for command, flags, cap in [("proxy-check", ["--ell", "3"], MAX_DIM), ("audit", ["--m", "2"], MAX_AUDIT_DIM),
+      for command, flags, cap in [("proxy-check", ["--ell", "3"], MAX_DIM), ("audit", ["--m", "2"], MAX_DIM),
                                   ("lower-bound", [], MAX_RECORD_DIM), ("sparsity", [], MAX_RECORD_DIM)]
       for n in (0, cap + 1)),
     *((command, [*flags, "--ell", str(ell)], linear_proxy._check_ell, (ell,))
@@ -801,7 +800,7 @@ class TestLibraryRules:
         assert [(row["status"], row["error"]) for row in rows] == [("error", message)]
         assert captured.err == f"error: {ALL_ERRORS}\n"
 
-    @pytest.mark.parametrize("flags", [["--n", str(MAX_AUDIT_DIM + 1), "--m", "2"],
+    @pytest.mark.parametrize("flags", [["--n", str(MAX_DIM + 1), "--m", "2"],
                                        ["--n", "4", "--m", "2", "--ell", "2"]], ids=["n-above-cap", "even-ell"])
     def test_an_audit_fails_before_it_draws(self, monkeypatch, flags):
         def draw(n, m, seed):
@@ -947,6 +946,9 @@ class TestConsoleScript:
         assert proc.returncode == 2
 
 
+AUDIT_SCANS = {"norm rows", "gate", "projection rows", "level rows"}
+
+
 class TestOneBlockSize:
     """cube_fourier._BLOCK_DOUBLES sizes every blocked scan, and no block size changes an output."""
 
@@ -961,11 +963,12 @@ class TestOneBlockSize:
 
     @staticmethod
     def spy(monkeypatch):
-        """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the embedding
-        check and the sparsity count take."""
+        """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the projection's and
+        the level multiplier's rows, the embedding check and the sparsity count take."""
         blocks = []
         lp_rows, sup_rows, gate_points = Norm._lp_rows, Norm._sup_functional_rows, vector_field._gate_points
-        odd_parity, above = lower_bound._odd_parity, lower_bound._above
+        odd_parity, above, walk = lower_bound._odd_parity, lower_bound._above, cube_fourier._blocks
+        walkers = {"rademacher_projection": "projection rows", "level_multiply": "level rows"}
 
         def spied_lp(norm, block):
             blocks.append(("norm rows", block.shape[0], block.shape[1]))
@@ -990,17 +993,26 @@ class TestOneBlockSize:
             blocks.append(("sparsity count", spec.size, 1))
             return above(spec, threshold)
 
+        def spied_walk(count, width, budget=None):
+            scan = walkers.get(sys._getframe(1).f_code.co_name)  # the function that takes the walk
+            for block in walk(count, width, budget):
+                if scan:
+                    blocks.append((scan, block.stop - block.start, width))
+                yield block
+
         monkeypatch.setattr(Norm, "_lp_rows", spied_lp)
         monkeypatch.setattr(Norm, "_sup_functional_rows", spied_sup)
         monkeypatch.setattr(vector_field, "_gate_points", spied_gate)
         monkeypatch.setattr(lower_bound, "_odd_parity", spied_parity)
         monkeypatch.setattr(lower_bound, "_above", spied_above)
+        monkeypatch.setattr(cube_fourier, "_blocks", spied_walk)
+        monkeypatch.setattr(vector_field, "_blocks", spied_walk)
         return blocks
 
     @pytest.mark.parametrize(("argv", "scans"), [
-        (["audit", "--n", "8", "--m", "4", "--norm", "l2"], {"norm rows", "gate"}),
-        (["audit", "--n", "8", "--m", "4", "--norm", "l3"], {"norm rows", "gate"}),
-        (["audit", "--n", "8", "--m", "4", "--norm", "linf"], {"norm rows", "gate"}),
+        (["audit", "--n", "8", "--m", "4", "--norm", "l2"], AUDIT_SCANS),
+        (["audit", "--n", "8", "--m", "4", "--norm", "l3"], AUDIT_SCANS),
+        (["audit", "--n", "8", "--m", "4", "--norm", "linf"], AUDIT_SCANS),
         (["lower-bound", "--n", "9", "--variant", "truncated"], {"norm rows", "embedding check"}),
         (["lower-bound", "--n", "9", "--variant", "chebyshev"], {"norm rows", "embedding check"}),
         (["sparsity", "--input", "{table}"], {"sparsity count"}),

@@ -15,7 +15,6 @@ import pytest
 from pisier_lab import (
     CubeFunction,
     ResourceLimitError,
-    character_values,
     convolve,
     from_bytes,
     fwht,
@@ -31,7 +30,7 @@ from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import inverse_fwht_rows, popcount, spectrum_support
 from pisier_lab.lower_bound import build_truncated_witness
 
-from oracles import character_eval, constant_function, linear_function, walsh_butterfly_unblocked
+from oracles import character_eval, character_table, constant_function, linear_function, walsh_butterfly_unblocked
 
 
 def naive_spectrum(values):
@@ -61,7 +60,7 @@ class TestFwht:
         assert np.all(spec[1:] == 0.0)
 
     def test_single_character(self):
-        vals = character_values(3, 0b011)
+        vals = character_table(3, 0b011)
         spec = fwht(vals)
         expected = np.zeros(8)
         expected[0b011] = 1.0
@@ -580,7 +579,7 @@ class TestCubeFunction:
             CubeFunction.from_values(True, [1.0, 2.0])
 
     def test_takes_exactly_one_table(self):
-        vals = character_values(3, 0b101)
+        vals = character_table(3, 0b101)
         spec = np.zeros(8)
         spec[0b101] = 1.0
         for tables in ({}, {"values": vals, "spectrum": spec}):

@@ -15,7 +15,6 @@ from pisier_lab import (
     build_chebyshev_witness,
     build_product_witness,
     build_truncated_witness,
-    character_values,
     decomposition_audit,
     fwht,
     lower_bound_instance,
@@ -33,11 +32,10 @@ from pisier_lab import (
 from pisier_lab import cli, cube_fourier, lower_bound
 from pisier_lab.cube_fourier import MAX_DIM, popcount
 from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS
-from pisier_lab.pisier_bench import MAX_AUDIT_DIM
 from pisier_lab.report import TOLERANCES
 from pisier_lab.vector_field import MAX_SUP_FUNCTIONAL_DIM
 
-from oracles import constant_function
+from oracles import character_table, constant_function
 
 
 def product_witness_values_oracle(n):
@@ -65,11 +63,10 @@ DIMENSION_CAPS = {
     "build_truncated_witness": (build_truncated_witness, MAX_RECORD_DIM),
     "build_chebyshev_witness": (build_chebyshev_witness, MAX_RECORD_DIM),
     "lower_bound_instance": (lower_bound_instance, MAX_INSTANCE_DIM),
-    "audit-lp": (lambda n: zero_audit(n, Norm.lp(2)), MAX_AUDIT_DIM),
+    "audit-lp": (lambda n: zero_audit(n, Norm.lp(2)), MAX_DIM),
     "audit-sup_functional": (lambda n: zero_audit(n, Norm.sup_functional(1, [0])), MAX_SUP_FUNCTIONAL_DIM),
     "Norm.sup_functional": (lambda n: Norm.sup_functional(n, [0]), MAX_DIM),
     "CubeFunction": (lambda n: CubeFunction(n, spectrum=[1.0, 0.0]), MAX_DIM),
-    "character_values": (lambda n: character_values(n, [0]), MAX_DIM),
     "proxy_level_coeffs": (lambda n: proxy_level_coeffs(ProxyKernel(1), n), MAX_DIM),
     "proxy_eval_by_weight": (lambda n: proxy_eval_by_weight(ProxyKernel(1), n, 0), MAX_DIM),
     "proxy_l1": (lambda n: proxy_l1(ProxyKernel(1), n), MAX_DIM),
@@ -265,7 +262,7 @@ class TestInstance:
         instance = lower_bound_instance(6, "truncated")
         values = instance.vector.values_matrix()
         for idx, mask in enumerate(instance.family):
-            want = instance.witness.spectrum[mask] * character_values(6, mask)
+            want = instance.witness.spectrum[mask] * character_table(6, mask)
             assert np.array_equal(values[:, idx], want)
 
     def test_family_sorted_ascending(self):
@@ -505,7 +502,7 @@ class TestStructuralVerification:
 
 class TestSparsityRecord:
     def test_single_character(self):
-        f = CubeFunction.from_values(3, character_values(3, 0b001))
+        f = CubeFunction.from_values(3, character_table(3, 0b001))
         report = sparsity_inequality_check(f)
         assert report.params["sparsity"] == 1
         assert report.params["level1_sum"] == 1.0

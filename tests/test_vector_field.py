@@ -24,7 +24,13 @@ from pisier_lab import cube_fourier
 from pisier_lab.cube_fourier import spectrum_support
 from pisier_lab.lower_bound import WITNESS_VARIANTS, build_truncated_witness, build_witness
 
-from oracles import constant_function, linear_function, proxy_as_cube_function
+from oracles import (
+    constant_function,
+    level_multiply_whole,
+    linear_function,
+    proxy_as_cube_function,
+    rademacher_projection_whole,
+)
 
 
 def norm_of(norm, v):
@@ -267,6 +273,76 @@ class TestRademacherProjection:
             assert norm.mean_square(lin.values_matrix()) <= norm.mean_square(f.values_matrix()) + 1e-12
 
 
+class TestBlockedWalks:
+    """The projection and the level multiplier walk the cube a cache block of rows at a time: each has the bits
+    of its whole-table formula and holds no whole-cube temporary."""
+
+    SHAPES = [(16, 64), (12, 16), (16, 1), (5, 2895)]
+
+    @staticmethod
+    def case(n, m):
+        return random_vector(n, m, n + m), np.random.default_rng(m).standard_normal(n + 1)
+
+    @staticmethod
+    def assert_level_bits(f, c):
+        assert np.array_equal(level_multiply(f.spectrum, c), level_multiply_whole(f.spectrum, c))
+        assert np.array_equal(level_multiply(f.spectrum[:, 0], c), level_multiply_whole(f.spectrum[:, 0], c))
+
+    @staticmethod
+    def assert_projection_bits(f):
+        assert np.array_equal(rademacher_projection(f).values_matrix(), rademacher_projection_whole(f.spectrum))
+
+    @pytest.mark.parametrize(("n", "m"), SHAPES)
+    def test_bit_identical_to_the_whole_table(self, n, m):
+        f, c = self.case(n, m)
+        self.assert_level_bits(f, c)
+        self.assert_projection_bits(f)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(("n", "m"), SHAPES)
+    def test_small_blocks_keep_the_level_bits(self, monkeypatch, n, m, workers):
+        f, c = self.case(n, m)
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 6)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        self.assert_level_bits(f, c)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(("n", "m"), [(12, 16), (16, 1), (8, 4)])
+    def test_small_blocks_keep_the_projection_bits(self, monkeypatch, n, m, workers):
+        """Blocks of 2^6 doubles, four or eight rows here, keep the whole product's bits."""
+        f, _ = self.case(n, m)
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 6)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        self.assert_projection_bits(f)
+
+    @pytest.mark.parametrize(("n", "m"), [(16, 64), (5, 2895)])
+    def test_one_row_blocks_round_within_the_sum_bound(self, monkeypatch, n, m):
+        """At 2^6 doubles these blocks are one row, which numpy hands to BLAS's matrix-vector product: its
+        sums of +-fhat({j}) may run in another order, so each entry is held to the summation bound
+        n * eps * sum_j |fhat({j})| instead of to the bits."""
+        f, _ = self.case(n, m)
+        whole = rademacher_projection_whole(f.spectrum)
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 6)
+        bound = n * np.finfo(np.float64).eps * np.abs(f.spectrum[1 << np.arange(n)]).sum(axis=0)
+        assert np.all(np.abs(rademacher_projection(f).values_matrix() - whole) <= bound)
+
+    def test_peak_is_the_output_and_a_few_blocks(self):
+        """At n = 20, m = 1 each walk peaks under its 8 MB output plus four 512 KB blocks; a (2^20, 20)
+        coordinate table would be 160 MiB."""
+        f = random_vector(20, 1, 20)
+        walks = {"projection": lambda: rademacher_projection(f).values_matrix(),
+                 "level multiplier": lambda: level_multiply(f.spectrum, np.ones(21))}
+        for name, walk in walks.items():
+            tracemalloc.start()
+            try:
+                out = walk()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (1 << 20, 1)
+            assert peak <= out.nbytes + 4 * 8 * cube_fourier._BLOCK_DOUBLES, (name, peak - out.nbytes)
+
+
 class TestYoungBound:
     def test_constant_kernel(self):
         f = random_vector(6, 3, 9)
@@ -344,6 +420,20 @@ class TestSupFunctionalNorm:
         for n_dual, family in ((3, [1, 1, 2]), (2, [0, 4]), (3, [-1]), (3, [0b01, 0b01])):
             with pytest.raises(ValueError):
                 Norm.sup_functional(n_dual, family)
+
+    @pytest.mark.parametrize("family", [[1.5, 2.7], [True, 2], [[1, 2], [3, 4]], np.array([1.0, 2.0]),
+                                        np.array([True, False]), 3, ["1"]],
+                             ids=["floats", "a-bool", "nested", "float-array", "bool-array", "scalar", "string"])
+    def test_family_must_be_one_dimensional_integer_masks(self, family):
+        """A float, a bool or a nested family is rejected when the norm is built, as _check_dim rejects a bool:
+        no cast turns 1.5 or True into a mask, and no (2, 2) family passes as a norm on R^4."""
+        with pytest.raises(ValueError, match=r"^subset family must be a 1-D sequence of integer bitmasks"):
+            Norm.sup_functional(3, family)
+
+    def test_family_must_not_be_empty(self):
+        for family in ([], np.array([], dtype=np.int64), [[]]):
+            with pytest.raises(ValueError, match=r"^subset family is empty$"):
+                Norm.sup_functional(3, family)
 
     def test_family_must_be_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
