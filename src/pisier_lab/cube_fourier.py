@@ -323,6 +323,7 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
 
 def spectrum_support(f: CubeFunction) -> np.ndarray:
     """Ascending masks S with |fhat(S)| > SPARSITY_THRESHOLD: the support every count and family uses."""
+    _require_one_function(f)  # a (2^n, m) table's nonzero entries are no set of masks
     return _above(f.spectrum, SPARSITY_THRESHOLD)
 
 

@@ -97,9 +97,12 @@ def build_chebyshev_witness(n: int) -> CubeFunction:
 
 
 def truncation_tail_bound(n: int) -> float:
-    """Exact sum of binom(n, k) n^(-k/2) over the removed levels k > floor(3 sqrt(n))."""
-    cut = truncation_level(n)
-    return math.fsum(math.comb(n, k) * float(n) ** (-k / 2.0) for k in range(cut + 1, n + 1))
+    """Exact sum of binom(n, k) n^(-k/2) over the removed levels k > floor(3 sqrt(n)).  Each term is one correctly
+    rounded integer division, binom(n, k) / n^(k // 2) times the exact ratio p / q of the double n^(-1/2) at odd k:
+    no binomial is converted to a double, which overflows from n = 1030, and no power of n underflows."""
+    cut, (p, q) = truncation_level(n), (float(n) ** -0.5).as_integer_ratio()
+    return math.fsum(math.comb(n, k) * (p if k % 2 else 1) / (n ** (k // 2) * (q if k % 2 else 1))
+                     for k in range(cut + 1, n + 1))
 
 
 def truncation_tail_chain(n: int) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cube_fourier import CubeFunction, _blocks, _check_dim, _odd_parity, inverse_fwht
+from .cube_fourier import CubeFunction, _blocks, _check_dim, _require_one_function, inverse_fwht
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
 from .report import BoundReport, check
 
@@ -187,19 +187,19 @@ def sandwich_validate(norm: Norm, m: int) -> BoundReport:
 
 
 def rademacher_projection(f: VectorFunction) -> VectorFunction:
-    """lin f(x) = sum_j fhat({j}) x_j with no transform: a (k, n) by (n, m) product for each cache block of k
-    points, its widest row max(n, m) doubles, written straight into the one (2^n, m) table."""
-    singletons = 1 << np.arange(f.n)
-    coeffs = f.spectrum[singletons]
-    table = np.empty(f.shape)
-    for rows in _blocks(f.size, max(f.n, f.m)):  # column j of the block's coordinates is x_j
-        np.matmul(1.0 - 2.0 * _odd_parity(rows, singletons), coeffs, out=table[rows])
+    """lin f(x) = sum_j fhat({j}) x_j: the butterfly's passes on the spectrum fhat(S)[|S| = 1], less the additions
+    of zero rows, so each entry sums its terms in ascending j, as inverse_fwht does, into one table and no other."""
+    table = np.zeros(f.shape)  # row 0 holds the empty sum, 0.0; pass j fills rows 2^j .. 2^(j+1) - 1
+    for j in range(f.n):
+        np.subtract(table[: 1 << j], f.spectrum[1 << j], out=table[1 << j : 2 << j])
+        table[: 1 << j] += f.spectrum[1 << j]
     table.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
     return VectorFunction.from_values(f.n, table)
 
 
 def young_bound_check(f: VectorFunction, g: CubeFunction, norm: Norm) -> BoundReport:
     """Convolution contraction: msn(f * g) <= E|g| * msn(f) for any norm."""
+    _require_one_function(g)  # a (2^n, m) g would broadcast into a (2^n, 2^n, m) product
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
     lhs = norm.mean_square(inverse_fwht(f.spectrum * g.spectrum[:, None]))

@@ -26,10 +26,14 @@ def character_table(n: int, s_masks) -> np.ndarray:
 
 
 def rademacher_projection_whole(spectrum: np.ndarray) -> np.ndarray:
-    """lin f from f's (2^n, m) spectrum as one (2^n, n) by (n, m) product: the whole-table formula."""
+    """lin f from f's (2^n, m) spectrum as the sum of chi_{j}(x) fhat({j}) over the whole cube, in ascending j
+    from 0.0, with no matrix product: the whole-table formula."""
     n = spectrum.shape[0].bit_length() - 1
-    singletons = 1 << np.arange(n)
-    return character_table(n, singletons) @ spectrum[singletons]
+    characters = character_table(n, 1 << np.arange(n))
+    out = np.zeros(spectrum.shape)
+    for j in range(n):
+        out += characters[:, j, None] * spectrum[1 << j]
+    return out
 
 
 def level_multiply_whole(spec, c) -> np.ndarray:

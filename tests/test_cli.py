@@ -909,18 +909,22 @@ class TestConsoleScript:
         assert len(set(outputs)) == 1, argv
 
     def test_output_is_byte_identical_at_every_thread_count(self, capsys):
-        """The audit prints the same bytes in process and with numpy's BLAS on one thread or two."""
+        """The audit prints the same bytes in process and with numpy's BLAS on one thread or two, or on the
+        kernels of older CPUs: the package makes no BLAS call whose summation order could show."""
         import os
 
-        argv = ["audit", "--n", "14", "--m", "32"]
-        assert run_main(argv) == 0
-        outputs = [capsys.readouterr().out.encode()]
-        for threads in ("1", "2"):
-            env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, threads))
-            proc = subprocess.run([sys.executable, "-m", "pisier_lab.cli", *argv], capture_output=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert len(set(outputs)) == 1
+        cases = [(["audit", "--n", "14", "--m", "32"], [dict.fromkeys(BLAS_THREAD_VARS, t) for t in ("1", "2")]),
+                 (["audit", "--n", "8", "--m", "2895", "--norm", "l2"],
+                  [{"OPENBLAS_CORETYPE": core} for core in ("Nehalem", "Prescott")])]
+        for argv, settings in cases:
+            assert run_main(argv) == 0
+            outputs = [capsys.readouterr().out.encode()]
+            for setting in settings:
+                env = dict(os.environ, **setting)
+                proc = subprocess.run([sys.executable, "-m", "pisier_lab.cli", *argv], capture_output=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+            assert len(set(outputs)) == 1, (argv, settings)
 
     @pytest.mark.parametrize("patched", [False, True])
     def test_verdict_survives_python_optimize(self, patched):
@@ -946,7 +950,7 @@ class TestConsoleScript:
         assert proc.returncode == 2
 
 
-AUDIT_SCANS = {"norm rows", "gate", "projection rows", "level rows"}
+AUDIT_SCANS = {"norm rows", "gate", "level rows"}
 
 
 class TestOneBlockSize:
@@ -963,12 +967,12 @@ class TestOneBlockSize:
 
     @staticmethod
     def spy(monkeypatch):
-        """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the projection's and
-        the level multiplier's rows, the embedding check and the sparsity count take."""
+        """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the level multiplier's
+        rows, the embedding check and the sparsity count take."""
         blocks = []
         lp_rows, sup_rows, gate_points = Norm._lp_rows, Norm._sup_functional_rows, vector_field._gate_points
         odd_parity, above, walk = lower_bound._odd_parity, lower_bound._above, cube_fourier._blocks
-        walkers = {"rademacher_projection": "projection rows", "level_multiply": "level rows"}
+        walkers = {"level_multiply": "level rows"}
 
         def spied_lp(norm, block):
             blocks.append(("norm rows", block.shape[0], block.shape[1]))

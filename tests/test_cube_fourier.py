@@ -563,6 +563,14 @@ class TestSparsity:
         support = spectrum_support(CubeFunction.from_spectrum(3, spec))
         assert support.tolist() == [0b011, 0b110]
 
+    def test_a_table_of_functions_is_refused(self):
+        """The support is a set of masks: a (2^n, m) table, whose nonzero entries would count once per column,
+        is refused rather than read as [0 0 1 1 2 2 3 3]."""
+        f = CubeFunction.from_spectrum(2, np.ones((4, 2)))
+        for count in (spectrum_support, spectrum_sparsity):
+            with pytest.raises(ValueError, match=r"expected one function, a \(2\^n,\) table, got shape \(4, 2\)"):
+                count(f)
+
 
 class TestCubeFunction:
     def test_dimension_cap(self):

@@ -1,5 +1,6 @@
 """Witness constructions, truncation tails, instances, and the sparsity record."""
 
+import decimal
 import math
 import tracemalloc
 
@@ -181,6 +182,16 @@ class TestTruncationTail:
     def test_exact_value_at_n16(self):
         want = math.fsum(math.comb(16, k) * 16.0 ** (-k / 2) for k in range(13, 17))
         assert truncation_tail_bound(16) == want
+
+    @pytest.mark.parametrize("n", [1030, 2000])
+    def test_large_n_matches_a_decimal_reference(self, n):
+        """Past n = 1029 binom(n, k) leaves double range and n^(-k/2) underflows, yet each term is rounded once
+        from an exact rational: the sum stays within a few ulps of a 60-digit sum."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            root = decimal.Decimal(n).sqrt()
+            want = sum(decimal.Decimal(math.comb(n, k)) / root**k for k in range(truncation_level(n) + 1, n + 1))
+        assert truncation_tail_bound(n) == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [13, 16, 20])
     def test_chain_dominates_exact(self, n):

@@ -132,6 +132,35 @@ def test_the_package_reads_no_environment_variable():
     assert named == []
 
 
+def blas_calls(tree: ast.AST) -> list[int]:
+    """Lines of the tree that may call BLAS: @, matmul, dot, vdot, inner, tensordot, einsum, and any linalg name but
+    linalg.norm called with axis=, which reduces each row elementwise (without an axis, norm of a vector calls dot)."""
+    axis_norms = {id(node.func.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "norm"
+                  and getattr(node.func.value, "attr", None) == "linalg" and any(k.arg == "axis" for k in node.keywords)}
+    found = []
+    for node in ast.walk(tree):
+        name = next((n for n in (getattr(node, key, None) for key in ("id", "attr", "name", "module"))
+                     if isinstance(n, str)), "")
+        if (isinstance(getattr(node, "op", None), ast.MatMult)
+                or name in {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+                or ("linalg" in name.split(".") and id(node) not in axis_norms)):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_package_makes_no_blas_call():
+    """BLAS picks its summation order for each CPU kernel, so a BLAS call would make the bytes a command prints
+    depend on the machine; no module makes one."""
+    assert [f"{path.name}:{line}" for path in SOURCES
+            for line in blas_calls(ast.parse(path.read_text(), filename=str(path)))] == []
+    rejected = ["a @ b", "a @= b", "np.matmul(a, b, out=c)", "np.dot(a, b)", "a.dot(b)", "np.einsum('ij,jk', a, b)",
+                "np.linalg.norm(v)", "np.linalg.svd(a)", "from numpy.linalg import norm", "import numpy.linalg",
+                "from numpy import inner"]
+    assert [snippet for snippet in rejected if not blas_calls(ast.parse(snippet))] == []
+    assert blas_calls(ast.parse("np.linalg.norm(block, ord=p, axis=1)")) == []
+
+
 def test_only_the_seeded_instance_draws_random_numbers():
     """No check samples: np.random and default_rng appear, even in text, only in cli.random_vector_function."""
     tree = ast.parse(Path(cli.__file__).read_text())

@@ -222,7 +222,7 @@ class TestVectorConvolve:
         assert np.abs(left.values_matrix() - right.values_matrix()).max() < 1e-12
 
     def test_linear_function_gives_projection(self):
-        """The transform-free product for lin f agrees with convolving every column with L."""
+        """The transform-free passes for lin f agree with convolving every column with L."""
         for n, m in ((1, 1), (7, 2), (10, 5)):
             f = random_vector(n, m, 7 + n)
             spectra = f.spectrum
@@ -242,7 +242,7 @@ class TestVectorConvolve:
 
 class TestRademacherProjection:
     def test_adopts_its_product_table(self):
-        """lin f holds the product's own read-only table: the peak is one (2^n, m) table, not a copy besides."""
+        """lin f holds its passes' own read-only table: the peak is one (2^n, m) table, not a copy besides."""
         f = random_vector(10, 64, 3)
         f.spectrum
         tracemalloc.start()
@@ -272,10 +272,23 @@ class TestRademacherProjection:
             lin = rademacher_projection(f)
             assert norm.mean_square(lin.values_matrix()) <= norm.mean_square(f.values_matrix()) + 1e-12
 
+    @pytest.mark.parametrize(("n", "m"), [(1, 1), (1, 3), (2, 2), (3, 2), (8, 4), (10, 8), (12, 16), (14, 32),
+                                          (16, 64), (16, 1), (16, 2), (5, 2895), (8, 2895)])
+    def test_bit_identical_to_the_butterfly_route(self, monkeypatch, n, m):
+        """lin f has the bits of the inverse transform of the level-1 spectrum, at 1 and 2 butterfly workers, and
+        of the sum of the singleton characters in ascending j from 0.0: it runs the butterfly's own additions in
+        the butterfly's order, so no matrix product picks a summation order."""
+        f = random_vector(n, m, n + m)
+        want = rademacher_projection_whole(f.spectrum).tobytes()
+        for workers in (1, 2):
+            monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+            assert rademacher_projection(f).values_matrix().tobytes() == want
+            assert inverse_fwht(level_multiply(f.spectrum, keep_level(n, 1))).tobytes() == want
+
 
 class TestBlockedWalks:
-    """The projection and the level multiplier walk the cube a cache block of rows at a time: each has the bits
-    of its whole-table formula and holds no whole-cube temporary."""
+    """The level multiplier walks the cube a cache block of rows at a time, with the bits of its whole-table
+    formula; neither it nor the projection holds a whole-cube temporary."""
 
     SHAPES = [(16, 64), (12, 16), (16, 1), (5, 2895)]
 
@@ -288,15 +301,10 @@ class TestBlockedWalks:
         assert np.array_equal(level_multiply(f.spectrum, c), level_multiply_whole(f.spectrum, c))
         assert np.array_equal(level_multiply(f.spectrum[:, 0], c), level_multiply_whole(f.spectrum[:, 0], c))
 
-    @staticmethod
-    def assert_projection_bits(f):
-        assert np.array_equal(rademacher_projection(f).values_matrix(), rademacher_projection_whole(f.spectrum))
-
     @pytest.mark.parametrize(("n", "m"), SHAPES)
     def test_bit_identical_to_the_whole_table(self, n, m):
         f, c = self.case(n, m)
         self.assert_level_bits(f, c)
-        self.assert_projection_bits(f)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(("n", "m"), SHAPES)
@@ -305,26 +313,6 @@ class TestBlockedWalks:
         monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 6)
         monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
         self.assert_level_bits(f, c)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(("n", "m"), [(12, 16), (16, 1), (8, 4)])
-    def test_small_blocks_keep_the_projection_bits(self, monkeypatch, n, m, workers):
-        """Blocks of 2^6 doubles, four or eight rows here, keep the whole product's bits."""
-        f, _ = self.case(n, m)
-        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 6)
-        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
-        self.assert_projection_bits(f)
-
-    @pytest.mark.parametrize(("n", "m"), [(16, 64), (5, 2895)])
-    def test_one_row_blocks_round_within_the_sum_bound(self, monkeypatch, n, m):
-        """At 2^6 doubles these blocks are one row, which numpy hands to BLAS's matrix-vector product: its
-        sums of +-fhat({j}) may run in another order, so each entry is held to the summation bound
-        n * eps * sum_j |fhat({j})| instead of to the bits."""
-        f, _ = self.case(n, m)
-        whole = rademacher_projection_whole(f.spectrum)
-        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 1 << 6)
-        bound = n * np.finfo(np.float64).eps * np.abs(f.spectrum[1 << np.arange(n)]).sum(axis=0)
-        assert np.all(np.abs(rademacher_projection(f).values_matrix() - whole) <= bound)
 
     def test_peak_is_the_output_and_a_few_blocks(self):
         """At n = 20, m = 1 each walk peaks under its 8 MB output plus four 512 KB blocks; a (2^20, 20)
@@ -371,6 +359,19 @@ class TestYoungBound:
         report = young_bound_check(random_vector(4, 2, 12), constant_function(4, 1.0), Norm.lp(2))
         assert report.claim == "convolution-l1-contraction"
         assert math.isnan(report.slack) and not report.holds
+
+    def test_a_table_of_kernels_is_refused_before_the_product(self):
+        """g is one function: a (2^n, m) g is refused by its shape before f * g is formed, which would broadcast
+        to a (2^n, 2^n, m) table, 2 MiB here and 2 GiB at n = 12, m = 16."""
+        f, g = random_vector(8, 4, 13), random_vector(8, 4, 14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"expected one function, a \(2\^n,\) table, got shape \(256, 4\)"):
+                young_bound_check(f, g, Norm.lp(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
