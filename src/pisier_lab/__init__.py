@@ -51,7 +51,6 @@ from .vector_field import (
     VectorFunction,
     rademacher_projection,
     sandwich_validate,
-    young_bound_check,
 )
 
 __all__ = [
@@ -92,7 +91,6 @@ __all__ = [
     "truncation_tail_bound",
     "truncation_tail_chain",
     "write_binary",
-    "young_bound_check",
 ]
 
 __version__ = "0.1.0"

@@ -7,15 +7,18 @@ at level floor(3 sqrt(n)) preserves boundedness up to an explicit binomial
 tail while shrinking the spectrum support to quasipolynomially many subsets.
 A Chebyshev variant evaluates T_k of the coordinate average instead.
 
-Feeding a witness F into the vector function (f(x))_S = Fhat(S) chi_S(x),
-measured in the sup-functional norm over the support family, makes ||f(x)||
-constant at ||F||_inf while ||lin f(x)|| stays at the full singleton mass,
-which is how the projection's blow-up is exhibited.  Both are group
-identities: row x embeds as the translate z -> F(x . z), and lin f(x) as the
-translate of lin F.  The instance is verified through that structure: each
-norm is evaluated once, at x = 0, and every row is checked against the
-character formula, so no per-point norm scan runs.  The check walks the
-family in column blocks, so the (2^n, |family|) table is never held whole.
+Feeding a witness F into the vector function (f(x))_S = Fhat(S) chi_S(x)
+over its support family, and measuring each vector v in the sup norm of
+Tv = sum_S v_S chi_S, makes ||f(x)|| constant at ||F||_inf while
+||lin f(x)|| stays at the full singleton mass, which is how the projection's
+blow-up is exhibited.  That norm is the linf norm after the character map T,
+an isometry into linf on the 2^n points, so the instance's norm is
+Norm.lp(inf) and its vector T f.  Both are group identities: T f(x) is the
+translate z -> F(x xor z), and T lin f(x) the translate of lin F.  The
+instance is verified through that structure: each norm is evaluated once,
+at x = 0, and every row of f is checked against the character formula, so
+no per-point norm scan runs.  The check walks the family in column blocks,
+so the (2^n, |family|) table is never held whole.
 """
 
 from __future__ import annotations
@@ -27,10 +30,15 @@ from typing import Any
 import numpy as np
 
 from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _above, _blocks, _check_dim, _finite,
-                           _odd_parity, _require_one_function, fwht, spectrum_sparsity, spectrum_support,
-                           subset_levels)
+                           _odd_parity, _require_one_function, fwht, inverse_fwht, spectrum_sparsity,
+                           spectrum_support, subset_levels)
 from .report import BoundReport, check
-from .vector_field import MAX_SUP_FUNCTIONAL_DIM as MAX_INSTANCE_DIM, Norm, VectorFunction
+from .vector_field import Norm, VectorFunction
+
+# cap for the norm instance: its check covers 2^n x |family| entries, and its time grows about
+# fourfold per n (0.16 s at n = 12, 0.63 s at n = 13 truncated, 2 vCPU); its vector, the
+# (2^n, 2^n) table of translates, takes 128 MB at n = 12
+MAX_INSTANCE_DIM = 12
 
 # cap for the witnesses and the lower-bound and sparsity records built on them:
 # SPARSITY_THRESHOLD drops genuine coefficients from n = 19 on, so counted sparsity fails there.
@@ -121,6 +129,7 @@ class LowerBoundInstance:
     for every x; the singleton rows of the spectrum hold Fhat({j}) alone, so
     lin f(x) is a translate of lin f(0), whose norm is the total singleton
     coefficient mass.  checks holds one report for each of those four facts.
+    Each norm is the linf norm of the vector's image under the characters.
     """
 
     n: int
@@ -139,9 +148,13 @@ class LowerBoundInstance:
 
     @property
     def vector(self) -> VectorFunction:
-        """The vector function f(x)_S = Fhat(S) chi_S(x) as one (2^n, |family|) table, built on each read."""
-        family = np.asarray(self.family)
-        return _scattered(self.n, family, self.witness.spectrum[family])
+        """T f, the instance after the character map, as one (2^n, 2^n) table built on each read: V[x, z] =
+        F'(x xor z), with F' the witness on its family, so each row is a permutation of F' (128 MB at n = 12)."""
+        family, points = np.asarray(self.family), np.arange(1 << self.n)
+        restricted = _characters(self.n, family, self.witness.spectrum[family][None])[0]  # F' at every point
+        table = restricted[points[:, None] ^ points]
+        table.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
+        return VectorFunction.from_values(self.n, table)
 
 
 def _variant_index(variant: str) -> int:
@@ -179,6 +192,13 @@ def _scattered(n: int, masks: np.ndarray, coeffs: np.ndarray) -> VectorFunction:
     return VectorFunction.from_spectrum(n, spectra)
 
 
+def _characters(n: int, masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """T v = sum_j v_j chi_{masks[j]} on the 2^n points, for each row v of a (k, |masks|) matrix: a (k, 2^n) view."""
+    embedded = np.zeros((1 << n, rows.shape[0]))
+    embedded[masks] = rows.T
+    return inverse_fwht(embedded).T
+
+
 def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
     """Build the witness instance and check its invariants through its translation structure."""
     _check_dim(n, MAX_INSTANCE_DIM)
@@ -199,10 +219,10 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
         worst = _embedding_check(values, family[cols], coeffs[cols], worst)
         first_row[cols], linear_spectrum[:, cols] = values[0], vector.spectrum[singletons]
         del vector, values  # the block's tables go before the next block's are built
-    norm = Norm.sup_functional(n, family)
+    norm = Norm.lp(math.inf)
     witness_sup = witness.sup_norm()
 
-    field_norm_value = float(norm.evaluate_rows(first_row[None])[0])
+    field_norm_value = float(norm.evaluate_rows(_characters(n, family, first_row[None]))[0])
     # with every row the translate of row 0, ||f(x)|| = ||f(0)|| at every x
     checks = [check("instance-field-norm", abs(field_norm_value - witness_sup), 0.0, point=0),
               check("instance-embedding", worst[0], 0.0, point=worst[1], subset=worst[2])]
@@ -214,7 +234,8 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
     singleton_mass = math.fsum(
         abs(float(spectrum[mask])) for mask in family if int(mask).bit_count() == 1
     )
-    linear_norm_value = float(norm.evaluate_rows(linear_spectrum.sum(axis=0, keepdims=True))[0])
+    linear_row = linear_spectrum.sum(axis=0, keepdims=True)
+    linear_norm_value = float(norm.evaluate_rows(_characters(n, family, linear_row))[0])
     checks += [check("instance-linear-spectrum", misplaced[j, c], 0.0, subset=int(singletons[j]),
                      coordinate=int(family[c])),
                check("instance-linear-norm", abs(linear_norm_value - singleton_mass), 0.0, point=0)]

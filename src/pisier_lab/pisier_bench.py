@@ -17,16 +17,10 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import MAX_DIM, _check_dim, inverse_fwht, level_multiply
+from .cube_fourier import _check_dim, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
-from .vector_field import (
-    MAX_SUP_FUNCTIONAL_DIM,
-    Norm,
-    VectorFunction,
-    rademacher_projection,
-    sandwich_validate,
-)
+from .vector_field import Norm, VectorFunction, rademacher_projection, sandwich_validate
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
 
     Rejects the norm's sandwich on R^m up front, a ValueError, if it does not validate.
     """
-    _check_dim(f.n, MAX_SUP_FUNCTIONAL_DIM if norm.kind == "sup_functional" else MAX_DIM)
+    _check_dim(f.n)
     gate = sandwich_validate(norm, f.m)
     if not gate.holds:
         raise ValueError(

@@ -21,13 +21,12 @@ TOLERANCES: dict[str, float] = {
     "proxy-l1-bound": 0.0,
     "proxy-low-level-match": 1e-10,
     "proxy-level-deviation": 0.0,
-    # the projection audit, its sandwich gate (a precondition) and the convolution contraction
+    # the projection audit and its sandwich gate (a precondition)
     "sandwich-attained": 1e-9,  # the larger |least slack| of the two sides
     "proxy-term-bound": 1e-9,
     "remainder-term-bound": 1e-9,
     "split-triangle-inequality": 1e-9,
     "projection-derived-bound": 1e-9,
-    "convolution-l1-contraction": 1e-9,
     # the witnesses
     "product-witness-sup": 0.0,
     "truncation-tail": 1e-15,
@@ -37,10 +36,11 @@ TOLERANCES: dict[str, float] = {
     "singleton-mass-floor": 1e-12,  # equality for the Chebyshev witness at n <= 8, the truncated at n <= 2
     "sparsity-exact": 0.0,
     "chebyshev-witness-sup": 1e-12,
-    # the lower-bound instance's invariants
+    # the lower-bound instance's invariants; each column of the instance holds one nonzero coefficient,
+    # so its butterfly adds only exact zeros and the embedding and the linear spectrum are exact
     "instance-field-norm": 1e-10,
-    "instance-embedding": 1e-10,
-    "instance-linear-spectrum": 1e-10,
+    "instance-embedding": 0.0,
+    "instance-linear-spectrum": 0.0,
     "instance-linear-norm": 1e-10,
     # the sparsity record: a function above sup norm 1 by more than this is rescaled or rejected;
     # the record asserts no constant between its two sides

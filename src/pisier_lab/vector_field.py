@@ -1,10 +1,10 @@
-"""Vector-valued cube functions, the norm suite, and convolution facts.
+"""Vector-valued cube functions, the lp norms, their sandwich gate, and the Rademacher projection.
 
 A VectorFunction is a CubeFunction whose table is (2^n, m): row x is the
-vector f(x), row S the vector coefficient fhat(S).  Norms on the target
-space come in two kinds: the lp family and the sup-functional norm (the sup
-norm of the function whose spectrum is the vector, over a fixed subset
-family).  All cube averages are exact enumerations over the 2^n
+vector f(x), row S the vector coefficient fhat(S).  The norms on the target
+space are the lp norms; a norm that reads a vector through a map, as the
+lower-bound instance reads its family vectors through the characters, maps
+the vectors first.  All cube averages are exact enumerations over the 2^n
 points, and the sandwich gate evaluates only the vectors at which each
 side of a sandwich is attained, so nothing samples.
 """
@@ -12,18 +12,12 @@ side of a sandwich is attained, so nothing samples.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .cube_fourier import CubeFunction, _blocks, _check_dim, _require_one_function, inverse_fwht
+from .cube_fourier import CubeFunction, _blocks
 from .cube_fourier import inverse_fwht_rows  # noqa: F401 - re-exported, the row view of inverse_fwht
 from .report import BoundReport, check
-
-# cap for sup-functional norms: an audit's per-point scan runs 2^n inverse transforms of
-# 2^n points, n * 4^n in all; the lower-bound instance checks 2^n x |family| entries, and
-# its time grows about fourfold per n (0.16 s at n = 12, 0.63 s at n = 13 truncated, 2 vCPU)
-MAX_SUP_FUNCTIONAL_DIM = 12
 
 
 class VectorFunction(CubeFunction):
@@ -41,68 +35,24 @@ class VectorFunction(CubeFunction):
 
 
 class Norm:
-    """Norm on R^m: lp, or sup-functional over a subset family."""
+    """The lp norm on R^m, for p >= 1."""
 
-    def __init__(self, kind: str, *, p=None, n_dual=None, family=None):
-        if kind == "lp":
-            p, n_dual, family = float(p), None, None
-            if not p >= 1.0:  # also rejects NaN
-                raise ValueError(f"lp norms need p >= 1, got {p}")
-        elif kind == "sup_functional":
-            _check_dim(n_dual)
-            family = np.asarray(family, dtype=object)  # the entries as given: no cast hides a bool, a float or a list
-            if family.size == 0:
-                raise ValueError("subset family is empty")
-            if family.ndim != 1 or any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in family):
-                raise ValueError("subset family must be a 1-D sequence of integer bitmasks, not bools or floats")
-            if family.size > 1 and not np.all(family[1:] > family[:-1]):
-                # silent reordering would reinterpret coefficient vectors
-                raise ValueError("subset family must be strictly ascending by bitmask")
-            if family.min() < 0 or family.max() >= (1 << n_dual):
-                raise ValueError(f"subset family has masks out of range for n_dual={n_dual}")
-            family = family.astype(np.int64)
-            family.flags.writeable = False
-            p, n_dual = None, int(n_dual)
-        else:
-            raise ValueError(f"unknown norm kind {kind!r}")
-        self.kind = kind
-        self.p = p
-        self.n_dual = n_dual
-        self.family = family
+    def __init__(self, p):
+        self.p = float(p)
+        if not self.p >= 1.0:  # also rejects NaN
+            raise ValueError(f"lp norms need p >= 1, got {self.p}")
 
     @classmethod
     def lp(cls, p: float) -> "Norm":
-        return cls("lp", p=p)
-
-    @classmethod
-    def sup_functional(cls, n_dual: int, family: Sequence[int]) -> "Norm":
-        """Vectors indexed by the family, measured as the sup norm of g_v.
-
-        The family is held in ascending bitmask order so coefficient vectors
-        mean the same thing across runs.
-        """
-        return cls("sup_functional", n_dual=n_dual, family=family)
-
-    @property
-    def dim(self) -> int | None:
-        """m for a sup-functional norm, which lives on R^|family|; None for lp, which fits any m."""
-        return None if self.family is None else int(self.family.size)
+        return cls(p)
 
     @property
     def name(self) -> str:
-        if self.kind == "sup_functional":
-            return f"sup_functional(n={self.n_dual},|family|={self.dim})"
         return f"l{int(self.p) if self.p.is_integer() else self.p!r}"  # l1, l2, l2.5, linf
 
     def sandwich(self, m: int) -> tuple[float, float]:
-        """(s, d) with s ||x||_2 <= ||x|| <= d s ||x||_2 on R^m: the Euclidean sandwich of the audit.
-
-        lp: the sharp lp-vs-l2 constants.  Sup-functional, by Parseval on the
-        dual cube: ||v||_2 = ||g_v||_2 <= ||g_v||_inf <= ||v||_1 <= sqrt(m) ||v||_2,
-        so s = 1 and d = sqrt(m).
-        """
-        if self.kind == "sup_functional":
-            return 1.0, math.sqrt(m)
+        """(s, d) with s ||x||_2 <= ||x|| <= d s ||x||_2 on R^m: the sharp lp-vs-l2 constants, the Euclidean
+        sandwich of the audit."""
         inv_p = 1.0 / self.p  # 0 at p = inf
         if self.p >= 2.0:
             scale = m ** (inv_p - 0.5)
@@ -121,15 +71,9 @@ class Norm:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError("evaluate_rows expects a 2-D array")
-        if self.dim is not None and rows.shape[1] != self.dim:
-            raise ValueError(f"norm is on R^{self.dim}, got vectors in R^{rows.shape[1]}")
-        if self.kind == "lp":
-            norms, width = self._lp_rows, rows.shape[1]
-        else:  # a block of rows embeds into a (2^n_dual, rows) table
-            norms, width = self._sup_functional_rows, 1 << self.n_dual
         out = np.empty(rows.shape[0])
-        for block in _blocks(rows.shape[0], width):
-            out[block] = norms(rows[block])
+        for block in _blocks(rows.shape[0], rows.shape[1]):
+            out[block] = self._lp_rows(rows[block])
         return out
 
     def _lp_rows(self, block: np.ndarray) -> np.ndarray:
@@ -142,12 +86,6 @@ class Norm:
                 # max|x| * ||x / max|x|||_p: the scaled row's sum lies in [1, m]
                 norms[redo] = peaks[redo] * np.linalg.norm(block[redo] / peaks[redo, None], ord=self.p, axis=1)
         return norms
-
-    def _sup_functional_rows(self, block: np.ndarray) -> np.ndarray:
-        embedded = np.zeros((1 << self.n_dual, block.shape[0]))
-        embedded[self.family] = block.T
-        # column j is g_v for v the j-th row of the block
-        return np.abs(inverse_fwht(embedded)).max(axis=0)
 
     def mean_square(self, table) -> float:
         """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point."""
@@ -172,11 +110,10 @@ def sandwich_validate(norm: Norm, m: int) -> BoundReport:
     """Check that the norm's sandwich on R^m is attained on both sides, at +-e_j and +-ones/sqrt(m).
 
     At a unit vector the sandwich reads s <= ||x|| <= d s.  For every lp norm each side is attained
-    at e_j or at the flat vector (Hoelder), and likewise for a sup-functional norm (||g_{e_j}||_inf = 1,
-    g_ones(0) = m): the least slack of each side is 0.  An s too large or a d too small leaves a
-    negative least slack, an s too small or a d too large a positive one, so the claim's lhs is
-    the larger |least slack|.  A failed claim makes the returned report fail; it does not raise,
-    so callers can surface the side.
+    at e_j or at the flat vector (Hoelder): the least slack of each side is 0.  An s too large or a d
+    too small leaves a negative least slack, an s too small or a d too large a positive one, so the
+    claim's lhs is the larger |least slack|.  A failed claim makes the returned report fail; it does
+    not raise, so callers can surface the side.
     """
     scale, distortion = norm.sandwich(m)
     values = np.concatenate([norm.evaluate_rows(points) for points in _gate_points(m)])
@@ -195,15 +132,4 @@ def rademacher_projection(f: VectorFunction) -> VectorFunction:
         table[: 1 << j] += f.spectrum[1 << j]
     table.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
     return VectorFunction.from_values(f.n, table)
-
-
-def young_bound_check(f: VectorFunction, g: CubeFunction, norm: Norm) -> BoundReport:
-    """Convolution contraction: msn(f * g) <= E|g| * msn(f) for any norm."""
-    _require_one_function(g)  # a (2^n, m) g would broadcast into a (2^n, 2^n, m) product
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    lhs = norm.mean_square(inverse_fwht(f.spectrum * g.spectrum[:, None]))
-    g_l1 = float(np.mean(np.abs(g.values)))
-    rhs = g_l1 * norm.mean_square(f.values_matrix())
-    return check("convolution-l1-contraction", lhs, rhs, n=f.n, m=f.m, norm=norm.name, g_l1=g_l1)
 

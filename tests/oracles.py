@@ -6,8 +6,8 @@ directory on ``sys.path``.
 
 import numpy as np
 
-from pisier_lab import CubeFunction, ProxyKernel, ResourceLimitError, proxy_level_coeffs
-from pisier_lab.cube_fourier import _check_dim, _check_power_of_two, subset_levels
+from pisier_lab import BoundReport, CubeFunction, Norm, ProxyKernel, ResourceLimitError, proxy_level_coeffs
+from pisier_lab.cube_fourier import _check_dim, _check_power_of_two, _require_one_function, inverse_fwht, subset_levels
 
 MAX_PROXY_DIM = 20
 
@@ -23,6 +23,17 @@ def character_table(n: int, s_masks) -> np.ndarray:
     _check_dim(n)
     common = np.bitwise_and.outer(np.arange(1 << n), np.asarray(s_masks))
     return 1.0 - 2.0 * (sum((common >> j) & 1 for j in range(n)) & 1)
+
+
+def character_sums(n: int, masks, rows) -> np.ndarray:
+    """sum_j rows[:, j] chi_{masks[j]}(z) at every point z, a (k, 2^n) table: the character map of each row, summed
+    column by column over a whole character table, with no transform."""
+    rows = np.asarray(rows, dtype=np.float64)
+    table = character_table(n, np.asarray(masks)).reshape(1 << n, -1)
+    out = np.zeros((rows.shape[0], 1 << n))
+    for j in range(table.shape[1]):
+        out += rows[:, j, None] * table[:, j]
+    return out
 
 
 def rademacher_projection_whole(spectrum: np.ndarray) -> np.ndarray:
@@ -82,3 +93,19 @@ def walsh_butterfly_unblocked(a) -> np.ndarray:
         src, dst = dst, src
         h *= 2
     return src
+
+
+# the convolution contraction's tolerance, as report.TOLERANCES held it while the package checked it
+CONVOLUTION_TOL = 1e-9
+
+
+def young_bound_check(f, g: CubeFunction, norm: Norm) -> BoundReport:
+    """Convolution contraction: msn(f * g) <= E|g| * msn(f) for any norm, f a VectorFunction."""
+    _require_one_function(g)  # a (2^n, m) g would broadcast into a (2^n, 2^n, m) product
+    if f.n != g.n:
+        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
+    lhs = norm.mean_square(inverse_fwht(f.spectrum * g.spectrum[:, None]))
+    g_l1 = float(np.mean(np.abs(g.values)))
+    rhs = g_l1 * norm.mean_square(f.values_matrix())
+    return BoundReport("convolution-l1-contraction", float(lhs), float(rhs), CONVOLUTION_TOL,
+                       {"n": f.n, "m": f.m, "norm": norm.name, "g_l1": g_l1})

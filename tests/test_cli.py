@@ -970,17 +970,13 @@ class TestOneBlockSize:
         """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the level multiplier's
         rows, the embedding check and the sparsity count take."""
         blocks = []
-        lp_rows, sup_rows, gate_points = Norm._lp_rows, Norm._sup_functional_rows, vector_field._gate_points
+        lp_rows, gate_points = Norm._lp_rows, vector_field._gate_points
         odd_parity, above, walk = lower_bound._odd_parity, lower_bound._above, cube_fourier._blocks
         walkers = {"level_multiply": "level rows"}
 
         def spied_lp(norm, block):
             blocks.append(("norm rows", block.shape[0], block.shape[1]))
             return lp_rows(norm, block)
-
-        def spied_sup(norm, block):
-            blocks.append(("norm rows", block.shape[0], 1 << norm.n_dual))
-            return sup_rows(norm, block)
 
         def spied_gate(m):
             points = gate_points(m)
@@ -1005,7 +1001,6 @@ class TestOneBlockSize:
                 yield block
 
         monkeypatch.setattr(Norm, "_lp_rows", spied_lp)
-        monkeypatch.setattr(Norm, "_sup_functional_rows", spied_sup)
         monkeypatch.setattr(vector_field, "_gate_points", spied_gate)
         monkeypatch.setattr(lower_bound, "_odd_parity", spied_parity)
         monkeypatch.setattr(lower_bound, "_above", spied_above)

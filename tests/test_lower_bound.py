@@ -31,12 +31,12 @@ from pisier_lab import (
     truncation_tail_chain,
 )
 from pisier_lab import cli, cube_fourier, lower_bound
-from pisier_lab.cube_fourier import MAX_DIM, popcount
-from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS
+from pisier_lab.cube_fourier import MAX_DIM, popcount, spectrum_support
+from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS, _characters
 from pisier_lab.report import TOLERANCES
-from pisier_lab.vector_field import MAX_SUP_FUNCTIONAL_DIM
+from pisier_lab.vector_field import _gate_points
 
-from oracles import character_table, constant_function
+from oracles import character_sums, character_table, constant_function
 
 
 def product_witness_values_oracle(n):
@@ -65,8 +65,6 @@ DIMENSION_CAPS = {
     "build_chebyshev_witness": (build_chebyshev_witness, MAX_RECORD_DIM),
     "lower_bound_instance": (lower_bound_instance, MAX_INSTANCE_DIM),
     "audit-lp": (lambda n: zero_audit(n, Norm.lp(2)), MAX_DIM),
-    "audit-sup_functional": (lambda n: zero_audit(n, Norm.sup_functional(1, [0])), MAX_SUP_FUNCTIONAL_DIM),
-    "Norm.sup_functional": (lambda n: Norm.sup_functional(n, [0]), MAX_DIM),
     "CubeFunction": (lambda n: CubeFunction(n, spectrum=[1.0, 0.0]), MAX_DIM),
     "proxy_level_coeffs": (lambda n: proxy_level_coeffs(ProxyKernel(1), n), MAX_DIM),
     "proxy_eval_by_weight": (lambda n: proxy_eval_by_weight(ProxyKernel(1), n, 0), MAX_DIM),
@@ -268,13 +266,19 @@ class TestInstance:
         instance = lower_bound_instance(n, "truncated")
         assert instance.ratio >= math.sqrt(n) / (3.0 + truncation_tail_bound(n))
 
-    def test_vector_columns_are_scaled_characters(self):
-        """Coordinate S of the instance is Fhat(S) chi_S(x), computed by direct character sums."""
-        instance = lower_bound_instance(6, "truncated")
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_vector_is_the_translates_of_the_witness_on_its_family(self, variant):
+        """instance.vector is T f: V[x, z] = F'(x xor z), F' = sum_S Fhat(S) chi_S over the family, by direct
+        character sums; each row is exactly a permutation of row 0, so every row has the norm of f(0)."""
+        instance = lower_bound_instance(6, variant)
+        family = np.asarray(instance.family)
         values = instance.vector.values_matrix()
-        for idx, mask in enumerate(instance.family):
-            want = instance.witness.spectrum[mask] * character_table(6, mask)
-            assert np.array_equal(values[:, idx], want)
+        restricted = character_sums(6, family, instance.witness.spectrum[family][None])[0]
+        points = np.arange(64)
+        assert values.shape == (64, 64)
+        np.testing.assert_allclose(values, restricted[points[:, None] ^ points], rtol=0.0, atol=1e-14)
+        assert all(np.array_equal(values[x, points ^ x], values[0]) for x in points)
+        assert float(np.abs(values[0]).max()) == instance.field_norm_value
 
     def test_family_sorted_ascending(self):
         instance = lower_bound_instance(6, "truncated")
@@ -312,7 +316,7 @@ class TestInstance:
 
     def test_each_column_block_adopts_its_scatter_table(self, monkeypatch):
         """Each column block's (2^n, cols) spectrum is handed over read-only and kept, not copied; the blocks
-        side by side are the table instance.vector builds on demand, and that table is read-only too."""
+        side by side are the scatter of the whole family, and the table instance.vector builds is read-only too."""
         handed = []
         build = lower_bound.VectorFunction.from_spectrum
 
@@ -328,9 +332,10 @@ class TestInstance:
         for spectra, vector in handed:
             assert vector.spectrum is spectra
             assert not spectra.flags.writeable
-        full = instance.vector.spectrum
-        assert not full.flags.writeable
-        assert np.array_equal(full, np.hstack([spectra for spectra, _ in handed[:4]]))
+        family = np.asarray(instance.family)
+        whole = lower_bound._scattered(9, family, instance.witness.spectrum[family]).spectrum
+        assert np.array_equal(whole, np.hstack([spectra for spectra, _ in handed[:4]]))
+        assert not instance.vector.values_matrix().flags.writeable
 
     @pytest.mark.parametrize(("tampered", "reported"), [
         ({1: "flip", 3: "flip"}, 1),
@@ -457,9 +462,9 @@ class TestStructuralVerification:
         """At n = 12 the checked table is 66.7 MB (truncated) or 7.6 MB (chebyshev); the check's
         own allocations stay within four 512 KB row blocks, however large the table."""
         instance = lower_bound_instance(12, variant)
-        values = instance.vector.values_matrix()
         family = np.asarray(instance.family)
         coeffs = instance.witness.spectrum[family]
+        values = lower_bound._scattered(12, family, coeffs).values_matrix()
         tracemalloc.start()
         try:
             lower_bound._embedding_check(values, family, coeffs, (-1.0, 0, 0))
@@ -509,6 +514,99 @@ class TestStructuralVerification:
         report = failed[0]
         assert (report.params["subset"], report.params["coordinate"]) == (0b01, 0b01)
         assert (report.lhs, report.rhs) == (0.5, 0.0)  # |0.0 - 0.5| where Fhat({0}) belongs
+
+
+def family_norm(n, family, v):
+    """The instance's norm of one family vector: the linf norm of its image under the character map."""
+    rows = np.asarray(v, dtype=np.float64)[None]
+    return float(Norm.lp(math.inf).evaluate_rows(_characters(n, np.asarray(family), rows))[0])
+
+
+class TestCharacterMap:
+    """The instance's family norm is linf after T v = sum_S v_S chi_S, an isometry into linf on the 2^n points."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("family", ["witness", "random"])
+    def test_characters_equal_the_character_sums(self, n, family):
+        """_characters against whole character tables, on the truncated witness's family and on a random one."""
+        rng = np.random.default_rng(n)
+        if family == "witness":
+            masks = spectrum_support(build_truncated_witness(n))
+        else:
+            masks = np.sort(rng.choice(1 << n, size=min(1 << n, n + 5), replace=False))
+        rows = rng.standard_normal((3, masks.size))
+        got = _characters(n, masks, rows)
+        assert got.shape == (3, 1 << n)
+        np.testing.assert_allclose(got, character_sums(n, masks, rows), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_family_norm_attains_its_sandwich(self, variant):
+        """||v||_2 <= ||T v||_inf <= ||v||_1 <= sqrt(m) ||v||_2 by Parseval, so the family norm's sandwich on R^m is
+        s = 1, d = sqrt(m), and it is sharp: ||T e_j||_inf = 1 and (T ones)(0) = m.  On the witness families at
+        n <= 9, the gate's points +-e_j and +-ones/sqrt(m) attain both sides within the gate's tolerance."""
+        tol = TOLERANCES["sandwich-attained"]
+        for n in range(1, 10):
+            family = spectrum_support(lower_bound.build_witness(n, variant))
+            values = np.concatenate([Norm.lp(math.inf).evaluate_rows(_characters(n, family, points))
+                                     for points in _gate_points(family.size)])
+            assert abs(values.min() - 1.0) <= tol, (n, values.min())
+            assert abs(values.max() - math.sqrt(family.size)) <= tol, (n, values.max())
+
+    def test_empty_set_and_singletons(self):
+        assert family_norm(3, [0], [1.0]) == 1.0
+        assert family_norm(3, [0b01, 0b10], [1.0, 1.0]) == 2.0
+
+    def test_witness_coefficients_give_the_sup_norm(self):
+        witness = build_truncated_witness(4)
+        family = spectrum_support(witness)
+        assert family_norm(4, family, witness.spectrum[family]) == pytest.approx(witness.sup_norm(), abs=1e-14)
+
+    def test_instance_rows_have_the_sup_norm(self):
+        """Every row f(x)_S = Fhat(S) chi_S(x) of the n = 4 instance, mapped, has norm ||F||_inf."""
+        witness = build_truncated_witness(4)
+        family = spectrum_support(witness)
+        rows = witness.spectrum[family] * character_table(4, family)
+        per_point = Norm.lp(math.inf).evaluate_rows(_characters(4, family, rows))
+        assert np.abs(per_point - witness.sup_norm()).max() < 1e-12
+
+    def test_homogeneity_exact_for_dyadic_scalars(self):
+        # dyadic scaling is error-free in floating point
+        v = np.random.default_rng(12).standard_normal(32)
+        base = family_norm(5, np.arange(32), v)
+        for alpha in (0.5, 2.0, -4.0, 0.25, -1.0):
+            assert family_norm(5, np.arange(32), alpha * v) == abs(alpha) * base
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_triangle_inequality(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        family = np.arange(0, 64, 3)
+        u, v = rng.standard_normal(family.size), rng.standard_normal(family.size)
+        assert family_norm(6, family, u + v) <= family_norm(6, family, u) + family_norm(6, family, v) + 1e-12
+
+
+class TestExactInstanceClaims:
+    """instance-embedding and instance-linear-spectrum are exact: each column of f holds one nonzero coefficient,
+    so its butterfly adds only exact zeros to it, and both claims have tolerance 0."""
+
+    @pytest.mark.parametrize(("variant", "lhs"), [("truncated", 3.16e-11), ("chebyshev", 1.88e-11)])
+    def test_one_coefficient_off_by_1e_10_fires_both(self, monkeypatch, variant, lhs):
+        """The first family coefficient scaled by 1 + 1e-10 inside _scattered, at n = 10: both exact claims fail,
+        by 1e-10 |Fhat(S)|, which the tolerance of the two norm claims, 1e-10, would not see."""
+        clean = cli.lower_bound_payload(10, variant)
+        exact = [c for c in clean["checks"] if c["claim"] in ("instance-embedding", "instance-linear-spectrum")]
+        assert clean["violations"] == [] and [(c["lhs"], c["tol"]) for c in exact] == [(0.0, 0.0)] * 2
+        scattered, first = lower_bound._scattered, int(spectrum_support(lower_bound.build_witness(10, variant))[0])
+
+        def mutant(n, masks, coeffs):
+            coeffs = coeffs.copy()
+            if masks[0] == first:
+                coeffs[0] *= 1.0 + 1e-10
+            return scattered(n, masks, coeffs)
+
+        monkeypatch.setattr(lower_bound, "_scattered", mutant)
+        failed = [c for c in cli.lower_bound_payload(10, variant)["checks"] if not c["holds"]]
+        assert [c["claim"] for c in failed] == ["instance-embedding", "instance-linear-spectrum"]
+        assert [c["lhs"] for c in failed] == pytest.approx([lhs, lhs], rel=1e-2)
 
 
 class TestSparsityRecord:

@@ -20,8 +20,8 @@ from pisier_lab import (
     proxy_level_coeffs,
     rademacher_projection,
 )
-from pisier_lab import cube_fourier
-from pisier_lab.cube_fourier import popcount
+from pisier_lab import cli, cube_fourier
+from pisier_lab.cube_fourier import popcount, subset_levels
 from pisier_lab.lower_bound import WITNESS_VARIANTS, lower_bound_instance
 from pisier_lab.report import TOLERANCES
 
@@ -120,13 +120,10 @@ class TestPisierRatio:
         assert rhs == pytest.approx(instance.witness_sup, abs=1e-10)
         assert ratio >= 1.0
 
-    def test_dimension_cap(self):
-        """Audits stop at n = 12 for sup-functional norms, whose scans cost n * 4^n."""
-        with pytest.raises(ValueError, match="exceeds the cap 12"):
-            decomposition_audit(
-                VectorFunction.from_spectrum(13, np.zeros((1 << 13, 1))),
-                Norm.sup_functional(13, [0]),
-            )
+    def test_no_cap_below_the_table_cap(self):
+        """Every audit norm is an lp norm, so an audit at n = 13 runs: only the table caps n."""
+        audit = decomposition_audit(VectorFunction.from_spectrum(13, np.zeros((1 << 13, 1))), Norm.lp(math.inf))
+        assert (audit.n, audit.lhs, audit.rhs_raw) == (13, 0.0, 0.0)
         f = random_vector(4, 2, 0)
         assert decomposition_audit(f, Norm.lp(1)).rhs_raw > 0
 
@@ -179,12 +176,6 @@ class TestDecompositionAudit:
         monkeypatch.setattr(Norm, "sandwich", lambda self, m: (1.0, 1.0))
         with pytest.raises(ValueError, match="sandwich of linf rejected: .* on the lower side"):
             decomposition_audit(f, Norm.lp(math.inf))
-
-    def test_rejects_norm_of_another_size(self):
-        """A sup-functional norm lives on R^|family|; a function into R^4 is not measured by one on R^3."""
-        f = random_vector(6, 4, 12)
-        with pytest.raises(ValueError, match=r"norm is on R\^3, got vectors in R\^4"):
-            decomposition_audit(f, Norm.sup_functional(3, [1, 2, 4]))
 
     def test_forced_ell_changes_constant(self):
         f = random_vector(8, 4, 13)
@@ -315,17 +306,18 @@ class TestLeanAudit:
 
 
 class TestLowerBoundInstanceAudit:
-    """The witness instance audited through the sup-functional sandwich s = 1, d = sqrt(|family|)."""
+    """The witness instance as it is held, T f in linf on the 2^n points: its audit runs through the linf sandwich
+    of R^(2^n), d = 2^(n/2), not the family's sqrt(|family|), and has the instance's ratio."""
 
     @pytest.mark.parametrize(("n", "variant"), [(6, "truncated"), (9, "truncated"), (9, "chebyshev")])
     def test_all_four_claims_hold_at_the_instance_ratio(self, n, variant):
         instance = lower_bound_instance(n, variant)
         audit = decomposition_audit(instance.vector, instance.norm)
-        m = len(instance.family)
-        assert (audit.m, audit.distortion) == (m, math.sqrt(m))
-        assert audit.derived_constant == 8.0 * audit.ell * (1.0 + math.sqrt(m) / 2.0**audit.ell)
+        assert (audit.m, audit.distortion) == (1 << n, 2.0 ** (n / 2))
+        assert audit.derived_constant == 8.0 * audit.ell * (1.0 + 2.0 ** (n / 2) / 2.0**audit.ell)
         assert audit.ratio == pytest.approx(instance.ratio, rel=1e-12)
         assert audit.ratio > 1.0
+        assert [c.holds for c in audit.checks] == [True] * 4
 
 
 class TestTranslationRoute:
@@ -345,3 +337,38 @@ class TestTranslationRoute:
         assert abs(audit.rhs_raw - instance.field_norm_value) <= 1e-12
         assert abs(audit.lhs - instance.linear_norm_value) <= 1e-12
         assert [c.holds for c in audit.checks] == [True] * 4
+
+
+PARSEVAL_GRID = [(n, m, seed) for n, m in ((8, 4), (10, 8), (12, 16), (16, 16), (16, 64)) for seed in range(3)]
+
+
+class TestParsevalRoute:
+    """Every l2 audit term from the spectrum, by Parseval's identity on the cube.  With M_k = sum_{|S|=k}
+    ||fhat(S)||_2^2 and c the proxy's level coefficients: rhs_raw^2 = sum_k M_k, lhs^2 = M_1, term_proxy^2 =
+    sum_k c_k^2 M_k and term_remainder^2 = sum_k ([k=1] - c_k)^2 M_k.  The masses come from one bincount over
+    subset_levels, and share no code with inverse_fwht, Norm or rademacher_projection.
+
+    The bound, with gamma_k = k u / (1 - k u) and u = 2^-53 (Higham 2002, ch. 3-4).  Each table the audit
+    measures is the spectrum through at most one level product and n butterfly passes; each pass is sqrt(2)
+    times an orthogonal map and rounds each entry once, so the table's normwise relative error is at most
+    gamma_(n+1).  Its mean square sums m squares per row, then 2^n rows, pairwise, at depths of at most
+    log2 m + 20 and n + 20.  The masses sum m squares pairwise, then the C(n, k) subsets of a level in order,
+    and fsum the weighted levels.  So each term is within gamma_K of its root, relative, with
+    K = 3n + 2 ceil(log2 m) + max_k C(n, k) + 70.  f*(L-P) is lin f - f*P formed entrywise, so its error is
+    relative to lhs + term_proxy + term_remainder instead.
+    """
+
+    @pytest.mark.parametrize(("n", "m", "seed"), PARSEVAL_GRID + [(20, 16, 0)])
+    def test_l2_audit_terms_are_level_masses(self, n, m, seed):
+        f = cli.random_vector_function(n, m, seed)
+        audit = decomposition_audit(f, Norm.lp(2))
+        masses = np.bincount(subset_levels(n), weights=np.sum(f.spectrum**2, axis=1), minlength=n + 1)
+        c = proxy_level_coeffs(ProxyKernel(audit.ell), n)
+        gap = (np.arange(n + 1) == 1) - c
+        want = {name: math.sqrt(math.fsum(weights * masses)) for name, weights in
+                (("rhs_raw", 1.0), ("lhs", np.arange(n + 1) == 1), ("term_proxy", c**2), ("term_remainder", gap**2))}
+        k = 3 * n + 2 * math.ceil(math.log2(m)) + math.comb(n, n // 2) + 70
+        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        scale = {**want, "term_remainder": want["lhs"] + want["term_proxy"] + want["term_remainder"]}
+        for name in want:
+            assert abs(getattr(audit, name) - want[name]) <= gamma * scale[name], (name, want[name])

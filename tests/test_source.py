@@ -211,13 +211,28 @@ PUBLIC_NAMES = [
     "proxy_eval_by_weight", "proxy_l1", "proxy_level_coeffs", "rademacher_projection",
     "read_binary", "sandwich_validate", "sparsity_inequality_check", "spectrum_sparsity",
     "structural_sparsity", "to_bytes", "to_spectrum_json", "truncation_level",
-    "truncation_tail_bound", "truncation_tail_chain", "write_binary", "young_bound_check",
+    "truncation_tail_bound", "truncation_tail_chain", "write_binary",
 ]
+
+
+def test_one_norm_kind():
+    """Norm is the lp norm alone: the family norm of the lower-bound instance is linf after the character map, so
+    no second kind, its family or its cap is named in the package, and the constructor takes p and nothing else."""
+    named = [f"{path.name}:{number}" for path in SOURCES
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if any(word in line for word in ("sup_functional", "n_dual", "MAX_SUP_FUNCTIONAL_DIM"))]
+    assert named == []
+    tree = ast.parse(Path(pisier_lab.vector_field.__file__).read_text())
+    [norm] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Norm"]
+    [init] = [node for node in norm.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    args = init.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["self", "p"]
+    assert args.vararg is None and args.kwarg is None
 
 
 def test_public_surface():
     """The package exports what the CLI and the checks of the paper's claims use, and no more."""
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(pisier_lab.__all__) == PUBLIC_NAMES
     missing = [name for name in PUBLIC_NAMES if not hasattr(pisier_lab, name)]
     assert missing == []
@@ -311,11 +326,11 @@ UNREACHED_BY_THE_CLI = {
     "cube_fourier.inverse_fwht_rows": "the row transform perfbench/test_perfbench.py binds",
     "cube_fourier.to_spectrum_json": "the sparse spectrum as one string, for library callers and perfbench; "
                                      "the fourier command writes spectrum_json_pieces as they come",
-    "vector_field.young_bound_check": "the convolution contraction, to be folded into the audit",
     "cube_fourier.CubeFunction.__repr__": "read in a debugger or a failing test, never in a run",
     "vector_field.Norm.__repr__": "read in a debugger or a failing test, never in a run",
-    "lower_bound.LowerBoundInstance.vector": "the (2^n, |family|) table, built on demand for acceptance "
-                                             "criterion 6 and the instance tests; no run builds it",
+    "lower_bound.LowerBoundInstance.vector": "T f, the (2^n, 2^n) table of translates (128 MB at n = 12), built "
+                                             "on demand for acceptance criterion 6 and the instance tests; no run "
+                                             "builds it",
 }
 
 

@@ -10,7 +10,6 @@ from pisier_lab import (
     CubeFunction,
     Norm,
     ProxyKernel,
-    ResourceLimitError,
     VectorFunction,
     convolve,
     fwht,
@@ -18,11 +17,8 @@ from pisier_lab import (
     level_multiply,
     rademacher_projection,
     sandwich_validate,
-    young_bound_check,
 )
 from pisier_lab import cube_fourier
-from pisier_lab.cube_fourier import spectrum_support
-from pisier_lab.lower_bound import WITNESS_VARIANTS, build_truncated_witness, build_witness
 
 from oracles import (
     constant_function,
@@ -30,12 +26,8 @@ from oracles import (
     linear_function,
     proxy_as_cube_function,
     rademacher_projection_whole,
+    young_bound_check,
 )
-
-
-def norm_of(norm, v):
-    """The norm of a single vector, through the row-batched evaluator."""
-    return float(norm.evaluate_rows(np.asarray(v, dtype=np.float64)[None, :])[0])
 
 
 def random_vector(n, m, seed):
@@ -121,24 +113,6 @@ class TestMeanSquareNorm:
         via_values = Norm.lp(2).mean_square(f.values_matrix())
         via_spectrum = math.sqrt(float(np.sum(f.spectrum ** 2)))
         assert via_values == pytest.approx(via_spectrum, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        f = random_vector(3, 2, 3)
-        with pytest.raises(ValueError):
-            Norm.sup_functional(3, [0, 1, 2]).mean_square(f.values_matrix())
-
-    def test_sup_functional_instance_constant(self):
-        """The witness instance at n=4 has constant point norms equal to the sup norm."""
-        witness = build_truncated_witness(4)
-        family = np.nonzero(np.abs(witness.spectrum) > 1e-8)[0]
-        columns = witness.spectrum[family] * np.array(
-            [[(-1) ** bin(int(s) & x).count("1") for s in family] for x in range(16)], dtype=float
-        )
-        f = VectorFunction.from_values(4, columns)
-        norm = Norm.sup_functional(4, family)
-        per_point = norm.evaluate_rows(columns)
-        assert np.abs(per_point - witness.sup_norm()).max() < 1e-12
-        assert norm.mean_square(f.values_matrix()) == pytest.approx(witness.sup_norm(), rel=1e-12)
 
 
 class TestRowBlocks:
@@ -382,73 +356,12 @@ class TestYoungBound:
         assert young_bound_check(f, g, Norm.lp(p)).holds
 
 
-class TestSupFunctionalNorm:
-    def test_empty_set_indicator(self):
-        assert norm_of(Norm.sup_functional(3, [0]), [1.0]) == 1.0
-
-    def test_two_singletons(self):
-        assert norm_of(Norm.sup_functional(3, [0b01, 0b10]), [1.0, 1.0]) == 2.0
-
-    def test_witness_support_gives_sup_norm(self):
-        witness = build_truncated_witness(4)
-        family = np.nonzero(np.abs(witness.spectrum) > 1e-8)[0]
-        value = norm_of(Norm.sup_functional(4, family), witness.spectrum[family])
-        assert value == pytest.approx(witness.sup_norm(), abs=1e-14)
-
-    def test_resource_cap(self):
-        with pytest.raises(ResourceLimitError):
-            Norm.sup_functional(25, [0])
-
-    def test_homogeneity_exact_for_dyadic_scalars(self):
-        # dyadic scaling is error-free in floating point
-        rng = np.random.default_rng(12)
-        norm = Norm.sup_functional(5, np.arange(32))
-        v = rng.standard_normal(32)
-        base = norm_of(norm, v)
-        for alpha in (0.5, 2.0, -4.0, 0.25, -1.0):
-            assert norm_of(norm, alpha * v) == abs(alpha) * base
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        norm = Norm.sup_functional(6, np.arange(0, 64, 3))
-        u = rng.standard_normal(norm.dim)
-        v = rng.standard_normal(norm.dim)
-        assert norm_of(norm, u + v) <= norm_of(norm, u) + norm_of(norm, v) + 1e-12
-
-    def test_family_must_be_unique_and_in_range(self):
-        # [-1] must not wrap around to mask 7; a duplicate mask must not drop a coefficient
-        for n_dual, family in ((3, [1, 1, 2]), (2, [0, 4]), (3, [-1]), (3, [0b01, 0b01])):
-            with pytest.raises(ValueError):
-                Norm.sup_functional(n_dual, family)
-
-    @pytest.mark.parametrize("family", [[1.5, 2.7], [True, 2], [[1, 2], [3, 4]], np.array([1.0, 2.0]),
-                                        np.array([True, False]), 3, ["1"]],
-                             ids=["floats", "a-bool", "nested", "float-array", "bool-array", "scalar", "string"])
-    def test_family_must_be_one_dimensional_integer_masks(self, family):
-        """A float, a bool or a nested family is rejected when the norm is built, as _check_dim rejects a bool:
-        no cast turns 1.5 or True into a mask, and no (2, 2) family passes as a norm on R^4."""
-        with pytest.raises(ValueError, match=r"^subset family must be a 1-D sequence of integer bitmasks"):
-            Norm.sup_functional(3, family)
-
-    def test_family_must_not_be_empty(self):
-        for family in ([], np.array([], dtype=np.int64), [[]]):
-            with pytest.raises(ValueError, match=r"^subset family is empty$"):
-                Norm.sup_functional(3, family)
-
-    def test_family_must_be_ascending(self):
-        with pytest.raises(ValueError, match="ascending"):
-            Norm.sup_functional(3, [2, 1])
-
-    def test_constructor_derives_name_and_dim(self):
-        """The kind and its parameters make the norm; a parameter of the other kind is dropped."""
-        norm = Norm("sup_functional", n_dual=3, family=[1, 2, 4], p=2.0)
-        assert (norm.name, norm.dim, norm.p) == ("sup_functional(n=3,|family|=3)", 3, None)
-        norm = Norm("lp", p=3, n_dual=3, family=[1])
-        assert (norm.name, norm.dim, norm.family) == ("l3", None, None)
-        assert [Norm.lp(p).name for p in (1, 2.0, 1.5, math.inf)] == ["l1", "l2", "l1.5", "linf"]
-        with pytest.raises(ValueError, match="unknown norm kind 'l2'"):
-            Norm("l2")
+def test_constructor_takes_p_alone():
+    """A norm is its p: the constructor and Norm.lp build the same norm, and the name spells p."""
+    assert [Norm(p).name for p in (1, 2.0, 1.5, math.inf)] == ["l1", "l2", "l1.5", "linf"]
+    assert [Norm.lp(p).p for p in (1, 2.0, 1.5, math.inf)] == [1.0, 2.0, 1.5, math.inf]
+    with pytest.raises(ValueError):
+        Norm("l2")
 
 
 @pytest.mark.parametrize("p", [1, 1.1, 1.5, 2, 2.5, 3, 7, 1.0000000000000002, 1e20, math.inf])
@@ -465,7 +378,7 @@ def test_lp_needs_p_at_least_one(p):
     with pytest.raises(ValueError, match="lp norms need p >= 1"):
         Norm.lp(p)
     with pytest.raises(ValueError, match="lp norms need p >= 1"):
-        Norm("lp", p=p)
+        Norm(p)
 
 
 SANDWICH_NORMS = {
@@ -475,7 +388,6 @@ SANDWICH_NORMS = {
     "l1.5": Norm.lp(1.5),
     "l3": Norm.lp(3),
     "l7": Norm.lp(7),
-    "sup_functional(n=4,|family|=7)": Norm.sup_functional(4, [1, 2, 3, 4, 7, 8, 11]),
 }
 
 
@@ -483,7 +395,7 @@ class TestSandwich:
     @pytest.mark.parametrize("name", SANDWICH_NORMS)
     def test_gate_passes(self, name):
         norm = SANDWICH_NORMS[name]
-        report = sandwich_validate(norm, norm.dim or 6)
+        report = sandwich_validate(norm, 6)
         assert report.holds
         assert report.params["norm"] == name == norm.name
 
@@ -491,7 +403,7 @@ class TestSandwich:
     def test_holds_on_many_directions(self, name):
         """s ||x||_2 <= ||x|| <= d s ||x||_2 on 1,000 Gaussian vectors and the all-ones vector."""
         norm = SANDWICH_NORMS[name]
-        m = norm.dim or 6
+        m = 6
         scale, distortion = norm.sandwich(m)
         rng = np.random.default_rng(6)
         x = np.vstack([rng.standard_normal((1000, m)), np.ones(m)])
@@ -508,10 +420,6 @@ class TestSandwich:
         scale, distortion = Norm.lp(1).sandwich(5)
         assert scale == 1.0
         assert distortion == pytest.approx(math.sqrt(5))
-
-    def test_sup_functional_parseval_constants(self):
-        """||v||_2 = ||g_v||_2 <= ||g_v||_inf <= ||v||_1 <= sqrt(m) ||v||_2."""
-        assert Norm.sup_functional(5, range(1, 17)).sandwich(16) == (1.0, 4.0)
 
     @pytest.mark.parametrize("m", [1, 3, 300])
     def test_l2_is_attained_on_both_sides(self, m):
@@ -536,21 +444,12 @@ class TestSandwich:
         assert report.holds and report.lhs <= 1e-9
         assert report.claim == "sandwich-attained" and report.rhs == 0.0
 
-    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
-    def test_witness_sup_functional_norms_attain_both_sides(self, variant):
-        """||g_{e_j}||_inf = 1 and g_ones(0) = m: the sup-functional sandwich (1, sqrt(m)) is sharp at n <= 12."""
-        for n in range(1, 13):
-            family = spectrum_support(build_witness(n, variant))
-            report = sandwich_validate(Norm.sup_functional(n, family), family.size)
-            assert report.holds and report.lhs <= 1e-9, (n, report)
-
     @pytest.mark.parametrize("mutant", ["double d", "halve s"])
-    @pytest.mark.parametrize("name", ["l1", "l2", "l3", "linf", "sup_functional(n=4,|family|=7)"])
+    @pytest.mark.parametrize("name", ["l1", "l2", "l3", "linf"])
     def test_a_wrong_sandwich_fires(self, monkeypatch, name, mutant):
-        """Too large a d (the bound would loosen unseen) and too small an s each fail the claim: lp at m = 16, the
-        sup-functional norm at its own m = 7."""
+        """Too large a d (the bound would loosen unseen) and too small an s each fail the claim, at m = 16."""
         norm = SANDWICH_NORMS[name]
-        m = norm.dim or 16
+        m = 16
         scale, distortion = norm.sandwich(m)
         wrong = (scale, 2.0 * distortion) if mutant == "double d" else (scale / 2.0, distortion)
         monkeypatch.setattr(Norm, "sandwich", lambda self, m: wrong)
