@@ -6,21 +6,25 @@ controlled by E|P| <= 8 ell, the second through the norm's Euclidean sandwich
 by the per-level deviation 8 ell / 2^ell, yielding the audited constant
 8 ell (1 + d / 2^ell) with d the sandwich's distortion.
 
-L and P are symmetric, so convolving with either scales each spectrum level:
-an audit runs two batched transforms, for f and f*P, and no more.
+L and P are symmetric, so convolving with either scales each spectrum level.
+An lp audit with p != 2 measures each term point by point, through two
+batched transforms, for f and f*P, and no more.  An l2 audit needs no value
+table: by Parseval each term is the root of a level-weighted sum of the
+spectrum's masses M_k = sum_{|S|=k} ||fhat(S)||_2^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
-from .cube_fourier import _check_dim, inverse_fwht, level_multiply
+from .cube_fourier import _blocks, _check_dim, inverse_fwht, level_multiply, subset_levels
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
-from .vector_field import Norm, VectorFunction, rademacher_projection, sandwich_validate
+from .vector_field import Norm, VectorFunction, _square_scale, rademacher_projection, sandwich_validate
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,19 @@ def choose_ell(m: int) -> int:
     return (int(m).bit_length() + 1) // 2 | 1  # 4^k > m iff 4^k > floor(m) iff 2k >= its bit length
 
 
+def _parseval_terms(spec: np.ndarray, c: np.ndarray) -> list[float]:
+    """The l2 terms lhs, rhs_raw, term_proxy and term_remainder by Parseval: the roots of the level masses M_k =
+    sum_{|S|=k} ||fhat(S)||_2^2 weighted by [k=1], 1, c_k^2 and ([k=1] - c_k)^2, each row's squares summed alone."""
+    scale = _square_scale(max(spec.max(), -spec.min()))
+    squares = np.empty(spec.shape[0])
+    for rows in _blocks(*spec.shape):
+        block = spec[rows] / scale  # exact: a power of two
+        squares[rows] = np.add.reduce(np.square(block, out=block), axis=1)
+    masses = np.bincount(subset_levels(c.size - 1), weights=squares, minlength=c.size)
+    linear = np.arange(c.size) == 1
+    return [scale * math.sqrt(math.fsum(w * masses)) for w in (linear, 1.0, c**2, (linear - c) ** 2)]
+
+
 def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -> PisierAudit:
     """Split lin f through the proxy and measure every step; the audit's checks report its four claims.
 
@@ -86,22 +103,23 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
     if ell is None:
         ell = choose_ell(f.m)
 
-    kernel = ProxyKernel(ell)
-    # At most f's spectrum and two (2^n, m) tables live at once.  f's value table is used if f
-    # holds it, else it is transformed into a table of the audit's own, dropped after its norm,
-    # so that f is left as it came.
-    values = f.values_matrix() if f.holds_values else inverse_fwht(f.spectrum)
-    rhs_raw = norm.mean_square(values)
-    del values
-    # f*P in value space, transformed in the buffer level_multiply returns
-    split = level_multiply(f.spectrum, proxy_level_coeffs(kernel, f.n))
-    inverse_fwht(split, out=split)
-    term_proxy = norm.mean_square(split)
-    linear = rademacher_projection(f).values_matrix()
-    lhs = norm.mean_square(linear)
-    # convolution is linear: f*(L-P) = lin f - f*P, formed in the f*P buffer
-    np.subtract(linear, split, out=split)
-    term_remainder = norm.mean_square(split)
+    coeffs = proxy_level_coeffs(ProxyKernel(ell), f.n)
+    if norm.p == 2.0:
+        lhs, rhs_raw, term_proxy, term_remainder = _parseval_terms(f.spectrum, coeffs)
+    else:
+        # At most f's spectrum and two (2^n, m) tables live at once.  f's value table is used if f
+        # holds it, else it is transformed into a table of the audit's own, dropped after its norm,
+        # so that f is left as it came.
+        rhs_raw = norm.mean_square(f.values_matrix() if f.holds_values else inverse_fwht(f.spectrum))
+        # f*P in value space, transformed in the buffer level_multiply returns
+        split = level_multiply(f.spectrum, coeffs)
+        inverse_fwht(split, out=split)
+        term_proxy = norm.mean_square(split)
+        linear = rademacher_projection(f).values_matrix()
+        lhs = norm.mean_square(linear)
+        # convolution is linear: f*(L-P) = lin f - f*P, formed in the f*P buffer
+        np.subtract(linear, split, out=split)
+        term_remainder = norm.mean_square(split)
 
     _, d = norm.sandwich(f.m)
     derived = 8.0 * ell * (1.0 + d / 2.0**ell)

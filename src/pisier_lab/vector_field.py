@@ -88,11 +88,19 @@ class Norm:
         return norms
 
     def mean_square(self, table) -> float:
-        """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point."""
-        return float(np.sqrt(np.mean(self.evaluate_rows(table) ** 2)))
+        """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point, squared in place."""
+        norms = self.evaluate_rows(table)
+        scale = _square_scale(norms.max(initial=0.0))
+        return float(np.sqrt(np.mean(np.square(np.divide(norms, scale, out=norms), out=norms)))) * scale
 
     def __repr__(self):
         return f"Norm({self.name})"
+
+
+def _square_scale(peak: float) -> float:
+    """2^e, peak's binade, for a peak outside [2^-500, 2^500], else 1.0: the exact divisor that keeps its squares,
+    and a sum of them, from overflow and underflow; the root is multiplied back."""
+    return 1.0 if 2.0**-500 <= peak <= 2.0**500 else math.ldexp(1.0, math.frexp(peak)[1])
 
 
 def _gate_points(m: int):

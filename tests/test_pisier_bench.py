@@ -1,6 +1,7 @@
 """Projection-audit pipeline checks: parameter choice, splitting, derived bounds."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -20,12 +21,13 @@ from pisier_lab import (
     proxy_level_coeffs,
     rademacher_projection,
 )
-from pisier_lab import cli, cube_fourier
-from pisier_lab.cube_fourier import popcount, subset_levels
+from pisier_lab import cli, cube_fourier, pisier_bench, vector_field
+from pisier_lab.cube_fourier import popcount
 from pisier_lab.lower_bound import WITNESS_VARIANTS, lower_bound_instance
 from pisier_lab.report import TOLERANCES
 
 from oracles import constant_function, linear_function, proxy_as_cube_function
+from test_acceptance import AUDIT_GRID, AUDIT_SEEDS
 
 
 def random_vector(n, m, seed):
@@ -264,45 +266,99 @@ class TestDecompositionAudit:
 
 
 def whole_table_audit(f: VectorFunction, norm: Norm, ell: int) -> dict:
-    """The six float fields of the audit from whole tables: f's values, f*P transformed out of place,
-    lin f, and np.linalg.norm over every row at once."""
+    """The six float fields of the audit by the per-point route from whole tables: f's values, f*P transformed
+    out of place, lin f and lin f - f*P, each measured by np.linalg.norm over every row at once.  f is left
+    holding what it held."""
     def msn(table):
         return float(np.sqrt(np.mean(np.linalg.norm(table, ord=norm.p, axis=1) ** 2)))
 
+    rhs_raw = msn(f.values if f.holds_values else inverse_fwht(f.spectrum))
     split = inverse_fwht(level_multiply(f.spectrum, proxy_level_coeffs(ProxyKernel(ell), f.n)))
+    term_proxy = msn(split)
     linear = rademacher_projection(f).values_matrix()
     d = norm.sandwich(f.m)[1]
-    return {"distortion": d, "lhs": msn(linear), "rhs_raw": msn(f.values), "term_proxy": msn(split),
-            "term_remainder": msn(linear - split), "derived_constant": 8.0 * ell * (1.0 + d / 2.0**ell)}
+    return {"distortion": d, "lhs": msn(linear), "rhs_raw": rhs_raw, "term_proxy": term_proxy,
+            "term_remainder": msn(np.subtract(linear, split, out=split)),
+            "derived_constant": 8.0 * ell * (1.0 + d / 2.0**ell)}
+
+
+L2_TERMS = ("lhs", "rhs_raw", "term_proxy", "term_remainder")
+
+
+def assert_l2_terms_close(audit, want: dict) -> None:
+    """Each l2 term of the audit within gamma_K of the per-point route's, relative (TestParsevalRoute states K);
+    the other fields equal."""
+    n, m = audit.n, audit.m
+    k = 3 * n + 2 * math.ceil(math.log2(m)) + math.comb(n, n // 2) + 70
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    scale = {**want, "term_remainder": want["lhs"] + want["term_proxy"] + want["term_remainder"]}
+    for name in want:
+        bound = gamma * scale[name] if name in L2_TERMS else 0.0
+        assert abs(getattr(audit, name) - want[name]) <= bound, (name, getattr(audit, name), want[name])
 
 
 class TestLeanAudit:
-    """The audit holds f's spectrum and two working tables, and its fields keep every bit."""
+    """The per-point audit holds f's spectrum and two working tables, and its fields keep every bit; the l2 audit
+    holds no table beside the spectrum."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
     @pytest.mark.parametrize(("n", "m"), [(7, 1), (14, 5), (12, 64)], ids=["m1-one-row-block", "m5-two-row-blocks", "m64-four-row-blocks"])
     @pytest.mark.parametrize("built", ["from-spectrum", "from-values"])
     def test_fields_equal_the_whole_table_audit(self, built, n, m, p):
         """A function built from values is measured on its own table; one built from its spectrum
-        is left holding no value table."""
+        is left holding no value table.  The l2 terms, taken from the spectrum, are within gamma_K."""
         table = np.random.default_rng(700 + n).standard_normal((1 << n, m))
         f = VectorFunction(n, **{built.removeprefix("from-"): table})
         audit = decomposition_audit(f, Norm.lp(p))
         assert f.holds_values == (built == "from-values")
         want = whole_table_audit(f, Norm.lp(p), audit.ell)
-        assert {name: getattr(audit, name) for name in want} == want
+        if p == 2.0:
+            assert_l2_terms_close(audit, want)
+        else:
+            assert {name: getattr(audit, name) for name in want} == want
 
-    def test_peak_is_under_three_and_a_half_tables(self):
-        """f's spectrum plus the audit's own peak stays under 3.5 (2^14, 64) tables of 8 MB."""
+    @pytest.mark.parametrize(("p", "tables"), [(math.inf, 3.5), (2.0, 1.25)], ids=["linf", "l2"])
+    def test_peak_is_under_the_routes_tables(self, p, tables):
+        """f's spectrum plus the audit's own peak, in (2^14, 64) tables of 8 MB: under 3.5 for the per-point
+        route, and under 1.25 for the l2 route, whose row sums and cache block stay under a quarter table."""
         f = random_vector(14, 64, 32)
         table = f.spectrum.nbytes
         tracemalloc.start()
         try:
-            decomposition_audit(f, Norm.lp(2))
+            decomposition_audit(f, Norm.lp(p))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table + peak < 3.5 * table, (table + peak) / table
+        assert table + peak < tables * table, (table + peak) / table
+
+    def test_l2_audit_builds_no_value_table(self, monkeypatch):
+        """An l2 audit of a function built from its spectrum runs no butterfly, no level product, no projection
+        and no mean square of rows; the same patches stop a linf audit."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the l2 route ran a per-point step")
+
+        for owner, name in [(cube_fourier, "_walsh_butterfly"), (cube_fourier, "level_multiply"),
+                            (pisier_bench, "level_multiply"), (vector_field, "rademacher_projection"),
+                            (pisier_bench, "rademacher_projection"), (Norm, "mean_square")]:
+            monkeypatch.setattr(owner, name, refuse)
+        f = random_vector(10, 8, 41)
+        audit = decomposition_audit(f, Norm.lp(2))
+        assert not f.holds_values
+        assert [c.holds for c in audit.checks] == [True] * 4
+        with pytest.raises(AssertionError, match="per-point step"):
+            decomposition_audit(f, Norm.lp(math.inf))
+
+    @pytest.mark.parametrize("e", [600, -600])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
+    def test_far_binades_scale_every_field_exactly(self, p, e):
+        """A spectrum times 2^e, far outside [2^-500, 2^500], is squared over a power of two: every field is 2^e
+        times the unscaled audit's, bit for bit, where a mean square of the raw squares would be inf or 0.0."""
+        f = random_vector(8, 4, 42)
+        base = decomposition_audit(f, Norm.lp(p)).to_dict()
+        far = decomposition_audit(VectorFunction.from_spectrum(8, np.ldexp(f.spectrum, e)), Norm.lp(p))
+        scaled = {*L2_TERMS, "slack"}
+        assert far.to_dict() == {name: math.ldexp(v, e) if name in scaled else v for name, v in base.items()}
+        assert [c.holds for c in far.checks] == [True] * 4
 
 
 class TestLowerBoundInstanceAudit:
@@ -343,12 +399,12 @@ PARSEVAL_GRID = [(n, m, seed) for n, m in ((8, 4), (10, 8), (12, 16), (16, 16), 
 
 
 class TestParsevalRoute:
-    """Every l2 audit term from the spectrum, by Parseval's identity on the cube.  With M_k = sum_{|S|=k}
-    ||fhat(S)||_2^2 and c the proxy's level coefficients: rhs_raw^2 = sum_k M_k, lhs^2 = M_1, term_proxy^2 =
-    sum_k c_k^2 M_k and term_remainder^2 = sum_k ([k=1] - c_k)^2 M_k.  The masses come from one bincount over
-    subset_levels, and share no code with inverse_fwht, Norm or rademacher_projection.
+    """An l2 audit takes every term from the spectrum, by Parseval's identity on the cube.  With M_k =
+    sum_{|S|=k} ||fhat(S)||_2^2 and c the proxy's level coefficients: rhs_raw^2 = sum_k M_k, lhs^2 = M_1,
+    term_proxy^2 = sum_k c_k^2 M_k and term_remainder^2 = sum_k ([k=1] - c_k)^2 M_k.  The per-point route,
+    whole value tables measured row by row, is the oracle: it shares no step with the masses.
 
-    The bound, with gamma_k = k u / (1 - k u) and u = 2^-53 (Higham 2002, ch. 3-4).  Each table the audit
+    The bound, with gamma_k = k u / (1 - k u) and u = 2^-53 (Higham 2002, ch. 3-4).  Each table the oracle
     measures is the spectrum through at most one level product and n butterfly passes; each pass is sqrt(2)
     times an orthogonal map and rounds each entry once, so the table's normwise relative error is at most
     gamma_(n+1).  Its mean square sums m squares per row, then 2^n rows, pairwise, at depths of at most
@@ -359,16 +415,15 @@ class TestParsevalRoute:
     """
 
     @pytest.mark.parametrize(("n", "m", "seed"), PARSEVAL_GRID + [(20, 16, 0)])
-    def test_l2_audit_terms_are_level_masses(self, n, m, seed):
+    def test_l2_audit_terms_match_the_per_point_route(self, n, m, seed):
         f = cli.random_vector_function(n, m, seed)
         audit = decomposition_audit(f, Norm.lp(2))
-        masses = np.bincount(subset_levels(n), weights=np.sum(f.spectrum**2, axis=1), minlength=n + 1)
-        c = proxy_level_coeffs(ProxyKernel(audit.ell), n)
-        gap = (np.arange(n + 1) == 1) - c
-        want = {name: math.sqrt(math.fsum(weights * masses)) for name, weights in
-                (("rhs_raw", 1.0), ("lhs", np.arange(n + 1) == 1), ("term_proxy", c**2), ("term_remainder", gap**2))}
-        k = 3 * n + 2 * math.ceil(math.log2(m)) + math.comb(n, n // 2) + 70
-        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
-        scale = {**want, "term_remainder": want["lhs"] + want["term_proxy"] + want["term_remainder"]}
-        for name in want:
-            assert abs(getattr(audit, name) - want[name]) <= gamma * scale[name], (name, want[name])
+        assert_l2_terms_close(audit, whole_table_audit(f, Norm.lp(2), audit.ell))
+
+    def test_every_acceptance_l2_ratio_is_at_most_one(self):
+        """fsum is correctly rounded and monotone, and M_1 is one of the nonnegative masses it adds, so lhs <=
+        rhs_raw and the ratio is at most 1.0 exactly on each of the acceptance grid's l2 audits."""
+        ratios = [json.loads(cli.audit_report_json(n, m, "l2", seed))["audit"]["ratio"]
+                  for n, m in AUDIT_GRID for seed in AUDIT_SEEDS]
+        assert len(ratios) == 150
+        assert max(ratios) <= 1.0

@@ -371,6 +371,7 @@ def _run_every_subcommand(tmp_path, capsys) -> None:
         ["proxy-check", "--ell", "3", "--n", "8"],
         ["audit", "--n", "4", "--m", "3", "--ell", "3", "--norm", "l3"],
         ["audit", "--n", "4", "--m", "3", "--norm", "l2.5"],
+        ["audit", "--n", "4", "--m", "3", "--norm", "l2"],
         ["audit", "--n", "4", "--m", "3", "--norm", "linf", "--out", str(tmp_path / "audit.json")],
         ["lower-bound", "--n", "9", "--variant", "chebyshev", "--out", str(tmp_path / "lower.json")],
         ["sparsity", "--n", "4"],
