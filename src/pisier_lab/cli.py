@@ -54,14 +54,14 @@ def _verdict(checks: Sequence[BoundReport]) -> dict[str, list]:
                            for c in checks if not c.holds]}
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    _emit_pieces([text], out)
+def _emit_text(text: str, path: str | None) -> None:
+    _emit_pieces([text], path)
 
 
-def _emit_pieces(pieces: Iterable[str], out: str | None) -> None:
-    """The text of the pieces, to the --out file or to stdout, written as they come."""
-    if out:
-        with open(out, "w") as file:
+def _emit_pieces(pieces: Iterable[str], path: str | None) -> None:
+    """The text of the pieces, to the --out file at path or to stdout, written as they come."""
+    if path:
+        with open(path, "w") as file:
             file.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)

@@ -60,7 +60,12 @@ def popcount(masks) -> np.ndarray:
 
 def subset_levels(n: int) -> np.ndarray:
     """|S| for every subset mask S in mask order; equally, the Hamming weight of every point."""
-    return popcount(np.arange(1 << n, dtype=np.uint32))
+    return _levels(slice(0, 1 << n))
+
+
+def _levels(rows: slice) -> np.ndarray:
+    """|S| for every mask S of the slice, in mask order: the levels of a cache block of spectrum rows."""
+    return popcount(np.arange(rows.start, rows.stop, dtype=np.uint32))
 
 
 def _odd_parity(points: slice, masks) -> np.ndarray:
@@ -69,7 +74,7 @@ def _odd_parity(points: slice, masks) -> np.ndarray:
     return (popcount(np.bitwise_and.outer(x, np.asarray(masks, dtype=np.uint32))) & 1).view(bool)
 
 
-def _walsh_butterfly(a, normalize: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
     # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
     # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x), divided by the length
     # when normalize is set.  The table is blocked so that every pass runs in cache (the
@@ -80,21 +85,21 @@ def _walsh_butterfly(a, normalize: bool = False, out: np.ndarray | None = None) 
     # phase 2 runs when strides remain, and alone when c == 1 (no two rows fit a block,
     # or the table has one row).  Each block or strip is copied whole into scratch,
     # transformed there and copied out, the last phase dividing it on the way, and the
-    # blocks of a phase are disjoint.  So out, a new table unless one is given, may be
-    # the input itself: the transform then runs in place at any thread count.  Otherwise
-    # the first phase reads the input itself, which is neither copied (unless it is not
-    # C-contiguous float64) nor written.  The blocks of a phase are dealt to up to
-    # _WORKERS threads, so a table of one block runs on the calling thread.  Every entry
-    # sees the same additions in the same order as in unblocked ascending-stride passes
-    # (see _radix2_passes), and dividing by a power of two is one correctly rounded step
-    # wherever it happens, so the result is bit-identical to those passes at any thread
-    # count, in place or not; peak memory is the input and out plus two blocks per worker.
+    # blocks of a phase are disjoint.  The first phase reads the input, which is neither
+    # copied (unless it is not C-contiguous float64) nor written, into a new table, and
+    # phase 2 after phase 1 runs in place on that table.  The blocks of a phase are dealt
+    # to up to _WORKERS threads, so a table of one block runs on the calling thread.
+    # Every entry sees the same additions in the same order as in unblocked
+    # ascending-stride passes (see _radix2_passes), and dividing by a power of two is one
+    # correctly rounded step wherever it happens, so the result is bit-identical to those
+    # passes at any thread count; peak memory is the input and the new table plus two
+    # blocks per worker.
     a = np.asarray(a, dtype=np.float64)
     size = a.shape[0] if a.ndim else 0
     _check_power_of_two(size, "a Walsh transform")
     scale = 1.0 / size if normalize else None
     src = np.ascontiguousarray(a)
-    out = np.empty_like(src) if out is None else _checked_out(out, src)
+    out = np.empty_like(src)
     if not src.size:  # an empty batch: no entry to add
         return out
     width = src.size // size
@@ -107,17 +112,6 @@ def _walsh_butterfly(a, normalize: bool = False, out: np.ndarray | None = None) 
         rows_out = out.reshape(rows_in.shape)
         _run_phase([(rows_in[:, strip], rows_out[:, strip])
                     for strip in _blocks(rows_in.shape[1], rows_in.shape[0])], scale)
-    return out
-
-
-def _checked_out(out, src: np.ndarray) -> np.ndarray:
-    """out, if it can take the transform of src: a writable C-contiguous float64 table of src's shape,
-    either src's own memory or none of it."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == src.shape
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError(f"out must be a writable C-contiguous float64 array of shape {src.shape}")
-    if out.ctypes.data != src.ctypes.data and np.may_share_memory(out, src):
-        raise ValueError("out overlaps the input without being it")
     return out
 
 
@@ -192,13 +186,9 @@ def fwht(values) -> np.ndarray:
     return _walsh_butterfly(values, normalize=True)
 
 
-def inverse_fwht(spectrum, out: np.ndarray | None = None) -> np.ndarray:
-    """Value table of a spectrum along axis 0: out[x] = sum_S spectrum[S] chi_S(x).
-
-    out, if given, receives the table and is returned: a writable C-contiguous float64
-    array of the spectrum's shape, which may be the spectrum itself (an in-place transform).
-    """
-    return _walsh_butterfly(spectrum, out=out)
+def inverse_fwht(spectrum) -> np.ndarray:
+    """Value table of a spectrum along axis 0, a new table: out[x] = sum_S spectrum[S] chi_S(x)."""
+    return _walsh_butterfly(spectrum)
 
 
 def inverse_fwht_rows(spectra: np.ndarray) -> np.ndarray:
@@ -221,7 +211,7 @@ def level_multiply(spec, c) -> np.ndarray:
         raise ValueError(f"need one multiplier per level 0..{n}, got shape {c.shape}")
     out = np.empty(spec.shape)
     for rows in _blocks(size, spec.size // size):
-        factor = c[popcount(np.arange(rows.start, rows.stop, dtype=np.uint32))]
+        factor = c[_levels(rows)]
         np.multiply(spec[rows], factor.reshape(factor.shape + (1,) * (spec.ndim - 1)), out=out[rows])
     return out
 

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import _blocks, _check_dim, inverse_fwht, level_multiply, subset_levels
+from .cube_fourier import _blocks, _check_dim, _levels, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
 from .vector_field import Norm, VectorFunction, _square_scale, rademacher_projection, sandwich_validate
@@ -77,13 +77,13 @@ def choose_ell(m: int) -> int:
 
 def _parseval_terms(spec: np.ndarray, c: np.ndarray) -> list[float]:
     """The l2 terms lhs, rhs_raw, term_proxy and term_remainder by Parseval: the roots of the level masses M_k =
-    sum_{|S|=k} ||fhat(S)||_2^2 weighted by [k=1], 1, c_k^2 and ([k=1] - c_k)^2, each row's squares summed alone."""
+    sum_{|S|=k} ||fhat(S)||_2^2 weighted by [k=1], 1, c_k^2 and ([k=1] - c_k)^2.  Each row's squares are summed
+    alone, and np.add.at adds the row sums into their masses in row order, so no block size changes a bit."""
     scale = _square_scale(max(spec.max(), -spec.min()))
-    squares = np.empty(spec.shape[0])
+    masses = np.zeros(c.size)
     for rows in _blocks(*spec.shape):
         block = spec[rows] / scale  # exact: a power of two
-        squares[rows] = np.add.reduce(np.square(block, out=block), axis=1)
-    masses = np.bincount(subset_levels(c.size - 1), weights=squares, minlength=c.size)
+        np.add.at(masses, _levels(rows), np.add.reduce(np.square(block, out=block), axis=1))
     linear = np.arange(c.size) == 1
     return [scale * math.sqrt(math.fsum(w * masses)) for w in (linear, 1.0, c**2, (linear - c) ** 2)]
 
@@ -111,9 +111,7 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
         # holds it, else it is transformed into a table of the audit's own, dropped after its norm,
         # so that f is left as it came.
         rhs_raw = norm.mean_square(f.values_matrix() if f.holds_values else inverse_fwht(f.spectrum))
-        # f*P in value space, transformed in the buffer level_multiply returns
-        split = level_multiply(f.spectrum, coeffs)
-        inverse_fwht(split, out=split)
+        split = inverse_fwht(level_multiply(f.spectrum, coeffs))  # f*P in value space
         term_proxy = norm.mean_square(split)
         linear = rademacher_projection(f).values_matrix()
         lhs = norm.mean_square(linear)

@@ -495,41 +495,6 @@ class TestScaleInTheLastPhase:
         assert_same_bits(CubeFunction.from_values(shape[0].bit_length() - 1, table).spectrum, want)
 
 
-class TestInverseFwhtInto:
-    """inverse_fwht(spectrum, out=): into a buffer of the caller's or in place, the bits of a new table."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize(("shape", "block"), [((1 << 8, 4), 1 << 16), ((1 << 13, 16), 1 << 16),
-                                                  ((1 << 17,), 1 << 16), ((1 << 8, 3), 1 << 4)],
-                             ids=["one-block", "both-phases", "one-dimensional", "small-blocks"])
-    def test_into_a_buffer_and_in_place(self, monkeypatch, workers, shape, block):
-        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
-        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
-        table = np.random.default_rng(shape[0] + workers).standard_normal(shape)
-        want = inverse_fwht(table)
-        buffer = np.empty(shape)
-        assert inverse_fwht(table, out=buffer) is buffer
-        assert_same_bits(buffer, want)
-        assert inverse_fwht(table, out=table) is table
-        assert_same_bits(table, want)
-
-    @pytest.mark.parametrize("bad", ["read-only", "non-contiguous", "wrong-shape", "float32", "not-an-array"])
-    def test_rejects_an_out_it_cannot_fill(self, bad):
-        table = np.random.default_rng(14).standard_normal((16, 4))
-        out = {"read-only": np.empty((16, 4)), "non-contiguous": np.empty((4, 16)).T,
-               "wrong-shape": np.empty((16, 3)), "float32": np.empty((16, 4), dtype=np.float32),
-               "not-an-array": [[0.0] * 4] * 16}[bad]
-        if bad == "read-only":
-            out.flags.writeable = False
-        with pytest.raises(ValueError, match=r"out must be a writable C-contiguous float64 array of shape \(16, 4\)"):
-            inverse_fwht(table, out=out)
-
-    def test_rejects_an_out_that_overlaps_the_input_without_being_it(self):
-        memory = np.zeros(72)
-        with pytest.raises(ValueError, match="out overlaps the input without being it"):
-            inverse_fwht(memory[:64].reshape(16, 4), out=memory[8:].reshape(16, 4))
-
-
 class TestSparsity:
     def test_constant(self):
         assert spectrum_sparsity(constant_function(3, 1.0)) == 1

@@ -317,11 +317,12 @@ class TestLeanAudit:
         else:
             assert {name: getattr(audit, name) for name in want} == want
 
-    @pytest.mark.parametrize(("p", "tables"), [(math.inf, 3.5), (2.0, 1.25)], ids=["linf", "l2"])
-    def test_peak_is_under_the_routes_tables(self, p, tables):
-        """f's spectrum plus the audit's own peak, in (2^14, 64) tables of 8 MB: under 3.5 for the per-point
-        route, and under 1.25 for the l2 route, whose row sums and cache block stay under a quarter table."""
-        f = random_vector(14, 64, 32)
+    @pytest.mark.parametrize(("n", "m", "p", "tables"), [(14, 64, math.inf, 3.5), (14, 64, 2.0, 1.25), (20, 1, 2.0, 1.25)],
+                             ids=["linf", "l2", "l2-m1"])
+    def test_peak_is_under_the_routes_tables(self, n, m, p, tables):
+        """f's spectrum plus the audit's own peak, in tables of 8 MB: under 3.5 for the per-point route, and under
+        1.25 for the l2 route, whose cache blocks and level masses stay under a quarter table even at m = 1."""
+        f = random_vector(n, m, 32)
         table = f.spectrum.nbytes
         tracemalloc.start()
         try:

@@ -230,6 +230,20 @@ def test_one_norm_kind():
     assert args.vararg is None and args.kwarg is None
 
 
+def test_transforms_return_new_tables():
+    """A transform takes a table and returns a new one: no function of the package fills a buffer of the caller's,
+    so none has a parameter named out, and inverse_fwht takes the spectrum and nothing else."""
+    params = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+                params.append((f"{path.name}:{getattr(node, 'name', '<lambda>')}", names))
+    assert [name for name, names in params if "out" in names] == []
+    assert [names for name, names in params if name == "cube_fourier.py:inverse_fwht"] == [["spectrum"]]
+
+
 def test_public_surface():
     """The package exports what the CLI and the checks of the paper's claims use, and no more."""
     assert len(PUBLIC_NAMES) == 37
