@@ -495,6 +495,52 @@ class TestScaleInTheLastPhase:
         assert_same_bits(CubeFunction.from_values(shape[0].bit_length() - 1, table).spectrum, want)
 
 
+class TestInverseFwhtNewTable:
+    """inverse_fwht(spectrum): a new writable table, the input read and never written, the bits of unblocked passes."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(("shape", "block"), [((1 << 8, 4), 1 << 16), ((1 << 13, 16), 1 << 16),
+                                                  ((1 << 17,), 1 << 16), ((1 << 8, 3), 1 << 4)],
+                             ids=["one-block", "both-phases", "one-dimensional", "small-blocks"])
+    def test_a_new_table_leaving_the_input_alone(self, monkeypatch, workers, shape, block):
+        monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        table = np.random.default_rng(shape[0] + workers).standard_normal(shape)
+        before = table.copy()
+        got = inverse_fwht(table)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert not np.shares_memory(got, table)
+        assert_same_bits(got, walsh_butterfly_unblocked(before))
+        assert_same_bits(table, before)
+        again = inverse_fwht(table)
+        assert not np.shares_memory(again, got)
+        assert_same_bits(again, got)
+
+    @pytest.mark.parametrize("kind", ["read-only", "non-contiguous", "float32", "integer", "nested-list"])
+    def test_reads_any_table_numpy_can_read(self, kind):
+        """A table that is not a writable C-contiguous float64 array is read through at most one copy."""
+        values = np.random.default_rng(14).integers(-8, 8, size=(16, 4))
+        table = {"read-only": values.astype(np.float64), "non-contiguous": np.asfortranarray(values, dtype=np.float64),
+                 "float32": values.astype(np.float32), "integer": values,
+                 "nested-list": values.tolist()}[kind]
+        if kind == "read-only":
+            table.flags.writeable = False
+        assert kind != "non-contiguous" or not table.flags.c_contiguous
+        got = inverse_fwht(table)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert_same_bits(got, walsh_butterfly_unblocked(values.astype(np.float64)))
+        assert np.array_equal(np.asarray(table), values)
+
+    def test_an_input_inside_a_larger_buffer_is_read_alone(self):
+        """The new table shares no memory with the buffer around its input, which keeps every entry."""
+        memory = np.random.default_rng(15).standard_normal(72)
+        before = memory.copy()
+        got = inverse_fwht(memory[8:].reshape(16, 4))
+        assert not np.shares_memory(got, memory)
+        assert_same_bits(got, walsh_butterfly_unblocked(before[8:].reshape(16, 4)))
+        assert_same_bits(memory, before)
+
+
 class TestSparsity:
     def test_constant(self):
         assert spectrum_sparsity(constant_function(3, 1.0)) == 1
