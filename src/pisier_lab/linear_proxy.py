@@ -21,7 +21,9 @@ the grid, so the identities hold with no asymptotics to trust.
 Angles are carried as integer grid indices k (theta_k = 2 pi k / (4 ell)).
 The sine table is built for the first quadrant only and mirrored, which
 makes the theta -> 2 pi - theta antisymmetry of the kernel exact in floating
-point; moments of even powers then cancel exactly instead of to roundoff.
+point; moments of even powers then cancel up to np.power's rounding, and
+the level coefficients at even k, which vanish by that antisymmetry, are
+set to exactly 0.0.
 """
 
 from __future__ import annotations
@@ -115,10 +117,17 @@ def proxy_level_coeffs(kernel: ProxyKernel, n: int) -> np.ndarray:
     """Level coefficients c_0..c_n with c_k = 2 E[phi sin^k] / 2^k.
 
     The proxy's Fourier coefficient at any subset S is c_{|S|}, so this
-    array is the whole spectrum up to the level-counting map.
+    array is the whole spectrum up to the level-counting map.  phi is odd
+    under theta -> 2 pi - theta and sin^k is even there for even k, so
+    E[phi sin^k] vanishes and c_k is exactly 0.0 at every even k: the proxy
+    lives on odd levels, as L does.  Only the odd moments are summed, since
+    np.power's vector loop leaves even ones as rounding noise.
     """
     _check_dim(n)
-    return np.array([2.0 * kernel_moment(kernel, k) / 2.0**k for k in range(n + 1)])
+    coeffs = np.zeros(n + 1)
+    for k in range(1, n + 1, 2):
+        coeffs[k] = 2.0 * kernel_moment(kernel, k) / 2.0**k
+    return coeffs
 
 
 def proxy_eval_by_weight(kernel: ProxyKernel, n: int, a: int) -> float:

@@ -7,10 +7,13 @@ by the per-level deviation 8 ell / 2^ell, yielding the audited constant
 8 ell (1 + d / 2^ell) with d the sandwich's distortion.
 
 L and P are symmetric, so convolving with either scales each spectrum level.
-An lp audit with p != 2 measures each term point by point, through two
-batched transforms, for f and f*P, and no more.  An l2 audit needs no value
-table: by Parseval each term is the root of a level-weighted sum of the
-spectrum's masses M_k = sum_{|S|=k} ||fhat(S)||_2^2.
+An lp audit with p != 2 measures each term point by point: f through one
+batched transform of its spectrum, unless f holds its values.  P and L live
+on odd levels, so f*P, lin f and f*(L-P) are odd, g(x ^ (2^n - 1)) = -g(x),
+and each is computed at the 2^(n-1) even points alone, f*P through one
+half-size transform.  An l2 audit needs no value table: by Parseval each
+term is the root of a level-weighted sum of the spectrum's masses
+M_k = sum_{|S|=k} ||fhat(S)||_2^2.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .cube_fourier import _blocks, _check_dim, _levels, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
-from .vector_field import Norm, VectorFunction, _square_scale, rademacher_projection, sandwich_validate
+from .vector_field import (Norm, VectorFunction, _projection_at_even_points, _root_mean_square, _square_scale,
+                           sandwich_validate)
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,17 @@ def _parseval_terms(spec: np.ndarray, c: np.ndarray) -> list[float]:
     return [scale * math.sqrt(math.fsum(w * masses)) for w in (linear, 1.0, c**2, (linear - c) ** 2)]
 
 
+def _odd_mean_square(norm: Norm, half: np.ndarray) -> float:
+    """(E ||g(x)||^2)^(1/2) over the cube of an odd g, g(x ^ (2^n - 1)) = -g(x), from its rows at the even points,
+    row i at x = 2i.  x = 2i + 1 is the complement of 2(K - 1 - i), K = 2^(n-1), so the odd points' norms are the
+    even ones reversed, and the mean adds all 2^n norms in point order, as Norm.mean_square does."""
+    even = norm.evaluate_rows(half)
+    norms = np.empty(2 * even.size)
+    norms[0::2] = even
+    norms[1::2] = even[::-1]
+    return _root_mean_square(norms)
+
+
 def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -> PisierAudit:
     """Split lin f through the proxy and measure every step; the audit's checks report its four claims.
 
@@ -107,17 +122,26 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
     if norm.p == 2.0:
         lhs, rhs_raw, term_proxy, term_remainder = _parseval_terms(f.spectrum, coeffs)
     else:
-        # At most f's spectrum and two (2^n, m) tables live at once.  f's value table is used if f
+        # f*P, lin f and f*(L-P) live on odd levels, so each is odd and is measured at the 2^(n-1) even points
+        if coeffs[0::2].any():
+            raise ValueError(f"the proxy's even levels must vanish, got {coeffs[0::2].tolist()}")
+        # At most f's spectrum and one (2^n, m) table live at once.  f's value table is used if f
         # holds it, else it is transformed into a table of the audit's own, dropped after its norm,
         # so that f is left as it came.
         rhs_raw = norm.mean_square(f.values_matrix() if f.holds_values else inverse_fwht(f.spectrum))
-        split = inverse_fwht(level_multiply(f.spectrum, coeffs))  # f*P in value space
-        term_proxy = norm.mean_square(split)
-        linear = rademacher_projection(f).values_matrix()
-        lhs = norm.mean_square(linear)
+        # the butterfly's first pass, + half: rows 2i and 2i + 1 of the level-multiplied spectrum, at levels |i|
+        # and |i| + 1, added as the whole transform adds them; the other passes never leave the even rows
+        pairs = f.spectrum.reshape(f.size // 2, 2, f.m)
+        fold = level_multiply(pairs[:, 0], coeffs[:-1])
+        fold += level_multiply(pairs[:, 1], coeffs[1:])
+        split = inverse_fwht(fold)  # f*P at the even points
+        del fold
+        term_proxy = _odd_mean_square(norm, split)
+        linear = _projection_at_even_points(f.spectrum)
+        lhs = _odd_mean_square(norm, linear)
         # convolution is linear: f*(L-P) = lin f - f*P, formed in the f*P buffer
         np.subtract(linear, split, out=split)
-        term_remainder = norm.mean_square(split)
+        term_remainder = _odd_mean_square(norm, split)
 
     _, d = norm.sandwich(f.m)
     derived = 8.0 * ell * (1.0 + d / 2.0**ell)

@@ -88,10 +88,8 @@ class Norm:
         return norms
 
     def mean_square(self, table) -> float:
-        """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point, squared in place."""
-        norms = self.evaluate_rows(table)
-        scale = _square_scale(norms.max(initial=0.0))
-        return float(np.sqrt(np.mean(np.square(np.divide(norms, scale, out=norms), out=norms)))) * scale
+        """(E ||row||^2)^(1/2) over the rows of a value table, one row per cube point."""
+        return _root_mean_square(self.evaluate_rows(table))
 
     def __repr__(self):
         return f"Norm({self.name})"
@@ -101,6 +99,12 @@ def _square_scale(peak: float) -> float:
     """2^e, peak's binade, for a peak outside [2^-500, 2^500], else 1.0: the exact divisor that keeps its squares,
     and a sum of them, from overflow and underflow; the root is multiplied back."""
     return 1.0 if 2.0**-500 <= peak <= 2.0**500 else math.ldexp(1.0, math.frexp(peak)[1])
+
+
+def _root_mean_square(norms: np.ndarray) -> float:
+    """(E norms^2)^(1/2) of the row norms, one per cube point, squared in place over _square_scale's power of two."""
+    scale = _square_scale(norms.max(initial=0.0))
+    return float(np.sqrt(np.mean(np.square(np.divide(norms, scale, out=norms), out=norms)))) * scale
 
 
 def _gate_points(m: int):
@@ -141,3 +145,15 @@ def rademacher_projection(f: VectorFunction) -> VectorFunction:
     table.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
     return VectorFunction.from_values(f.n, table)
 
+
+def _projection_at_even_points(spectrum: np.ndarray) -> np.ndarray:
+    """lin f at the even points x = 2i, x_0 = +1, as row i of a new (2^(n-1), m) table, from f's spectrum: row 0
+    starts at fhat({0}), pass 0's sum at x = 0, and rademacher_projection's passes j = 1 .. n-1 run from there, so
+    every row has the bits of that table's row 2i."""
+    n = spectrum.shape[0].bit_length() - 1
+    table = np.zeros((spectrum.shape[0] // 2, *spectrum.shape[1:]))
+    table[0] += spectrum[1]
+    for j in range(1, n):  # pass j fills rows 2^(j-1) .. 2^j - 1, the points 2^j .. 2^(j+1) - 2
+        np.subtract(table[: 1 << (j - 1)], spectrum[1 << j], out=table[1 << (j - 1) : 1 << j])
+        table[: 1 << (j - 1)] += spectrum[1 << j]
+    return table

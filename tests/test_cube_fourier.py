@@ -323,6 +323,42 @@ class TestBlocks:
                                                                               (16, 20)]
 
 
+class TestOddLevels:
+    """A spectrum on odd levels alone is an odd function, f(x ^ (2^n - 1)) = -f(x), since chi_S at the complement
+    is (-1)^|S| chi_S.  The butterfly keeps this entry for entry, rounding being symmetric, at any block size and
+    thread count: the lp audits measure their odd terms at the even points on it."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("block", [1 << 4, None], ids=["16-doubles", "default-block"])
+    def test_odd_levels_give_an_odd_table(self, monkeypatch, block, n):
+        if block is not None:
+            monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        rng = np.random.default_rng(200 + n)
+        points = np.arange(1 << n)
+        even = popcount(points) % 2 == 0
+        for m in (1, 3, 16):
+            spectrum = rng.standard_normal((1 << n, m))
+            spectrum[even] = 0.0
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+                values = inverse_fwht(spectrum)
+                assert np.array_equal(values[points ^ ((1 << n) - 1)], -values), (m, workers)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_one_even_level_entry_breaks_it(self, n):
+        """An entry c at an even level S adds c chi_S(x) at both x and its complement, so f(x) + f(complement)
+        is 2 c chi_S(x), nonzero at every point."""
+        rng = np.random.default_rng(300 + n)
+        points = np.arange(1 << n)
+        spectrum = rng.standard_normal((1 << n, 3))
+        spectrum[popcount(points) % 2 == 0] = 0.0
+        spectrum[3] = [0.5, -0.25, 2.0]  # S = {0, 1}, level 2
+        values = inverse_fwht(spectrum)
+        flipped = values[points ^ ((1 << n) - 1)]
+        assert not np.array_equal(flipped, -values)
+        np.testing.assert_allclose(flipped + values, 2.0 * character_table(n, 3)[:, None] * spectrum[3], atol=1e-12)
+
+
 class TestBlockedButterfly:
     @pytest.mark.parametrize("shape", [(1 << 17,), (1 << 16, 3), (1 << 12, 40), (2, 1 << 17)])
     def test_matches_unblocked_passes_at_the_block_size(self, shape):

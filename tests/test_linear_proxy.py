@@ -198,6 +198,18 @@ class TestLevelCoefficients:
         assert coeffs[3] == 0.25  # 2 E[phi sin^3] / 8 with E[phi sin^3] = 1
 
     @pytest.mark.parametrize("ell", ODD_ELLS)
+    def test_even_levels_are_exactly_zero(self, ell):
+        """phi is odd and sin^k even for even k, so c_k is 0.0 there, not np.power's rounding noise; each odd c_k
+        has the bits of 2 E[phi sin^k] / 2^k."""
+        kernel = ProxyKernel(ell)
+        for n in range(1, 25):
+            coeffs = proxy_level_coeffs(kernel, n)
+            assert coeffs.shape == (n + 1,)
+            assert all(coeffs[k] == 0.0 for k in range(0, n + 1, 2)), n
+            odd = [2 * kernel_moment(kernel, k) / 2**k for k in range(1, n + 1, 2)]
+            assert coeffs[1::2].tobytes() == np.array(odd).tobytes(), n
+
+    @pytest.mark.parametrize("ell", ODD_ELLS)
     def test_deviation_above_ell(self, ell):
         """|c_k| stays below 8 ell / 2^ell for every level past ell."""
         coeffs = proxy_level_coeffs(ProxyKernel(ell), 24)

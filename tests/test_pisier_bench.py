@@ -21,7 +21,7 @@ from pisier_lab import (
     proxy_level_coeffs,
     rademacher_projection,
 )
-from pisier_lab import cli, cube_fourier, pisier_bench, vector_field
+from pisier_lab import cli, cube_fourier, pisier_bench
 from pisier_lab.cube_fourier import popcount
 from pisier_lab.lower_bound import WITNESS_VARIANTS, lower_bound_instance
 from pisier_lab.report import TOLERANCES
@@ -216,7 +216,8 @@ class TestDecompositionAudit:
                 assert got == pytest.approx(want, rel=1e-12), name
 
     def test_two_batched_transforms(self, monkeypatch):
-        """One transform fills f's value table and one takes f*P to value space; lin f needs none."""
+        """One transform fills f's value table and one takes f*P to value space at the even points, a half table;
+        lin f needs none."""
         calls = []
         butterfly = cube_fourier._walsh_butterfly
 
@@ -227,7 +228,20 @@ class TestDecompositionAudit:
         f = random_vector(8, 4, 15)
         monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
         decomposition_audit(f, Norm.lp(math.inf))
-        assert calls == [(256, 4), (256, 4)]
+        assert calls == [(256, 4), (128, 4)]
+
+    @pytest.mark.parametrize("level", [0, 2, 6])
+    def test_an_even_level_proxy_coefficient_is_refused(self, monkeypatch, level):
+        """The lp route measures f*P and f*(L-P) at the even points, which holds only if P lives on odd levels:
+        a nonzero even-level coefficient raises before any table is made, by a raise that python -O keeps."""
+        def noisy(kernel, n):
+            coeffs = proxy_level_coeffs(kernel, n)
+            coeffs[level] = 2.0e-19
+            return coeffs
+
+        monkeypatch.setattr(pisier_bench, "proxy_level_coeffs", noisy)
+        with pytest.raises(ValueError, match="the proxy's even levels must vanish"):
+            decomposition_audit(random_vector(8, 4, 18), Norm.lp(math.inf))
 
     def test_every_failed_claim_is_reported(self, monkeypatch):
         """All four inequalities are checked, and each one that fails is reported; none raises."""
@@ -298,30 +312,34 @@ def assert_l2_terms_close(audit, want: dict) -> None:
 
 
 class TestLeanAudit:
-    """The per-point audit holds f's spectrum and two working tables, and its fields keep every bit; the l2 audit
+    """The per-point audit holds f's spectrum and one working table, and its fields keep every bit; the l2 audit
     holds no table beside the spectrum."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
-    @pytest.mark.parametrize(("n", "m"), [(7, 1), (14, 5), (12, 64)], ids=["m1-one-row-block", "m5-two-row-blocks", "m64-four-row-blocks"])
+    @pytest.mark.parametrize(("n", "m"), [(7, 1), (14, 5), (12, 64), (1, 3), (2, 1)],
+                             ids=["m1-one-row-block", "m5-two-row-blocks", "m64-four-row-blocks", "n1", "n2"])
     @pytest.mark.parametrize("built", ["from-spectrum", "from-values"])
     def test_fields_equal_the_whole_table_audit(self, built, n, m, p):
         """A function built from values is measured on its own table; one built from its spectrum
-        is left holding no value table.  The l2 terms, taken from the spectrum, are within gamma_K."""
+        is left holding no value table.  The l2 terms, taken from the spectrum, are within gamma_K; at p != 2 the
+        odd terms, measured at the even points, have the whole tables' bits, at the default ell, 9 and 15."""
         table = np.random.default_rng(700 + n).standard_normal((1 << n, m))
         f = VectorFunction(n, **{built.removeprefix("from-"): table})
-        audit = decomposition_audit(f, Norm.lp(p))
-        assert f.holds_values == (built == "from-values")
-        want = whole_table_audit(f, Norm.lp(p), audit.ell)
-        if p == 2.0:
-            assert_l2_terms_close(audit, want)
-        else:
-            assert {name: getattr(audit, name) for name in want} == want
+        for ell in (None, 9, 15):
+            audit = decomposition_audit(f, Norm.lp(p), ell)
+            assert f.holds_values == (built == "from-values")
+            want = whole_table_audit(f, Norm.lp(p), audit.ell)
+            if p == 2.0:
+                assert_l2_terms_close(audit, want)
+            else:
+                assert {name: getattr(audit, name) for name in want} == want, ell
 
-    @pytest.mark.parametrize(("n", "m", "p", "tables"), [(14, 64, math.inf, 3.5), (14, 64, 2.0, 1.25), (20, 1, 2.0, 1.25)],
+    @pytest.mark.parametrize(("n", "m", "p", "tables"), [(14, 64, math.inf, 2.5), (14, 64, 2.0, 1.25), (20, 1, 2.0, 1.25)],
                              ids=["linf", "l2", "l2-m1"])
     def test_peak_is_under_the_routes_tables(self, n, m, p, tables):
-        """f's spectrum plus the audit's own peak, in tables of 8 MB: under 3.5 for the per-point route, and under
-        1.25 for the l2 route, whose cache blocks and level masses stay under a quarter table even at m = 1."""
+        """f's spectrum plus the audit's own peak, in tables of 8 MB: under 2.5 for the per-point route, whose odd
+        terms are half tables, and under 1.25 for the l2 route, whose cache blocks and level masses stay under a
+        quarter table even at m = 1."""
         f = random_vector(n, m, 32)
         table = f.spectrum.nbytes
         tracemalloc.start()
@@ -339,8 +357,8 @@ class TestLeanAudit:
             raise AssertionError("the l2 route ran a per-point step")
 
         for owner, name in [(cube_fourier, "_walsh_butterfly"), (cube_fourier, "level_multiply"),
-                            (pisier_bench, "level_multiply"), (vector_field, "rademacher_projection"),
-                            (pisier_bench, "rademacher_projection"), (Norm, "mean_square")]:
+                            (pisier_bench, "level_multiply"), (pisier_bench, "_projection_at_even_points"),
+                            (pisier_bench, "_odd_mean_square"), (Norm, "mean_square")]:
             monkeypatch.setattr(owner, name, refuse)
         f = random_vector(10, 8, 41)
         audit = decomposition_audit(f, Norm.lp(2))

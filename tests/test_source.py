@@ -342,6 +342,8 @@ UNREACHED_BY_THE_CLI = {
                                      "the fourier command writes spectrum_json_pieces as they come",
     "cube_fourier.CubeFunction.__repr__": "read in a debugger or a failing test, never in a run",
     "vector_field.Norm.__repr__": "read in a debugger or a failing test, never in a run",
+    "vector_field.rademacher_projection": "lin f as a whole table, which acceptance criterion 6 builds for the "
+                                          "instance; an audit measures lin f at the even points alone",
     "lower_bound.LowerBoundInstance.vector": "T f, the (2^n, 2^n) table of translates (128 MB at n = 12), built "
                                              "on demand for acceptance criterion 6 and the instance tests; no run "
                                              "builds it",

@@ -18,7 +18,7 @@ from pisier_lab import (
     rademacher_projection,
     sandwich_validate,
 )
-from pisier_lab import cube_fourier
+from pisier_lab import cube_fourier, vector_field
 
 from oracles import (
     constant_function,
@@ -251,13 +251,16 @@ class TestRademacherProjection:
     def test_bit_identical_to_the_butterfly_route(self, monkeypatch, n, m):
         """lin f has the bits of the inverse transform of the level-1 spectrum, at 1 and 2 butterfly workers, and
         of the sum of the singleton characters in ascending j from 0.0: it runs the butterfly's own additions in
-        the butterfly's order, so no matrix product picks a summation order."""
+        the butterfly's order, so no matrix product picks a summation order.  The audit's lin f at the even points
+        has the bits of the even rows."""
         f = random_vector(n, m, n + m)
-        want = rademacher_projection_whole(f.spectrum).tobytes()
+        whole = rademacher_projection_whole(f.spectrum)
+        want = whole.tobytes()
         for workers in (1, 2):
             monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
             assert rademacher_projection(f).values_matrix().tobytes() == want
             assert inverse_fwht(level_multiply(f.spectrum, keep_level(n, 1))).tobytes() == want
+        assert vector_field._projection_at_even_points(f.spectrum).tobytes() == whole[0::2].tobytes()
 
 
 class TestBlockedWalks:
