@@ -44,12 +44,12 @@ from .pisier_bench import (
     PisierAudit,
     choose_ell,
     decomposition_audit,
+    rademacher_projection,
 )
 from .report import BoundReport, ResourceLimitError
 from .vector_field import (
     Norm,
     VectorFunction,
-    rademacher_projection,
     sandwich_validate,
 )
 

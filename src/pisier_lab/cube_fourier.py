@@ -25,7 +25,8 @@ from .report import ResourceLimitError
 MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
 # Doubles per cache block, 512 KB, so a block and its scratch partner fit a 2 MiB L2: through _blocks, the size of
-# every blocked scan's step, from the butterfly's strips to the projection's points and the sparsity count.
+# every blocked scan's step: the butterfly's strips, norm rows, gate rows, level-multiplier rows, the l2 route's mass
+# rows, the embedding check and the sparsity count.
 _BLOCK_DOUBLES = 1 << 16
 
 # Threads per butterfly phase, at most: the CPUs this process may run on, so taskset or a

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _above, _blocks, _check_dim, _finite,
-                           _odd_parity, _require_one_function, fwht, inverse_fwht, spectrum_sparsity,
+                           _odd_parity, _require_one_function, fwht, inverse_fwht_rows, spectrum_sparsity,
                            spectrum_support, subset_levels)
 from .report import BoundReport, check
 from .vector_field import Norm, VectorFunction
@@ -194,20 +194,19 @@ def _scattered(n: int, masks: np.ndarray, coeffs: np.ndarray) -> VectorFunction:
 
 def _characters(n: int, masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """T v = sum_j v_j chi_{masks[j]} on the 2^n points, for each row v of a (k, |masks|) matrix: a (k, 2^n) view."""
-    embedded = np.zeros((1 << n, rows.shape[0]))
-    embedded[masks] = rows.T
-    return inverse_fwht(embedded).T
+    table = np.zeros((rows.shape[0], 1 << n))
+    table[:, masks] = rows
+    return inverse_fwht_rows(table)
 
 
 def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstance:
     """Build the witness instance and check its invariants through its translation structure."""
     _check_dim(n, MAX_INSTANCE_DIM)
     witness = build_witness(n, variant)
-    spectrum = witness.spectrum
     family = spectrum_support(witness)
     if family.size == 0:
         raise ValueError("witness spectrum is empty at this threshold")
-    coeffs = spectrum[family]
+    coeffs = witness.spectrum[family]
     singletons = 1 << np.arange(n)
 
     # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x); the
@@ -231,9 +230,7 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
     # family and zero otherwise, so lin f(x) is the translate of lin f(0) too
     misplaced = np.abs(linear_spectrum - np.where(family == singletons[:, None], coeffs, 0.0))
     j, c = np.unravel_index(int(np.argmax(misplaced)), misplaced.shape)
-    singleton_mass = math.fsum(
-        abs(float(spectrum[mask])) for mask in family if int(mask).bit_count() == 1
-    )
+    singleton_mass = math.fsum(np.abs(coeffs[np.isin(family, singletons)]).tolist())
     linear_row = linear_spectrum.sum(axis=0, keepdims=True)
     linear_norm_value = float(norm.evaluate_rows(_characters(n, family, linear_row))[0])
     checks += [check("instance-linear-spectrum", misplaced[j, c], 0.0, subset=int(singletons[j]),

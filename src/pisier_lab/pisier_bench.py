@@ -10,10 +10,11 @@ L and P are symmetric, so convolving with either scales each spectrum level.
 An lp audit with p != 2 measures each term point by point: f through one
 batched transform of its spectrum, unless f holds its values.  P and L live
 on odd levels, so f*P, lin f and f*(L-P) are odd, g(x ^ (2^n - 1)) = -g(x),
-and each is computed at the 2^(n-1) even points alone, f*P through one
-half-size transform.  An l2 audit needs no value table: by Parseval each
-term is the root of a level-weighted sum of the spectrum's masses
-M_k = sum_{|S|=k} ||fhat(S)||_2^2.
+and each is computed at the 2^(n-1) even points alone: f*P through one
+half-size transform, lin f through _projection_passes, the loop
+rademacher_projection runs on the whole cube.  An l2 audit needs no value
+table: by Parseval each term is the root of a level-weighted sum of the
+spectrum's masses M_k = sum_{|S|=k} ||fhat(S)||_2^2.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 from .cube_fourier import _blocks, _check_dim, _levels, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
-from .vector_field import (Norm, VectorFunction, _projection_at_even_points, _root_mean_square, _square_scale,
-                           sandwich_validate)
+from .vector_field import Norm, VectorFunction, _root_mean_square, _square_scale, sandwich_validate
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,32 @@ def choose_ell(m: int) -> int:
     if m < 1:
         raise ValueError(f"target dimension must be positive, got {m}")
     return (int(m).bit_length() + 1) // 2 | 1  # 4^k > m iff 4^k > floor(m) iff 2k >= its bit length
+
+
+def _projection_passes(start: float | np.ndarray, singles: np.ndarray) -> np.ndarray:
+    """sum_j singles[j] x_j + start at the 2^k points x of the k-cube, k = len(singles), as row x of a new table:
+    the butterfly's passes on singleton rows, less the additions of zero rows.  Row 0 holds 0.0 + start (a -0.0
+    start reads 0.0, as in the butterfly); pass j fills rows 2^j .. 2^(j+1) - 1 with the rows below less singles[j],
+    then adds singles[j] to the rows below, so each entry sums its terms in ascending j, as inverse_fwht does."""
+    table = np.empty((1 << len(singles), *singles.shape[1:]))
+    table[0] = 0.0 + start
+    for j, single in enumerate(singles):
+        np.subtract(table[: 1 << j], single, out=table[1 << j : 2 << j])
+        table[: 1 << j] += single
+    return table
+
+
+def rademacher_projection(f: VectorFunction) -> VectorFunction:
+    """lin f(x) = sum_j fhat({j}) x_j as one table, which the vector adopts read-only rather than copying."""
+    table = _projection_passes(0.0, f.spectrum[1 << np.arange(f.n)])
+    table.flags.writeable = False
+    return VectorFunction.from_values(f.n, table)
+
+
+def _projection_at_even_points(spec: np.ndarray) -> np.ndarray:
+    """lin f at the even points x = 2i, x_0 = +1, as row i of a new (2^(n-1), m) table: fhat({0}) is pass 0's sum
+    at x = 0, and the passes j = 1 .. n-1 run from it, so row i has the bits of rademacher_projection's row 2i."""
+    return _projection_passes(spec[1], spec[2 << np.arange(spec.shape[0].bit_length() - 2)])
 
 
 def _parseval_terms(spec: np.ndarray, c: np.ndarray) -> list[float]:

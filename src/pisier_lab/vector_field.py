@@ -1,4 +1,4 @@
-"""Vector-valued cube functions, the lp norms, their sandwich gate, and the Rademacher projection.
+"""Vector-valued cube functions, the lp norms and their sandwich gate.
 
 A VectorFunction is a CubeFunction whose table is (2^n, m): row x is the
 vector f(x), row S the vector coefficient fhat(S).  The norms on the target
@@ -133,27 +133,3 @@ def sandwich_validate(norm: Norm, m: int) -> BoundReport:
     worst = int(np.argmax(np.abs(least)))  # argmax stops at a NaN
     return check("sandwich-attained", abs(least[worst]), 0.0, m=m, distortion=distortion, norm=norm.name,
                  worst_side=("lower", "upper")[worst], least_slack=float(least[worst]))
-
-
-def rademacher_projection(f: VectorFunction) -> VectorFunction:
-    """lin f(x) = sum_j fhat({j}) x_j: the butterfly's passes on the spectrum fhat(S)[|S| = 1], less the additions
-    of zero rows, so each entry sums its terms in ascending j, as inverse_fwht does, into one table and no other."""
-    table = np.zeros(f.shape)  # row 0 holds the empty sum, 0.0; pass j fills rows 2^j .. 2^(j+1) - 1
-    for j in range(f.n):
-        np.subtract(table[: 1 << j], f.spectrum[1 << j], out=table[1 << j : 2 << j])
-        table[: 1 << j] += f.spectrum[1 << j]
-    table.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
-    return VectorFunction.from_values(f.n, table)
-
-
-def _projection_at_even_points(spectrum: np.ndarray) -> np.ndarray:
-    """lin f at the even points x = 2i, x_0 = +1, as row i of a new (2^(n-1), m) table, from f's spectrum: row 0
-    starts at fhat({0}), pass 0's sum at x = 0, and rademacher_projection's passes j = 1 .. n-1 run from there, so
-    every row has the bits of that table's row 2i."""
-    n = spectrum.shape[0].bit_length() - 1
-    table = np.zeros((spectrum.shape[0] // 2, *spectrum.shape[1:]))
-    table[0] += spectrum[1]
-    for j in range(1, n):  # pass j fills rows 2^(j-1) .. 2^j - 1, the points 2^j .. 2^(j+1) - 2
-        np.subtract(table[: 1 << (j - 1)], spectrum[1 << j], out=table[1 << (j - 1) : 1 << j])
-        table[: 1 << (j - 1)] += spectrum[1 << j]
-    return table

@@ -36,6 +36,15 @@ def character_sums(n: int, masks, rows) -> np.ndarray:
     return out
 
 
+def characters_by_columns(n: int, masks, rows) -> np.ndarray:
+    """sum_j rows[:, j] chi_{masks[j]}(z) at every point z, a (k, 2^n) table: the rows embedded as the columns of a
+    zero (2^n, k) table, transformed along axis 0 and transposed, the column route of the character map."""
+    rows = np.asarray(rows, dtype=np.float64)
+    embedded = np.zeros((1 << n, rows.shape[0]))
+    embedded[np.asarray(masks)] = rows.T
+    return inverse_fwht(embedded).T
+
+
 def rademacher_projection_whole(spectrum: np.ndarray) -> np.ndarray:
     """lin f from f's (2^n, m) spectrum as the sum of chi_{j}(x) fhat({j}) over the whole cube, in ascending j
     from 0.0, with no matrix product: the whole-table formula."""

@@ -36,7 +36,7 @@ from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VAR
 from pisier_lab.report import TOLERANCES
 from pisier_lab.vector_field import _gate_points
 
-from oracles import character_sums, character_table, constant_function
+from oracles import character_sums, character_table, characters_by_columns, constant_function
 
 
 def product_witness_values_oracle(n):
@@ -525,19 +525,36 @@ def family_norm(n, family, v):
 class TestCharacterMap:
     """The instance's family norm is linf after T v = sum_S v_S chi_S, an isometry into linf on the 2^n points."""
 
+    @staticmethod
+    def masks(n, family, rng):
+        """The truncated witness's family, or n + 5 random masks (all 2^n when fewer), in ascending order."""
+        if family == "witness":
+            return spectrum_support(build_truncated_witness(n))
+        return np.sort(rng.choice(1 << n, size=min(1 << n, n + 5), replace=False))
+
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("family", ["witness", "random"])
     def test_characters_equal_the_character_sums(self, n, family):
         """_characters against whole character tables, on the truncated witness's family and on a random one."""
         rng = np.random.default_rng(n)
-        if family == "witness":
-            masks = spectrum_support(build_truncated_witness(n))
-        else:
-            masks = np.sort(rng.choice(1 << n, size=min(1 << n, n + 5), replace=False))
+        masks = self.masks(n, family, rng)
         rows = rng.standard_normal((3, masks.size))
         got = _characters(n, masks, rows)
         assert got.shape == (3, 1 << n)
         np.testing.assert_allclose(got, character_sums(n, masks, rows), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 9, 12])
+    @pytest.mark.parametrize("family", ["witness", "random"])
+    def test_bit_identical_to_the_column_route(self, n, family, k):
+        """The row transform of the rows in a zero (k, 2^n) table has the bits of the column route, the rows
+        embedded as columns of a (2^n, k) table, transformed along axis 0 and transposed."""
+        rng = np.random.default_rng(n + k)
+        masks = self.masks(n, family, rng)
+        rows = rng.standard_normal((k, masks.size))
+        got = _characters(n, masks, rows)
+        assert got.shape == (k, 1 << n)
+        assert got.tobytes() == characters_by_columns(n, masks, rows).tobytes()
 
     @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
     def test_family_norm_attains_its_sandwich(self, variant):

@@ -357,7 +357,7 @@ class TestLeanAudit:
             raise AssertionError("the l2 route ran a per-point step")
 
         for owner, name in [(cube_fourier, "_walsh_butterfly"), (cube_fourier, "level_multiply"),
-                            (pisier_bench, "level_multiply"), (pisier_bench, "_projection_at_even_points"),
+                            (pisier_bench, "level_multiply"), (pisier_bench, "_projection_passes"),
                             (pisier_bench, "_odd_mean_square"), (Norm, "mean_square")]:
             monkeypatch.setattr(owner, name, refuse)
         f = random_vector(10, 8, 41)

@@ -337,13 +337,13 @@ def test_every_default_is_overridden_somewhere():
 UNREACHED_BY_THE_CLI = {
     "cli.audit_report_json": "the audit JSON entry point of the acceptance suite and the benchmark",
     "cube_fourier.convolve": "acceptance criterion 4 checks convolution against its definition",
-    "cube_fourier.inverse_fwht_rows": "the row transform perfbench/test_perfbench.py binds",
     "cube_fourier.to_spectrum_json": "the sparse spectrum as one string, for library callers and perfbench; "
                                      "the fourier command writes spectrum_json_pieces as they come",
     "cube_fourier.CubeFunction.__repr__": "read in a debugger or a failing test, never in a run",
     "vector_field.Norm.__repr__": "read in a debugger or a failing test, never in a run",
-    "vector_field.rademacher_projection": "lin f as a whole table, which acceptance criterion 6 builds for the "
-                                          "instance; an audit measures lin f at the even points alone",
+    "pisier_bench.rademacher_projection": "lin f as a whole table, which acceptance criterion 6 builds for the "
+                                          "instance; it shares _projection_passes with the audit, which "
+                                          "measures lin f at the even points alone",
     "lower_bound.LowerBoundInstance.vector": "T f, the (2^n, 2^n) table of translates (128 MB at n = 12), built "
                                              "on demand for acceptance criterion 6 and the instance tests; no run "
                                              "builds it",

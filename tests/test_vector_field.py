@@ -18,7 +18,7 @@ from pisier_lab import (
     rademacher_projection,
     sandwich_validate,
 )
-from pisier_lab import cube_fourier, vector_field
+from pisier_lab import cube_fourier, pisier_bench
 
 from oracles import (
     constant_function,
@@ -260,7 +260,7 @@ class TestRademacherProjection:
             monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
             assert rademacher_projection(f).values_matrix().tobytes() == want
             assert inverse_fwht(level_multiply(f.spectrum, keep_level(n, 1))).tobytes() == want
-        assert vector_field._projection_at_even_points(f.spectrum).tobytes() == whole[0::2].tobytes()
+        assert pisier_bench._projection_at_even_points(f.spectrum).tobytes() == whole[0::2].tobytes()
 
 
 class TestBlockedWalks:
