@@ -26,8 +26,12 @@ MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
 # Doubles per cache block, 512 KB, so a block and its scratch partner fit a 2 MiB L2: through _blocks, the size of
 # every blocked scan's step: the butterfly's strips, norm rows, gate rows, level-multiplier rows, the l2 route's mass
-# rows, the embedding check and the sparsity count.
+# rows, the embedding check (whose aligned row blocks need it a power of two) and the sparsity count.
 _BLOCK_DOUBLES = 1 << 16
+# numpy's ufunc buffer, in elements, while a block's passes run: at its default of 8192, passes over runs of under 4096
+# doubles (a wide block's low strides, the strips) go through three 64 KB iterator buffers, at about half the speed.
+# Elementwise add, subtract and multiply give the same bits at any buffer size, so no reduction runs under it.
+_UFUNC_BUFFER = 256
 
 # Threads per butterfly phase, at most: the CPUs this process may run on, so taskset or a
 # cpuset narrows it.  A phase never uses more threads than it has blocks.
@@ -84,17 +88,18 @@ def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
     # and phase 2 strides c .. size/2 over column strips of the (size/c, c*width)
     # view.  A table of at most _BLOCK_DOUBLES doubles is phase 1 alone, one block;
     # phase 2 runs when strides remain, and alone when c == 1 (no two rows fit a block,
-    # or the table has one row).  Each block or strip is copied whole into scratch,
-    # transformed there and copied out, the last phase dividing it on the way, and the
-    # blocks of a phase are disjoint.  The first phase reads the input, which is neither
-    # copied (unless it is not C-contiguous float64) nor written, into a new table, and
-    # phase 2 after phase 1 runs in place on that table.  The blocks of a phase are dealt
-    # to up to _WORKERS threads, so a table of one block runs on the calling thread.
-    # Every entry sees the same additions in the same order as in unblocked
-    # ascending-stride passes (see _radix2_passes), and dividing by a power of two is one
-    # correctly rounded step wherever it happens, so the result is bit-identical to those
-    # passes at any thread count; peak memory is the input and the new table plus two
-    # blocks per worker.
+    # or the table has one row).  A block's first pass reads its source, the passes
+    # between run in two scratch blocks, and its last pass writes its destination, or,
+    # when normalize is set, the last phase's end in scratch and are divided into it.
+    # A block of +0.0 alone runs no pass (see _run_share), and the blocks of a phase are
+    # disjoint.  The first phase reads the input, which is neither copied (unless it is
+    # not C-contiguous float64) nor written, into a new table, and phase 2 after phase 1
+    # runs in place on that table.  The blocks of a phase are dealt to up to _WORKERS
+    # threads, so a table of one block runs on the calling thread.  Every entry sees the
+    # same additions in the same order as in unblocked ascending-stride passes (see
+    # _radix2_passes), and dividing by a power of two is one correctly rounded step
+    # wherever it happens, so the result is bit-identical to those passes at any thread
+    # count; peak memory is the input and the new table plus two blocks per worker.
     a = np.asarray(a, dtype=np.float64)
     size = a.shape[0] if a.ndim else 0
     _check_power_of_two(size, "a Walsh transform")
@@ -137,19 +142,31 @@ def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None)
 
 
 def _run_share(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None) -> None:
-    """One worker's blocks through its own two scratch blocks."""
+    """One worker's blocks, each from its source to its destination through the worker's two scratch blocks.
+
+    A block of +0.0 (the first entry read first, then the bits: -0.0 and NaN have bits set) writes +0.0 and runs
+    no pass.  The last pass stays in scratch when scale is set, or when it is a strip's one pass in place."""
     scratch = np.empty((2, max(src.size for src, _ in blocks)))
     for src, dst in blocks:
+        if src[0, 0] == 0 and not src.view(np.int64).any():
+            dst[...] = 0.0
+            continue
         a, b = (s[: src.size].reshape(src.shape) for s in scratch)
-        np.copyto(a, src)
-        if scale is None:
-            np.copyto(dst, _radix2_passes(a, b))
-        else:
-            np.multiply(_radix2_passes(a, b), scale, out=dst)
+        last = None if scale is not None or (src.shape[0] == 2 and np.may_share_memory(src, dst)) else dst
+        with np.errstate():  # restores numpy's buffer size on the way out; no reduction runs inside
+            np.setbufsize(_UFUNC_BUFFER)
+            held = _radix2_passes(src, a, b, last)
+            if scale is not None:
+                np.multiply(held, scale, out=dst)
+            elif held is not dst:
+                np.copyto(dst, held)
 
 
-def _radix2_passes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Full Walsh transform along axis 0 of src, ping-ponging src and dst; returns whichever holds it.
+def _radix2_passes(src: np.ndarray, a: np.ndarray, b: np.ndarray, dst: np.ndarray | None) -> np.ndarray:
+    """Full Walsh transform along axis 0 of src; returns the array that holds it.
+
+    The first pass reads src, the passes after it alternate between the scratch blocks a and b of its shape, and the
+    last writes dst, which may be src unless that pass is also the first, or scratch when dst is None.
 
     Pass k adds and subtracts the entries 2^(k-1) rows apart, in ascending k.  A
     multi-column block pairs them in place, at stride 2^(k-1).  A one-column block
@@ -163,16 +180,17 @@ def _radix2_passes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     size = src.shape[0]
     h = 1
     while h < size:
+        out = dst if dst is not None and 2 * h == size else a
         if src.size == size:
             lo, hi = src.reshape(size // 2, 2).T
-            out_lo, out_hi = dst.reshape(2, size // 2)
+            out_lo, out_hi = out.reshape(2, size // 2)
         else:
             pairs = src.reshape(size // (2 * h), 2, h, *src.shape[1:])
-            out = dst.reshape(pairs.shape)
-            lo, hi, out_lo, out_hi = pairs[:, 0], pairs[:, 1], out[:, 0], out[:, 1]
+            into = out.reshape(pairs.shape)
+            lo, hi, out_lo, out_hi = pairs[:, 0], pairs[:, 1], into[:, 0], into[:, 1]
         np.add(lo, hi, out=out_lo)
         np.subtract(lo, hi, out=out_hi)
-        src, dst = dst, src
+        src, a, b = out, b, a
         h *= 2
     return src
 

@@ -4,10 +4,13 @@ Import from a test module as ``from oracles import ...``; pytest puts this
 directory on ``sys.path``.
 """
 
+import math
+
 import numpy as np
 
 from pisier_lab import BoundReport, CubeFunction, Norm, ProxyKernel, ResourceLimitError, proxy_level_coeffs
-from pisier_lab.cube_fourier import _check_dim, _check_power_of_two, _require_one_function, inverse_fwht, subset_levels
+from pisier_lab.cube_fourier import (_blocks, _check_dim, _check_power_of_two, _odd_parity, _require_one_function,
+                                     inverse_fwht, subset_levels)
 
 MAX_PROXY_DIM = 20
 
@@ -102,6 +105,20 @@ def walsh_butterfly_unblocked(a) -> np.ndarray:
         src, dst = dst, src
         h *= 2
     return src
+
+
+def embedding_check_by_rows(values: np.ndarray, masks: np.ndarray, coeffs: np.ndarray,
+                            worst: tuple[float, int, int]) -> tuple[float, int, int]:
+    """lower_bound._embedding_check's worst tuple with each row block's signs built whole: +-Fhat(S) from the
+    parity of x & S at every point x of blocks of budget // |masks| rows, with no split of x into high and low bits."""
+    for rows in _blocks(values.shape[0], masks.size):
+        deviation = np.where(_odd_parity(rows, masks), -coeffs, coeffs)
+        np.subtract(values[rows], deviation, out=deviation)
+        np.abs(deviation, out=deviation)
+        x, j = divmod(int(np.argmax(deviation)), masks.size)  # argmax stops at a NaN
+        if not (math.isnan(worst[0]) or deviation[x, j] <= worst[0]):
+            worst = (float(deviation[x, j]), rows.start + x, int(masks[j]))
+    return worst
 
 
 # the convolution contraction's tolerance, as report.TOLERANCES held it while the package checked it

@@ -420,11 +420,11 @@ class TestBlockedButterfly:
         monkeypatch.setattr(cube_fourier, "_WORKERS", 2)
         passes, caller = cube_fourier._radix2_passes, threading.current_thread()
 
-        def fail_in_one_share(src, dst):
+        def fail_in_one_share(src, a, b, dst):
             if (threading.current_thread() is caller) == (failing == "calling thread"):
                 raise RuntimeError(f"block failed in the {failing}")
             time.sleep(1e-3)  # the other share is still running when the failure happens
-            return passes(src, dst)
+            return passes(src, a, b, dst)
 
         monkeypatch.setattr(cube_fourier, "_radix2_passes", fail_in_one_share)
         before = threading.active_count()
@@ -486,21 +486,107 @@ class TestBlockedButterfly:
     @pytest.mark.parametrize("shape", [(1 << 16,), (1 << 16, 1)])
     def test_one_column_block_allocates_no_iterator_buffers(self, shape):
         """Constant-geometry passes give numpy 1-D operands only: a block's passes allocate almost nothing."""
-        src, dst = np.random.default_rng(8).standard_normal(shape), np.empty(shape)
+        src = np.random.default_rng(8).standard_normal(shape)
+        a, b, dst = np.empty(shape), np.empty(shape), np.empty(shape)
         want = walsh_butterfly_unblocked(src)
         tracemalloc.start()
         try:
-            out = cube_fourier._radix2_passes(src, dst)
+            out = cube_fourier._radix2_passes(src, a, b, dst)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4096
-        assert np.array_equal(out, want)
+        assert out is dst and np.array_equal(out, want)
+
+    def test_a_wide_block_allocates_no_iterator_buffers_of_the_default_size(self):
+        """A (1024, 64) block's low strides run contiguously for fewer than 4096 doubles, which numpy copies through
+        three iterator buffers of np.getbufsize() doubles (64 KB each at its default of 8192); under _UFUNC_BUFFER
+        the share allocates its two scratch blocks and a few buffers of that smaller size, and restores the default."""
+        src = np.random.default_rng(9).standard_normal((1 << 10, 64))
+        dst, before = np.empty_like(src), np.getbufsize()
+        tracemalloc.start()
+        try:
+            cube_fourier._run_share([(src, dst)], None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * src.nbytes + 8 * cube_fourier._UFUNC_BUFFER * 8
+        assert np.getbufsize() == before
+        assert_same_bits(dst, walsh_butterfly_unblocked(src))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape", [(1 << 9, 130), (1 << 10, 100)])
+    def test_a_strip_of_one_pass_in_place_goes_through_scratch(self, monkeypatch, shape, workers):
+        """At the default block these tables fit half their rows in a block, so phase 2 runs its one pass in place
+        on strips of two rows: that pass must read scratch, not the rows it writes."""
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        c = 1 << ((cube_fourier._BLOCK_DOUBLES // shape[1]).bit_length() - 1)
+        assert shape[0] == 2 * c
+        table = np.random.default_rng(shape[1] + workers).standard_normal(shape)
+        want = walsh_butterfly_unblocked(table)
+        assert_same_bits(inverse_fwht(table), want)
+        assert_same_bits(fwht(table), want / shape[0])
 
 
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype == np.float64
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def zero_block_tables(rng, shape):
+    """Tables of the given shape whose blocks are +0.0, -0.0, hold a NaN first or inside, or are one-hot, and for a
+    2-D shape the lower-bound instance's kind, one coefficient per column."""
+    half = shape[0] // 2
+    plus = rng.standard_normal(shape)
+    plus[:half] = 0.0
+    minus = plus.copy()
+    minus[:half] = -0.0
+    nan_first, nan_inside = np.zeros(shape), np.zeros(shape)
+    nan_first[(0,) * len(shape)] = np.nan
+    nan_inside[(half + 3,) + (0,) * (len(shape) - 1)] = np.nan
+    one_hot = np.zeros(shape)
+    one_hot[(half - 5,) + (len(shape) - 1) * (-1,)] = 1.5
+    tables = {"plus-zero": plus, "minus-zero": minus, "nan-first": nan_first, "nan-inside": nan_inside,
+              "one-hot": one_hot, "all-zero": np.zeros(shape)}
+    if len(shape) == 2:
+        tables["one-hot-columns"] = np.zeros(shape)
+        tables["one-hot-columns"][rng.choice(shape[0], shape[1], replace=False), np.arange(shape[1])] = \
+            rng.standard_normal(shape[1])
+    return tables
+
+
+class TestZeroBlocks:
+    """A block of +0.0 alone runs no pass and writes +0.0, which is what its passes would write: -0.0 and NaN
+    blocks still run them, so every table keeps its bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(("block", "shapes"), [
+        (1 << 5, [(1 << 8, 8), (1 << 10,), (1 << 6, 3)]),
+        (None, [(1 << 14, 8), (1 << 18,), (1 << 10, 100)]),
+    ], ids=["32-doubles", "default-block"])
+    def test_zero_signed_zero_and_nan_blocks_keep_their_bits(self, monkeypatch, block, shapes, workers):
+        """Each table spans several blocks at the block size it runs at, some of them zero."""
+        if block is not None:
+            monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        for shape in shapes:
+            for name, table in zero_block_tables(np.random.default_rng(shape[0] + workers), shape).items():
+                want = walsh_butterfly_unblocked(table)
+                assert inverse_fwht(table).tobytes() == want.tobytes(), (shape, name)
+                assert fwht(table).tobytes() == (want / shape[0]).tobytes(), (shape, name)
+
+    def test_a_zero_block_runs_no_pass(self, monkeypatch):
+        """+0.0 tables transform without a pass and give +0.0; the same tables of -0.0 run every block's passes."""
+        calls = []
+        passes = cube_fourier._radix2_passes
+        monkeypatch.setattr(cube_fourier, "_radix2_passes", lambda *args: (calls.append(1), passes(*args))[1])
+        for shape in [(1 << 14, 8), (1 << 18,), (4, 3)]:
+            for transform in (fwht, inverse_fwht):
+                out = transform(np.zeros(shape))
+                assert not calls and not out.view(np.int64).any(), shape
+                assert_same_bits(transform(np.full(shape, -0.0)), walsh_butterfly_unblocked(np.full(shape, -0.0)))
+                assert calls, shape
+                calls.clear()
 
 
 class TestScaleInTheLastPhase:

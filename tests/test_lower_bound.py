@@ -36,7 +36,8 @@ from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VAR
 from pisier_lab.report import TOLERANCES
 from pisier_lab.vector_field import _gate_points
 
-from oracles import character_sums, character_table, characters_by_columns, constant_function
+from oracles import (character_sums, character_table, characters_by_columns, constant_function,
+                     embedding_check_by_rows)
 
 
 def product_witness_values_oracle(n):
@@ -514,6 +515,46 @@ class TestStructuralVerification:
         report = failed[0]
         assert (report.params["subset"], report.params["coordinate"]) == (0b01, 0b01)
         assert (report.lhs, report.rhs) == (0.5, 0.0)  # |0.0 - 0.5| where Fhat({0}) belongs
+
+
+def embedding_mutants(values, coeffs):
+    """(name, table, starting worst, the worst entry's (x, column) or None) for the clean table and its mutants."""
+    size, width = values.shape
+    x, j = size - 1 - size // 4, width // 2  # past the first row block whenever there are several
+    scaled, nan = values.copy(), values.copy()
+    scaled[x, j] *= 1.0 + 1e-10
+    nan[x, j] = np.nan
+    # several entries at the largest deviation, 2 |Fhat(S)| for the largest |Fhat(S)|: the first in row-major order wins
+    top = np.flatnonzero(np.abs(coeffs) == np.abs(coeffs).max())[:2]
+    ties, late, early = values.copy(), size - 1, size // 4
+    for row, col in dict.fromkeys([(late, top[0]), (early, top[-1]), (early, top[0])]):
+        ties[row, col] = -ties[row, col]
+    return [("clean", values, (-1.0, 0, 0), (0, 0)), ("scaled", scaled, (-1.0, 0, 0), (x, j)),
+            ("nan", nan, (-1.0, 0, 0), (x, j)), ("ties", ties, (-1.0, 0, 0), (early, top[0])),
+            ("nan-start", values, (math.nan, 3, 5), None)]
+
+
+class TestEmbeddingCheckRoutes:
+    """_embedding_check splits chi_S(x) at the high bits of aligned power-of-two row blocks; its worst tuple is the
+    one of the route that builds every block's signs whole, to the bit, on the clean table and on each mutant."""
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    @pytest.mark.parametrize("n", [1, 3, 5, 9, 12])
+    def test_split_signs_give_the_worst_tuple_of_whole_signs(self, monkeypatch, n, variant):
+        witness = lower_bound.build_witness(n, variant)
+        family = lower_bound.spectrum_support(witness)
+        coeffs = witness.spectrum[family]
+        values = lower_bound._scattered(n, family, coeffs).values_matrix()
+        for block in (1 << 5, 1 << 16):
+            monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+            for name, table, start, where in embedding_mutants(values, coeffs):
+                got = lower_bound._embedding_check(table, family, coeffs, start)
+                assert repr(got) == repr(embedding_check_by_rows(table, family, coeffs, start)), (name, block)
+                if where is None:
+                    assert got is start, name
+                else:
+                    assert got[1:] == (where[0], family[where[1]]), (name, block)
+                    assert (got[0] > 0.0) == (name not in ("clean", "nan")), (name, got)
 
 
 def family_norm(n, family, v):
