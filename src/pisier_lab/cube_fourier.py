@@ -26,7 +26,8 @@ MAX_DIM = 24  # 2^24 doubles = 128 MB per value table
 SPARSITY_THRESHOLD = 1e-8
 # Doubles per cache block, 512 KB, so a block and its scratch partner fit a 2 MiB L2: through _blocks, the size of
 # every blocked scan's step: the butterfly's strips, norm rows, gate rows, level-multiplier rows, the l2 route's mass
-# rows, the embedding check (whose aligned row blocks need it a power of two) and the sparsity count.
+# rows, the embedding check (whose aligned row blocks need it a power of two), the sparsity count and the threshold
+# scan.
 _BLOCK_DOUBLES = 1 << 16
 # numpy's ufunc buffer, in elements, while a block's passes run: at its default of 8192, passes over runs of under 4096
 # doubles (a wide block's low strides, the strips) go through three 64 KB iterator buffers, at about half the speed.
@@ -80,45 +81,60 @@ def _odd_parity(points: slice, masks) -> np.ndarray:
 
 
 def _walsh_butterfly(a, normalize: bool = False) -> np.ndarray:
-    # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
-    # Computers, 1976): out[s] = sum_x a[x] (-1)^popcount(s & x), divided by the length
-    # when normalize is set.  The table is blocked so that every pass runs in cache (the
-    # locality idea of the FFHT, Andoni et al., NeurIPS 2015): with c the most rows that
-    # fit a block, phase 1 runs strides 1 .. c/2 inside each contiguous run of c rows,
-    # and phase 2 strides c .. size/2 over column strips of the (size/c, c*width)
-    # view.  A table of at most _BLOCK_DOUBLES doubles is phase 1 alone, one block;
-    # phase 2 runs when strides remain, and alone when c == 1 (no two rows fit a block,
-    # or the table has one row).  A block's first pass reads its source, the passes
-    # between run in two scratch blocks, and its last pass writes its destination, or,
-    # when normalize is set, the last phase's end in scratch and are divided into it.
-    # A block of +0.0 alone runs no pass (see _run_share), and the blocks of a phase are
-    # disjoint.  The first phase reads the input, which is neither copied (unless it is
-    # not C-contiguous float64) nor written, into a new table, and phase 2 after phase 1
-    # runs in place on that table.  The blocks of a phase are dealt to up to _WORKERS
-    # threads, so a table of one block runs on the calling thread.  Every entry sees the
-    # same additions in the same order as in unblocked ascending-stride passes (see
-    # _radix2_passes), and dividing by a power of two is one correctly rounded step
-    # wherever it happens, so the result is bit-identical to those passes at any thread
-    # count; peak memory is the input and the new table plus two blocks per worker.
+    """The Walsh transform along axis 0 (see _butterfly_into) into a new table: a is copied only if it is not
+    C-contiguous float64, and never written.  Peak memory is a and the new table plus two blocks per worker."""
     a = np.asarray(a, dtype=np.float64)
-    size = a.shape[0] if a.ndim else 0
-    _check_power_of_two(size, "a Walsh transform")
-    scale = 1.0 / size if normalize else None
+    _check_power_of_two(a.shape[0] if a.ndim else 0, "a Walsh transform")
     src = np.ascontiguousarray(a)
-    out = np.empty_like(src)
+    return _butterfly_into(src, np.empty_like(src), normalize)
+
+
+def _transform_in_place(table: np.ndarray, normalize: bool = False) -> None:
+    """The Walsh transform along axis 0 (see _butterfly_into) written over the table, with _walsh_butterfly's bits:
+    the one transform that writes its argument, a table its caller built; beside it, two scratch blocks per worker."""
+    if not (isinstance(table, np.ndarray) and table.dtype == np.float64 and table.flags.c_contiguous
+            and table.flags.writeable):
+        raise ValueError("an in-place Walsh transform needs a writable C-contiguous float64 table")
+    _check_power_of_two(table.shape[0] if table.ndim else 0, "a Walsh transform")
+    _butterfly_into(table, table, normalize)
+
+
+def _butterfly_into(src: np.ndarray, dst: np.ndarray, normalize: bool) -> np.ndarray:
+    # Radix-2 passes along axis 0, trailing axes a batch (Fino & Algazi, IEEE Trans.
+    # Computers, 1976): dst[s] = sum_x src[x] (-1)^popcount(s & x), divided by the length
+    # when normalize is set.  src and dst are C-contiguous float64 tables of one shape with
+    # a power-of-two length, the same table or disjoint ones.  The table is blocked so that
+    # every pass runs in cache (the locality idea of the FFHT, Andoni et al., NeurIPS
+    # 2015): with c the most rows that fit a block, phase 1 runs strides 1 .. c/2 inside
+    # each contiguous run of c rows, and phase 2 strides c .. size/2 over column strips
+    # of the (size/c, c*width) view.  A table of at most _BLOCK_DOUBLES doubles is phase 1
+    # alone, one block; phase 2 runs when strides remain, and alone when c == 1 (no two
+    # rows fit a block, or the table has one row).  A block's first pass reads its
+    # source, the passes between run in two scratch blocks, and its last pass writes its
+    # destination, or, when normalize is set, the last phase's end in scratch and are
+    # divided into it.  A block of +0.0 alone runs no pass (see _run_share), and the
+    # blocks of a phase are disjoint, so src may be dst: each block is read whole before
+    # it is written.  Phase 2 after phase 1 runs in place on dst.  The blocks of a phase
+    # are dealt to up to _WORKERS threads, so a table of one block runs on the calling
+    # thread.  Every entry sees the same additions in the same order as in unblocked
+    # ascending-stride passes (see _radix2_passes), and dividing by a power of two is one
+    # correctly rounded step wherever it happens, so the result is bit-identical to those
+    # passes at any thread count, in place or not.
+    size = src.shape[0]
+    scale = 1.0 / size if normalize else None
     if not src.size:  # an empty batch: no entry to add
-        return out
+        return dst
     width = src.size // size
     c = min(size, 1 << max(0, (_BLOCK_DOUBLES // width).bit_length() - 1))
     if c > 1:
-        _run_phase([*zip(src.reshape(size // c, c, width), out.reshape(size // c, c, width))],
+        _run_phase([*zip(src.reshape(size // c, c, width), dst.reshape(size // c, c, width))],
                    scale if c == size else None)
     if c < size or c == 1:
-        rows_in = (out if c > 1 else src).reshape(size // c, c * width)
-        rows_out = out.reshape(rows_in.shape)
+        rows_in = (dst if c > 1 else src).reshape(size // c, c * width)
+        rows_out = dst.reshape(rows_in.shape)
         _run_phase([(rows_in[:, strip], rows_out[:, strip])
                     for strip in _blocks(rows_in.shape[1], rows_in.shape[0])], scale)
-    return out
+    return dst
 
 
 def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None) -> None:
@@ -144,15 +160,18 @@ def _run_phase(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None)
 def _run_share(blocks: list[tuple[np.ndarray, np.ndarray]], scale: float | None) -> None:
     """One worker's blocks, each from its source to its destination through the worker's two scratch blocks.
 
-    A block of +0.0 (the first entry read first, then the bits: -0.0 and NaN have bits set) writes +0.0 and runs
-    no pass.  The last pass stays in scratch when scale is set, or when it is a strip's one pass in place."""
+    A block of +0.0 (the first entry read first, then the bits: -0.0 and NaN have bits set) runs no pass, and
+    writes +0.0 unless it is its own destination.  The last pass stays in scratch when scale is set, or when it is
+    also the first and runs in place."""
     scratch = np.empty((2, max(src.size for src, _ in blocks)))
     for src, dst in blocks:
+        in_place = np.may_share_memory(src, dst)
         if src[0, 0] == 0 and not src.view(np.int64).any():
-            dst[...] = 0.0
+            if not in_place:
+                dst[...] = 0.0
             continue
         a, b = (s[: src.size].reshape(src.shape) for s in scratch)
-        last = None if scale is not None or (src.shape[0] == 2 and np.may_share_memory(src, dst)) else dst
+        last = None if scale is not None or (src.shape[0] == 2 and in_place) else dst
         with np.errstate():  # restores numpy's buffer size on the way out; no reduction runs inside
             np.setbufsize(_UFUNC_BUFFER)
             held = _radix2_passes(src, a, b, last)
@@ -337,8 +356,10 @@ def spectrum_support(f: CubeFunction) -> np.ndarray:
 
 
 def _above(spec: np.ndarray, threshold: float) -> np.ndarray:
-    """Ascending indices where |spec| > threshold >= 0, tested on the signed table so no |spec| table is built."""
-    return np.nonzero((spec > threshold) | (spec < -threshold))[0]
+    """Ascending indices where |spec| > threshold >= 0 in a 1-D table, tested on the signed table a cache block at a
+    time, so no |spec| table and no whole-table mask is built."""
+    return np.concatenate([rows.start + np.flatnonzero((spec[rows] > threshold) | (spec[rows] < -threshold))
+                           for rows in _blocks(spec.size, 1)])
 
 
 def spectrum_sparsity(f: CubeFunction) -> int:

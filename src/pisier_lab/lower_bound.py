@@ -30,14 +30,14 @@ from typing import Any
 import numpy as np
 
 from .cube_fourier import (SPARSITY_THRESHOLD, CubeFunction, _above, _blocks, _check_dim, _finite,
-                           _odd_parity, _require_one_function, fwht, inverse_fwht_rows, spectrum_sparsity,
-                           spectrum_support, subset_levels)
+                           _odd_parity, _require_one_function, _transform_in_place, fwht, inverse_fwht_rows,
+                           spectrum_sparsity, spectrum_support, subset_levels)
 from .report import BoundReport, check
 from .vector_field import Norm, VectorFunction
 
 # cap for the norm instance: its check covers 2^n x |family| entries, and its time grows three- to
-# fourfold per n (truncated, in-process medians of 9 builds on 2 vCPU: 0.10 s at n = 12, 0.37 s at
-# n = 13); its vector, the (2^n, 2^n) table of translates, takes 128 MB at n = 12
+# fourfold per n (truncated, in-process medians of 9 builds on 2 vCPU: 0.06-0.085 s at n = 12,
+# 0.22-0.28 s at n = 13); its vector, the (2^n, 2^n) table of translates, takes 128 MB at n = 12
 MAX_INSTANCE_DIM = 12
 
 # cap for the witnesses and the lower-bound and sparsity records built on them:
@@ -47,8 +47,9 @@ WITNESS_VARIANTS = ("truncated", "chebyshev")
 
 # imaginary part of i^k by k mod 4, exact
 _IM_UNIT_POWERS = (0.0, 1.0, 0.0, -1.0)
-# doubles per column block of the instance check: 8 MB, so a block's spectrum and values take
-# 16 MB at any n, and a block still spans many butterfly blocks for the phase pool to share
+# doubles per column block of the instance check: 8 MB, the one buffer the blocks take turns in at any
+# n, and a block still spans many butterfly blocks for the phase pool to share; at n = 12 a pass of
+# both payloads took 83-85 ms at 256 columns, 95-101 ms at 128 and 90 ms at 512 (medians of 9, 2 vCPU)
 _COLUMN_BLOCK_DOUBLES = 1 << 20
 
 
@@ -190,14 +191,6 @@ def _embedding_check(values: np.ndarray, masks: np.ndarray, coeffs: np.ndarray,
     return worst
 
 
-def _scattered(n: int, masks: np.ndarray, coeffs: np.ndarray) -> VectorFunction:
-    """The vector function whose coordinate j has the single coefficient coeffs[j], at masks[j]."""
-    spectra = np.zeros((1 << n, masks.size))
-    spectra[masks, np.arange(masks.size)] = coeffs
-    spectra.flags.writeable = False  # read-only, so the vector adopts it rather than copying it
-    return VectorFunction.from_spectrum(n, spectra)
-
-
 def _characters(n: int, masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """T v = sum_j v_j chi_{masks[j]} on the 2^n points, for each row v of a (k, |masks|) matrix: a (k, 2^n) view."""
     table = np.zeros((rows.shape[0], 1 << n))
@@ -216,14 +209,20 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
     singletons = 1 << np.arange(n)
 
     # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x); the
-    # coordinates are independent, so each column block is built, checked and dropped in turn
+    # coordinates are independent, so the column blocks take turns in one zeroed buffer: each block's
+    # spectrum is scattered into it, its singleton rows read, and it is transformed to values in place,
+    # checked, and zeroed again for the next
     worst, first_row, linear_spectrum = (-1.0, 0, 0), np.empty(family.size), np.empty((n, family.size))
-    for cols in _blocks(family.size, 1 << n, _COLUMN_BLOCK_DOUBLES):
-        vector = _scattered(n, family[cols], coeffs[cols])
-        values = vector.values_matrix()
-        worst = _embedding_check(values, family[cols], coeffs[cols], worst)
-        first_row[cols], linear_spectrum[:, cols] = values[0], vector.spectrum[singletons]
-        del vector, values  # the block's tables go before the next block's are built
+    walk = list(_blocks(family.size, 1 << n, _COLUMN_BLOCK_DOUBLES))
+    buffer = np.zeros(walk[0].stop << n)
+    for cols in walk:
+        block = buffer[: (cols.stop - cols.start) << n].reshape(1 << n, -1)
+        block[family[cols], np.arange(block.shape[1])] = coeffs[cols]
+        linear_spectrum[:, cols] = block[singletons]
+        _transform_in_place(block)
+        worst = _embedding_check(block, family[cols], coeffs[cols], worst)
+        first_row[cols] = block[0]
+        block.fill(0.0)
     norm = Norm.lp(math.inf)
     witness_sup = witness.sup_norm()
 

@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .cube_fourier import _blocks, _check_dim, _levels, inverse_fwht, level_multiply
+from .cube_fourier import _blocks, _check_dim, _levels, _transform_in_place, inverse_fwht, level_multiply
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
 from .vector_field import Norm, VectorFunction, _root_mean_square, _square_scale, sandwich_validate
@@ -158,10 +158,9 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
         # the butterfly's first pass, + half: rows 2i and 2i + 1 of the level-multiplied spectrum, at levels |i|
         # and |i| + 1, added as the whole transform adds them; the other passes never leave the even rows
         pairs = f.spectrum.reshape(f.size // 2, 2, f.m)
-        fold = level_multiply(pairs[:, 0], coeffs[:-1])
-        fold += level_multiply(pairs[:, 1], coeffs[1:])
-        split = inverse_fwht(fold)  # f*P at the even points
-        del fold
+        split = level_multiply(pairs[:, 0], coeffs[:-1])
+        split += level_multiply(pairs[:, 1], coeffs[1:])
+        _transform_in_place(split)  # f*P at the even points
         term_proxy = _odd_mean_square(norm, split)
         linear = _projection_at_even_points(f.spectrum)
         lhs = _odd_mean_square(norm, linear)

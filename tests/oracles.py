@@ -48,6 +48,15 @@ def characters_by_columns(n: int, masks, rows) -> np.ndarray:
     return inverse_fwht(embedded).T
 
 
+def scattered_spectrum(n: int, masks, coeffs) -> np.ndarray:
+    """The (2^n, |masks|) spectrum table whose column j holds coeffs[j] at row masks[j] and zero elsewhere: the
+    lower-bound instance's f on a family, (f(x))_S = Fhat(S) chi_S(x), as one whole table."""
+    masks = np.asarray(masks)
+    table = np.zeros((1 << n, masks.size))
+    table[masks, np.arange(masks.size)] = coeffs
+    return table
+
+
 def rademacher_projection_whole(spectrum: np.ndarray) -> np.ndarray:
     """lin f from f's (2^n, m) spectrum as the sum of chi_{j}(x) fhat({j}) over the whole cube, in ascending j
     from 0.0, with no matrix product: the whole-table formula."""

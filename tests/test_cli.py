@@ -973,11 +973,11 @@ class TestOneBlockSize:
     @staticmethod
     def spy(monkeypatch):
         """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the level multiplier's
-        rows, the l2 audit's spectrum rows, the embedding check and the sparsity count take."""
+        rows, the l2 audit's spectrum rows, the embedding check, the sparsity count and the threshold scan take."""
         blocks = []
         lp_rows, gate_points = Norm._lp_rows, vector_field._gate_points
         odd_parity, above, walk = lower_bound._odd_parity, lower_bound._above, cube_fourier._blocks
-        walkers = {"level_multiply": "level rows", "_parseval_terms": "mass rows"}
+        walkers = {"level_multiply": "level rows", "_parseval_terms": "mass rows", "_above": "threshold scan"}
 
         def spied_lp(norm, block):
             blocks.append(("norm rows", block.shape[0], block.shape[1]))
@@ -999,7 +999,10 @@ class TestOneBlockSize:
             return above(spec, threshold)
 
         def spied_walk(count, width, budget=None):
-            scan = walkers.get(sys._getframe(1).f_code.co_name)  # the function that takes the walk
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's frame: the function it runs in
+                caller = caller.f_back
+            scan = walkers.get(caller.f_code.co_name)  # the function that takes the walk
             for block in walk(count, width, budget):
                 if scan:
                     blocks.append((scan, block.stop - block.start, width))
@@ -1018,10 +1021,10 @@ class TestOneBlockSize:
         (["audit", "--n", "8", "--m", "4", "--norm", "l2"], {"norm rows", "gate", "mass rows"}),
         (["audit", "--n", "8", "--m", "4", "--norm", "l3"], AUDIT_SCANS),
         (["audit", "--n", "8", "--m", "4", "--norm", "linf"], AUDIT_SCANS),
-        (["lower-bound", "--n", "9", "--variant", "truncated"], {"norm rows", "embedding check"}),
-        (["lower-bound", "--n", "9", "--variant", "chebyshev"], {"norm rows", "embedding check"}),
-        (["sparsity", "--input", "{table}"], {"sparsity count"}),
-        (["fourier", "--input", "{table}"], set()),
+        (["lower-bound", "--n", "9", "--variant", "truncated"], {"norm rows", "embedding check", "threshold scan"}),
+        (["lower-bound", "--n", "9", "--variant", "chebyshev"], {"norm rows", "embedding check", "threshold scan"}),
+        (["sparsity", "--input", "{table}"], {"sparsity count", "threshold scan"}),
+        (["fourier", "--input", "{table}"], {"threshold scan"}),
     ], ids=["audit-l2", "audit-l3", "audit-linf", "lower-bound-truncated", "lower-bound-chebyshev", "sparsity",
             "fourier"])
     def test_blocks_of_one_size_print_the_same_bytes(self, argv, scans, table, capsys, monkeypatch):

@@ -663,6 +663,78 @@ class TestInverseFwhtNewTable:
         assert_same_bits(memory, before)
 
 
+class TestTransformInPlace:
+    """_transform_in_place(table): the bits of _walsh_butterfly, written over the table, which must be a writable
+    C-contiguous float64 array with a power-of-two length."""
+
+    @staticmethod
+    def tables(rng, shape):
+        """A random table, and for 8 rows or more tables of +0.0, -0.0 and NaN blocks (one coefficient per column
+        among them when 2-D)."""
+        return {"random": rng.standard_normal(shape), **(zero_block_tables(rng, shape) if shape[0] >= 8 else {})}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(("block", "shapes"), [
+        (1 << 5, [(2,), (1 << 8,), (1 << 8, 1), (1 << 8, 3), (1 << 6, 64), (1 << 7, 2, 3)]),
+        (None, [(2,), (1 << 18,), (1 << 14, 8), (1 << 12, 40), (2, 1 << 17), (1 << 9, 130), (1 << 10, 100)]),
+    ], ids=["32-doubles", "default-block"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_bits_of_the_new_table_transform(self, monkeypatch, block, shapes, workers, normalize):
+        """1-D and batched tables, the (512, 130) and (1024, 100) tables whose phase 2 is one pass on strips of two
+        rows, and tables of +0.0, -0.0 and NaN blocks: in place they take the bits of the new-table transform."""
+        if block is not None:
+            monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+        for shape in shapes:
+            for name, table in self.tables(np.random.default_rng(shape[0] + workers), shape).items():
+                want = cube_fourier._walsh_butterfly(table, normalize=normalize)
+                memory = table.__array_interface__["data"][0]
+                assert cube_fourier._transform_in_place(table, normalize=normalize) is None
+                assert table.__array_interface__["data"][0] == memory
+                assert table.dtype == want.dtype and table.tobytes() == want.tobytes(), (shape, name)
+
+    def test_a_zero_block_in_place_is_left_unwritten(self, monkeypatch):
+        """A +0.0 block runs no pass and, being its own destination, is not rewritten with +0.0: a table of +0.0
+        comes out with no store into it, while -0.0 blocks run their passes."""
+        calls, stores = [], []
+        passes = cube_fourier._radix2_passes
+        monkeypatch.setattr(cube_fourier, "_radix2_passes", lambda *args: (calls.append(1), passes(*args))[1])
+
+        class Recorded(np.ndarray):
+            def __setitem__(self, key, value):
+                stores.append(key)
+                super().__setitem__(key, value)
+
+        for workers in (1, 2):
+            monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
+            for shape in [(1 << 14, 8), (1 << 18,), (4, 3)]:
+                table = np.zeros(shape).view(Recorded)
+                cube_fourier._transform_in_place(table)
+                assert not calls and not stores and not table.view(np.int64).any(), shape
+                minus = np.full(shape, -0.0)
+                want = walsh_butterfly_unblocked(minus)
+                cube_fourier._transform_in_place(minus)
+                assert calls, shape
+                assert_same_bits(minus, want)
+                calls.clear()
+
+    @pytest.mark.parametrize("kind", ["read-only", "strided", "fortran", "float32", "integer", "list",
+                                      "length-6", "length-0", "scalar"])
+    def test_rejects_a_table_it_cannot_write_in_place(self, kind):
+        """A read-only, strided or non-float64 table, a non-array or a length that is no power of two raises
+        ValueError, by a raise that python -O keeps, and leaves the table as it was."""
+        base = np.random.default_rng(16).standard_normal((16, 4))
+        table = {"read-only": base.copy(), "strided": base[:, ::2], "fortran": np.asfortranarray(base),
+                 "float32": base.astype(np.float32), "integer": base.astype(np.int64), "list": base.tolist(),
+                 "length-6": base[:6].copy(), "length-0": base[:0].copy(), "scalar": np.float64(1.5)}[kind]
+        if kind == "read-only":
+            table.flags.writeable = False
+        before = np.array(table, copy=True)
+        with pytest.raises(ValueError):
+            cube_fourier._transform_in_place(table)
+        assert np.array_equal(np.asarray(table), before)
+
+
 class TestSparsity:
     def test_constant(self):
         assert spectrum_sparsity(constant_function(3, 1.0)) == 1

@@ -3,6 +3,7 @@
 import decimal
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,14 +31,14 @@ from pisier_lab import (
     truncation_tail_bound,
     truncation_tail_chain,
 )
-from pisier_lab import cli, cube_fourier, lower_bound
+from pisier_lab import cli, cube_fourier, inverse_fwht, lower_bound
 from pisier_lab.cube_fourier import MAX_DIM, popcount, spectrum_support
 from pisier_lab.lower_bound import MAX_INSTANCE_DIM, MAX_RECORD_DIM, WITNESS_VARIANTS, _characters
 from pisier_lab.report import TOLERANCES
 from pisier_lab.vector_field import _gate_points
 
 from oracles import (character_sums, character_table, characters_by_columns, constant_function,
-                     embedding_check_by_rows)
+                     embedding_check_by_rows, scattered_spectrum)
 
 
 def product_witness_values_oracle(n):
@@ -244,6 +245,40 @@ class TestChebyshevWitness:
         assert spectrum_sparsity(w) == 93
 
 
+def mutate_column_blocks(monkeypatch, scatter=None, read=None, values=None):
+    """Runs lower_bound_instance's column blocks through mutants.  Each is handed k, the index of the column block,
+    and alters one view of it:
+    scatter(k, masks, coeffs) returns the coefficients the block's scatter stores, which its singleton rows and
+    its values then both hold; read(k, spectrum, rows) returns the spectrum's rows at the index array rows, as the
+    singleton rows are read before the transform, spectrum a copy of the block; values(k, block) may write the
+    block's values after its in-place transform.  The scatter and the read are seen through the class of the one
+    column-block buffer: lower_bound's np.zeros returns that subclass, and the rest of numpy is numpy's."""
+    blocks = []
+
+    class Buffer(np.ndarray):
+        def __setitem__(self, key, value):
+            if scatter and isinstance(key, tuple) and all(isinstance(part, np.ndarray) for part in key):
+                value = scatter(len(blocks), key[0], np.array(value))
+            super().__setitem__(key, value)
+
+        def __getitem__(self, key):
+            if read and isinstance(key, np.ndarray):
+                return read(len(blocks), np.array(self.view(np.ndarray)), key)
+            return super().__getitem__(key)
+
+    transform, zeros = lower_bound._transform_in_place, np.zeros
+
+    def transformed(block, **kwargs):
+        transform(block, **kwargs)
+        if values:
+            values(len(blocks), block)
+        blocks.append(block.shape)
+
+    numpy = SimpleNamespace(**{**vars(np), "zeros": lambda *args, **kwargs: zeros(*args, **kwargs).view(Buffer)})
+    monkeypatch.setattr(lower_bound, "np", numpy)
+    monkeypatch.setattr(lower_bound, "_transform_in_place", transformed)
+
+
 class TestInstance:
     def test_n4_constant_field_norm(self):
         instance = lower_bound_instance(4, "truncated")
@@ -315,27 +350,28 @@ class TestInstance:
         with pytest.raises(ValueError):
             lower_bound_instance(4, "fancy")
 
-    def test_each_column_block_adopts_its_scatter_table(self, monkeypatch):
-        """Each column block's (2^n, cols) spectrum is handed over read-only and kept, not copied; the blocks
-        side by side are the scatter of the whole family, and the table instance.vector builds is read-only too."""
+    def test_one_buffer_serves_every_column_block(self, monkeypatch):
+        """The column blocks take turns in one buffer: each block's (2^n, cols) spectrum is scattered into the same
+        memory, zeroed in between, and transformed there, the last and narrower block at its start too; the blocks
+        side by side are the scatter of the whole family, and the table instance.vector builds is read-only."""
         handed = []
-        build = lower_bound.VectorFunction.from_spectrum
+        transform = lower_bound._transform_in_place
 
-        def capture(n, spectra):
-            vector = build(n, spectra)
-            handed.append((spectra, vector))
-            return vector
+        def capture(block, **kwargs):
+            handed.append((block.copy(), block))
+            transform(block, **kwargs)
 
-        monkeypatch.setattr(lower_bound, "_COLUMN_BLOCK_DOUBLES", 64 << 9)  # 64 of the 256 columns at n = 9
-        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum", capture)
+        monkeypatch.setattr(lower_bound, "_COLUMN_BLOCK_DOUBLES", 48 << 9)  # 48 of the 256 columns at n = 9
+        monkeypatch.setattr(lower_bound, "_transform_in_place", capture)
         instance = lower_bound_instance(9, "truncated")
-        assert [spectra.shape for spectra, _ in handed] == [(512, 64)] * 4
-        for spectra, vector in handed:
-            assert vector.spectrum is spectra
-            assert not spectra.flags.writeable
+        assert [spectra.shape for spectra, _ in handed] == [(512, 48)] * 5 + [(512, 16)]
+        start = handed[0][1].__array_interface__["data"][0]
+        for _, block in handed:
+            assert block.__array_interface__["data"][0] == start and block.flags.c_contiguous
+            assert np.shares_memory(block, handed[0][1])
         family = np.asarray(instance.family)
-        whole = lower_bound._scattered(9, family, instance.witness.spectrum[family]).spectrum
-        assert np.array_equal(whole, np.hstack([spectra for spectra, _ in handed[:4]]))
+        whole = scattered_spectrum(9, family, instance.witness.spectrum[family])
+        assert np.array_equal(whole, np.hstack([spectra for spectra, _ in handed]))
         assert not instance.vector.values_matrix().flags.writeable
 
     @pytest.mark.parametrize(("tampered", "reported"), [
@@ -360,23 +396,17 @@ class TestInstance:
         columns = {k: 64 * k + int(np.flatnonzero(popcount(family[64 * k : 64 * k + 64]) == 3)[0])
                    for k in tampered}
         calls = []
-        build = lower_bound.VectorFunction.from_spectrum
 
-        def tamper(n, spectra):
-            k = len(calls)
+        def tamper(k, values):
             calls.append(k)
-            if k not in tampered:
-                return build(n, spectra)
-            values = build(n, spectra).values_matrix().copy()
             for (block, point), kind in entries.items():
                 if block == k:
                     entry = (point, columns[k] - 64 * k)
                     values[entry] = np.nan if kind == "nan" else -values[entry]
-            return lower_bound.VectorFunction.from_values(n, values)
 
         monkeypatch.setattr(lower_bound, "_COLUMN_BLOCK_DOUBLES", 64 << 9)  # 64 of the 256 columns at n = 9
         monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 64 * 64)  # row blocks of 64 of the 512 rows
-        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum", tamper)
+        mutate_column_blocks(monkeypatch, values=tamper)
         report = lower_bound_instance(9, "truncated").checks[1]
         assert calls == [0, 1, 2, 3]
         assert report.claim == "instance-embedding" and not report.holds
@@ -449,6 +479,20 @@ class TestStructuralVerification:
         assert peak < 24 << 20
 
     @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
+    def test_instance_peak_is_one_block_buffer_and_a_few_check_blocks(self, monkeypatch, variant):
+        """At n = 12 the column blocks take turns in one 8 MB buffer, transformed in place, so the build holds
+        that buffer, two scratch blocks per worker and the embedding check's few 512 KB blocks: 10.3 MB (truncated)
+        and 9.4 MB (chebyshev) at two workers, where a new spectrum and values table per block made it 18.3 MB."""
+        monkeypatch.setattr(cube_fourier, "_WORKERS", 2)
+        tracemalloc.start()
+        try:
+            lower_bound_instance(12, variant)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (lower_bound._COLUMN_BLOCK_DOUBLES + 6 * cube_fourier._BLOCK_DOUBLES)
+
+    @pytest.mark.parametrize("variant", WITNESS_VARIANTS)
     def test_payload_is_byte_identical_at_every_worker_count(self, monkeypatch, variant):
         """Each column block is one multi-block butterfly table, so the phase pool runs it; at n = 12 the
         lower-bound JSON is the same bytes at 1, 2 and 3 workers."""
@@ -465,7 +509,7 @@ class TestStructuralVerification:
         instance = lower_bound_instance(12, variant)
         family = np.asarray(instance.family)
         coeffs = instance.witness.spectrum[family]
-        values = lower_bound._scattered(12, family, coeffs).values_matrix()
+        values = inverse_fwht(scattered_spectrum(12, family, coeffs))
         tracemalloc.start()
         try:
             lower_bound._embedding_check(values, family, coeffs, (-1.0, 0, 0))
@@ -481,14 +525,15 @@ class TestStructuralVerification:
         """
         point, column = 11, 3
         monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", 32)
-        build = lower_bound.VectorFunction.from_spectrum
 
-        def tampered(n, spectra):
-            values = build(n, spectra).values_matrix().copy()
+        def tampered(values):
             values[point, column] *= -1.0
-            return lower_bound.VectorFunction.from_values(n, values)
+            return values
 
-        monkeypatch.setattr(lower_bound.VectorFunction, "from_spectrum", tampered)
+        # the block holds the flipped function: its values after the transform, and its spectrum, read before it,
+        # is the transform of those values
+        mutate_column_blocks(monkeypatch, read=lambda k, spectrum, rows: fwht(tampered(inverse_fwht(spectrum)))[rows],
+                             values=lambda k, values: tampered(values))
         failed = [c for c in lower_bound_instance(4, "truncated").checks if not c.holds]
         # f(0) is intact; the flip also moves the spectrum, so the singleton claims fail with it
         assert [c.claim for c in failed] == ["instance-embedding", "instance-linear-spectrum",
@@ -502,14 +547,11 @@ class TestStructuralVerification:
 
     def test_moved_singleton_coefficient_is_a_linear_norm_violation(self, monkeypatch):
         """Fhat({0}) moved to the column of {1} keeps the norm of the sum, but not the structure."""
-        spectrum = CubeFunction.spectrum.fget
-
-        def moved(vector):
-            spec = spectrum(vector).copy()
+        def moved(k, spec, rows):
             spec[0b01, [0, 1]] = spec[0b01, [1, 0]]
-            return spec
+            return spec[rows]
 
-        monkeypatch.setattr(VectorFunction, "spectrum", property(moved))
+        mutate_column_blocks(monkeypatch, read=moved)  # the spectrum as read for the singleton rows alone
         failed = [c for c in lower_bound_instance(4, "truncated").checks if not c.holds]
         assert [c.claim for c in failed] == ["instance-linear-spectrum"]
         report = failed[0]
@@ -544,7 +586,7 @@ class TestEmbeddingCheckRoutes:
         witness = lower_bound.build_witness(n, variant)
         family = lower_bound.spectrum_support(witness)
         coeffs = witness.spectrum[family]
-        values = lower_bound._scattered(n, family, coeffs).values_matrix()
+        values = inverse_fwht(scattered_spectrum(n, family, coeffs))
         for block in (1 << 5, 1 << 16):
             monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
             for name, table, start, where in embedding_mutants(values, coeffs):
@@ -648,20 +690,20 @@ class TestExactInstanceClaims:
 
     @pytest.mark.parametrize(("variant", "lhs"), [("truncated", 3.16e-11), ("chebyshev", 1.88e-11)])
     def test_one_coefficient_off_by_1e_10_fires_both(self, monkeypatch, variant, lhs):
-        """The first family coefficient scaled by 1 + 1e-10 inside _scattered, at n = 10: both exact claims fail,
+        """The first family coefficient scaled by 1 + 1e-10 in its block's scatter, at n = 10: both exact claims fail,
         by 1e-10 |Fhat(S)|, which the tolerance of the two norm claims, 1e-10, would not see."""
         clean = cli.lower_bound_payload(10, variant)
         exact = [c for c in clean["checks"] if c["claim"] in ("instance-embedding", "instance-linear-spectrum")]
         assert clean["violations"] == [] and [(c["lhs"], c["tol"]) for c in exact] == [(0.0, 0.0)] * 2
-        scattered, first = lower_bound._scattered, int(spectrum_support(lower_bound.build_witness(10, variant))[0])
+        first = int(spectrum_support(lower_bound.build_witness(10, variant))[0])
 
-        def mutant(n, masks, coeffs):
+        def mutant(k, masks, coeffs):
             coeffs = coeffs.copy()
             if masks[0] == first:
                 coeffs[0] *= 1.0 + 1e-10
-            return scattered(n, masks, coeffs)
+            return coeffs
 
-        monkeypatch.setattr(lower_bound, "_scattered", mutant)
+        mutate_column_blocks(monkeypatch, scatter=mutant)
         failed = [c for c in cli.lower_bound_payload(10, variant)["checks"] if not c["holds"]]
         assert [c["claim"] for c in failed] == ["instance-embedding", "instance-linear-spectrum"]
         assert [c["lhs"] for c in failed] == pytest.approx([lhs, lhs], rel=1e-2)

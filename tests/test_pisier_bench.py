@@ -216,17 +216,17 @@ class TestDecompositionAudit:
                 assert got == pytest.approx(want, rel=1e-12), name
 
     def test_two_batched_transforms(self, monkeypatch):
-        """One transform fills f's value table and one takes f*P to value space at the even points, a half table;
-        lin f needs none."""
+        """One transform fills f's value table and one takes f*P to value space at the even points, a half table
+        transformed in place; lin f needs none."""
         calls = []
-        butterfly = cube_fourier._walsh_butterfly
+        butterfly = cube_fourier._butterfly_into
 
-        def counted(a, **kwargs):
-            calls.append(a.shape)
-            return butterfly(a, **kwargs)
+        def counted(src, dst, normalize):
+            calls.append(src.shape)
+            return butterfly(src, dst, normalize)
 
         f = random_vector(8, 4, 15)
-        monkeypatch.setattr(cube_fourier, "_walsh_butterfly", counted)
+        monkeypatch.setattr(cube_fourier, "_butterfly_into", counted)
         decomposition_audit(f, Norm.lp(math.inf))
         assert calls == [(256, 4), (128, 4)]
 
@@ -356,9 +356,10 @@ class TestLeanAudit:
         def refuse(*args, **kwargs):
             raise AssertionError("the l2 route ran a per-point step")
 
-        for owner, name in [(cube_fourier, "_walsh_butterfly"), (cube_fourier, "level_multiply"),
-                            (pisier_bench, "level_multiply"), (pisier_bench, "_projection_passes"),
-                            (pisier_bench, "_odd_mean_square"), (Norm, "mean_square")]:
+        for owner, name in [(cube_fourier, "_walsh_butterfly"), (cube_fourier, "_butterfly_into"),
+                            (cube_fourier, "level_multiply"), (pisier_bench, "level_multiply"),
+                            (pisier_bench, "_projection_passes"), (pisier_bench, "_odd_mean_square"),
+                            (Norm, "mean_square")]:
             monkeypatch.setattr(owner, name, refuse)
         f = random_vector(10, 8, 41)
         audit = decomposition_audit(f, Norm.lp(2))

@@ -33,7 +33,7 @@ def test_no_assert_statements():
 def test_transform_and_record_format_have_one_owner():
     """Only cube_fourier names the butterfly, its blocking, the character parity and the binary record header;
     the one blocked walk is cube_fourier._blocks, and the one other block size the instance's column block."""
-    owned = {"_walsh_butterfly", "_radix2_passes", "_BLOCK_DOUBLES", "_HEADER", "bitwise_and"}
+    owned = {"_walsh_butterfly", "_butterfly_into", "_radix2_passes", "_BLOCK_DOUBLES", "_HEADER", "bitwise_and"}
     found, walks, sizes = [], [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -230,18 +230,94 @@ def test_one_norm_kind():
     assert args.vararg is None and args.kwarg is None
 
 
+def _parameters(fn) -> list[str]:
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+
+
 def test_transforms_return_new_tables():
-    """A transform takes a table and returns a new one: no function of the package fills a buffer of the caller's,
-    so none has a parameter named out, and inverse_fwht takes the spectrum and nothing else."""
+    """A public transform takes a table and returns a new one: none has a parameter named out, inverse_fwht takes
+    the spectrum and nothing else, and each leaves a writable table it is given with its bits, sharing no memory."""
     params = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                args = node.args
-                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
-                params.append((f"{path.name}:{getattr(node, 'name', '<lambda>')}", names))
+                params.append((f"{path.name}:{getattr(node, 'name', '<lambda>')}", _parameters(node)))
     assert [name for name, names in params if "out" in names] == []
     assert [names for name, names in params if name == "cube_fourier.py:inverse_fwht"] == [["spectrum"]]
+    table = np.random.default_rng(3).standard_normal((16, 4))
+    before = table.copy()
+    for transform in (cube_fourier.fwht, cube_fourier.inverse_fwht, cube_fourier.inverse_fwht_rows,
+                      lambda t: cube_fourier.level_multiply(t, np.arange(5.0))):
+        got = transform(table)
+        assert not np.shares_memory(got, table)
+        assert table.tobytes() == before.tobytes()
+
+
+def _base(node):
+    """The name an expression reads its table from, through subscripts, attributes and method calls: x for
+    x[i], x.T and x.reshape(k, -1)[:, j]; None for any other expression."""
+    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _stores(fn) -> set[str | None]:
+    """The names a function writes a table through: by a subscript store, an augmented assignment, out=,
+    np.copyto's destination, fill, or the destination of the butterfly core."""
+    found = set()
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {_base(t) for t in targets
+                      if isinstance(t, ast.Subscript) or (isinstance(node, ast.AugAssign) and isinstance(t, ast.Name))}
+        elif isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            found |= {_base(k.value) for k in node.keywords if k.arg == "out"}
+            if called in ("copyto", "_butterfly_into") and len(node.args) > 1:
+                found.add(_base(node.args[0 if called == "copyto" else 1]))
+            if called == "fill":
+                found.add(_base(node.func.value))
+    return found
+
+
+# The functions that write an array their caller hands them, each with the reason.
+WRITES_ITS_ARGUMENT = {
+    "cube_fourier.py:_transform_in_place": "the Walsh transform over a table its caller built, so that a column "
+                                           "block or the audit's f*P needs no second table",
+    "vector_field.py:_root_mean_square": "squares, in place, the row norms its caller has just computed, which "
+                                         "can be 2^24 doubles",
+}
+
+
+def test_only_the_in_place_transform_writes_its_argument():
+    """_transform_in_place is the one function that writes a table its caller hands it, and it is handed only
+    tables its callers built.  No other function but the mean square of row norms writes through a parameter
+    (by a subscript store, an augmented assignment, out=, np.copyto, fill or the butterfly core's destination);
+    the core's destination is the new table of _walsh_butterfly or the argument of _transform_in_place; and
+    _transform_in_place is called only in lower_bound_instance and decomposition_audit, each time on a table the
+    caller assigned itself."""
+    writers, core, in_place = set(), [], []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = set(_parameters(fn)) - {"self"}
+            assigned = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                        for t in node.targets if isinstance(t, ast.Name)}
+            if _stores(fn) & params:
+                writers.add(f"{path.name}:{fn.name}")
+            for node in ast.walk(fn):
+                called = getattr(getattr(node, "func", None), "id", None)
+                if called == "_butterfly_into":
+                    core.append((fn.name, ast.unparse(node.args[1])))
+                if called == "_transform_in_place":
+                    table = _base(node.args[0])
+                    in_place.append((path.name, fn.name, table, table in assigned and table not in params))
+    assert writers == set(WRITES_ITS_ARGUMENT)
+    assert sorted(core) == [("_transform_in_place", "table"), ("_walsh_butterfly", "np.empty_like(src)")]
+    assert sorted(in_place) == [("lower_bound.py", "lower_bound_instance", "block", True),
+                                ("pisier_bench.py", "decomposition_audit", "split", True)]
 
 
 def test_public_surface():
@@ -344,6 +420,9 @@ UNREACHED_BY_THE_CLI = {
     "pisier_bench.rademacher_projection": "lin f as a whole table, which acceptance criterion 6 builds for the "
                                           "instance; it shares _projection_passes with the audit, which "
                                           "measures lin f at the even points alone",
+    "vector_field.VectorFunction.values_matrix": "the value table under its matrix name, read by acceptance "
+                                                 "criterion 6; an audit reads it only of an f that holds its "
+                                                 "values, and every f a run audits holds its spectrum",
     "lower_bound.LowerBoundInstance.vector": "T f, the (2^n, 2^n) table of translates (128 MB at n = 12), built "
                                              "on demand for acceptance criterion 6 and the instance tests; no run "
                                              "builds it",
