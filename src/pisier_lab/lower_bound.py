@@ -209,9 +209,8 @@ def lower_bound_instance(n: int, variant: str = "truncated") -> LowerBoundInstan
     singletons = 1 << np.arange(n)
 
     # coordinate S has the single coefficient Fhat(S) at S, so f(x)_S = Fhat(S) chi_S(x); the
-    # coordinates are independent, so the column blocks take turns in one zeroed buffer: each block's
-    # spectrum is scattered into it, its singleton rows read, and it is transformed to values in place,
-    # checked, and zeroed again for the next
+    # coordinates are independent, so the column blocks take turns in one buffer, zeroed between them,
+    # each block's spectrum transformed to its values in place
     worst, first_row, linear_spectrum = (-1.0, 0, 0), np.empty(family.size), np.empty((n, family.size))
     walk = list(_blocks(family.size, 1 << n, _COLUMN_BLOCK_DOUBLES))
     buffer = np.zeros(walk[0].stop << n)
