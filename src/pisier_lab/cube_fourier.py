@@ -59,6 +59,12 @@ def _blocks(count: int, width: int, budget: int | None = None) -> Iterator[slice
         yield slice(start, min(start + step, count))
 
 
+def _block_rows(count: int, width: int) -> int:
+    """The most rows of width doubles in a cache block, a power of two in [1, count] for count a power of two: the
+    rows of a butterfly block and of an audit's lin f block, and the audit's one-block test.  Reads _BLOCK_DOUBLES."""
+    return min(count, 1 << max(0, (_BLOCK_DOUBLES // width).bit_length() - 1))
+
+
 def popcount(masks) -> np.ndarray:
     """Number of set bits, elementwise."""
     return np.bitwise_count(np.asarray(masks, dtype=np.uint32))
@@ -125,7 +131,7 @@ def _butterfly_into(src: np.ndarray, dst: np.ndarray, normalize: bool) -> np.nda
     if not src.size:  # an empty batch: no entry to add
         return dst
     width = src.size // size
-    c = min(size, 1 << max(0, (_BLOCK_DOUBLES // width).bit_length() - 1))
+    c = _block_rows(size, width)
     if c > 1:
         _run_phase([*zip(src.reshape(size // c, c, width), dst.reshape(size // c, c, width))],
                    scale if c == size else None)

@@ -7,25 +7,27 @@ by the per-level deviation 8 ell / 2^ell, yielding the audited constant
 8 ell (1 + d / 2^ell) with d the sandwich's distortion.
 
 L and P are symmetric, so convolving with either scales each spectrum level.
-An lp audit with p != 2 measures each term point by point: f through one
-batched transform of its spectrum, unless f holds its values.  P and L live
-on odd levels, so f*P, lin f and f*(L-P) are odd, g(x ^ (2^n - 1)) = -g(x),
-and each is computed at the 2^(n-1) even points alone: f*P through one
-half-size transform, lin f through _projection_passes, the loop
-rademacher_projection runs on the whole cube.  An l2 audit needs no value
-table: by Parseval each term is the root of a level-weighted sum of the
-spectrum's masses M_k = sum_{|S|=k} ||fhat(S)||_2^2.
+An lp audit with p != 2 measures each term point by point in one (2^(n-1), m)
+table of its own: f's values are f's own, one transform if they fit a cache
+block, or else two half transforms after the butterfly's first pass,
+s[2i] +- s[2i + 1].  P and L live on odd levels, so f*P, lin f and f*(L-P) are
+odd, g(x ^ (2^n - 1)) = -g(x), and each is computed at the 2^(n-1) even points
+alone: f*P folded from rows 2i and 2i + 1 of the level-multiplied spectrum,
+lin f a cache block at a time through _projection_passes, the loop
+rademacher_projection runs on the whole cube, and f*(L-P) over f*P.  An l2
+audit needs no value table: by Parseval each term is the root of a
+level-weighted sum of the spectrum's masses M_k = sum_{|S|=k} ||fhat(S)||_2^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
-from .cube_fourier import _blocks, _check_dim, _levels, _transform_in_place, inverse_fwht, level_multiply
+from .cube_fourier import _block_rows, _blocks, _check_dim, _levels, _transform_in_place, inverse_fwht
 from .linear_proxy import ProxyKernel, proxy_level_coeffs
 from .report import BoundReport, check
 from .vector_field import Norm, VectorFunction, _root_mean_square, _square_scale, sandwich_validate
@@ -99,10 +101,21 @@ def rademacher_projection(f: VectorFunction) -> VectorFunction:
     return VectorFunction.from_values(f.n, table)
 
 
-def _projection_at_even_points(spec: np.ndarray) -> np.ndarray:
-    """lin f at the even points x = 2i, x_0 = +1, as row i of a new (2^(n-1), m) table: fhat({0}) is pass 0's sum
-    at x = 0, and the passes j = 1 .. n-1 run from it, so row i has the bits of rademacher_projection's row 2i."""
-    return _projection_passes(spec[1], spec[2 << np.arange(spec.shape[0].bit_length() - 2)])
+def _projection_blocks(spec: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """lin f at the even points x = 2i, x_0 = +1, as (rows, block) over aligned power-of-two blocks of rows i, each
+    at most a cache block, the block valid until the next is yielded: the passes from fhat({0}) over the low bits of
+    i run once, and each block then adds +-fhat({j + 1}) for its high bits j in ascending j, so row i has the bits
+    of rademacher_projection's row 2i."""
+    count, m = spec.shape[0] // 2, spec.shape[1]
+    singles = spec[2 << np.arange(count.bit_length() - 1)]
+    rows = _block_rows(count, m)
+    low = _projection_passes(spec[1], singles[: rows.bit_length() - 1])
+    high = np.empty_like(low)
+    for block in _blocks(count, m, rows * m):
+        linear = low
+        for j in range(rows.bit_length() - 1, len(singles)):
+            linear = (np.subtract if block.start >> j & 1 else np.add)(linear, singles[j], out=high)
+        yield block, linear
 
 
 def _parseval_terms(spec: np.ndarray, c: np.ndarray) -> list[float]:
@@ -116,17 +129,6 @@ def _parseval_terms(spec: np.ndarray, c: np.ndarray) -> list[float]:
         np.add.at(masses, _levels(rows), np.add.reduce(np.square(block, out=block), axis=1))
     linear = np.arange(c.size) == 1
     return [scale * math.sqrt(math.fsum(w * masses)) for w in (linear, 1.0, c**2, (linear - c) ** 2)]
-
-
-def _odd_mean_square(norm: Norm, half: np.ndarray) -> float:
-    """(E ||g(x)||^2)^(1/2) over the cube of an odd g, g(x ^ (2^n - 1)) = -g(x), from its rows at the even points,
-    row i at x = 2i.  x = 2i + 1 is the complement of 2(K - 1 - i), K = 2^(n-1), so the odd points' norms are the
-    even ones reversed, and the mean adds all 2^n norms in point order, as Norm.mean_square does."""
-    even = norm.evaluate_rows(half)
-    norms = np.empty(2 * even.size)
-    norms[0::2] = even
-    norms[1::2] = even[::-1]
-    return _root_mean_square(norms)
 
 
 def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -> PisierAudit:
@@ -151,22 +153,45 @@ def decomposition_audit(f: VectorFunction, norm: Norm, ell: int | None = None) -
         # f*P, lin f and f*(L-P) live on odd levels, so each is odd and is measured at the 2^(n-1) even points
         if coeffs[0::2].any():
             raise ValueError(f"the proxy's even levels must vanish, got {coeffs[0::2].tolist()}")
-        # At most f's spectrum and one (2^n, m) table live at once.  f's value table is used if f
-        # holds it, else it is transformed into a table of the audit's own, dropped after its norm,
-        # so that f is left as it came.
-        rhs_raw = norm.mean_square(f.values_matrix() if f.holds_values else inverse_fwht(f.spectrum))
-        # the butterfly's first pass, + half: rows 2i and 2i + 1 of the level-multiplied spectrum, at levels |i|
-        # and |i| + 1, added as the whole transform adds them; the other passes never leave the even rows
+        # Beside f's spectrum the route holds one (2^(n-1), m) table of its own, half, and one 2^n vector of
+        # row norms, refilled for each term; an odd term's odd points are the complements of its even ones
+        # reversed, x = 2i + 1 of 2(K - 1 - i), K = 2^(n-1), so their norms are the even points' reversed.
         pairs = f.spectrum.reshape(f.size // 2, 2, f.m)
-        split = level_multiply(pairs[:, 0], coeffs[:-1])
-        split += level_multiply(pairs[:, 1], coeffs[1:])
-        _transform_in_place(split)  # f*P at the even points
-        term_proxy = _odd_mean_square(norm, split)
-        linear = _projection_at_even_points(f.spectrum)
-        lhs = _odd_mean_square(norm, linear)
-        # convolution is linear: f*(L-P) = lin f - f*P, formed in the f*P buffer
-        np.subtract(linear, split, out=split)
-        term_remainder = _odd_mean_square(norm, split)
+        whole = f.holds_values or _block_rows(f.size, f.m) == f.size  # f's values are its own, or fit a cache block
+        if whole:
+            rhs_raw = norm.mean_square(f.values_matrix() if f.holds_values else inverse_fwht(f.spectrum))
+        half = np.empty(pairs[:, 0].shape)
+        norms = np.empty(f.size)
+        if not whole:
+            # the butterfly's first pass leaves s[2i] + s[2i + 1] at the even points and s[2i] - s[2i + 1] at
+            # the odd ones, and its other passes transform each half alone
+            for parity, first_pass in enumerate((np.add, np.subtract)):
+                first_pass(pairs[:, 0], pairs[:, 1], out=half)
+                _transform_in_place(half)
+                norms[parity::2] = norm.evaluate_rows(half)
+            rhs_raw = _root_mean_square(norms)
+
+        def odd_mean_square() -> float:
+            norms[1::2] = norms[-2::-2]
+            return _root_mean_square(norms)
+
+        # f*P at the even points: the butterfly's first pass on the level-multiplied spectrum, rows 2i and
+        # 2i + 1 at levels |i| and |i| + 1 added as the whole transform adds them, then the other passes
+        for rows in _blocks(*half.shape):
+            levels = _levels(rows)
+            np.multiply(pairs[rows, 0], coeffs[levels, None], out=half[rows])
+            half[rows] += pairs[rows, 1] * coeffs[levels + 1, None]
+        _transform_in_place(half)
+        norms[0::2] = norm.evaluate_rows(half)
+        term_proxy = odd_mean_square()
+        # convolution is linear: f*(L-P) = lin f - f*P, formed over f*P a block of lin f at a time
+        for rows, linear in _projection_blocks(f.spectrum):
+            norms[2 * rows.start : 2 * rows.stop : 2] = norm.evaluate_rows(linear)
+            np.subtract(linear, half[rows], out=half[rows])
+        del linear  # the last lin f block, not held through the remainder's norms
+        lhs = odd_mean_square()
+        norms[0::2] = norm.evaluate_rows(half)
+        term_remainder = odd_mean_square()
 
     _, d = norm.sandwich(f.m)
     derived = 8.0 * ell * (1.0 + d / 2.0**ell)

@@ -955,7 +955,7 @@ class TestConsoleScript:
         assert proc.returncode == 2
 
 
-AUDIT_SCANS = {"norm rows", "gate", "level rows"}
+AUDIT_SCANS = {"norm rows", "gate", "fold rows", "lin f blocks"}
 
 
 class TestOneBlockSize:
@@ -972,12 +972,14 @@ class TestOneBlockSize:
 
     @staticmethod
     def spy(monkeypatch):
-        """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the level multiplier's
-        rows, the l2 audit's spectrum rows, the embedding check, the sparsity count and the threshold scan take."""
+        """(scan, items, doubles per item) of every block the norm rows, the sandwich gate, the lp audit's f*P fold
+        and lin f blocks, the l2 audit's spectrum rows, the embedding check, the sparsity count and the threshold
+        scan take."""
         blocks = []
         lp_rows, gate_points = Norm._lp_rows, vector_field._gate_points
         odd_parity, above, walk = lower_bound._odd_parity, lower_bound._above, cube_fourier._blocks
-        walkers = {"level_multiply": "level rows", "_parseval_terms": "mass rows", "_above": "threshold scan"}
+        walkers = {"decomposition_audit": "fold rows", "_projection_blocks": "lin f blocks",
+                   "_parseval_terms": "mass rows", "_above": "threshold scan"}
 
         def spied_lp(norm, block):
             blocks.append(("norm rows", block.shape[0], block.shape[1]))

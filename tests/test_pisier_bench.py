@@ -230,6 +230,26 @@ class TestDecompositionAudit:
         decomposition_audit(f, Norm.lp(math.inf))
         assert calls == [(256, 4), (128, 4)]
 
+    @pytest.mark.parametrize(("n", "m", "block"), [(8, 4, 256), (12, 32, None), (1, 40, 32)])
+    def test_three_in_place_half_transforms_past_one_block(self, monkeypatch, n, m, block):
+        """Past one cache block, f's values are two half transforms and f*P a third, each in place in the audit's
+        one (2^(n-1), m) table; no transform makes a new table."""
+        tables = []
+        butterfly = cube_fourier._butterfly_into
+
+        def counted(src, dst, normalize):
+            tables.append((src, dst))
+            return butterfly(src, dst, normalize)
+
+        f = random_vector(n, m, 15)
+        if block is not None:
+            monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(cube_fourier, "_butterfly_into", counted)
+        decomposition_audit(f, Norm.lp(math.inf))
+        half = tables[0][0]
+        assert half.shape == (1 << (n - 1), m)
+        assert [(src is half, dst is half) for src, dst in tables] == [(True, True)] * 3
+
     @pytest.mark.parametrize("level", [0, 2, 6])
     def test_an_even_level_proxy_coefficient_is_refused(self, monkeypatch, level):
         """The lp route measures f*P and f*(L-P) at the even points, which holds only if P lives on odd levels:
@@ -316,13 +336,25 @@ class TestLeanAudit:
     holds no table beside the spectrum."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
-    @pytest.mark.parametrize(("n", "m"), [(7, 1), (14, 5), (12, 64), (1, 3), (2, 1)],
-                             ids=["m1-one-row-block", "m5-two-row-blocks", "m64-four-row-blocks", "n1", "n2"])
+    @pytest.mark.parametrize(("n", "m", "block", "workers"), [
+        (7, 1, None, None), (14, 5, None, None), (12, 64, None, None), (1, 3, None, None), (2, 1, None, None),
+        (10, 512, None, 3), (7, 1, 32, 1), (6, 3, 32, 2), (5, 8, 32, 3), (1, 40, 32, 2), (2, 21, 32, 1),
+    ], ids=["m1-one-row-block", "m5-two-row-blocks", "m64-four-row-blocks", "n1", "n2",
+            "m512-four-lin-blocks-3-workers", "m1-block-32-1-worker", "m3-block-32-2-workers",
+            "m8-block-32-3-workers", "n1-halves-block-32", "n2-two-lin-blocks-block-32"])
     @pytest.mark.parametrize("built", ["from-spectrum", "from-values"])
-    def test_fields_equal_the_whole_table_audit(self, built, n, m, p):
+    def test_fields_equal_the_whole_table_audit(self, monkeypatch, built, n, m, block, workers, p):
         """A function built from values is measured on its own table; one built from its spectrum
         is left holding no value table.  The l2 terms, taken from the spectrum, are within gamma_K; at p != 2 the
-        odd terms, measured at the even points, have the whole tables' bits, at the default ell, 9 and 15."""
+        odd terms, measured at the even points, have the whole tables' bits, at the default ell, 9 and 15.  The
+        grid holds tables of one cache block, whose values are one transform, and tables past one, whose values
+        are two half transforms, with lin f in one block or in several, some of them high-bit blocks, at the
+        default block size and at 32 doubles, and at 1 to 3 butterfly workers.  At n = 2 a mean square adds its four
+        row norms in order, and at m = 21 another order gives other bits, so the halves' parities show."""
+        if block is not None:
+            monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+        if workers is not None:
+            monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
         table = np.random.default_rng(700 + n).standard_normal((1 << n, m))
         f = VectorFunction(n, **{built.removeprefix("from-"): table})
         for ell in (None, 9, 15):
@@ -334,12 +366,14 @@ class TestLeanAudit:
             else:
                 assert {name: getattr(audit, name) for name in want} == want, ell
 
-    @pytest.mark.parametrize(("n", "m", "p", "tables"), [(14, 64, math.inf, 2.5), (14, 64, 2.0, 1.25), (20, 1, 2.0, 1.25)],
-                             ids=["linf", "l2", "l2-m1"])
+    @pytest.mark.parametrize(("n", "m", "p", "tables"), [(14, 64, math.inf, 2.0), (20, 1, math.inf, 3.25),
+                                                         (14, 64, 2.0, 1.25), (20, 1, 2.0, 1.25)],
+                             ids=["linf", "linf-m1", "l2", "l2-m1"])
     def test_peak_is_under_the_routes_tables(self, n, m, p, tables):
-        """f's spectrum plus the audit's own peak, in tables of 8 MB: under 2.5 for the per-point route, whose odd
-        terms are half tables, and under 1.25 for the l2 route, whose cache blocks and level masses stay under a
-        quarter table even at m = 1."""
+        """f's spectrum plus the audit's own peak, in tables of 8 MB: under 2.0 for the per-point route, which holds
+        one half table and a few cache blocks, and under 3.25 for it at m = 1, where its 2^n row norms are a table
+        and a half table's norms a half table; under 1.25 for the l2 route, whose cache blocks and level masses stay
+        under a quarter table even at m = 1."""
         f = random_vector(n, m, 32)
         table = f.spectrum.nbytes
         tracemalloc.start()
@@ -351,14 +385,14 @@ class TestLeanAudit:
         assert table + peak < tables * table, (table + peak) / table
 
     def test_l2_audit_builds_no_value_table(self, monkeypatch):
-        """An l2 audit of a function built from its spectrum runs no butterfly, no level product, no projection
-        and no mean square of rows; the same patches stop a linf audit."""
+        """An l2 audit of a function built from its spectrum runs no butterfly, in place or not, no level product, no
+        projection and no mean square of rows; the same patches stop a linf audit."""
         def refuse(*args, **kwargs):
             raise AssertionError("the l2 route ran a per-point step")
 
         for owner, name in [(cube_fourier, "_walsh_butterfly"), (cube_fourier, "_butterfly_into"),
-                            (cube_fourier, "level_multiply"), (pisier_bench, "level_multiply"),
-                            (pisier_bench, "_projection_passes"), (pisier_bench, "_odd_mean_square"),
+                            (cube_fourier, "level_multiply"), (pisier_bench, "_transform_in_place"),
+                            (pisier_bench, "_projection_passes"), (pisier_bench, "_projection_blocks"),
                             (Norm, "mean_square")]:
             monkeypatch.setattr(owner, name, refuse)
         f = random_vector(10, 8, 41)

@@ -284,7 +284,7 @@ def _stores(fn) -> set[str | None]:
 # The functions that write an array their caller hands them, each with the reason.
 WRITES_ITS_ARGUMENT = {
     "cube_fourier.py:_transform_in_place": "the Walsh transform over a table its caller built, so that a column "
-                                           "block or the audit's f*P needs no second table",
+                                           "block, or f's values and f*P in an audit, need no second table",
     "vector_field.py:_root_mean_square": "squares, in place, the row norms its caller has just computed, which "
                                          "can be 2^24 doubles",
 }
@@ -317,7 +317,8 @@ def test_only_the_in_place_transform_writes_its_argument():
     assert writers == set(WRITES_ITS_ARGUMENT)
     assert sorted(core) == [("_transform_in_place", "table"), ("_walsh_butterfly", "np.empty_like(src)")]
     assert sorted(in_place) == [("lower_bound.py", "lower_bound_instance", "block", True),
-                                ("pisier_bench.py", "decomposition_audit", "split", True)]
+                                ("pisier_bench.py", "decomposition_audit", "half", True),
+                                ("pisier_bench.py", "decomposition_audit", "half", True)]
 
 
 def test_public_surface():
@@ -416,6 +417,9 @@ UNREACHED_BY_THE_CLI = {
     "cube_fourier.to_spectrum_json": "the sparse spectrum as one string, for library callers and perfbench; "
                                      "the fourier command writes spectrum_json_pieces as they come",
     "cube_fourier.CubeFunction.__repr__": "read in a debugger or a failing test, never in a run",
+    "cube_fourier.level_multiply": "the level operator the README documents, spec[S] * c[|S|], and the tests' "
+                                   "oracle for convolution with a level-symmetric function; the audit folds its "
+                                   "f*P rows into its own table instead",
     "vector_field.Norm.__repr__": "read in a debugger or a failing test, never in a run",
     "pisier_bench.rademacher_projection": "lin f as a whole table, which acceptance criterion 6 builds for the "
                                           "instance; it shares _projection_passes with the audit, which "

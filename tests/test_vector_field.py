@@ -251,8 +251,8 @@ class TestRademacherProjection:
     def test_bit_identical_to_the_butterfly_route(self, monkeypatch, n, m):
         """lin f has the bits of the inverse transform of the level-1 spectrum, at 1 and 2 butterfly workers, and
         of the sum of the singleton characters in ascending j from 0.0: it runs the butterfly's own additions in
-        the butterfly's order, so no matrix product picks a summation order.  The audit's lin f at the even points
-        has the bits of the even rows."""
+        the butterfly's order, so no matrix product picks a summation order.  The audit's lin f at the even points,
+        streamed in aligned blocks of the default size and of 2 rows (64 past n = 10), has the bits of the even rows."""
         f = random_vector(n, m, n + m)
         whole = rademacher_projection_whole(f.spectrum)
         want = whole.tobytes()
@@ -260,7 +260,12 @@ class TestRademacherProjection:
             monkeypatch.setattr(cube_fourier, "_WORKERS", workers)
             assert rademacher_projection(f).values_matrix().tobytes() == want
             assert inverse_fwht(level_multiply(f.spectrum, keep_level(n, 1))).tobytes() == want
-        assert pisier_bench._projection_at_even_points(f.spectrum).tobytes() == whole[0::2].tobytes()
+        for block in (cube_fourier._BLOCK_DOUBLES, m * (2 if n <= 10 else 64)):
+            monkeypatch.setattr(cube_fourier, "_BLOCK_DOUBLES", block)
+            even = np.full_like(whole[0::2], np.nan)
+            for rows, linear in pisier_bench._projection_blocks(f.spectrum):
+                even[rows] = linear
+            assert even.tobytes() == whole[0::2].tobytes()
 
 
 class TestBlockedWalks:
